@@ -22,6 +22,13 @@ type Chip struct {
 	ID int
 }
 
+// pending is an engine's next event in Run: done, a shared quantum to
+// take at its clock, or a budget stop or failure to report there.
+type pending struct {
+	ev  event
+	err error
+}
+
 // NumEngines on a real IXP1200.
 const NumEngines = 6
 
@@ -38,7 +45,6 @@ func NewChip(cfg Config, n int) *Chip {
 		e.Scratch = first.Scratch
 		e.CSR = first.CSR
 		e.units = first.units
-		e.hashUnit = first.hashUnit
 		c.Engines = append(c.Engines, e)
 	}
 	c.SetID(0)
@@ -85,73 +91,70 @@ func (c *Chip) Load(p *asm.Program) {
 }
 
 // Run advances all engines on a single global clock until every
-// started thread halts: at each step the engine with the smallest
-// local clock executes one scheduling quantum, so memory-port grants
-// are issued in true time order. Failures are returned as *RunError
-// naming the chip and engine they happened on.
+// started thread halts. Each engine runs ahead on its own clock
+// through quanta that touch only its own state (sharedOp is false: ALU,
+// immediate, branch, FIFO and context-swap instructions, thread
+// switches, idle skips) and stops before the next one that touches
+// chip-shared state. Those shared quanta — and budget stops and
+// failures, which wait as pending events at the clock they happened —
+// are taken across engines in (clock, engine index) order, so memory-
+// and hash-port grants are issued in true time order and the first
+// error reported is the one at the earliest (clock, engine). Local
+// quanta cannot observe another engine, so every bit of the outcome
+// equals interleaving all engines one quantum at a time. Failures are
+// returned as *RunError naming the chip and engine they happened on.
 func (c *Chip) Run(maxCycles int64) (*Stats, error) {
-	active := make([]bool, len(c.Engines))
 	anyStarted := false
 	for i, e := range c.Engines {
 		if e.prog == nil {
 			return nil, c.attr(i, fmt.Errorf("no program loaded"))
 		}
-		active[i] = e.active()
-		if active[i] {
-			anyStarted = true
-		}
+		anyStarted = anyStarted || e.active()
 	}
 	if !anyStarted {
 		return nil, c.attr(-1, fmt.Errorf("no engine has running threads"))
 	}
+	// pend[i] is why engine i's run-ahead last stopped.
+	pend := make([]pending, len(c.Engines))
+	for i, e := range c.Engines {
+		pend[i].ev = evDone
+		if e.active() {
+			pend[i].ev, pend[i].err = e.runAhead(maxCycles, true)
+		}
+	}
 	for {
-		// Engine with the smallest local clock among active ones.
+		// The pending event with the smallest (clock, index).
 		best := -1
-		for i, e := range c.Engines {
-			if !active[i] {
+		for i := range pend {
+			if pend[i].ev == evDone {
 				continue
 			}
-			if best < 0 || e.clock < c.Engines[best].clock {
+			if best < 0 || c.Engines[i].clock < c.Engines[best].clock {
 				best = i
 			}
 		}
 		if best < 0 {
 			break // all done
 		}
-		e := c.Engines[best]
-		if e.clock >= maxCycles {
+		e, p := c.Engines[best], &pend[best]
+		switch p.ev {
+		case evBudget:
 			return nil, c.attr(best, fmt.Errorf("cycle budget exhausted"))
+		case evErr:
+			return nil, c.attr(best, p.err)
 		}
-		done, err := e.tick()
-		if err != nil {
+		if err := e.stepCur(); err != nil {
 			return nil, c.attr(best, err)
 		}
-		if done {
-			active[best] = false
-		}
+		p.ev, p.err = e.runAhead(maxCycles, true)
 	}
 	// Aggregate statistics; the chip's cycle count is the slowest
 	// engine's clock.
-	total := &Stats{}
+	total := &Stats{Results: make([][]uint32, 0, len(c.Engines)*c.Cfg.Threads)}
 	for i, e := range c.Engines {
-		st, err := e.stats()
-		if err != nil {
+		if err := e.collect(total); err != nil {
 			return nil, c.attr(i, err)
 		}
-		if st.Cycles > total.Cycles {
-			total.Cycles = st.Cycles
-		}
-		total.Instrs += st.Instrs
-		total.MemRefs += st.MemRefs
-		total.Swaps += st.Swaps
-		total.SRAMRefs += st.SRAMRefs
-		total.SDRAMRefs += st.SDRAMRefs
-		total.ScratchRefs += st.ScratchRefs
-		total.HashRefs += st.HashRefs
-		total.FIFORefs += st.FIFORefs
-		total.StallCycles += st.StallCycles
-		total.PortWaitCycles += st.PortWaitCycles
-		total.Results = append(total.Results, st.Results...)
 	}
 	return total, nil
 }

@@ -25,7 +25,17 @@
 //
 // NewChip builds several engines sharing one memory system and its
 // port-arbitration state; Chip.Run interleaves them on a global clock
-// so cross-engine bandwidth contention is simulated faithfully.
+// so cross-engine bandwidth contention is simulated faithfully. It
+// does so by conservative run-ahead: each engine runs on its own clock
+// through engine-local quanta (ALU, immediate, branch, RX/TX FIFO and
+// context-swap instructions, thread switches, idle skips) and stops
+// before the next quantum that touches chip-shared state (an SRAM,
+// SDRAM or scratch reference, hash, bit-test-and-set, CSR access).
+// Shared quanta, budget stops and failures are taken across engines in
+// (clock, engine index) order. The result is exactly that of stepping
+// the engine with the smallest clock one quantum at a time: a local
+// quantum cannot observe another engine, and everything that can is
+// ordered as before, including which engine an error names.
 //
 // Stats splits memory traffic by space (SRAMRefs, SDRAMRefs,
 // ScratchRefs, HashRefs, FIFORefs) and attributes lost cycles:

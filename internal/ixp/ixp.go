@@ -12,7 +12,7 @@ import (
 )
 
 // Simulator counters (DESIGN.md §8): tallied in plain Machine fields
-// while an engine runs (each engine ticks on one goroutine) and flushed
+// while an engine runs (each engine runs on one goroutine) and flushed
 // with atomic adds when a run's statistics are collected, so the
 // cycle-accurate loop carries no instrumentation cost.
 var (
@@ -117,15 +117,18 @@ type Machine struct {
 
 	prog    *asm.Program
 	threads []*thread
+	// shared[pc] marks the program's instructions that touch
+	// chip-shared state (see sharedOp), decoded once per program.
+	shared []bool
 
-	// Engine-local scheduling state (tick-based so several engines of
-	// one chip can interleave on a global clock).
+	// Engine-local scheduling state (a clock per engine, so the
+	// engines of one chip can run ahead of each other; see Chip.Run).
 	clock int64
 	cur   int
 	swaps int64
 
 	// Per-run telemetry, reset by Load and flushed to the ixp/ obs
-	// counters by stats. Plain fields: an engine ticks on one
+	// counters by collect. Plain fields: an engine runs on one
 	// goroutine, so the hot loop pays no synchronization.
 	sramRefs    int64
 	sdramRefs   int64
@@ -139,9 +142,16 @@ type Machine struct {
 	// occupy a unit for a few cycles, so engines contend for
 	// bandwidth (the paper: "All tables reside in SRAM, resulting in
 	// contention").
-	units    map[cps.Space]*memUnit
-	hashUnit *memUnit
+	units *[numUnits]memUnit
 }
+
+// Unit slots: the three memory spaces, indexed by their cps.Space
+// (cps.SpaceSRAM, cps.SpaceSDRAM, cps.SpaceScratch), then the hash
+// unit.
+const (
+	hashUnit = cps.SpaceScratch + 1
+	numUnits = hashUnit + 1
+)
 
 // memUnit models one memory port's bandwidth.
 type memUnit struct {
@@ -187,17 +197,25 @@ func New(cfg Config) *Machine {
 	for i := 0; i < cfg.Threads; i++ {
 		m.threads = append(m.threads, &thread{id: i})
 	}
-	m.units = map[cps.Space]*memUnit{
+	m.units = &[numUnits]memUnit{
 		cps.SpaceSRAM:    {occupancy: int64(cfg.SRAMOccupancy)},
 		cps.SpaceSDRAM:   {occupancy: int64(cfg.SDRAMOccupancy)},
 		cps.SpaceScratch: {occupancy: int64(cfg.ScratchOccupancy)},
+		hashUnit:         {occupancy: int64(cfg.HashOccupancy)},
 	}
-	m.hashUnit = &memUnit{occupancy: int64(cfg.HashOccupancy)}
 	return m
 }
 
-// Load installs a program on every thread.
+// Load installs a program on every thread. Reloading the program a
+// machine already holds reuses its decoded form, so a program must not
+// be modified once loaded.
 func (m *Machine) Load(p *asm.Program) {
+	if p != m.prog || len(m.shared) != len(p.Instrs) {
+		m.shared = make([]bool, len(p.Instrs))
+		for pc := range p.Instrs {
+			m.shared[pc] = sharedOp(&p.Instrs[pc])
+		}
+	}
 	m.prog = p
 	for _, t := range m.threads {
 		t.pc = 0
@@ -213,10 +231,24 @@ func (m *Machine) Load(p *asm.Program) {
 	m.sramRefs, m.sdramRefs, m.scratchRefs = 0, 0, 0
 	m.hashRefs, m.fifoRefs = 0, 0
 	m.stallCycles, m.portWait = 0, 0
-	for _, u := range m.units {
-		u.nextFree = 0
+	for i := range m.units {
+		m.units[i].nextFree = 0
 	}
-	m.hashUnit.nextFree = 0
+}
+
+// sharedOp reports whether the instruction touches state the engines
+// of a chip share: a memory or CSR reference, or the hash unit. The RX
+// and TX FIFOs are per-thread and per-engine, so FIFO references are
+// engine-local, as are ALU, immediate, branch and context-swap
+// instructions.
+func sharedOp(in *asm.Instr) bool {
+	switch in.Op {
+	case asm.OpRead, asm.OpWrite:
+		return in.Space != cps.SpaceRFIFO && in.Space != cps.SpaceTFIFO
+	case asm.OpHash, asm.OpBTS, asm.OpCSRRd, asm.OpCSRWr:
+		return true
+	}
+	return false
 }
 
 // SetArgs places entry argument values into a thread's registers.
@@ -263,25 +295,66 @@ func (m *Machine) Seconds(cycles int64) float64 {
 	return float64(cycles) / (m.Cfg.ClockMHz * 1e6)
 }
 
-// tick advances the engine by one scheduling quantum at its local
-// clock: one instruction of the current thread, a context switch, or
-// an idle skip to the next wake-up. done reports that no started
-// thread can ever run again.
-func (m *Machine) tick() (done bool, err error) {
-	// Prefer the current thread while it is runnable (context switches
-	// are not free).
-	if m.cur >= 0 {
-		t := m.threads[m.cur]
-		if t.running && !t.halted && t.wakeAt <= m.clock {
-			c, err := m.step(t, m.clock)
-			if err != nil {
-				return false, fmt.Errorf("thread %d pc %d: %w", t.id, t.pc, err)
+// event is why runAhead stopped.
+type event int
+
+const (
+	evDone   event = iota // no started thread can run again
+	evShared              // the next quantum touches chip-shared state
+	evBudget              // the clock reached the cycle budget
+	evErr                 // a quantum failed
+)
+
+// runAhead advances the engine quantum by quantum at its local clock —
+// one instruction of the current thread, a context switch, or an idle
+// skip to the next wake-up — until it is done, its clock reaches
+// maxCycles, or a quantum fails. With stop set it also stops, without
+// executing it, before an instruction that touches chip-shared state
+// (sharedOp); the chip executes that one with stepCur.
+func (m *Machine) runAhead(maxCycles int64, stop bool) (event, error) {
+	for m.clock < maxCycles {
+		// Prefer the current thread while it is runnable (context
+		// switches are not free).
+		if m.cur >= 0 {
+			t := m.threads[m.cur]
+			if t.running && !t.halted && t.wakeAt <= m.clock {
+				if stop && m.shared[t.pc] {
+					return evShared, nil
+				}
+				if err := m.stepCur(); err != nil {
+					return evErr, err
+				}
+				continue
 			}
-			m.clock += int64(c)
-			return false, nil
+		}
+		done, err := m.schedule()
+		if err != nil {
+			return evErr, err
+		}
+		if done {
+			return evDone, nil
 		}
 	}
-	// Pick the next runnable thread (round-robin from cur+1).
+	return evBudget, nil
+}
+
+// stepCur executes one instruction of the current thread at the
+// engine's clock.
+func (m *Machine) stepCur() error {
+	t := m.threads[m.cur]
+	c, err := m.step(t, m.clock)
+	if err != nil {
+		return fmt.Errorf("thread %d pc %d: %w", t.id, t.pc, err)
+	}
+	m.clock += int64(c)
+	return nil
+}
+
+// schedule runs the quantum taken when the current thread cannot run:
+// a switch to the next runnable thread (round-robin from cur+1) or an
+// idle skip to the earliest wake-up. done reports that no started
+// thread can ever run again.
+func (m *Machine) schedule() (done bool, err error) {
 	next := -1
 	for i := 1; i <= len(m.threads); i++ {
 		c := (m.cur + i) % len(m.threads)
@@ -348,56 +421,55 @@ func (m *Machine) Run(maxCycles int64) (*Stats, error) {
 	if m.prog == nil {
 		return nil, m.attr(fmt.Errorf("no program loaded"))
 	}
-	for m.clock < maxCycles {
-		done, err := m.tick()
-		if err != nil {
-			return nil, m.attr(err)
-		}
-		if done {
-			break
-		}
+	if ev, err := m.runAhead(maxCycles, false); ev == evErr {
+		return nil, m.attr(err)
 	}
-	st, err := m.stats()
-	if err != nil {
+	st := &Stats{}
+	if err := m.collect(st); err != nil {
 		return st, m.attr(err)
 	}
 	return st, nil
 }
 
-func (m *Machine) stats() (*Stats, error) {
-	st := &Stats{
-		Cycles: m.clock, Swaps: m.swaps,
-		SRAMRefs: m.sramRefs, SDRAMRefs: m.sdramRefs, ScratchRefs: m.scratchRefs,
-		HashRefs: m.hashRefs, FIFORefs: m.fifoRefs,
-		StallCycles: m.stallCycles, PortWaitCycles: m.portWait,
-	}
+// collect folds the engine's run into st — counts add up, Cycles is
+// the largest engine clock, Results append in thread order — and
+// publishes the engine's tallies to the process-wide ixp/ counters. It
+// fails, publishing nothing, when a started thread has not halted.
+func (m *Machine) collect(st *Stats) error {
+	var instrs, memRefs int64
 	for _, t := range m.threads {
-		st.Instrs += t.instrs
-		st.MemRefs += t.memRefs
+		instrs += t.instrs
+		memRefs += t.memRefs
 		if t.running {
 			st.Results = append(st.Results, t.results)
 		}
 		if t.running && !t.halted {
-			return st, fmt.Errorf("cycle budget exhausted (thread %d at pc %d)", t.id, t.pc)
+			return fmt.Errorf("cycle budget exhausted (thread %d at pc %d)", t.id, t.pc)
 		}
 	}
-	m.flushCounters(st)
-	return st, nil
-}
+	st.Cycles = max(st.Cycles, m.clock)
+	st.Instrs += instrs
+	st.MemRefs += memRefs
+	st.Swaps += m.swaps
+	st.SRAMRefs += m.sramRefs
+	st.SDRAMRefs += m.sdramRefs
+	st.ScratchRefs += m.scratchRefs
+	st.HashRefs += m.hashRefs
+	st.FIFORefs += m.fifoRefs
+	st.StallCycles += m.stallCycles
+	st.PortWaitCycles += m.portWait
 
-// flushCounters publishes a run's tallies to the process-wide ixp/
-// counters, once per collection.
-func (m *Machine) flushCounters(st *Stats) {
-	cIxpCycles.Add(st.Cycles)
-	cIxpInstrs.Add(st.Instrs)
-	cIxpSwaps.Add(st.Swaps)
-	cIxpSRAMRefs.Add(st.SRAMRefs)
-	cIxpSDRAMRefs.Add(st.SDRAMRefs)
-	cIxpScratch.Add(st.ScratchRefs)
-	cIxpHashRefs.Add(st.HashRefs)
-	cIxpFIFORefs.Add(st.FIFORefs)
-	cIxpStalls.Add(st.StallCycles)
-	cIxpPortWait.Add(st.PortWaitCycles)
+	cIxpCycles.Add(m.clock)
+	cIxpInstrs.Add(instrs)
+	cIxpSwaps.Add(m.swaps)
+	cIxpSRAMRefs.Add(m.sramRefs)
+	cIxpSDRAMRefs.Add(m.sdramRefs)
+	cIxpScratch.Add(m.scratchRefs)
+	cIxpHashRefs.Add(m.hashRefs)
+	cIxpFIFORefs.Add(m.fifoRefs)
+	cIxpStalls.Add(m.stallCycles)
+	cIxpPortWait.Add(m.portWait)
+	return nil
 }
 
 // noteRef tallies one memory reference against its space.
@@ -437,10 +509,6 @@ func (m *Machine) mem(space cps.Space) ([]uint32, int, error) {
 // issue cost. Blocking references set the thread's wake-up time; the
 // scheduler switches to another thread to hide the latency.
 func (m *Machine) step(t *thread, cycle int64) (int, error) {
-	block := func(lat int) (int, error) {
-		t.wakeAt = cycle + 1 + int64(lat)
-		return 1, nil
-	}
 	in := &m.prog.Instrs[t.pc]
 	t.instrs++
 	cost := 1
@@ -495,11 +563,11 @@ func (m *Machine) step(t *thread, cycle int64) (int, error) {
 		// The thread blocks until the data arrives; other threads (and
 		// other engines) contend for the memory port.
 		t.pc++
-		if in.Space == cps.SpaceRFIFO {
-			return block(lat)
+		g := cycle + 1
+		if in.Space != cps.SpaceRFIFO {
+			g = m.units[in.Space].grant(cycle + 1)
+			m.portWait += g - (cycle + 1)
 		}
-		g := m.units[in.Space].grant(cycle + 1)
-		m.portWait += g - (cycle + 1)
 		t.wakeAt = g + int64(lat)
 		return 1, nil
 	case asm.OpWrite:
@@ -542,7 +610,7 @@ func (m *Machine) step(t *thread, cycle int64) (int, error) {
 		v := t.regs[core.S][in.Base]
 		t.regs[core.L][in.Dst.Idx] = cps.DefaultHash(v)
 		t.pc++
-		g := m.hashUnit.grant(cycle + 1)
+		g := m.units[hashUnit].grant(cycle + 1)
 		m.portWait += g - (cycle + 1)
 		t.wakeAt = g + int64(m.Cfg.HashLatency)
 		return 1, nil
@@ -557,7 +625,7 @@ func (m *Machine) step(t *thread, cycle int64) (int, error) {
 		m.SRAM[addr] |= t.regs[core.S][in.Base]
 		t.regs[core.L][in.Dst.Idx] = old
 		t.pc++
-		u := m.units[cps.SpaceSRAM]
+		u := &m.units[cps.SpaceSRAM]
 		g := u.grant(cycle + 1)
 		m.portWait += g - (cycle + 1)
 		u.grant(g) // read-modify-write holds the port twice
@@ -572,8 +640,10 @@ func (m *Machine) step(t *thread, cycle int64) (int, error) {
 		t.pc++
 		cost = 2
 	case asm.OpCtxSwap:
+		// Yield: runnable again one cycle after issue.
 		t.pc++
-		return block(1)
+		t.wakeAt = cycle + 2
+		return 1, nil
 	case asm.OpBr:
 		l, r := t.get(in.L), t.get(in.R)
 		if cmpOp(in.Alu, l, r) {

@@ -1,7 +1,5 @@
 package pktgen
 
-import "math/rand"
-
 // Word offsets of the Ethernet+IPv4+TCP packet template used by the
 // AES and Kasumi workloads: a 16-byte padded Ethernet header, a
 // 20-byte IPv4 header, a 20-byte TCP header, then the payload.
@@ -21,7 +19,7 @@ type TCPPacket struct {
 // BuildTCP constructs an Ethernet/IPv4/TCP packet with payloadBytes of
 // deterministic pseudo-random payload (rounded up to a whole word).
 func BuildTCP(seed int64, payloadBytes int) *TCPPacket {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newLazySource(seed)
 	payWords := (payloadBytes + 3) / 4
 	w := make([]uint32, PayloadStart+payWords)
 	// Ethernet: dst 00:11:22:33:44:55, src 66:77:88:99:aa:bb,
@@ -53,7 +51,7 @@ func BuildTCP(seed int64, payloadBytes int) *TCPPacket {
 // NAT workload: a 40-byte IPv6 header followed by payloadBytes of
 // payload (rounded up to an even word count for SDRAM alignment).
 func BuildIPv6TCP(seed int64, payloadBytes int) []uint32 {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newLazySource(seed)
 	payWords := (payloadBytes + 7) / 8 * 2
 	w := make([]uint32, 10+payWords)
 	w[0] = 6<<28 | uint32(rng.Intn(1<<24))      // version 6, priority 0, flow label
