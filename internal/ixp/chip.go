@@ -2,6 +2,8 @@ package ixp
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/asm"
 )
@@ -23,8 +25,11 @@ type Chip struct {
 }
 
 // pending is an engine's next event in Run: done, a shared quantum to
-// take at its clock, or a budget stop or failure to report there.
+// take at its clock, or a budget stop or failure to report there. key
+// orders the events: the engine's clock and index packed into one
+// int64 (see Chip.Run), math.MaxInt64 once the engine is done.
 type pending struct {
+	key int64
 	ev  event
 	err error
 }
@@ -83,26 +88,34 @@ func (c *Chip) SDRAM() []uint32 { return c.Engines[0].SDRAM }
 // Scratch returns the shared scratch image.
 func (c *Chip) Scratch() []uint32 { return c.Engines[0].Scratch }
 
-// Load installs a program on every engine and resets the clocks.
+// Load installs a program on every engine and resets the clocks. The
+// program is decoded once and shared by the engines; reloading the
+// program the chip already holds reuses its decoded form.
 func (c *Chip) Load(p *asm.Program) {
-	for _, e := range c.Engines {
-		e.Load(p)
+	first := c.Engines[0]
+	first.Load(p)
+	for _, e := range c.Engines[1:] {
+		e.load(p, first.code)
 	}
 }
 
 // Run advances all engines on a single global clock until every
 // started thread halts. Each engine runs ahead on its own clock
-// through quanta that touch only its own state (sharedOp is false: ALU,
-// immediate, branch, FIFO and context-swap instructions, thread
-// switches, idle skips) and stops before the next one that touches
-// chip-shared state. Those shared quanta — and budget stops and
-// failures, which wait as pending events at the clock they happened —
-// are taken across engines in (clock, engine index) order, so memory-
-// and hash-port grants are issued in true time order and the first
-// error reported is the one at the earliest (clock, engine). Local
-// quanta cannot observe another engine, so every bit of the outcome
-// equals interleaving all engines one quantum at a time. Failures are
-// returned as *RunError naming the chip and engine they happened on.
+// through quanta that touch only its own state (ALU, immediate,
+// branch, FIFO and context-swap ops, thread switches, idle skips) and
+// stops before the next one that touches chip-shared state. Those
+// shared quanta — and budget stops and failures, which wait as pending
+// events at the clock they happened — are taken across engines in
+// (clock, engine index) order, so memory- and hash-port grants are
+// issued in true time order and the first error reported is the one
+// at the earliest (clock, engine). The engine whose pending event
+// sorts first keeps running, through further shared quanta, for as
+// long as it still sorts before the runner-up: nothing the other
+// engines hold changes meanwhile, so it would have been picked again
+// each time. Local quanta cannot observe another engine, so every bit
+// of the outcome equals interleaving all engines one quantum at a
+// time. Failures are returned as *RunError naming the chip and engine
+// they happened on.
 func (c *Chip) Run(maxCycles int64) (*Stats, error) {
 	anyStarted := false
 	for i, e := range c.Engines {
@@ -114,28 +127,42 @@ func (c *Chip) Run(maxCycles int64) (*Stats, error) {
 	if !anyStarted {
 		return nil, c.attr(-1, fmt.Errorf("no engine has running threads"))
 	}
+	// A key is clock<<shift | index, so keys order as (clock, index)
+	// pairs. To keep every key below math.MaxInt64, clocks are clamped
+	// to clockMax and so is the budget: shared quanta and failures
+	// happen below the budget, so their keys are exact, and a budget
+	// beyond clockMax (2^60 - 2 cycles on a 6-engine chip, far more
+	// than any run simulates) acts as clockMax.
+	shift := uint(bits.Len(uint(len(c.Engines))))
+	clockMax := int64(math.MaxInt64>>shift) - 1
+	maxCycles = min(maxCycles, clockMax)
+	key := func(i int, ev event) int64 {
+		if ev == evDone {
+			return math.MaxInt64
+		}
+		return min(c.Engines[i].clock, clockMax)<<shift | int64(i)
+	}
 	// pend[i] is why engine i's run-ahead last stopped.
 	pend := make([]pending, len(c.Engines))
 	for i, e := range c.Engines {
 		pend[i].ev = evDone
 		if e.active() {
-			pend[i].ev, pend[i].err = e.runAhead(maxCycles, true)
+			pend[i].ev, pend[i].err = e.runAhead(maxCycles, math.MinInt64)
 		}
+		pend[i].key = key(i, pend[i].ev)
 	}
 	for {
-		// The pending event with the smallest (clock, index).
-		best := -1
+		// The smallest and second-smallest keys, in one pass.
+		first, second := int64(math.MaxInt64), int64(math.MaxInt64)
 		for i := range pend {
-			if pend[i].ev == evDone {
-				continue
-			}
-			if best < 0 || c.Engines[i].clock < c.Engines[best].clock {
-				best = i
-			}
+			k := pend[i].key
+			second = min(second, max(first, k))
+			first = min(first, k)
 		}
-		if best < 0 {
+		if first == math.MaxInt64 {
 			break // all done
 		}
+		best := int(first & (1<<shift - 1))
 		e, p := c.Engines[best], &pend[best]
 		switch p.ev {
 		case evBudget:
@@ -143,10 +170,17 @@ func (c *Chip) Run(maxCycles int64) (*Stats, error) {
 		case evErr:
 			return nil, c.attr(best, p.err)
 		}
-		if err := e.stepCur(); err != nil {
-			return nil, c.attr(best, err)
+		// Engine best sorts before the runner-up (clock, index) while
+		// its clock is below limit.
+		limit := int64(math.MaxInt64)
+		if second != math.MaxInt64 {
+			limit = second >> shift
+			if best < int(second&(1<<shift-1)) {
+				limit++
+			}
 		}
-		p.ev, p.err = e.runAhead(maxCycles, true)
+		p.ev, p.err = e.runAhead(maxCycles, limit)
+		p.key = key(best, p.ev)
 	}
 	// Aggregate statistics; the chip's cycle count is the slowest
 	// engine's clock.

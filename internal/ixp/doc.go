@@ -23,19 +23,40 @@
 //		_ = st.Cycles                          // plus Instrs, MemRefs,
 //	}                                              // SRAMRefs, StallCycles, ...
 //
+// Load decodes the program once into flat op records: the operation
+// kind, register references as indices into one flat per-thread
+// register file (bank*16 + index, checked against the file at decode),
+// immediates, transfer-register ranges, branch targets, and whether
+// the op touches chip-shared state. An instruction that names a
+// register outside the file, or a branch target outside the program,
+// decodes to an op that fails the run with a *RunError when it is
+// reached, as does running past the last instruction. The decoded form holds nothing from
+// Config: latencies, BranchPenalty and SwapCost are read when an op
+// runs, so a Config changed between runs takes effect on reload.
+// Reloading the same *asm.Program reuses the decoded form. Each thread
+// carries one readiness field, the cycle it can next issue at (never,
+// for a thread halted or not started), so the scheduler's runnable
+// test and idle skip are one compare and one min.
+//
 // NewChip builds several engines sharing one memory system and its
-// port-arbitration state; Chip.Run interleaves them on a global clock
-// so cross-engine bandwidth contention is simulated faithfully. It
-// does so by conservative run-ahead: each engine runs on its own clock
-// through engine-local quanta (ALU, immediate, branch, RX/TX FIFO and
-// context-swap instructions, thread switches, idle skips) and stops
-// before the next quantum that touches chip-shared state (an SRAM,
-// SDRAM or scratch reference, hash, bit-test-and-set, CSR access).
-// Shared quanta, budget stops and failures are taken across engines in
-// (clock, engine index) order. The result is exactly that of stepping
-// the engine with the smallest clock one quantum at a time: a local
-// quantum cannot observe another engine, and everything that can is
-// ordered as before, including which engine an error names.
+// port-arbitration state, and Chip.Load hands them one decoded
+// program; Chip.Run interleaves them on a global clock so cross-engine
+// bandwidth contention is simulated faithfully. It does so by
+// conservative run-ahead: each engine runs on its own clock through
+// engine-local quanta (ALU, immediate, branch, RX/TX FIFO and
+// context-swap ops, thread switches, idle skips) and stops before the
+// next quantum that touches chip-shared state (an SRAM, SDRAM or
+// scratch reference, hash, bit-test-and-set, CSR access). Shared
+// quanta, budget stops and failures are taken across engines in
+// (clock, engine index) order: the engine whose pending event sorts
+// first keeps running, through as many shared quanta as it can, until
+// its clock no longer sorts before the runner-up's. That is exact
+// because nothing the other engines hold changes while it runs, so it
+// would have been picked again every time. The result is exactly that
+// of stepping the engine with the smallest clock one quantum at a
+// time: a local quantum cannot observe another engine, and everything
+// that can is ordered as before, including which engine an error
+// names.
 //
 // Stats splits memory traffic by space (SRAMRefs, SDRAMRefs,
 // ScratchRefs, HashRefs, FIFORefs) and attributes lost cycles:

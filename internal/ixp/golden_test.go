@@ -1,6 +1,7 @@
 package ixp_test
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -53,6 +54,11 @@ var chipStatsGolden = map[string]goldenStats{
 	"nat":        {Cycles: 6414, Instrs: 14616, MemRefs: 1512, Swaps: 918, SDRAMRefs: 1368, HashRefs: 144, StallCycles: 18198, PortWaitCycles: 149067, Results: 72, ResultsDigest: 0xd62377765e760018, OutputDigest: 0x99c420e64959b5ba},
 	"sum":        {Cycles: 504, Instrs: 792, MemRefs: 216, Swaps: 162, SRAMRefs: 72, SDRAMRefs: 144, StallCycles: 1896, PortWaitCycles: 4944, Results: 72, ResultsDigest: 0x48d6e7d6793e474b, OutputDigest: 0xf71f0a58b9f8fa98},
 	"contention": {Cycles: 87, Instrs: 336, MemRefs: 48, Swaps: 42, SRAMRefs: 48, StallCycles: 114, PortWaitCycles: 768, Results: 24, ResultsDigest: 0xbfd9fc64f7f64705, OutputDigest: 0x94a77bd98275820b},
+
+	// Recorded on the run-ahead scheduler that stopped every engine
+	// before each shared quantum, before programs were decoded at Load.
+	"aes/partial":   {Cycles: 78024, Instrs: 259794, MemRefs: 35496, Swaps: 33192, SRAMRefs: 34884, SDRAMRefs: 612, StallCycles: 74076, PortWaitCycles: 137211, Results: 51, ResultsDigest: 0x5c1dfa9118530d1b, OutputDigest: 0x96a1204ffaccac84},
+	"nat/maxbudget": {Cycles: 6414, Instrs: 14616, MemRefs: 1512, Swaps: 918, SDRAMRefs: 1368, HashRefs: 144, StallCycles: 18198, PortWaitCycles: 149067, Results: 72, ResultsDigest: 0xd62377765e760018, OutputDigest: 0x99c420e64959b5ba},
 }
 
 var goldenWL = struct {
@@ -78,15 +84,15 @@ func goldenWorkload(tb testing.TB, name string) *fleet.Workload {
 	return w
 }
 
-// runBatches runs batches full batches of the workload's stream g on
-// one chip, the way the fleet worker does: stage every slot
-// engine-major, Load, Run, Collect.
-func runBatches(tb testing.TB, w *fleet.Workload, chip *ixp.Chip, g *pktgen.FlowGen, batches int) goldenStats {
+// runBatches runs batches batches of the workload's stream g on one
+// chip, the way the fleet worker does: stage the first slots slots
+// engine-major, Load, Run with the cycle budget, Collect.
+func runBatches(tb testing.TB, w *fleet.Workload, chip *ixp.Chip, g *pktgen.FlowGen, batches, slots int, budget int64) goldenStats {
 	tb.Helper()
 	var gs goldenStats
 	for b := 0; b < batches; b++ {
-		sb := stageBatch(w, chip, g)
-		st, err := sb.run(w, chip)
+		sb := stageBatch(w, chip, g, slots)
+		st, err := sb.run(w, chip, budget)
 		if err != nil {
 			tb.Fatalf("%s batch %d: %v", w.Name, b, err)
 		}
@@ -115,14 +121,20 @@ func newWorkloadChip(w *fleet.Workload) *ixp.Chip {
 // TestChipStatsGolden: the chip scheduler is exact. Every ixp.Stats
 // field and every halt result of three 24-slot batches per workload
 // (aes, kasumi, nat, sum), and of the SRAM-contention kernel on 6
-// engines, equals the figures the lockstep scheduler produced.
+// engines, equals the figures the lockstep scheduler produced. Two
+// more cases cover uneven engines — 17-slot AES batches, as the fleet
+// runs on its flush path, leave engine 4 one thread and engine 5 none
+// — and the largest cycle budget.
 func TestChipStatsGolden(t *testing.T) {
 	got := map[string]goldenStats{}
 	for _, name := range []string{"aes", "kasumi", "nat", "sum"} {
 		w := goldenWorkload(t, name)
 		g := pktgen.NewFlowGen(w.Kind, 1, 256, 64)
-		got[name] = runBatches(t, w, newWorkloadChip(w), g, 3)
+		got[name] = runBatches(t, w, newWorkloadChip(w), g, 3, fullBatch, batchBudget)
 	}
+	aes, nat := goldenWorkload(t, "aes"), goldenWorkload(t, "nat")
+	got["aes/partial"] = runBatches(t, aes, newWorkloadChip(aes), pktgen.NewFlowGen(aes.Kind, 1, 256, 64), 3, 17, batchBudget)
+	got["nat/maxbudget"] = runBatches(t, nat, newWorkloadChip(nat), pktgen.NewFlowGen(nat.Kind, 1, 256, 64), 3, fullBatch, math.MaxInt64)
 	got["contention"] = contentionStats(t)
 	if got["contention"].PortWaitCycles == 0 {
 		t.Error("contention kernel saw no port wait: the case no longer exercises arbitration")
@@ -173,15 +185,26 @@ func contentionStats(t *testing.T) goldenStats {
 	return gs
 }
 
-// stagedBatch is one full batch staged on a chip: the packets and each
+// stagedBatch is one batch staged on a chip: the packets and each
 // slot's entry arguments, so it can be re-run without staging again.
 type stagedBatch struct {
 	pkts []*pktgen.Packet
 	args [][]uint32
 }
 
-func stageBatch(w *fleet.Workload, chip *ixp.Chip, g *pktgen.FlowGen) *stagedBatch {
-	slots := len(chip.Engines) * chip.Cfg.Threads
+// fullBatch stages every slot of the chip; batchBudget is the fleet's
+// default cycle budget per batch.
+const (
+	fullBatch   = -1
+	batchBudget = 200_000_000
+)
+
+// stageBatch stages the first slots slots of the chip (all of them
+// for fullBatch) with packets from g.
+func stageBatch(w *fleet.Workload, chip *ixp.Chip, g *pktgen.FlowGen, slots int) *stagedBatch {
+	if slots == fullBatch {
+		slots = len(chip.Engines) * chip.Cfg.Threads
+	}
 	sb := &stagedBatch{pkts: make([]*pktgen.Packet, slots), args: make([][]uint32, slots)}
 	for i := range sb.pkts {
 		sb.pkts[i] = g.Next()
@@ -190,8 +213,9 @@ func stageBatch(w *fleet.Workload, chip *ixp.Chip, g *pktgen.FlowGen) *stagedBat
 	return sb
 }
 
-// run loads the program, starts every slot and runs the chip.
-func (sb *stagedBatch) run(w *fleet.Workload, chip *ixp.Chip) (*ixp.Stats, error) {
+// run loads the program, starts every staged slot and runs the chip
+// with the cycle budget.
+func (sb *stagedBatch) run(w *fleet.Workload, chip *ixp.Chip, budget int64) (*ixp.Stats, error) {
 	threads := chip.Cfg.Threads
 	chip.Load(w.Prog)
 	for i, a := range sb.args {
@@ -199,7 +223,7 @@ func (sb *stagedBatch) run(w *fleet.Workload, chip *ixp.Chip) (*ixp.Stats, error
 			return nil, err
 		}
 	}
-	return chip.Run(200_000_000)
+	return chip.Run(budget)
 }
 
 // chipRunAllocs is the allocation count of one Chip.Run of a full
@@ -216,14 +240,14 @@ func TestChipRunAllocs(t *testing.T) {
 	chip := newWorkloadChip(w)
 	var instrs []int64
 	for _, payload := range []int{64, 2048} {
-		sb := stageBatch(w, chip, pktgen.NewFlowGen(w.Kind, 1, 256, payload))
-		st, err := sb.run(w, chip) // warm
+		sb := stageBatch(w, chip, pktgen.NewFlowGen(w.Kind, 1, 256, payload), fullBatch)
+		st, err := sb.run(w, chip, batchBudget) // warm
 		if err != nil {
 			t.Fatal(err)
 		}
 		instrs = append(instrs, st.Instrs)
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := sb.run(w, chip); err != nil {
+			if _, err := sb.run(w, chip, batchBudget); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -236,28 +260,37 @@ func TestChipRunAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkChipRun times Chip.Run on one staged 24-slot AES batch (64 B
-// packets; each run re-encrypts the previous run's output) and reports
-// host time per simulated instruction and heap allocations per run.
+// BenchmarkChipRun times a whole batch — Load, SetArgs and Chip.Run,
+// which collects the statistics — on one staged 24-slot batch of 64 B
+// packets per workload; each run re-processes the previous run's
+// output. AES is bound by simulated instructions, NAT shows the fixed
+// cost of each batch. It reports host time per simulated instruction
+// and per packet, and heap allocations per batch.
 func BenchmarkChipRun(b *testing.B) {
-	w := goldenWorkload(b, "aes")
-	chip := newWorkloadChip(w)
-	sb := stageBatch(w, chip, pktgen.NewFlowGen(w.Kind, 1, 256, 64))
-	var instrs int64
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	mallocs := ms.Mallocs
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := sb.run(w, chip)
-		if err != nil {
-			b.Fatal(err)
-		}
-		instrs += st.Instrs
+	for _, name := range []string{"aes", "nat"} {
+		b.Run(name, func(b *testing.B) {
+			w := goldenWorkload(b, name)
+			chip := newWorkloadChip(w)
+			sb := stageBatch(w, chip, pktgen.NewFlowGen(w.Kind, 1, 256, 64), fullBatch)
+			var instrs int64
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			mallocs := ms.Mallocs
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := sb.run(w, chip, batchBudget)
+				if err != nil {
+					b.Fatal(err)
+				}
+				instrs += st.Instrs
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms)
+			ns := float64(b.Elapsed().Nanoseconds())
+			b.ReportMetric(ns/float64(instrs), "ns/instr")
+			b.ReportMetric(ns/float64(b.N*len(sb.pkts)), "ns/packet")
+			b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(b.N), "allocs/op")
+		})
 	}
-	b.StopTimer()
-	runtime.ReadMemStats(&ms)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
-	b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(b.N), "allocs/op")
 }

@@ -2,6 +2,7 @@ package ixp
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/asm"
 	"repro/internal/ast"
@@ -115,11 +116,11 @@ type Machine struct {
 	EngineID int
 	ChipID   int
 
-	prog    *asm.Program
-	threads []*thread
-	// shared[pc] marks the program's instructions that touch
-	// chip-shared state (see sharedOp), decoded once per program.
-	shared []bool
+	prog *asm.Program
+	// code is prog decoded once (see decode); the engines of a chip
+	// share one copy.
+	code    []op
+	threads []thread
 
 	// Engine-local scheduling state (a clock per engine, so the
 	// engines of one chip can run ahead of each other; see Chip.Run).
@@ -130,13 +131,10 @@ type Machine struct {
 	// Per-run telemetry, reset by Load and flushed to the ixp/ obs
 	// counters by collect. Plain fields: an engine runs on one
 	// goroutine, so the hot loop pays no synchronization.
-	sramRefs    int64
-	sdramRefs   int64
-	scratchRefs int64
-	hashRefs    int64
-	fifoRefs    int64
-	stallCycles int64 // cycles every thread slept (latency not hidden)
-	portWait    int64 // cycles references waited for a busy memory port
+	instrs      int64
+	refs        [numRefs]int64 // references per memory unit, then FIFO references
+	stallCycles int64          // cycles every thread slept (latency not hidden)
+	portWait    int64          // cycles references waited for a busy memory port
 
 	// Memory units shared across the engines of a chip; accesses
 	// occupy a unit for a few cycles, so engines contend for
@@ -147,10 +145,13 @@ type Machine struct {
 
 // Unit slots: the three memory spaces, indexed by their cps.Space
 // (cps.SpaceSRAM, cps.SpaceSDRAM, cps.SpaceScratch), then the hash
-// unit.
+// unit. Machine.refs counts references per unit, then RX and TX FIFO
+// references in slot fifoRefs.
 const (
 	hashUnit = cps.SpaceScratch + 1
 	numUnits = hashUnit + 1
+	fifoRefs = numUnits
+	numRefs  = fifoRefs + 1
 )
 
 // memUnit models one memory port's bandwidth.
@@ -170,18 +171,20 @@ func (u *memUnit) grant(cycle int64) int64 {
 	return g
 }
 
+// never is the wakeAt of a thread that is halted or was never started.
+const never = math.MaxInt64
+
 type thread struct {
-	id      int
-	regs    [int(core.NumBanks)][16]uint32
-	pc      int
-	running bool
-	halted  bool
+	// wakeAt is the first cycle the thread can issue at: the thread is
+	// runnable at cycle c when wakeAt <= c.
 	wakeAt  int64
+	pc      int
+	regs    [int(core.NumBanks) * bankRegs]uint32 // flat: bank*bankRegs + idx
+	id      int
+	running bool // started by SetArgs since the last Load
+	halted  bool
 	results []uint32
 	rx      []uint32 // receive-FIFO contents for this thread
-
-	instrs  int64
-	memRefs int64
 }
 
 // New builds a machine.
@@ -193,9 +196,10 @@ func New(cfg Config) *Machine {
 		Scratch: make([]uint32, cfg.ScratchWords),
 		CSR:     map[uint32]uint32{},
 		ChipID:  -1,
+		threads: make([]thread, cfg.Threads),
 	}
-	for i := 0; i < cfg.Threads; i++ {
-		m.threads = append(m.threads, &thread{id: i})
+	for i := range m.threads {
+		m.threads[i] = thread{id: i, wakeAt: never}
 	}
 	m.units = &[numUnits]memUnit{
 		cps.SpaceSRAM:    {occupancy: int64(cfg.SRAMOccupancy)},
@@ -210,57 +214,48 @@ func New(cfg Config) *Machine {
 // machine already holds reuses its decoded form, so a program must not
 // be modified once loaded.
 func (m *Machine) Load(p *asm.Program) {
-	if p != m.prog || len(m.shared) != len(p.Instrs) {
-		m.shared = make([]bool, len(p.Instrs))
-		for pc := range p.Instrs {
-			m.shared[pc] = sharedOp(&p.Instrs[pc])
-		}
+	code := m.code
+	if p != m.prog {
+		code = decode(p)
 	}
-	m.prog = p
-	for _, t := range m.threads {
-		t.pc = 0
-		t.halted = false
-		t.running = false
+	m.load(p, code)
+}
+
+// load installs p, decoded as code, and resets the run state.
+func (m *Machine) load(p *asm.Program, code []op) {
+	m.prog, m.code = p, code
+	for i := range m.threads {
+		t := &m.threads[i]
+		t.pc, t.wakeAt = 0, never
+		t.running, t.halted = false, false
 		t.results = nil
-		t.wakeAt = 0
-		t.instrs, t.memRefs = 0, 0
 	}
-	m.clock = 0
-	m.cur = -1
-	m.swaps = 0
-	m.sramRefs, m.sdramRefs, m.scratchRefs = 0, 0, 0
-	m.hashRefs, m.fifoRefs = 0, 0
+	m.clock, m.cur, m.swaps = 0, -1, 0
+	m.instrs, m.refs = 0, [numRefs]int64{}
 	m.stallCycles, m.portWait = 0, 0
 	for i := range m.units {
 		m.units[i].nextFree = 0
 	}
 }
 
-// sharedOp reports whether the instruction touches state the engines
-// of a chip share: a memory or CSR reference, or the hash unit. The RX
-// and TX FIFOs are per-thread and per-engine, so FIFO references are
-// engine-local, as are ALU, immediate, branch and context-swap
-// instructions.
-func sharedOp(in *asm.Instr) bool {
-	switch in.Op {
-	case asm.OpRead, asm.OpWrite:
-		return in.Space != cps.SpaceRFIFO && in.Space != cps.SpaceTFIFO
-	case asm.OpHash, asm.OpBTS, asm.OpCSRRd, asm.OpCSRWr:
-		return true
-	}
-	return false
-}
-
-// SetArgs places entry argument values into a thread's registers.
+// SetArgs places entry argument values into a thread's registers and
+// starts the thread.
 func (m *Machine) SetArgs(threadID int, regs []asm.Reg, args []uint32) error {
 	if len(regs) != len(args) {
 		return fmt.Errorf("ixp: %d regs for %d args", len(regs), len(args))
 	}
-	t := m.threads[threadID]
+	t := &m.threads[threadID]
+	var d decoder
 	for i, r := range regs {
-		t.regs[r.Bank][r.Idx] = args[i]
+		idx := d.reg(r)
+		if d.err != nil {
+			return fmt.Errorf("ixp: entry argument %d: %w", i, d.err)
+		}
+		t.regs[idx] = args[i]
 	}
-	t.running = true
+	if !t.running {
+		t.running, t.wakeAt = true, 0
+	}
 	return nil
 }
 
@@ -306,96 +301,81 @@ const (
 )
 
 // runAhead advances the engine quantum by quantum at its local clock —
-// one instruction of the current thread, a context switch, or an idle
-// skip to the next wake-up — until it is done, its clock reaches
-// maxCycles, or a quantum fails. With stop set it also stops, without
-// executing it, before an instruction that touches chip-shared state
-// (sharedOp); the chip executes that one with stepCur.
-func (m *Machine) runAhead(maxCycles int64, stop bool) (event, error) {
-	for m.clock < maxCycles {
+// one op of the current thread, a context switch, or an idle skip to
+// the next wake-up — until it is done, its clock reaches maxCycles, or
+// a quantum fails. It also stops, without executing it, before an op
+// that touches chip-shared state (op.shared) once its clock reaches
+// limit: Machine.Run passes math.MaxInt64 (never stop), Chip.Run the
+// first clock at which this engine no longer sorts before the
+// runner-up.
+func (m *Machine) runAhead(maxCycles, limit int64) (event, error) {
+	clock, code := m.clock, m.code
+	for clock < maxCycles {
 		// Prefer the current thread while it is runnable (context
 		// switches are not free).
 		if m.cur >= 0 {
-			t := m.threads[m.cur]
-			if t.running && !t.halted && t.wakeAt <= m.clock {
-				if stop && m.shared[t.pc] {
+			t := &m.threads[m.cur]
+			for t.wakeAt <= clock && clock < maxCycles {
+				o := &code[t.pc]
+				if o.shared && clock >= limit {
+					m.clock = clock
 					return evShared, nil
 				}
-				if err := m.stepCur(); err != nil {
-					return evErr, err
+				c, err := m.exec(t, o, clock)
+				if err != nil {
+					m.clock = clock
+					return evErr, fmt.Errorf("thread %d pc %d: %w", t.id, t.pc, err)
 				}
-				continue
+				clock += c
+			}
+			if clock >= maxCycles {
+				break
 			}
 		}
-		done, err := m.schedule()
-		if err != nil {
-			return evErr, err
-		}
-		if done {
+		var done bool
+		if clock, done = m.schedule(clock); done {
+			m.clock = clock
 			return evDone, nil
 		}
 	}
+	m.clock = clock
 	return evBudget, nil
 }
 
-// stepCur executes one instruction of the current thread at the
-// engine's clock.
-func (m *Machine) stepCur() error {
-	t := m.threads[m.cur]
-	c, err := m.step(t, m.clock)
-	if err != nil {
-		return fmt.Errorf("thread %d pc %d: %w", t.id, t.pc, err)
-	}
-	m.clock += int64(c)
-	return nil
-}
-
-// schedule runs the quantum taken when the current thread cannot run:
-// a switch to the next runnable thread (round-robin from cur+1) or an
-// idle skip to the earliest wake-up. done reports that no started
-// thread can ever run again.
-func (m *Machine) schedule() (done bool, err error) {
-	next := -1
-	for i := 1; i <= len(m.threads); i++ {
-		c := (m.cur + i) % len(m.threads)
-		t := m.threads[c]
-		if t.running && !t.halted && t.wakeAt <= m.clock {
-			next = c
-			break
+// schedule runs the quantum taken at clock when the current thread
+// cannot issue: a switch to the next runnable thread (round-robin from
+// cur+1) or an idle skip to the earliest wake-up. It returns the clock
+// after the quantum; done reports that no started thread can ever run
+// again.
+func (m *Machine) schedule(clock int64) (after int64, done bool) {
+	n := len(m.threads)
+	next, wake := m.cur, int64(never)
+	for range n {
+		if next++; next == n {
+			next = 0
 		}
-	}
-	if next < 0 {
-		// Advance to the earliest wake-up.
-		var minWake int64 = -1
-		for _, t := range m.threads {
-			if t.running && !t.halted {
-				if minWake < 0 || t.wakeAt < minWake {
-					minWake = t.wakeAt
-				}
+		w := m.threads[next].wakeAt
+		if w <= clock {
+			if m.cur >= 0 && next != m.cur {
+				clock += int64(m.Cfg.SwapCost)
+				m.swaps++
 			}
+			m.cur = next
+			return clock, false
 		}
-		if minWake < 0 {
-			return true, nil
-		}
-		if minWake <= m.clock {
-			return false, fmt.Errorf("scheduler stuck at cycle %d", m.clock)
-		}
-		m.stallCycles += minWake - m.clock
-		m.clock = minWake
-		return false, nil
+		wake = min(wake, w)
 	}
-	if m.cur >= 0 && next != m.cur {
-		m.clock += int64(m.Cfg.SwapCost)
-		m.swaps++
+	if wake == never {
+		return clock, true
 	}
-	m.cur = next
-	return false, nil
+	m.stallCycles += wake - clock
+	return wake, false
 }
 
 // active reports whether any started thread is still running.
 func (m *Machine) active() bool {
-	for _, t := range m.threads {
-		if t.running && !t.halted {
+	for i := range m.threads {
+		if m.threads[i].wakeAt != never {
 			return true
 		}
 	}
@@ -421,7 +401,7 @@ func (m *Machine) Run(maxCycles int64) (*Stats, error) {
 	if m.prog == nil {
 		return nil, m.attr(fmt.Errorf("no program loaded"))
 	}
-	if ev, err := m.runAhead(maxCycles, false); ev == evErr {
+	if ev, err := m.runAhead(maxCycles, math.MaxInt64); ev == evErr {
 		return nil, m.attr(err)
 	}
 	st := &Stats{}
@@ -436,234 +416,187 @@ func (m *Machine) Run(maxCycles int64) (*Stats, error) {
 // publishes the engine's tallies to the process-wide ixp/ counters. It
 // fails, publishing nothing, when a started thread has not halted.
 func (m *Machine) collect(st *Stats) error {
-	var instrs, memRefs int64
-	for _, t := range m.threads {
-		instrs += t.instrs
-		memRefs += t.memRefs
+	for i := range m.threads {
+		t := &m.threads[i]
 		if t.running {
 			st.Results = append(st.Results, t.results)
 		}
-		if t.running && !t.halted {
+		if t.wakeAt != never {
 			return fmt.Errorf("cycle budget exhausted (thread %d at pc %d)", t.id, t.pc)
 		}
 	}
+	// Every reference is to exactly one unit or FIFO.
+	var memRefs int64
+	for _, n := range m.refs {
+		memRefs += n
+	}
 	st.Cycles = max(st.Cycles, m.clock)
-	st.Instrs += instrs
+	st.Instrs += m.instrs
 	st.MemRefs += memRefs
 	st.Swaps += m.swaps
-	st.SRAMRefs += m.sramRefs
-	st.SDRAMRefs += m.sdramRefs
-	st.ScratchRefs += m.scratchRefs
-	st.HashRefs += m.hashRefs
-	st.FIFORefs += m.fifoRefs
+	st.SRAMRefs += m.refs[cps.SpaceSRAM]
+	st.SDRAMRefs += m.refs[cps.SpaceSDRAM]
+	st.ScratchRefs += m.refs[cps.SpaceScratch]
+	st.HashRefs += m.refs[hashUnit]
+	st.FIFORefs += m.refs[fifoRefs]
 	st.StallCycles += m.stallCycles
 	st.PortWaitCycles += m.portWait
 
 	cIxpCycles.Add(m.clock)
-	cIxpInstrs.Add(instrs)
+	cIxpInstrs.Add(m.instrs)
 	cIxpSwaps.Add(m.swaps)
-	cIxpSRAMRefs.Add(m.sramRefs)
-	cIxpSDRAMRefs.Add(m.sdramRefs)
-	cIxpScratch.Add(m.scratchRefs)
-	cIxpHashRefs.Add(m.hashRefs)
-	cIxpFIFORefs.Add(m.fifoRefs)
+	cIxpSRAMRefs.Add(m.refs[cps.SpaceSRAM])
+	cIxpSDRAMRefs.Add(m.refs[cps.SpaceSDRAM])
+	cIxpScratch.Add(m.refs[cps.SpaceScratch])
+	cIxpHashRefs.Add(m.refs[hashUnit])
+	cIxpFIFORefs.Add(m.refs[fifoRefs])
 	cIxpStalls.Add(m.stallCycles)
 	cIxpPortWait.Add(m.portWait)
 	return nil
 }
 
-// noteRef tallies one memory reference against its space.
-func (m *Machine) noteRef(space cps.Space) {
-	switch space {
-	case cps.SpaceSRAM:
-		m.sramRefs++
-	case cps.SpaceSDRAM:
-		m.sdramRefs++
-	case cps.SpaceScratch:
-		m.scratchRefs++
-	case cps.SpaceRFIFO, cps.SpaceTFIFO:
-		m.fifoRefs++
+func (t *thread) get(o operand) uint32 {
+	if o.imm {
+		return o.val
 	}
+	return t.regs[o.reg]
 }
 
-func (t *thread) get(o asm.Operand) uint32 {
-	if o.IsImm {
-		return o.Imm
-	}
-	return t.regs[o.Reg.Bank][o.Reg.Idx]
+// grant arbitrates a reference issued at clock on unit u and returns
+// the cycle the unit accepted it, charging the wait to portWait.
+func (m *Machine) grant(u cps.Space, clock int64) int64 {
+	g := m.units[u].grant(clock + 1)
+	m.portWait += g - (clock + 1)
+	return g
 }
 
-func (m *Machine) mem(space cps.Space) ([]uint32, int, error) {
-	switch space {
-	case cps.SpaceSRAM:
-		return m.SRAM, m.Cfg.SRAMLatency, nil
-	case cps.SpaceSDRAM:
-		return m.SDRAM, m.Cfg.SDRAMLatency, nil
-	case cps.SpaceScratch:
-		return m.Scratch, m.Cfg.ScratchLatency, nil
-	}
-	return nil, 0, fmt.Errorf("bad space %v", space)
-}
-
-// step executes one instruction at the given cycle, returning its
+// exec executes op o of thread t at the given cycle and returns its
 // issue cost. Blocking references set the thread's wake-up time; the
-// scheduler switches to another thread to hide the latency.
-func (m *Machine) step(t *thread, cycle int64) (int, error) {
-	in := &m.prog.Instrs[t.pc]
-	t.instrs++
-	cost := 1
-	switch in.Op {
-	case asm.OpAlu:
-		l, r := t.get(in.L), t.get(in.R)
-		v, ok := types.EvalBinop(in.Alu, l, r)
+// scheduler switches to another thread to hide the latency. Ops that
+// do not branch, halt or fail advance the pc and cost one cycle unless
+// they say otherwise.
+func (m *Machine) exec(t *thread, o *op, clock int64) (int64, error) {
+	m.instrs++
+	switch o.kind {
+	case opALU:
+		l, r := t.get(o.l), t.get(o.r)
+		v, ok := types.EvalBinop(o.alu, l, r)
 		if !ok {
-			return 0, fmt.Errorf("alu %v %d %d", in.Alu, l, r)
+			return 0, fmt.Errorf("alu %v %d %d", o.alu, l, r)
 		}
-		t.regs[in.Dst.Bank][in.Dst.Idx] = v
+		t.regs[o.dst] = v
+	case opImm:
+		t.regs[o.dst] = o.l.val
 		t.pc++
-	case asm.OpImm:
-		t.regs[in.Dst.Bank][in.Dst.Idx] = in.Val
-		cost = in.Words()
-		t.pc++
-	case asm.OpRead:
-		t.memRefs++
-		m.noteRef(in.Space)
-		addr := t.get(in.Addr)
-		var lat int
-		if in.Space == cps.SpaceRFIFO {
-			lat = m.Cfg.FIFOLatency
-			for i := 0; i < in.Count; i++ {
-				idx := int(addr) + i
-				if idx >= len(t.rx) {
-					return 0, fmt.Errorf("rfifo read %d beyond %d", idx, len(t.rx))
-				}
-				t.regs[core.L][in.Base+i] = t.rx[idx]
+		return o.words, nil
+	case opFIFORead:
+		m.refs[fifoRefs]++
+		addr := int(t.get(o.addr))
+		for i := range int(o.count) {
+			idx := addr + i
+			if idx >= len(t.rx) {
+				return 0, fmt.Errorf("rfifo read %d beyond %d", idx, len(t.rx))
 			}
-		} else {
-			mem, l, err := m.mem(in.Space)
-			if err != nil {
-				return 0, err
-			}
-			lat = l
-			if in.Space == cps.SpaceSDRAM && addr%2 != 0 {
+			t.regs[int(o.xfer)+i] = t.rx[idx]
+		}
+		t.wakeAt = clock + 1 + int64(m.Cfg.FIFOLatency)
+	case opMemRead:
+		m.refs[o.space]++
+		addr := t.get(o.addr)
+		mem, lat := m.SRAM, m.Cfg.SRAMLatency
+		switch o.space {
+		case cps.SpaceSDRAM:
+			if addr%2 != 0 {
 				return 0, fmt.Errorf("unaligned sdram read at %d", addr)
 			}
-			dstBank := core.L
-			if in.Space == cps.SpaceSDRAM {
-				dstBank = core.LD
+			mem, lat = m.SDRAM, m.Cfg.SDRAMLatency
+		case cps.SpaceScratch:
+			mem, lat = m.Scratch, m.Cfg.ScratchLatency
+		}
+		for i := range int(o.count) {
+			idx := int(addr) + i
+			if idx >= len(mem) {
+				return 0, fmt.Errorf("%v read at %d out of range", o.space, idx)
 			}
-			for i := 0; i < in.Count; i++ {
-				idx := int(addr) + i
-				if idx >= len(mem) {
-					return 0, fmt.Errorf("%v read at %d out of range", in.Space, idx)
-				}
-				t.regs[dstBank][in.Base+i] = mem[idx]
-			}
+			t.regs[int(o.xfer)+i] = mem[idx]
 		}
 		// The thread blocks until the data arrives; other threads (and
 		// other engines) contend for the memory port.
-		t.pc++
-		g := cycle + 1
-		if in.Space != cps.SpaceRFIFO {
-			g = m.units[in.Space].grant(cycle + 1)
-			m.portWait += g - (cycle + 1)
+		t.wakeAt = m.grant(o.space, clock) + int64(lat)
+	case opTXWrite:
+		m.refs[fifoRefs]++
+		for i := range int(o.count) {
+			m.TX = append(m.TX, t.regs[int(o.xfer)+i])
 		}
-		t.wakeAt = g + int64(lat)
-		return 1, nil
-	case asm.OpWrite:
-		t.memRefs++
-		m.noteRef(in.Space)
-		addr := t.get(in.Addr)
-		if in.Space == cps.SpaceTFIFO {
-			for i := 0; i < in.Count; i++ {
-				m.TX = append(m.TX, t.regs[core.S][in.Base+i])
+	case opMemWrite:
+		m.refs[o.space]++
+		addr := t.get(o.addr)
+		mem := m.SRAM
+		switch o.space {
+		case cps.SpaceSDRAM:
+			if addr%2 != 0 {
+				return 0, fmt.Errorf("unaligned sdram write at %d", addr)
 			}
-			t.pc++
-			return 1, nil
+			mem = m.SDRAM
+		case cps.SpaceScratch:
+			mem = m.Scratch
 		}
-		mem, _, err := m.mem(in.Space)
-		if err != nil {
-			return 0, err
-		}
-		if in.Space == cps.SpaceSDRAM && addr%2 != 0 {
-			return 0, fmt.Errorf("unaligned sdram write at %d", addr)
-		}
-		srcBank := core.S
-		if in.Space == cps.SpaceSDRAM {
-			srcBank = core.SD
-		}
-		for i := 0; i < in.Count; i++ {
+		for i := range int(o.count) {
 			idx := int(addr) + i
 			if idx >= len(mem) {
-				return 0, fmt.Errorf("%v write at %d out of range", in.Space, idx)
+				return 0, fmt.Errorf("%v write at %d out of range", o.space, idx)
 			}
-			mem[idx] = t.regs[srcBank][in.Base+i]
+			mem[idx] = t.regs[int(o.xfer)+i]
 		}
 		// Writes retire asynchronously; the thread keeps running, but
 		// the reference still consumes port bandwidth.
-		g := m.units[in.Space].grant(cycle + 1)
-		m.portWait += g - (cycle + 1)
-		t.pc++
-	case asm.OpHash:
-		t.memRefs++
-		m.hashRefs++
-		v := t.regs[core.S][in.Base]
-		t.regs[core.L][in.Dst.Idx] = cps.DefaultHash(v)
-		t.pc++
-		g := m.units[hashUnit].grant(cycle + 1)
-		m.portWait += g - (cycle + 1)
-		t.wakeAt = g + int64(m.Cfg.HashLatency)
-		return 1, nil
-	case asm.OpBTS:
-		t.memRefs++
-		m.sramRefs++
-		addr := t.get(in.Addr)
+		m.grant(o.space, clock)
+	case opHash:
+		m.refs[hashUnit]++
+		t.regs[o.dst] = cps.DefaultHash(t.regs[o.xfer])
+		t.wakeAt = m.grant(hashUnit, clock) + int64(m.Cfg.HashLatency)
+	case opBTS:
+		m.refs[cps.SpaceSRAM]++
+		addr := t.get(o.addr)
 		if int(addr) >= len(m.SRAM) {
 			return 0, fmt.Errorf("bts address %d out of range", addr)
 		}
 		old := m.SRAM[addr]
-		m.SRAM[addr] |= t.regs[core.S][in.Base]
-		t.regs[core.L][in.Dst.Idx] = old
-		t.pc++
-		u := &m.units[cps.SpaceSRAM]
-		g := u.grant(cycle + 1)
-		m.portWait += g - (cycle + 1)
-		u.grant(g) // read-modify-write holds the port twice
+		m.SRAM[addr] |= t.regs[o.xfer]
+		t.regs[o.dst] = old
+		g := m.grant(cps.SpaceSRAM, clock)
+		m.units[cps.SpaceSRAM].grant(g) // read-modify-write holds the port twice
 		t.wakeAt = g + int64(m.Cfg.SRAMLatency)
-		return 1, nil
-	case asm.OpCSRRd:
-		t.regs[core.L][in.Dst.Idx] = m.CSR[t.get(in.Addr)]
+	case opCSRRd:
+		t.regs[o.dst] = m.CSR[t.get(o.addr)]
 		t.pc++
-		cost = 2
-	case asm.OpCSRWr:
-		m.CSR[t.get(in.Addr)] = t.regs[core.S][in.Base]
+		return 2, nil
+	case opCSRWr:
+		m.CSR[t.get(o.addr)] = t.regs[o.xfer]
 		t.pc++
-		cost = 2
-	case asm.OpCtxSwap:
+		return 2, nil
+	case opCtxSwap:
 		// Yield: runnable again one cycle after issue.
-		t.pc++
-		t.wakeAt = cycle + 2
-		return 1, nil
-	case asm.OpBr:
-		l, r := t.get(in.L), t.get(in.R)
-		if cmpOp(in.Alu, l, r) {
-			t.pc = in.Target
-			cost = 1 + m.Cfg.BranchPenalty
-		} else {
-			t.pc++
+		t.wakeAt = clock + 2
+	case opBr:
+		if cmpOp(o.alu, t.get(o.l), t.get(o.r)) {
+			t.pc = int(o.target)
+			return 1 + int64(m.Cfg.BranchPenalty), nil
 		}
-	case asm.OpJmp:
-		t.pc = in.Target
-		cost = 1 + m.Cfg.BranchPenalty
-	case asm.OpHalt:
-		for _, r := range in.Results {
+	case opJmp:
+		t.pc = int(o.target)
+		return 1 + int64(m.Cfg.BranchPenalty), nil
+	case opHalt:
+		for _, r := range o.results {
 			t.results = append(t.results, t.get(r))
 		}
-		t.halted = true
-	default:
-		return 0, fmt.Errorf("bad opcode %v", in.Op)
+		t.halted, t.wakeAt = true, never
+		return 1, nil
+	case opFail:
+		return 0, o.err
 	}
-	return cost, nil
+	t.pc++
+	return 1, nil
 }
 
 func cmpOp(op ast.BinOp, l, r uint32) bool {
