@@ -19,7 +19,7 @@ func TestCachedAllocationEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full compiles of the NAT workload")
 	}
-	wantRet, wantMem, _ := natRun(t, nil)
+	_, wantRet, wantMem, _ := natRun(t, nil)
 
 	c := cache.New(cache.Config{})
 	withCache := func(o *nova.Options) {
@@ -27,7 +27,7 @@ func TestCachedAllocationEndToEnd(t *testing.T) {
 	}
 
 	base := obs.TakeSnapshot()
-	coldRet, coldMem, _ := natRun(t, withCache)
+	_, coldRet, coldMem, _ := natRun(t, withCache)
 	d := obs.Since(base)
 	if d["cache/misses"] != 1 || d["cache/hits"] != 0 {
 		t.Fatalf("cold pass counters: %v", d)
@@ -37,7 +37,7 @@ func TestCachedAllocationEndToEnd(t *testing.T) {
 	}
 
 	base = obs.TakeSnapshot()
-	hitRet, hitMem, _ := natRun(t, withCache)
+	_, hitRet, hitMem, _ := natRun(t, withCache)
 	d = obs.Since(base)
 	if d["cache/hits"] != 1 {
 		t.Fatalf("replay was not a cache hit: %v", d)

@@ -29,7 +29,6 @@ func main() {
 	name := flag.String("workload", "aes", "workload: aes, kasumi, nat")
 	payload := flag.Int("payload", 64, "payload bytes per packet")
 	threads := flag.Int("threads", 4, "hardware threads")
-	portfolio := flag.Bool("portfolio", false, "portfolio solving for the workload compile (exact vs. shuffled vs. greedy race)")
 	flag.Parse()
 
 	if *fleetN > 0 || *soak {
@@ -50,7 +49,6 @@ func main() {
 	}
 	opts := nova.DefaultOptions()
 	opts.MIP = &mip.Options{Time: 4 * time.Minute}
-	opts.Alloc.Portfolio = *portfolio
 	fmt.Printf("compiling %s.nova ...\n", *name)
 	start := time.Now()
 	comp, err := nova.Compile(*name+".nova", src, opts)

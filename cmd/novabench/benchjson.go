@@ -63,11 +63,12 @@ func writeBenchJSON(path string) error {
 		},
 		Workload: "mip.MultiKnapsack(n=60, m=5, seed=12345), Workers=cpu",
 		Note: "Sparse-LU kernel with Forrest-Tomlin updates, long-step dual warm " +
-			"re-solves, and devex pricing on by default; -dual=false -devex=false " +
-			"reproduces the previous revision's dense-eta primal kernel (21.32 " +
-			"lp-iters/node, 11.8 lp-iterations per node solve, 43% degenerate pivots " +
-			"at cpu=1 on this instance), and -cuts=false additionally reproduces the " +
-			"pre-cut search of two revisions ago. lp-iters/node includes the " +
+			"re-solves, and devex pricing; -dual=false pins the primal simplex on " +
+			"node re-solves. The earlier dense-eta primal kernel measured 21.32 " +
+			"lp-iters/node, 11.8 lp-iterations per node solve and 43% degenerate " +
+			"pivots at cpu=1 on this instance (EXPERIMENTS.md, LP kernel table); it " +
+			"is no longer in the tree. -cuts=false reproduces the pre-cut search. " +
+			"lp-iters/node includes the " +
 			"iterations the root heuristics spend, so it rises even as the tree " +
 			"shrinks.",
 		Benchtime: fmt.Sprintf("%dx", benchReps),

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	novabench [-table fig5|fig6|fig7|throughput|all] [-cuts=false]
-//	          [-presolve=false] [-dual=false] [-devex=false]
+//	          [-presolve=false] [-dual=false]
 //	          [-json BENCH_mip.json] [-pprof :6060]
 //	novabench -fleet [-json BENCH_fleet.json]
 //
@@ -64,12 +64,10 @@ var table = []wl{
 var compiled = map[string]*nova.Compilation{}
 
 var (
-	jobs      = flag.Int("j", 0, "parallel ILP search workers (0 = all cores)")
-	cuts      = flag.Bool("cuts", true, "root-node cutting planes in the ILP solves")
-	presolve  = flag.Bool("presolve", true, "ILP presolve reductions before the solves")
-	dual      = flag.Bool("dual", true, "dual simplex for warm-started node re-solves")
-	devex     = flag.Bool("devex", true, "devex pricing in the LP solves")
-	portfolio = flag.Bool("portfolio", false, "portfolio solving for the workload compiles (exact vs. shuffled vs. greedy race)")
+	jobs     = flag.Int("j", 0, "parallel ILP search workers (0 = all cores)")
+	cuts     = flag.Bool("cuts", true, "root-node cutting planes in the ILP solves")
+	presolve = flag.Bool("presolve", true, "ILP presolve reductions before the solves")
+	dual     = flag.Bool("dual", true, "dual simplex for warm-started node re-solves")
 )
 
 func mipOptions() *mip.Options {
@@ -80,17 +78,10 @@ func mipOptions() *mip.Options {
 	if !*presolve {
 		o.Presolve = -1
 	}
-	if !*dual || !*devex {
+	if !*dual {
 		// Pinning a Method other than Auto stops the tree search from
 		// rerouting warm node re-solves through the dual simplex.
-		lpo := &lp.Options{}
-		if !*dual {
-			lpo.Method = lp.MethodPrimal
-		}
-		if !*devex {
-			lpo.Pricing = lp.PricingDantzig
-		}
-		o.LP = lpo
+		o.LP = &lp.Options{Method: lp.MethodPrimal}
 	}
 	return o
 }
@@ -101,7 +92,6 @@ func compile(w wl) *nova.Compilation {
 	}
 	opts := nova.DefaultOptions()
 	opts.MIP = mipOptions()
-	opts.Alloc.Portfolio = *portfolio
 	fmt.Fprintf(os.Stderr, "compiling %s.nova ...\n", w.name)
 	c, err := nova.Compile(w.name+".nova", w.src, opts)
 	if err != nil {

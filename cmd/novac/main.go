@@ -7,7 +7,7 @@
 //
 //	novac [-entry main] [-print cps|mir|asm] [-stats] [-no-prune]
 //	      [-no-coarsen] [-remat] [-cuts=false] [-presolve=false]
-//	      [-alloc-budget 30s] [-fallback auto|off|force] [-portfolio]
+//	      [-alloc-budget 30s] [-fallback auto|off|force]
 //	      [-lp out.lp] [-mps out.mps] [-fault spec]
 //	      [-trace out.json] file.nova
 //
@@ -45,7 +45,6 @@ func main() {
 	jobs := flag.Int("j", 0, "parallel ILP search workers (0 = all cores)")
 	cuts := flag.Bool("cuts", true, "root-node cutting planes in the ILP solve")
 	presolve := flag.Bool("presolve", true, "ILP presolve reductions before the solve")
-	portfolio := flag.Bool("portfolio", false, "race the exact solver against the restarted shuffled-priority search and the greedy allocator; first verified answer wins")
 	lpOut := flag.String("lp", "", "write the generated integer program to this file (CPLEX LP format)")
 	mpsOut := flag.String("mps", "", "write the generated integer program to this file (MPS format, canonical naming)")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file of the compile to this path")
@@ -66,7 +65,6 @@ func main() {
 	opts.Alloc.Prune = !*noPrune
 	opts.Alloc.Coarsen = !*noCoarsen
 	opts.Alloc.Remat = *remat
-	opts.Alloc.Portfolio = *portfolio
 	switch *fallbackMode {
 	case "auto":
 		opts.Alloc.Fallback = core.FallbackAuto

@@ -4,7 +4,7 @@
 //
 //	novad [-addr :7433] [-workers N] [-queue N] [-cache-entries N]
 //	      [-cache-bytes N] [-solve-timeout 0] [-drain-timeout 30s]
-//	      [-j N] [-portfolio] [-fault plan]
+//	      [-j N] [-fault plan]
 //
 // SIGTERM/SIGINT triggers a graceful drain: the listener closes, new
 // async submissions are refused with 503, queued jobs run to
@@ -43,7 +43,6 @@ func main() {
 	solveTimeout := flag.Duration("solve-timeout", 0, "per-request solve deadline (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown deadline for queued async jobs")
 	jflag := flag.Int("j", 0, "ILP tree-search workers per solve (0 = all cores)")
-	portfolio := flag.Bool("portfolio", false, "portfolio solving: race the exact solver against the fallback paths on every request")
 	faultSpec := flag.String("fault", "", "fault plan, e.g. cache/corrupt@1 (see internal/fault)")
 	flag.Parse()
 
@@ -62,7 +61,6 @@ func main() {
 		QueueDepth:   *queue,
 		SolveTimeout: *solveTimeout,
 		MIP:          &mip.Options{Workers: *jflag},
-		Portfolio:    *portfolio,
 	})
 	defer srv.Close()
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/backend"
 	"repro/internal/freq"
 	"repro/internal/mir"
 )
@@ -40,15 +39,6 @@ type Options struct {
 	// solution outright, install warm-start material, and observe
 	// verified results for caching (see SolveHook and internal/cache).
 	Hook SolveHook
-	// Backend, when set, replaces the default solve path: the
-	// allocator's ILP is handed to it instead of the exact lp+mip
-	// stack (see internal/backend and DESIGN.md §14).
-	Backend backend.Backend
-	// Portfolio, when Backend is nil, races the exact solver, the
-	// restarted randomized-priority search, and the greedy fallback
-	// allocator under one context; the first verified answer wins and
-	// the losers are cancelled (DESIGN.md §14).
-	Portfolio bool
 }
 
 // DefaultOptions matches the paper's evaluated configuration.

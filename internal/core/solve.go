@@ -1,14 +1,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"time"
 
-	"repro/internal/backend"
 	"repro/internal/lp"
 	"repro/internal/mip"
 	"repro/internal/mir"
@@ -177,13 +174,9 @@ func Allocate(mp *mir.Program, opts Options, mipOpts *mip.Options) (*Result, err
 			}
 		}
 		if !served {
-			be, pf := solveBackend(il, opts, mipOpts)
 			sp = obs.StartSpan("phase/alloc/solve")
-			res, solveErr = be.Solve(mipOpts.Ctx, il.m, mipOpts)
+			res, solveErr = il.m.Solve(mipOpts)
 			sp.End()
-			if pf != nil && pf.Winner() == "greedy" {
-				usedFallback = true
-			}
 			if opts.Hook != nil && solveErr == nil && res != nil && res.Status == mip.Optimal {
 				opts.Hook.AfterSolve(il.m, res)
 			}
@@ -231,40 +224,6 @@ func Allocate(mp *mir.Program, opts Options, mipOpts *mip.Options) (*Result, err
 		out.Fallback = usedFallback
 	}
 	return out, err
-}
-
-// solveBackend picks the Backend the allocator dispatches through:
-// the caller's, or a fresh per-solve portfolio (exact vs. restarted
-// shuffled-priority vs. greedy fallback) when opts.Portfolio is set,
-// or the plain exact stack. The portfolio is returned separately so
-// Allocate can read its Winner.
-func solveBackend(il *ilp, opts Options, mipOpts *mip.Options) (backend.Backend, *backend.Portfolio) {
-	if opts.Backend != nil {
-		pf, _ := opts.Backend.(*backend.Portfolio)
-		return opts.Backend, pf
-	}
-	if !opts.Portfolio {
-		return backend.NewExact(), nil
-	}
-	// Racing solvers share the completion heuristic and the fallback
-	// allocator's use of it; each solver serializes its own calls but
-	// nothing serializes across members, so serialize here.
-	var hmu sync.Mutex
-	if h := mipOpts.Heuristic; h != nil {
-		mipOpts.Heuristic = func(x []float64) ([]float64, bool) {
-			hmu.Lock()
-			defer hmu.Unlock()
-			return h(x)
-		}
-	}
-	greedy := backend.NewFunc("greedy", backend.Caps{},
-		func(ctx context.Context, m *model.Model, o *mip.Options) (*mip.Result, error) {
-			hmu.Lock()
-			defer hmu.Unlock()
-			return il.fallback()
-		})
-	pf := backend.NewPortfolio(backend.NewExact(), backend.NewShuffled(0), greedy)
-	return pf, pf
 }
 
 // extract reads the solution back into a Result.

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/ixp"
+	"repro/internal/mip"
 	"repro/internal/nova"
 	"repro/internal/pktgen"
 )
@@ -185,6 +187,37 @@ func TestFleetMatchesSoloPartition(t *testing.T) {
 			if fleetRes.FlowDigests[f] != d {
 				t.Fatalf("chip %d: flow %d digest differs solo vs fleet", ci, f)
 			}
+		}
+	}
+}
+
+// TestNATTwoChipsMatchSolo runs the paper's NAT workload (a real ILP
+// compile) through a 1-chip and a 2-chip fleet on one packet stream:
+// both must reconcile, deliver every packet, and produce bit-identical
+// per-flow output digests.
+func TestNATTwoChipsMatchSolo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ILP compile of the NAT workload")
+	}
+	const packets, flows = 10_000, 64
+	w, err := Compile("nat", &mip.Options{Time: 4 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var digests [2]map[uint64]uint64
+	for i, chips := range []int{1, 2} {
+		res := mustRun(t, w, pktgen.NewFlowGen(w.Kind, 1, flows, 64).Take(packets), Options{Chips: chips})
+		if res.Status != StatusOK || res.Delivered != packets {
+			t.Fatalf("N=%d: status %v delivered %d of %d", chips, res.Status, res.Delivered, packets)
+		}
+		if len(res.FlowDigests) != flows {
+			t.Fatalf("N=%d: %d flow digests, want %d", chips, len(res.FlowDigests), flows)
+		}
+		digests[i] = res.FlowDigests
+	}
+	for f, d := range digests[0] {
+		if digests[1][f] != d {
+			t.Fatalf("flow %d: 1-chip digest %#x, 2-chip %#x", f, d, digests[1][f])
 		}
 	}
 }

@@ -35,9 +35,9 @@
 // refactorizing (guarded by a matrix signature), and Options.Method
 // MethodAuto routes the re-solve through the dual simplex, which
 // restores optimality in a handful of pivots instead of a full solve.
-// Options.Method / Options.Pricing pin the algorithm (MethodPrimal,
-// MethodDual, PricingDantzig) for experiments; the defaults choose
-// dual-on-warm and devex.
+// Options.Method pins the algorithm (MethodPrimal, MethodDual) for
+// experiments; the default chooses dual-on-warm. Primal phase 2
+// always prices with devex.
 //
 // The lp/ observability counters (lp/solves, lp/iterations,
 // lp/dual_iterations, lp/degenerate_pivots, lp/bland_activations,

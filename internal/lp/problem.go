@@ -221,27 +221,13 @@ const (
 	// or an appended row leaves the old basis dual feasible) and the
 	// two-phase primal simplex otherwise.
 	MethodAuto Method = iota
-	// MethodPrimal forces the two-phase primal simplex — the previous
-	// revision's behavior on every solve.
+	// MethodPrimal forces the two-phase primal simplex on every solve,
+	// the reference path the dual simplex is tested against.
 	MethodPrimal
 	// MethodDual asks for the dual simplex. Solves that cannot start
 	// dual feasible (or that stall) fall back to the primal
 	// automatically; the answer is never affected, only the path.
 	MethodDual
-)
-
-// Pricing selects the primal phase-2 pricing rule.
-type Pricing int
-
-const (
-	// PricingDevex is the default: devex reference weights
-	// approximating steepest edge, with incrementally maintained
-	// reduced costs and an exact recompute before optimality is
-	// declared. Bland's rule still takes over on long degenerate runs.
-	PricingDevex Pricing = iota
-	// PricingDantzig reproduces the previous revision's most-negative
-	// reduced-cost rule (full pricing every iteration).
-	PricingDantzig
 )
 
 // Options tunes the solver.
@@ -264,10 +250,6 @@ type Options struct {
 
 	// Method selects the simplex variant (see MethodAuto).
 	Method Method
-
-	// Pricing selects the primal phase-2 pricing rule (devex by
-	// default; PricingDantzig reproduces the previous revision).
-	Pricing Pricing
 }
 
 func (o *Options) fill(p *Problem) {

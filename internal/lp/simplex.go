@@ -407,16 +407,11 @@ func (s *simplex) solveOnce(warm *Basis) (*Solution, error) {
 			return &Solution{Status: Infeasible, Iters: s.iter}, nil
 		}
 	}
-	// Phase 2: optimize.
-	var st Status
-	var err error
-	if s.opts.Pricing == PricingDantzig {
+	// Phase 2: optimize under devex pricing, handing long degenerate
+	// runs to the Bland-guarded loop.
+	st, err := s.runDevex()
+	if err == nil && st == blandSwitch {
 		st, err = s.run(false)
-	} else {
-		st, err = s.runDevex()
-		if err == nil && st == blandSwitch {
-			st, err = s.run(false)
-		}
 	}
 	if err != nil {
 		return nil, err
@@ -731,7 +726,7 @@ func (s *simplex) ratioTest(enter int, enterDir float64, phase1 bool, tol float6
 // run iterates the primal simplex until optimality for the phase,
 // with Dantzig pricing (most negative reduced cost) and Bland's rule
 // after long degenerate runs. Phase 1 always uses this loop; phase 2
-// only under PricingDantzig or after a devex Bland handoff. A
+// only after a devex Bland handoff. A
 // non-nil error is a refactorization failure that already consumed
 // the recovery retry (solve restarts on it); the Status is meaningful
 // only when the error is nil. Options.Deadline, when set, is checked

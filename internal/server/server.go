@@ -47,9 +47,6 @@ type Config struct {
 	QueueDepth   int           // async job queue capacity (default 64)
 	SolveTimeout time.Duration // per-request solve deadline; 0 = none
 	MIP          *mip.Options  // base solver options, copied per request
-	// Portfolio races the exact solver against the fallback paths on
-	// every /compile and /solve (internal/backend; novad -portfolio).
-	Portfolio bool
 }
 
 // Server carries the daemon state behind the HTTP handler.
@@ -328,7 +325,6 @@ func (s *Server) compile(ctx context.Context, req *CompileRequest) (*CompileResp
 	opts.Workers = req.Workers
 	opts.MIP = mipOpts
 	opts.Alloc.Hook = hook
-	opts.Alloc.Portfolio = s.cfg.Portfolio
 
 	comp, err := nova.Compile(req.Name, req.Source, opts)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/backend"
 	"repro/internal/cache"
 	"repro/internal/lp"
 	"repro/internal/mip"
@@ -114,14 +113,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		resp.Obj = m.Objective(x)
 		resp.X = x
 	} else {
-		// Raw ILPs have no greedy allocator to race; the portfolio
-		// pairs the exact stack with the restarted shuffled-priority
-		// search (internal/backend).
-		var be backend.Backend = backend.NewExact()
-		if s.cfg.Portfolio {
-			be = backend.NewPortfolio(backend.NewExact(), backend.NewShuffled(0))
-		}
-		res, err := be.Solve(opts.Ctx, m, opts)
+		res, err := m.Solve(opts)
 		if err != nil {
 			if ctx.Err() != nil {
 				cCancelled.Inc()
