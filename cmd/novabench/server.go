@@ -147,7 +147,8 @@ func runServerBench(addr string, rounds int, jsonOut string) error {
 			"live novad. cold populates the cache, source_hit replays the identical " +
 			"request, hit replays with nosrc (canonicalized-model tier, asm still " +
 			"byte-identical), near_miss re-solves MultiKnapsack after a single bound " +
-			"edit with cached warm-start material (seed, basis, cuts, bound proof).",
+			"edit seeded with the cached optimum, whose objective is also a proven " +
+			"lower bound that closes the search at the root.",
 	}
 
 	// Compile tiers over the three paper workloads.

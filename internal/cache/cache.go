@@ -4,32 +4,29 @@
 // opaque source-level output tier for byte-identical replays.
 //
 // Nothing read from the cache is ever trusted: served solutions are
-// re-verified against the requesting model (model.CheckFeasible), and
-// warm-start material passes through the solver's own validation
-// (mip seed check, lp.Basis snapshot validation). A corrupted entry or
-// a hash collision therefore degrades to a cold compile — never a
-// wrong allocation.
+// re-verified against the requesting model (model.CheckFeasible), a
+// near-miss seed passes the solver's own seed check, and the cached
+// optimum becomes a lower bound only after the pairing is verified as
+// an isomorphism. A corrupted entry or a hash collision therefore
+// degrades to a cold compile — never a wrong allocation.
 package cache
 
 import (
 	"container/list"
 	"sync"
 
-	"repro/internal/lp"
-	"repro/internal/mip"
 	"repro/internal/obs"
 )
 
 var (
-	cHits        = obs.NewCounter("cache/hits")
-	cSourceHits  = obs.NewCounter("cache/source_hits")
-	cNearMisses  = obs.NewCounter("cache/near_misses")
-	cMisses      = obs.NewCounter("cache/misses")
-	cEvictions   = obs.NewCounter("cache/evictions")
-	cDrops       = obs.NewCounter("cache/validation_drops")
-	cPopulateLPs = obs.NewCounter("cache/populate_lps")
-	gEntries     = obs.NewGauge("cache/entries")
-	gBytes       = obs.NewGauge("cache/bytes")
+	cHits       = obs.NewCounter("cache/hits")
+	cSourceHits = obs.NewCounter("cache/source_hits")
+	cNearMisses = obs.NewCounter("cache/near_misses")
+	cMisses     = obs.NewCounter("cache/misses")
+	cEvictions  = obs.NewCounter("cache/evictions")
+	cDrops      = obs.NewCounter("cache/validation_drops")
+	gEntries    = obs.NewGauge("cache/entries")
+	gBytes      = obs.NewGauge("cache/bytes")
 )
 
 // Config bounds the cache. Zero values select the defaults.
@@ -61,13 +58,10 @@ type entry struct {
 	rowOrder   []int
 	x          []float64 // verified optimal point
 	obj        float64
-	basis      *lp.Basis    // full-coordinate root basis, may be nil
-	cuts       []mip.CutRow // final cut pool, may be empty
 	// Bounds and objective at solve time, for the near-miss validity
-	// tests: cached cuts are valid for any request whose feasible
-	// region is a subset of the cached one (regionSubset), and the
-	// cached optimum is a proven lower bound for such a request when
-	// the objective also matches (sameObjective).
+	// test: the cached optimum is a proven lower bound for a request
+	// whose feasible region is a subset of the cached one
+	// (regionSubset) and whose objective matches (sameObjective).
 	colLo, colHi []float64
 	rowLo, rowHi []float64
 	objCoef      []float64
@@ -252,12 +246,6 @@ func (c *Cache) publish() {
 // entryBytes estimates the resident size of a model-tier entry.
 func entryBytes(e *entry) int64 {
 	b := int64(len(e.x))*8 + int64(len(e.colOrder)+len(e.rowOrder))*8 + 256
-	if e.basis != nil {
-		b += int64(len(e.basis.State)) + int64(len(e.basis.Order))*8
-	}
-	for _, cut := range e.cuts {
-		b += int64(len(cut.Cols))*16 + 16
-	}
 	b += int64(len(e.integer))
 	for _, sig := range e.colSig {
 		b += int64(len(sig)) * 16

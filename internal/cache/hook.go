@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/fault"
-	"repro/internal/lp"
 	"repro/internal/mip"
 	"repro/internal/model"
 )
@@ -72,14 +71,13 @@ const feasTol = 1e-6
 // corrupt and the entry is dropped.
 //
 // Near-miss tier: an entry with the same Structural hash has the same
-// constraint matrix but different bounds or objective. Its incumbent
-// and root basis are installed as warm-start material uncondition-
-// ally — both are re-validated downstream by the solver, so stale or
-// mistranslated material costs at most the warm-up it fails to
-// provide. Cut reuse and the optimality-proof lower bound change what
-// the solver may conclude, so they additionally require the verified
-// isomorphism. The solve runs with presolve off so the cached
-// full-coordinate basis remains adoptable.
+// constraint matrix but different bounds or objective. Its optimum is
+// installed as the seed incumbent unconditionally — the solver
+// re-verifies it, so a stale or mistranslated seed costs at most the
+// warm-up it fails to provide. The optimality-proof lower bound
+// changes what the solver may conclude, so it additionally requires
+// the verified isomorphism, a region no looser than the cached one,
+// and the same objective. The solve runs with the default presolve.
 func (h *Hook) BeforeSolve(m *model.Model, opts *mip.Options) ([]float64, bool) {
 	h.canon = m.Canonicalize()
 	h.Structural = h.canon.Structural
@@ -105,32 +103,18 @@ func (h *Hook) BeforeSolve(m *model.Model, opts *mip.Options) ([]float64, bool) 
 	if e := h.C.lookupStructural(h.canon.Structural); e != nil {
 		cNearMisses.Inc()
 		h.Outcome = OutcomeNearMiss
-		opts.Presolve = -1
 		if x := mapSolution(e, h.canon, m.LP().NumCols()); x != nil {
 			opts.Seed = x // re-verified inside mip.Solve
 		}
-		if e.basis != nil {
-			opts.WarmBasis = mapBasis(e, h.canon)
-		}
-		if verifyIso(e, h.canon, m) && (e.region == h.canon.Region || regionSubset(e, h.canon, m)) {
-			if len(e.cuts) > 0 {
-				// Cached cuts are valid inequalities for the integer
-				// points of the cached feasible region, so they remain
-				// valid for any request whose region is the same or a
-				// subset of it — the common bound-tightening edit (§12
-				// safety argument). The tree starts from the tightened
-				// root.
-				opts.SeedCuts = mapCuts(e, h.canon)
-			}
-			if sameObjective(e, h.canon, m) {
-				// Minimizing the same objective over a subset of the
-				// cached region cannot beat the cached optimum, so it is
-				// a proven global lower bound: if the seeded incumbent
-				// still attains it, the optimality proof transfers and
-				// the solve ends at the root (mip/bound_proofs).
-				lb := e.obj
-				opts.LowerBound = &lb
-			}
+		if verifyIso(e, h.canon, m) && sameObjective(e, h.canon, m) &&
+			(e.region == h.canon.Region || regionSubset(e, h.canon, m)) {
+			// Minimizing the same objective over a subset of the cached
+			// region cannot beat the cached optimum, so it is a proven
+			// global lower bound: if the seeded incumbent still attains
+			// it, the optimality proof transfers and the solve ends at
+			// the root (mip/bound_proofs).
+			lb := e.obj
+			opts.LowerBound = &lb
 		}
 		return nil, false
 	}
@@ -149,17 +133,6 @@ func (h *Hook) AfterSolve(m *model.Model, res *mip.Result) {
 		h.canon = m.Canonicalize()
 	}
 	p := m.LP()
-	basis := res.RootBasis
-	if basis == nil {
-		// Presolve changed coordinates during the solve, so the root
-		// basis was discarded; recover a full-coordinate one with a
-		// single cold LP solve (cheap next to the tree search it will
-		// save on the next near miss).
-		cPopulateLPs.Inc()
-		if sol, err := p.Clone().Solve(nil); err == nil && sol.Status == lp.Optimal {
-			basis = sol.Basis
-		}
-	}
 	e := &entry{
 		structural: h.canon.Structural,
 		region:     h.canon.Region,
@@ -170,8 +143,6 @@ func (h *Hook) AfterSolve(m *model.Model, res *mip.Result) {
 		rowOrder:   append([]int(nil), h.canon.RowOrder...),
 		x:          append([]float64(nil), res.X...),
 		obj:        m.Objective(res.X),
-		basis:      basis,
-		cuts:       res.PoolCuts,
 		colLo:      make([]float64, p.NumCols()),
 		colHi:      make([]float64, p.NumCols()),
 		rowLo:      make([]float64, p.NumRows()),
@@ -342,93 +313,4 @@ func mapSolution(e *entry, canon *model.Canon, nCols int) []float64 {
 		x[jNew] = e.x[e.colOrder[i]]
 	}
 	return x
-}
-
-// identityOrders reports whether the cached and requesting canonical
-// orders induce the identity permutation — the common case of
-// resubmitting a model built the same way.
-func identityOrders(e *entry, canon *model.Canon) bool {
-	for i, j := range canon.ColOrder {
-		if e.colOrder[i] != j {
-			return false
-		}
-	}
-	for i, r := range canon.RowOrder {
-		if e.rowOrder[i] != r {
-			return false
-		}
-	}
-	return true
-}
-
-// mapBasis translates the cached root basis into the requester's
-// coordinates. Under the identity permutation the snapshot is shared
-// as-is, which preserves the attached LU factorization for adoption
-// (the matrix signature check downstream keeps that safe). Otherwise
-// the state and order arrays are permuted and the factorization is
-// dropped — the warm solve refactorizes from the permuted basis.
-func mapBasis(e *entry, canon *model.Canon) *lp.Basis {
-	n, m := e.nCols, e.nRows
-	if e.basis == nil || len(e.basis.State) != n+m || len(e.basis.Order) != m {
-		return nil
-	}
-	if len(canon.ColOrder) != n || len(canon.RowOrder) != m {
-		return nil
-	}
-	if identityOrders(e, canon) {
-		return e.basis
-	}
-	colOf := make([]int, n) // cached column -> requester column
-	for i, jNew := range canon.ColOrder {
-		colOf[e.colOrder[i]] = jNew
-	}
-	rowOf := make([]int, m)
-	for i, rNew := range canon.RowOrder {
-		rowOf[e.rowOrder[i]] = rNew
-	}
-	b := &lp.Basis{State: make([]int8, n+m), Order: make([]int, m)}
-	for j := 0; j < n; j++ {
-		b.State[colOf[j]] = e.basis.State[j]
-	}
-	for r := 0; r < m; r++ {
-		b.State[n+rowOf[r]] = e.basis.State[n+r]
-	}
-	for r, v := range e.basis.Order {
-		if v < n {
-			v = colOf[v]
-		} else {
-			v = n + rowOf[v-n]
-		}
-		b.Order[rowOf[r]] = v
-	}
-	return b
-}
-
-// mapCuts translates the cached cut pool's column indices.
-func mapCuts(e *entry, canon *model.Canon) []mip.CutRow {
-	colOf := make([]int, e.nCols)
-	for i, jNew := range canon.ColOrder {
-		colOf[e.colOrder[i]] = jNew
-	}
-	out := make([]mip.CutRow, 0, len(e.cuts))
-	for _, c := range e.cuts {
-		nc := mip.CutRow{
-			Cols: make([]int, len(c.Cols)),
-			Vals: append([]float64(nil), c.Vals...),
-			Lo:   c.Lo,
-			Hi:   c.Hi,
-		}
-		ok := true
-		for i, j := range c.Cols {
-			if j < 0 || j >= len(colOf) {
-				ok = false
-				break
-			}
-			nc.Cols[i] = colOf[j]
-		}
-		if ok {
-			out = append(out, nc)
-		}
-	}
-	return out
 }

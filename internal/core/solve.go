@@ -85,8 +85,8 @@ func (r *Result) ModelLP() (*lp.Problem, []bool) {
 // BeforeSolve runs after the model and mip options are fully built and
 // may do either of two things: return (x, true) to serve x as the
 // verified optimal solution — the solver is skipped entirely — or
-// mutate opts (Seed, WarmBasis, SeedCuts, Presolve) to warm-start the
-// solve and return (nil, false). AfterSolve observes every solver-
+// set opts.Seed and opts.LowerBound to warm-start the solve and return
+// (nil, false). AfterSolve observes every solver-
 // produced Optimal result so the hook can retain it.
 type SolveHook interface {
 	BeforeSolve(m *model.Model, opts *mip.Options) (x []float64, served bool)

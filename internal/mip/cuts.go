@@ -68,11 +68,11 @@ func (c *cut) key() string {
 	return b.String()
 }
 
-// maxPoolCuts is the absolute pool bound; treeCutBudget additionally
+// maxCutPool is the absolute pool bound; treeCutBudget additionally
 // bounds how many cuts the tree may add beyond the root cuts, so
 // node-separated covers cannot bloat every node LP.
 const (
-	maxPoolCuts   = 512
+	maxCutPool    = 512
 	treeCutBudget = 64
 )
 
@@ -97,7 +97,7 @@ func (cp *cutPool) add(cuts []cut) int {
 	defer cp.mu.Unlock()
 	added := 0
 	for i := range cuts {
-		if len(cp.cuts) >= maxPoolCuts {
+		if len(cp.cuts) >= maxCutPool {
 			break
 		}
 		k := cuts[i].key()
@@ -129,24 +129,6 @@ func (cp *cutPool) tight(x []float64, tol float64) []cut {
 		if (!math.IsInf(c.lo, 0) && act <= c.lo+tol) ||
 			(!math.IsInf(c.hi, 0) && act >= c.hi-tol) {
 			out = append(out, cp.cuts[i])
-		}
-	}
-	return out
-}
-
-// export snapshots the pool as exchangeable CutRow values; the compile
-// cache stores them so a later solve of the same feasible region can
-// replay the pool through Options.SeedCuts.
-func (cp *cutPool) export() []CutRow {
-	cp.mu.RLock()
-	defer cp.mu.RUnlock()
-	out := make([]CutRow, len(cp.cuts))
-	for i := range cp.cuts {
-		out[i] = CutRow{
-			Cols: append([]int(nil), cp.cuts[i].cols...),
-			Vals: append([]float64(nil), cp.cuts[i].vals...),
-			Lo:   cp.cuts[i].lo,
-			Hi:   cp.cuts[i].hi,
 		}
 	}
 	return out

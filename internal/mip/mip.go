@@ -30,13 +30,13 @@ var (
 )
 
 // Warm-start reuse counters (DESIGN.md §12): the compile cache's
-// near-miss path hands a previous solve's incumbent, basis, and cut
-// pool back in through Options.Seed/WarmBasis/SeedCuts; these record
-// how often the material survived verification and was used.
+// near-miss path hands a previous solve's optimum back in through
+// Options.Seed and, when the edit provably cannot beat it, through
+// Options.LowerBound; these record how often the seed survived
+// verification and how often the bound closed the proof at the root.
 var (
 	cMIPSeedUsed    = obs.NewCounter("mip/seed_incumbents")
 	cMIPSeedDrops   = obs.NewCounter("mip/seed_drops")
-	cMIPSeedCuts    = obs.NewCounter("mip/seed_cuts")
 	cMIPBoundProofs = obs.NewCounter("mip/bound_proofs")
 )
 
@@ -107,23 +107,6 @@ type Options struct {
 	// verification is dropped (mip/seed_drops) rather than trusted, so
 	// a stale or corrupt seed can cost time but never correctness.
 	Seed []float64
-
-	// WarmBasis, when non-nil, warm-starts the root relaxation from a
-	// basis snapshot of a structurally identical problem (typically a
-	// cached Result.RootBasis). A snapshot the LP layer cannot load
-	// falls back to the crash basis; node re-solves are unaffected
-	// (they warm-start from their parents as always).
-	WarmBasis *lp.Basis
-
-	// SeedCuts installs previously separated cutting planes into the
-	// pool before the root cut loop. The caller asserts the rows are
-	// valid for every integer point of THIS problem — the cache only
-	// replays a pool across solves whose feasible regions hash
-	// identically (model.Canon.Region), which is what makes the
-	// assertion sound. A seeded pool whose LP turns inconsistent is
-	// discarded wholesale rather than trusted. Ignored when cuts are
-	// disabled (CutRounds < 0).
-	SeedCuts []CutRow
 
 	// LowerBound, when non-nil, is a caller-PROVEN global lower bound
 	// on the optimal objective. The canonical source is the compile
@@ -215,30 +198,6 @@ type Result struct {
 	RootCutObj float64
 	// Cuts counts the cutting planes generated (root loop + tree).
 	Cuts int
-
-	// RootBasis is the basis of the plain root relaxation (before any
-	// cuts), in the solved problem's coordinates — the snapshot a
-	// compile cache hands back through Options.WarmBasis on a near
-	// miss. Nil when the root did not finish Optimal, and cleared by
-	// model.Solve when presolve changed coordinates.
-	RootBasis *lp.Basis
-
-	// PoolCuts is the final cut pool (root and tree cuts, after the
-	// binding-cut trim), in the solved problem's coordinates, for
-	// reuse through Options.SeedCuts. model.Solve remaps it back to
-	// model coordinates when presolve ran.
-	PoolCuts []CutRow
-}
-
-// CutRow is an exchangeable cutting plane Lo <= sum Vals·x[Cols] <= Hi.
-// Cuts leave a solve through Result.PoolCuts and re-enter a later one
-// through Options.SeedCuts; validity across solves is the caller's
-// contract (see Options.SeedCuts).
-type CutRow struct {
-	Cols []int
-	Vals []float64
-	Lo   float64
-	Hi   float64
 }
 
 // Solve minimizes p with the integrality constraint applied to the
@@ -293,18 +252,9 @@ func Solve(p *lp.Problem, integer []bool, opts *Options) (*Result, error) {
 		o.Seed = nil
 	}
 
-	// Root relaxation, warm-started from a cached basis when one was
-	// handed in (the LP layer validates the snapshot and falls back to
-	// the crash basis if it does not fit this problem).
-	rootLP := o.LP
-	if o.WarmBasis != nil {
-		w := *o.LP
-		w.WarmBasis = o.WarmBasis
-		rootLP = &w
-	}
 	rootStart := time.Now()
 	rootSp := obs.StartSpan("mip/root_lp")
-	rootSol, err := p.Solve(rootLP)
+	rootSol, err := p.Solve(o.LP)
 	rootSp.End()
 	res.RootTime = time.Since(rootStart)
 	if err != nil {
@@ -327,7 +277,6 @@ func Solve(p *lp.Problem, integer []bool, opts *Options) (*Result, error) {
 	}
 	res.RootObj = rootSol.Obj
 	res.RootCutObj = rootSol.Obj
-	res.RootBasis = rootSol.Basis
 
 	// Root-node cutting-plane loop: separate lifted cover and clique
 	// cuts against the fractional point, append them to a clone of the
@@ -347,35 +296,6 @@ func Solve(p *lp.Problem, integer []bool, opts *Options) (*Result, error) {
 			rounds = 10
 		}
 		sol := rootSol
-		// Replay a cached cut pool before separating anything new: the
-		// caller asserted the rows are valid for this feasible region,
-		// so the loop below starts from the tightened relaxation. A
-		// seeded LP that does not re-solve cleanly discards the whole
-		// pool — an Infeasible verdict here could only come from a bad
-		// assertion, and it must never masquerade as a proof.
-		if len(o.SeedCuts) > 0 {
-			seeded := make([]cut, 0, len(o.SeedCuts))
-			for _, sc := range o.SeedCuts {
-				seeded = append(seeded, cut{
-					cols: append([]int(nil), sc.Cols...),
-					vals: append([]float64(nil), sc.Vals...),
-					lo:   sc.Lo, hi: sc.Hi,
-				})
-			}
-			if added := cpool.add(seeded); added > 0 {
-				work = p.Clone()
-				cpool.apply(work, 0)
-				warm, werr := work.Solve(warmOpts(o.LP, sol.Basis))
-				if werr == nil && warm.Status == lp.Optimal {
-					res.LPIters += warm.Iters
-					sol = warm
-					cMIPSeedCuts.Add(int64(added))
-				} else {
-					cpool = newCutPool()
-					work = p
-				}
-			}
-		}
 		stall := 0
 		for round := 0; round < rounds; round++ {
 			if time.Since(start) > o.Time || ctx.Err() != nil {
@@ -530,7 +450,6 @@ func Solve(p *lp.Problem, integer []bool, opts *Options) (*Result, error) {
 			res.Status = Optimal
 			if cpool != nil {
 				res.Cuts = cpool.len()
-				res.PoolCuts = cpool.export()
 			}
 			res.Time = time.Since(start)
 			cMIPSolves.Inc()
@@ -543,7 +462,6 @@ func Solve(p *lp.Problem, integer []bool, opts *Options) (*Result, error) {
 	searchSp.End()
 	if cpool != nil {
 		res.Cuts = cpool.len()
-		res.PoolCuts = cpool.export()
 	}
 	res.Time = time.Since(start)
 	cMIPSolves.Inc()

@@ -258,15 +258,9 @@ func (m *Model) Solve(opts *mip.Options) (*mip.Result, error) {
 	o.ObjOffset += pre.objConst
 	// Warm-start material from the compile cache arrives in model
 	// coordinates; translate it into the reduction. A seed that
-	// contradicts a presolve fixing cannot be feasible and is dropped;
-	// a cut's fixed-column terms fold into its bounds. The basis
-	// snapshot is left alone — the LP layer ignores a snapshot whose
-	// dimensions do not match the reduced problem.
+	// contradicts a presolve fixing cannot be feasible and is dropped.
 	if o.Seed != nil {
 		o.Seed = remapSeed(o.Seed, pre)
-	}
-	if len(o.SeedCuts) > 0 {
-		o.SeedCuts = remapSeedCuts(o.SeedCuts, pre)
 	}
 	if o.LowerBound != nil {
 		// The bound is on the model objective; the reduction's objective
@@ -312,26 +306,6 @@ func (m *Model) Solve(opts *mip.Options) (*mip.Result, error) {
 	res.Obj += pre.objConst
 	res.RootObj += pre.objConst
 	res.RootCutObj += pre.objConst
-	// Reusable solve artifacts leave in model coordinates: the basis is
-	// tied to the reduced matrix and cannot be expanded, so it is
-	// dropped; pool cuts only reference surviving columns and remap
-	// index-for-index.
-	res.RootBasis = nil
-	if len(res.PoolCuts) > 0 {
-		inv := make([]int, pre.p.NumCols())
-		for j, rj := range pre.colMap {
-			if rj >= 0 {
-				inv[rj] = j
-			}
-		}
-		for i := range res.PoolCuts {
-			cols := append([]int(nil), res.PoolCuts[i].Cols...)
-			for k, rj := range cols {
-				cols[k] = inv[rj]
-			}
-			res.PoolCuts[i].Cols = cols
-		}
-	}
 	return res, nil
 }
 
@@ -350,41 +324,6 @@ func remapSeed(seed []float64, pre *presolved) []float64 {
 		}
 	}
 	return red
-}
-
-// remapSeedCuts substitutes presolve-fixed columns out of cached cut
-// rows, exactly as presolve substitutes them out of true rows.
-func remapSeedCuts(cuts []mip.CutRow, pre *presolved) []mip.CutRow {
-	out := make([]mip.CutRow, 0, len(cuts))
-	for _, c := range cuts {
-		var cols []int
-		var vals []float64
-		lo, hi := c.Lo, c.Hi
-		bad := false
-		for i, j := range c.Cols {
-			if j < 0 || j >= len(pre.colMap) {
-				bad = true
-				break
-			}
-			if rj := pre.colMap[j]; rj >= 0 {
-				cols = append(cols, rj)
-				vals = append(vals, c.Vals[i])
-			} else {
-				v := c.Vals[i] * pre.fixed[j]
-				if !math.IsInf(lo, -1) {
-					lo -= v
-				}
-				if !math.IsInf(hi, 1) {
-					hi -= v
-				}
-			}
-		}
-		if bad || len(cols) == 0 {
-			continue
-		}
-		out = append(out, mip.CutRow{Cols: cols, Vals: vals, Lo: lo, Hi: hi})
-	}
-	return out
 }
 
 // Value reads a variable's value out of a solution, defaulting to 0

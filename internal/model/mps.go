@@ -20,7 +20,7 @@ import (
 // order under synthetic names derived from canonical positions, and
 // every number is written in Go's shortest round-trip decimal form —
 // so export→import reproduces the model bit-exactly: all three Canon
-// content hashes are identical, which is what the mpssmoke gate and
+// content hashes are identical, which is what TestMPSBridgeNAT and
 // the round-trip tests enforce.
 
 // MPSFormat selects the MPS layout WriteMPS produces. Both layouts
