@@ -1,15 +1,7 @@
-// Chaossmoke is the CI soak for the self-healing fleet daemon
-// (DESIGN.md §15): a 4-chip fleetd under a timed wedge schedule with
-// failing probes mixed in, run for ~10 seconds of wall time. The fleet
-// must wedge and heal repeatedly, shed nothing silently, keep the live
-// auditor quiet, finish with every flow back on its rendezvous chip,
-// and leak no goroutines. Any violation, ledger mismatch, or missed
-// heal is a nonzero exit.
-package main
+package repro
 
 import (
-	"fmt"
-	"os"
+	"testing"
 	"time"
 
 	"repro/internal/fault"
@@ -17,40 +9,39 @@ import (
 	"repro/internal/fleetd"
 )
 
-const (
-	chips    = 4
-	rate     = 20_000 // packets/s offered
-	ingest   = 2048
-	soakFor  = 10 * time.Second
-	minHeals = 3
-)
-
 // chaosPlan wedges a chip every 1.5s for the first 8s and fails the
 // first two re-admission probes, forcing the backoff ladder to climb
 // before each heal lands.
 const chaosPlan = "fleet/chip_wedge@t=500ms+every=1500ms+until=8s,fleet/probe_fail@1:2"
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "chaossmoke:", err)
-		os.Exit(1)
+// TestChaosSoak is the soak for the self-healing fleet daemon
+// (DESIGN.md §15): a 4-chip fleetd at 20k packets/s under chaosPlan
+// for 10 seconds of wall time. The fleet must wedge and heal at least
+// three times, drop nothing, keep the live auditor quiet, finish with
+// every flow back on its rendezvous chip, and leak no goroutines
+// (fleetd.Run's drain check).
+func TestChaosSoak(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10 s fleetd soak")
 	}
-	fmt.Println("chaossmoke: ok")
-}
-
-func run() error {
+	const (
+		chips    = 4
+		rate     = 20_000 // packets/s offered
+		ingest   = 2048
+		soakFor  = 10 * time.Second
+		minHeals = 3
+	)
 	plan, err := fault.Parse(chaosPlan)
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
 	fault.Install(plan)
 	defer fault.Reset()
 
 	w, err := fleet.Compile("sum", nil)
 	if err != nil {
-		return fmt.Errorf("compile sum: %w", err)
+		t.Fatalf("compile sum: %v", err)
 	}
-
 	violations := make(chan *fleetd.AuditReport, 8)
 	d, err := fleetd.New(fleetd.Config{
 		Workload:   w,
@@ -67,7 +58,7 @@ func run() error {
 		},
 	})
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
 
 	start := time.Now()
@@ -75,40 +66,39 @@ func run() error {
 	rep, err := d.Run()
 	if rep != nil {
 		res := rep.Result
-		fmt.Printf("chaossmoke: %v soak: offered %d = shed %d + generated %d; delivered %d, dropped %d\n",
+		t.Logf("%v soak: offered %d = shed %d + generated %d; delivered %d, dropped %d",
 			time.Since(start).Round(time.Millisecond), rep.Offered, rep.Shed, res.Generated, res.Delivered, res.Dropped)
-		fmt.Printf("chaossmoke: wedges %d, heals %d, probes %d, placement_restored=%v, goroutines %d (baseline %d)\n",
+		t.Logf("wedges %d, heals %d, probes %d, placement_restored=%v, goroutines %d (baseline %d)",
 			res.Wedges, res.Heals, res.Probes, rep.PlacementRestored, rep.GoroutinesEnd, rep.GoroutineBaseline)
 	}
 	if err != nil {
 		// Run's own error covers reconcile failures, ledger mismatches,
 		// and the drain goroutine-leak check.
-		return err
+		t.Fatal(err)
 	}
 
 	select {
 	case v := <-violations:
-		return fmt.Errorf("auditor violation: [%s] %s", v.Rule, v.Detail)
+		t.Fatalf("auditor violation: [%s] %s", v.Rule, v.Detail)
 	default:
 	}
 	if rep.Violations != 0 {
-		return fmt.Errorf("%d auditor violations", rep.Violations)
+		t.Fatalf("%d auditor violations", rep.Violations)
 	}
 	res := rep.Result
 	if res.Wedges < minHeals {
-		return fmt.Errorf("chaos plan produced only %d wedges, want >= %d", res.Wedges, minHeals)
+		t.Errorf("chaos plan produced only %d wedges, want >= %d", res.Wedges, minHeals)
 	}
 	if res.Heals < minHeals {
-		return fmt.Errorf("only %d of %d wedges healed, want >= %d", res.Heals, res.Wedges, minHeals)
+		t.Errorf("only %d of %d wedges healed, want >= %d", res.Heals, res.Wedges, minHeals)
 	}
 	if res.Probes < res.Heals {
-		return fmt.Errorf("probes %d < heals %d — every heal needs at least one probe", res.Probes, res.Heals)
+		t.Errorf("probes %d < heals %d — every heal needs at least one probe", res.Probes, res.Heals)
 	}
 	if res.Dropped != 0 {
-		return fmt.Errorf("%d packets dropped — healing should have requeued them", res.Dropped)
+		t.Errorf("%d packets dropped — healing should have requeued them", res.Dropped)
 	}
 	if !rep.PlacementRestored {
-		return fmt.Errorf("flow placement not restored to the rendezvous assignment after the last heal")
+		t.Errorf("flow placement not restored to the rendezvous assignment after the last heal")
 	}
-	return nil
 }

@@ -9,8 +9,7 @@
 //
 // SIGTERM/SIGINT or POST /shutdown begins a graceful drain: the
 // generator stops, everything admitted runs to completion, and the
-// final ledger is printed as key=value pairs (scripts/chaossmoke
-// parses them). Exit status: 0 clean drain, 1 reconcile/ledger
+// final ledger is printed as key=value pairs, one per line. Exit status: 0 clean drain, 1 reconcile/ledger
 // failure, 2 flag error, 3 auditor violation.
 package main
 
@@ -129,7 +128,7 @@ func main() {
 }
 
 // printReport emits the final ledger as key=value pairs, one per line,
-// for both humans and scripts/chaossmoke.
+// for humans and for scripts that grep it.
 func printReport(rep *fleetd.Report) {
 	res := rep.Result
 	fmt.Printf("fleetd: final report\n")

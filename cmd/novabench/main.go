@@ -6,15 +6,13 @@
 //
 // Usage:
 //
-//	novabench [-table fig5|fig6|fig7|throughput|all] [-cuts=false]
-//	          [-presolve=false] [-dual=false]
-//	          [-json BENCH_mip.json] [-pprof :6060]
+//	novabench [-table fig5|fig6|fig7|throughput|all]
+//	          [-presolve=false] [-dual=false] [-pprof :6060]
 //	novabench -fleet [-json BENCH_fleet.json]
+//	novabench -server host:port [-json BENCH_server.json]
 //
-// With -json, novabench instead runs the MIP scaling workload (the
-// same instance as BenchmarkMIPScaling) across worker counts and
-// writes a machine-readable record to the given path — this is how
-// BENCH_mip.json is regenerated.
+// -json only goes with -fleet or -server; on its own it is a usage
+// error.
 //
 // With -pprof, an HTTP server on the given address serves
 // net/http/pprof profiles at /debug/pprof/ and the obs counter values
@@ -36,9 +34,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/ixp"
@@ -65,16 +66,12 @@ var compiled = map[string]*nova.Compilation{}
 
 var (
 	jobs     = flag.Int("j", 0, "parallel ILP search workers (0 = all cores)")
-	cuts     = flag.Bool("cuts", true, "root-node cutting planes in the ILP solves")
 	presolve = flag.Bool("presolve", true, "ILP presolve reductions before the solves")
 	dual     = flag.Bool("dual", true, "dual simplex for warm-started node re-solves")
 )
 
 func mipOptions() *mip.Options {
 	o := &mip.Options{Time: 4 * time.Minute, Workers: *jobs}
-	if !*cuts {
-		o.CutRounds = -1
-	}
 	if !*presolve {
 		o.Presolve = -1
 	}
@@ -104,7 +101,7 @@ func compile(w wl) *nova.Compilation {
 
 func main() {
 	which := flag.String("table", "all", "table to print: fig5, fig6, fig7, throughput, all")
-	jsonOut := flag.String("json", "", "run the MIP scaling workload and write a JSON benchmark record to this path")
+	jsonOut := flag.String("json", "", "with -fleet or -server, write the JSON benchmark record to this path")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /debug/counters on this address while running")
 	serverAddr := flag.String("server", "", "benchmark a live novad at this address (host:port) instead of compiling locally; with -json, writes BENCH_server.json-style output there")
 	rounds := flag.Int("rounds", 20, "replays per cache tier in -server mode")
@@ -124,6 +121,11 @@ func main() {
 		}
 		return
 	}
+	if *jsonOut != "" {
+		fmt.Fprintln(os.Stderr, "novabench: -json needs -fleet or -server")
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *pprofAddr != "" {
 		// DefaultServeMux already carries the /debug/pprof/ handlers
 		// from the blank net/http/pprof import.
@@ -140,13 +142,6 @@ func main() {
 			}
 		}()
 		fmt.Fprintf(os.Stderr, "pprof: serving /debug/pprof/ and /debug/counters on %s\n", *pprofAddr)
-	}
-	if *jsonOut != "" {
-		if err := writeBenchJSON(*jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
 	}
 	all := *which == "all"
 	if all || *which == "fig5" {
@@ -285,4 +280,30 @@ func run(w wl, c *nova.Compilation, payload, engines int) int64 {
 		os.Exit(1)
 	}
 	return st.Cycles
+}
+
+// benchHost identifies the machine a -server or -fleet record was
+// measured on.
+type benchHost struct {
+	CPU           string `json:"cpu"`
+	PhysicalCores int    `json:"physical_cores"`
+	OS            string `json:"os"`
+	Go            string `json:"go"`
+}
+
+func round2(x float64) float64 { return math.Round(x*100) / 100 }
+func round4(x float64) float64 { return math.Round(x*10000) / 10000 }
+
+// cpuModel reads the processor model name where the OS exposes one.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return runtime.GOARCH
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, ok := strings.CutPrefix(line, "model name"); ok {
+			return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
+		}
+	}
+	return runtime.GOARCH
 }

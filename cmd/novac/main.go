@@ -6,7 +6,7 @@
 // Usage:
 //
 //	novac [-entry main] [-print cps|mir|asm] [-stats] [-no-prune]
-//	      [-no-coarsen] [-remat] [-cuts=false] [-presolve=false]
+//	      [-no-coarsen] [-remat] [-presolve=false]
 //	      [-alloc-budget 30s] [-fallback auto|off|force]
 //	      [-lp out.lp] [-mps out.mps] [-fault spec]
 //	      [-trace out.json] file.nova
@@ -43,7 +43,6 @@ func main() {
 	fallbackMode := flag.String("fallback", "auto", "greedy fallback allocator policy: auto, off, force")
 	faultSpec := flag.String("fault", "", "fault-injection plan, e.g. 'mip/worker_panic@1,lp/refactor_fail@1' (testing)")
 	jobs := flag.Int("j", 0, "parallel ILP search workers (0 = all cores)")
-	cuts := flag.Bool("cuts", true, "root-node cutting planes in the ILP solve")
 	presolve := flag.Bool("presolve", true, "ILP presolve reductions before the solve")
 	lpOut := flag.String("lp", "", "write the generated integer program to this file (CPLEX LP format)")
 	mpsOut := flag.String("mps", "", "write the generated integer program to this file (MPS format, canonical naming)")
@@ -81,9 +80,6 @@ func main() {
 		budget = *allocBudget
 	}
 	opts.MIP = &mip.Options{Time: budget, Workers: *jobs}
-	if !*cuts {
-		opts.MIP.CutRounds = -1
-	}
 	if !*presolve {
 		opts.MIP.Presolve = -1
 	}
@@ -169,9 +165,9 @@ func main() {
 		if comp.Alloc.Fallback {
 			alloc = "greedy fallback"
 		}
-		fmt.Printf("solve: root %v, integer %v (%v, %s), %d nodes, %d cuts\n",
+		fmt.Printf("solve: root %v, integer %v (%v, %s), %d nodes\n",
 			root.Round(time.Millisecond), total.Round(time.Millisecond),
-			comp.Alloc.MIP.Status, alloc, comp.Alloc.MIP.Nodes, comp.Alloc.MIP.Cuts)
+			comp.Alloc.MIP.Status, alloc, comp.Alloc.MIP.Nodes)
 		fmt.Printf("solution: %d moves, %d spills, %d rematerializations, %d coalesced\n",
 			comp.Alloc.NumMoves(), comp.Alloc.Spills, comp.Alloc.Remats, comp.Assign.Coalesced)
 		fmt.Printf("code: %d instruction words\n", comp.Asm.CodeWords())

@@ -181,7 +181,7 @@ func (h *Hook) AfterSolve(m *model.Model, res *mip.Result) {
 // same canonical row positions with bitwise-equal coefficients. Since
 // every nonzero of both matrices is covered, passing this check means
 // the requesting model's matrix IS the cached matrix up to the paired
-// permutation — which is what makes translated cuts and transferred
+// permutation — which is what makes translated seeds and transferred
 // optimality proofs sound even when WL colors leave symmetric
 // variables ambiguous or hashes collide.
 func verifyIso(e *entry, canon *model.Canon, m *model.Model) bool {

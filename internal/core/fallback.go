@@ -97,12 +97,11 @@ func (il *ilp) fallback() (*mip.Result, error) {
 	}
 	cFallback.Inc()
 	// An unproven incumbent: NodeLimit is the budget-style status, and
-	// -Inf root bounds record that no relaxation was solved.
+	// a -Inf root bound records that no relaxation was solved.
 	return &mip.Result{
-		Status:     mip.NodeLimit,
-		X:          bestX,
-		Obj:        bestObj,
-		RootObj:    math.Inf(-1),
-		RootCutObj: math.Inf(-1),
+		Status:  mip.NodeLimit,
+		X:       bestX,
+		Obj:     bestObj,
+		RootObj: math.Inf(-1),
 	}, nil
 }

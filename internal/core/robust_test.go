@@ -78,7 +78,7 @@ func TestCancelledAllocateErrorsWithoutFallback(t *testing.T) {
 
 func TestNodeLimitIncumbentIsUsable(t *testing.T) {
 	mp := lower(t, robustProgram(t))
-	res, err := Allocate(mp, DefaultOptions(), &mip.Options{MaxNodes: 1, CutRounds: -1})
+	res, err := Allocate(mp, DefaultOptions(), &mip.Options{MaxNodes: 1})
 	if err != nil {
 		t.Fatalf("node-limited allocate: %v", err)
 	}

@@ -170,7 +170,7 @@ func Allocate(mp *mir.Program, opts Options, mipOpts *mip.Options) (*Result, err
 				// a fresh solve; the objective is recomputed here rather
 				// than taken from the cache.
 				obj := il.m.Objective(x)
-				res = &mip.Result{Status: mip.Optimal, X: x, Obj: obj, RootObj: obj, RootCutObj: obj}
+				res = &mip.Result{Status: mip.Optimal, X: x, Obj: obj, RootObj: obj}
 			}
 		}
 		if !served {

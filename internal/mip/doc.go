@@ -9,8 +9,11 @@
 // node LP warm-started from the parent's basis; after branching it
 // dives depth-first into the nearer child (keeping the basis in hand)
 // while the sibling goes back to the pool. Presolve reductions run
-// first (Options.Presolve), and root-node cutting planes plus rounding
-// heuristics tighten the tree before it starts (Options.CutRounds).
+// first (Options.Presolve, applied by the model layer); the root LP
+// vertex is rounded for a first incumbent, a caller seed
+// (Options.Seed) and proven bound (Options.LowerBound) can close the
+// proof before the tree opens, and otherwise the tree starts from the
+// root basis.
 //
 // # Usage
 //
@@ -22,7 +25,7 @@
 //	p.AddRow(-lp.Inf, 1, []int{x, y}, []float64{1, 1})
 //	res, err := mip.Solve(p, nil, &mip.Options{Workers: 4})
 //	if err == nil && res.Status == mip.Optimal {
-//		_ = res.X[x]    // 0/1 values; res.Nodes, res.Cuts: effort
+//		_ = res.X[x]    // 0/1 values; res.Nodes, res.LPIters: effort
 //	}
 //
 // A nil integer slice makes every column integral. Options.Heuristic
@@ -30,8 +33,8 @@
 // completion); the solver serializes heuristic calls, so the heuristic
 // itself need not be goroutine-safe.
 //
-// The solver's obs counters (mip/nodes, mip/cuts_root, mip/cuts_tree,
-// mip/incumbents, mip/presolve/*, per-worker mip/workerN/*) are always
-// on; a trace recorder additionally captures mip/root_lp, mip/cut_loop,
+// The solver's obs counters (mip/nodes, mip/incumbents,
+// mip/presolve/*, per-worker mip/workerN/*) are always on; a trace
+// recorder additionally captures mip/root_lp, mip/root_heuristics,
 // mip/search, and per-worker mip/worker spans — see DESIGN.md §8.
 package mip

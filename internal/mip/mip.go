@@ -20,8 +20,6 @@ import (
 var (
 	cMIPSolves     = obs.NewCounter("mip/solves")
 	cMIPNodes      = obs.NewCounter("mip/nodes")
-	cMIPCutsRoot   = obs.NewCounter("mip/cuts_root")
-	cMIPCutsTree   = obs.NewCounter("mip/cuts_tree")
 	cMIPIncumb     = obs.NewCounter("mip/incumbents")
 	cMIPHeurCalls  = obs.NewCounter("mip/heuristic_calls")
 	cMIPRecovered  = obs.NewCounter("mip/recovered_panics")
@@ -59,14 +57,6 @@ type Options struct {
 	LP       *lp.Options   // per-node LP options
 	Workers  int           // parallel tree-search workers; default GOMAXPROCS
 
-	// CutRounds controls the root-node cutting-plane loop: 0 runs the
-	// automatic default (up to 30 rounds of lifted cover + clique
-	// separation, stopping when the relaxation stops improving), a
-	// negative value disables cutting planes entirely (reproducing the
-	// plain warm-started branch and bound), and a positive value caps
-	// the number of root rounds.
-	CutRounds int
-
 	// Presolve is interpreted by the modeling layer (model.Solve runs
 	// its presolve pass before exporting the problem to this solver
 	// unless Presolve is negative). mip.Solve itself ignores the field;
@@ -92,11 +82,10 @@ type Options struct {
 	// need not be goroutine-safe even with Workers > 1.
 	Heuristic func(x []float64) ([]float64, bool)
 
-	// Ctx, when set, cancels the solve: the root cut loop, the root
-	// heuristics, and the tree search all poll it, and a cancelled
-	// solve returns Status Cancelled together with the best incumbent
-	// found so far (nil X when none exists). Nil means no cancellation
-	// (context.Background()).
+	// Ctx, when set, cancels the solve: the root and the tree search
+	// both poll it, and a cancelled solve returns Status Cancelled
+	// together with the best incumbent found so far (nil X when none
+	// exists). Nil means no cancellation (context.Background()).
 	Ctx context.Context
 
 	// Seed, when non-nil, proposes a starting incumbent in the solved
@@ -120,9 +109,8 @@ type Options struct {
 	// incumbent, and the cache's subset check is what keeps it sound.
 	LowerBound *float64
 
-	// seedX/seedObj install a known-feasible starting incumbent before
-	// the search (used by the local-branching sub-solves, which restrict
-	// the neighborhood of a point they already hold).
+	// seedX/seedObj hold the verified Seed: Solve installs it as the
+	// starting incumbent before the tree opens.
 	seedX   []float64
 	seedObj float64
 }
@@ -186,18 +174,12 @@ type Result struct {
 	Status   Status
 	X        []float64
 	Obj      float64
-	RootObj  float64 // plain root relaxation objective (before cuts)
+	RootObj  float64 // root relaxation objective
 	RootTime time.Duration
 	Time     time.Duration
 	Nodes    int
 	LPIters  int
 	Workers  int // tree-search workers used
-
-	// RootCutObj is the root bound after the cutting-plane loop; it
-	// equals RootObj when cuts are disabled or none separated.
-	RootCutObj float64
-	// Cuts counts the cutting planes generated (root loop + tree).
-	Cuts int
 }
 
 // Solve minimizes p with the integrality constraint applied to the
@@ -221,9 +203,9 @@ func Solve(p *lp.Problem, integer []bool, opts *Options) (*Result, error) {
 	res := &Result{Obj: math.Inf(1), Workers: o.Workers}
 
 	// Failure-policy plumbing (DESIGN.md §10): the wall-clock budget
-	// becomes a hard deadline threaded into every LP solve (root, cut
-	// loop, heuristics, and tree nodes all honor it), and the caller's
-	// context is polled at node granularity by the tree search.
+	// becomes a hard deadline threaded into every LP solve (root and
+	// tree nodes both honor it), and the caller's context is polled at
+	// node granularity by the tree search.
 	ctx := o.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -276,165 +258,17 @@ func Solve(p *lp.Problem, integer []bool, opts *Options) (*Result, error) {
 		return salvageRoot(p, integer, &o, rootSol, res, start)
 	}
 	res.RootObj = rootSol.Obj
-	res.RootCutObj = rootSol.Obj
 
-	// Root-node cutting-plane loop: separate lifted cover and clique
-	// cuts against the fractional point, append them to a clone of the
-	// problem, and re-solve warm-started from the previous basis until
-	// the relaxation stops improving. The clone keeps the caller's
-	// problem untouched; the pool carries the same cuts to the workers.
-	work := p
-	var sep *separator
-	var cpool *cutPool
-	cutBase := 0
-	if o.CutRounds >= 0 {
-		cutSp := obs.StartSpan("mip/cut_loop")
-		sep = newSeparator(p, integer)
-		cpool = newCutPool()
-		rounds := o.CutRounds
-		if rounds == 0 {
-			rounds = 10
-		}
-		sol := rootSol
-		stall := 0
-		for round := 0; round < rounds; round++ {
-			if time.Since(start) > o.Time || ctx.Err() != nil {
-				break
-			}
-			cuts := sep.separate(sol.X, 48)
-			if o.Heuristic == nil {
-				// Tableau cuts only when no completion heuristic is
-				// registered: a caller's heuristic rounds the node LP
-				// vertex, and the dense GMI rows smear its fractionality
-				// across columns the heuristic cannot read, degrading the
-				// very incumbents that close heuristic-driven trees in tens
-				// of nodes. The sparse combinatorial families above stay on
-				// for everyone.
-				cuts = append(cuts, gmiCuts(work, sol.Basis, integer, 16)...)
-			}
-			if len(cuts) == 0 {
-				break
-			}
-			before := cpool.len()
-			if cpool.add(cuts) == 0 {
-				break
-			}
-			if work == p {
-				work = p.Clone()
-			}
-			cpool.apply(work, before)
-			warm, err := work.Solve(warmOpts(o.LP, sol.Basis))
-			if err != nil {
-				// A cut LP that fails (numerical trouble in the appended
-				// rows) does not poison the solve: the pre-cut bound in
-				// hand is still valid, and the appended rows stay — every
-				// cut holds at every integer point, and the workers'
-				// warm bases are row-prefix compatible.
-				break
-			}
-			res.LPIters += warm.Iters
-			if warm.Status == lp.Infeasible {
-				// Every cut is valid for every integer point, so a cut
-				// LP with no solution proves the MIP infeasible.
-				res.Status = Infeasible
-				res.Cuts = cpool.len()
-				res.Time = time.Since(start)
-				cutSp.End()
-				return res, nil
-			}
-			if warm.Status != lp.Optimal {
-				break // keep the bound already in hand
-			}
-			improved := warm.Obj - sol.Obj
-			sol = warm
-			if improved <= 1e-7*math.Max(1, math.Abs(sol.Obj)) {
-				stall++
-				if stall >= 8 {
-					break
-				}
-			} else {
-				stall = 0
-			}
-		}
-		// Shed the cuts that ended up slack at the final root vertex
-		// before the tree starts; the vertex stays optimal without them
-		// and the workers' node LPs shrink accordingly. The trimmed LP
-		// is re-solved cold (the incumbent basis indexes dropped rows).
-		if tight := cpool.tight(sol.X, 1e-6); len(tight) < cpool.len() {
-			tp := newCutPool()
-			tp.add(tight)
-			tw := p
-			if tp.len() > 0 {
-				tw = p.Clone()
-				tp.apply(tw, 0)
-			}
-			if ts, err := tw.Solve(o.LP); err == nil && ts.Status == lp.Optimal {
-				res.LPIters += ts.Iters
-				cpool, work, sol = tp, tw, ts
-			}
-		}
-		rootSol = sol
-		res.RootCutObj = sol.Obj
-		cutBase = cpool.len()
-		cutSp.End()
-	}
-
-	e := newEngine(work, integer, &o, start)
+	e := newEngine(p, integer, &o, start)
 	e.ctx = ctx
-	e.sep = sep
-	e.cuts = cpool
-	e.cutBase = cutBase
-	e.trueRows = p.NumRows()
-	if sep != nil {
-		// The implicit objective cut rides with the explicit families:
-		// with cuts disabled the engine must replay the plain search.
-		e.objStep = objGranularity(p, integer)
-	}
-	// Root primal heuristics. The basic rounding runs always (it is the
-	// PR 1 behavior); the diving and local-branching stages ride with
-	// the cut loop, because an early near-optimal incumbent prunes the
-	// tree harder than any cut row. All candidates are verified against
-	// the original rows — the incumbent need only satisfy true
-	// constraints.
+	// Root incumbents: the verified caller seed, then the rounded root
+	// vertex if it is better.
 	heurSp := obs.StartSpan("mip/root_heuristics")
-	bestObj := math.Inf(1)
-	var bestX []float64
 	if o.seedX != nil {
-		bestX, bestObj = o.seedX, o.seedObj
-		e.offerIncumbent(bestObj, append([]float64(nil), bestX...))
+		e.offerIncumbent(o.seedObj, o.seedX)
 	}
-	if x, obj, ok := roundFeasible(p, integer, rootSol.X); ok && obj < bestObj {
-		bestX, bestObj = x, obj
-	}
-	if sep != nil && o.Heuristic == nil && ctx.Err() == nil && countBinaries(p, integer) <= maxHeurBinaries {
-		// Callers with a domain completion heuristic already get
-		// incumbents from structure; and on models with thousands of
-		// binaries a fixed-radius Hamming ball is a vanishing fraction
-		// of the cube while its sub-MIP LPs cost nearly as much as the
-		// real node LPs — so the generic root heuristics stand down.
-		if x, obj, iters, ok := rootDive(work, p, integer, rootSol, o.LP); ok {
-			res.LPIters += iters
-			if obj < bestObj {
-				bestX, bestObj = x, obj
-			}
-		}
-		// Local branching around the best point, recentering while it
-		// keeps improving.
-		for round := 0; round < 3 && bestX != nil; round++ {
-			remain := o.Time - time.Since(start)
-			if remain <= 0 || ctx.Err() != nil {
-				break
-			}
-			x, obj, iters, ok := localBranch(ctx, p, integer, bestX, bestObj, o.LP, remain/8)
-			res.LPIters += iters
-			if !ok {
-				break
-			}
-			bestX, bestObj = x, obj
-		}
-	}
-	if bestX != nil {
-		e.offerIncumbent(bestObj, bestX)
+	if x, obj, ok := roundFeasible(p, integer, rootSol.X); ok {
+		e.offerIncumbent(obj, x)
 	}
 	heurSp.End()
 	// A caller-proven global lower bound can finish the proof before
@@ -448,9 +282,6 @@ func Solve(p *lp.Problem, integer []bool, opts *Options) (*Result, error) {
 			res.Obj, res.X = inc, e.incX
 			e.mu.Unlock()
 			res.Status = Optimal
-			if cpool != nil {
-				res.Cuts = cpool.len()
-			}
 			res.Time = time.Since(start)
 			cMIPSolves.Inc()
 			cMIPBoundProofs.Inc()
@@ -460,41 +291,16 @@ func Solve(p *lp.Problem, integer []bool, opts *Options) (*Result, error) {
 	searchSp := obs.StartSpan("mip/search")
 	e.run(rootSol, res)
 	searchSp.End()
-	if cpool != nil {
-		res.Cuts = cpool.len()
-	}
 	res.Time = time.Since(start)
 	cMIPSolves.Inc()
 	cMIPNodes.Add(int64(res.Nodes))
-	cMIPCutsRoot.Add(int64(cutBase))
-	if cpool != nil {
-		cMIPCutsTree.Add(int64(cpool.len() - cutBase))
-	}
 	return res, e.err
-}
-
-// maxHeurBinaries bounds the model size the generic root heuristics
-// (rounding dive, local branching) are worth their LP cost on.
-const maxHeurBinaries = 256
-
-// countBinaries counts integer columns with 0/1 bounds.
-func countBinaries(p *lp.Problem, integer []bool) int {
-	n := 0
-	for j, isInt := range integer {
-		if !isInt {
-			continue
-		}
-		if lo, hi := p.Bounds(j); lo == 0 && hi == 1 {
-			n++
-		}
-	}
-	return n
 }
 
 // withDeadline copies the caller's LP options with the solve's hard
 // wall-clock deadline installed (keeping an earlier caller deadline if
-// one is already set). Every LP the solve runs — root, cut loop,
-// heuristic sub-solves, tree nodes — goes through the result, so no
+// one is already set). Every LP the solve runs — the root and the tree
+// nodes — goes through the result, so no
 // single LP can blow past the MIP budget.
 func withDeadline(base *lp.Options, dl time.Time) *lp.Options {
 	var o lp.Options
@@ -521,7 +327,6 @@ func salvageRoot(p *lp.Problem, integer []bool, o *Options, rootSol *lp.Solution
 	}
 	if rootSol.X != nil {
 		res.RootObj = rootSol.Obj
-		res.RootCutObj = rootSol.Obj
 		if x, obj, ok := roundFeasible(p, integer, rootSol.X); ok && obj < res.Obj {
 			res.X, res.Obj = x, obj
 		}
@@ -595,22 +400,6 @@ func objOf(p *lp.Problem, x []float64) float64 {
 	return obj
 }
 
-// warmOpts copies the caller's LP options with a warm basis installed
-// and — unless the caller pinned a method — the dual simplex selected:
-// every warm re-solve in this package follows a bound change or an
-// appended cut row, which leaves the incumbent basis dual feasible.
-func warmOpts(base *lp.Options, b *lp.Basis) *lp.Options {
-	var o lp.Options
-	if base != nil {
-		o = *base
-	}
-	o.WarmBasis = b
-	if o.Method == lp.MethodAuto {
-		o.Method = lp.MethodDual
-	}
-	return &o
-}
-
 // roundFeasible rounds the integer components of x and checks the
 // result against the rows; it returns the candidate when feasible.
 func roundFeasible(p *lp.Problem, integer []bool, x []float64) ([]float64, float64, bool) {
@@ -643,17 +432,8 @@ func Feasible(p *lp.Problem, x []float64, tol float64) bool {
 // feasibleScratch is Feasible with a caller-owned row-activity scratch
 // slice, so hot callers (the search workers) do not allocate per check.
 func feasibleScratch(p *lp.Problem, x []float64, tol float64, act []float64) bool {
-	return feasibleRows(p, x, tol, act, p.NumRows())
-}
-
-// feasibleRows is feasibleScratch restricted to the first rows
-// constraint rows. Workers verify heuristic candidates this way,
-// against the true model rows only: appended cut rows hold at every
-// integer-feasible point by construction, and the 1e-7-scale slack a
-// Gomory row can show at such a point must not veto an incumbent.
-func feasibleRows(p *lp.Problem, x []float64, tol float64, act []float64, rows int) bool {
 	n := p.NumCols()
-	m := p.NumRows() // activity scratch spans every row; only rows are checked
+	m := p.NumRows()
 	if cap(act) < m {
 		act = make([]float64, m)
 	} else {
@@ -671,7 +451,7 @@ func feasibleRows(p *lp.Problem, x []float64, tol float64, act []float64, rows i
 			act[nz.Row] += nz.Val * x[j]
 		}
 	}
-	for r := 0; r < rows; r++ {
+	for r := 0; r < m; r++ {
 		lo, hi := p.RowBounds(r)
 		if act[r] < lo-tol || act[r] > hi+tol {
 			return false

@@ -198,3 +198,21 @@ func TestGapTermination(t *testing.T) {
 		t.Fatalf("root bound %v above incumbent %v", res.RootObj, res.Obj)
 	}
 }
+
+// TestSerialSearchDeterministic checks that one worker replays the
+// same search: two solves of the same problem take the same nodes and
+// simplex iterations to the same optimum.
+func TestSerialSearchDeterministic(t *testing.T) {
+	p := MultiKnapsack(40, 4, 99)
+	a, err := Solve(p, nil, &Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Solve(p, nil, &Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Nodes != b.Nodes || a.LPIters != b.LPIters || a.Obj != b.Obj {
+		t.Fatalf("Workers=1 search not deterministic: %+v vs %+v", a, b)
+	}
+}

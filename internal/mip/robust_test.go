@@ -82,7 +82,7 @@ func TestNodeStabilityErrorIsDegradedNotFatal(t *testing.T) {
 	// so each node LP exhausts its cold-restart retry and surfaces a
 	// StabilityError the tree must absorb as a lost subtree.
 	mustInstall(t, "lp/refactor_fail@2:*")
-	res, err := Solve(smallKnapsack(), nil, &Options{Workers: 1, CutRounds: -1})
+	res, err := Solve(smallKnapsack(), nil, &Options{Workers: 1})
 	if err != nil {
 		t.Fatalf("node stability errors must degrade, not error: %v", err)
 	}
@@ -100,9 +100,9 @@ func TestHeuristicPanicIsAMiss(t *testing.T) {
 	mustInstall(t, "mip/heuristic_err@1:*")
 	base := obs.TakeSnapshot()
 	heur := func(x []float64) ([]float64, bool) { return x, true }
-	// Cuts disabled so the root stays fractional and the tree actually
-	// branches — the heuristic only runs at fractional nodes.
-	res, err := Solve(smallKnapsack(), nil, &Options{Workers: 1, CutRounds: -1, Heuristic: heur})
+	// The root LP is fractional, so the tree branches — the heuristic
+	// only runs at fractional nodes.
+	res, err := Solve(smallKnapsack(), nil, &Options{Workers: 1, Heuristic: heur})
 	if err != nil {
 		t.Fatalf("solve with panicking heuristic: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestHeuristicPanicIsAMiss(t *testing.T) {
 }
 
 func TestNodeLimitReturnsIncumbent(t *testing.T) {
-	res, err := Solve(smallKnapsack(), nil, &Options{Workers: 1, MaxNodes: 1, CutRounds: -1})
+	res, err := Solve(smallKnapsack(), nil, &Options{Workers: 1, MaxNodes: 1})
 	if err != nil {
 		t.Fatalf("node-limited solve: %v", err)
 	}
@@ -172,7 +172,7 @@ func TestMidSolveCancellation(t *testing.T) {
 	p.AddRow(math.Inf(-1), 11.5, cols, vals)
 	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
 	defer cancel()
-	res, err := Solve(p, nil, &Options{Workers: 2, CutRounds: -1, Ctx: ctx})
+	res, err := Solve(p, nil, &Options{Workers: 2, Ctx: ctx})
 	if err != nil {
 		t.Fatalf("cancelled solve must not error: %v", err)
 	}

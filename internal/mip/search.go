@@ -150,16 +150,6 @@ type engine struct {
 	serial atomic.Bool
 	lost   atomic.Int64
 
-	// Cutting-plane state (nil when cuts are disabled): the immutable
-	// separation context, the shared append-only pool, and how many pool
-	// cuts e.p already carries as rows (the root cuts — workers start
-	// their applied counter there).
-	sep      *separator
-	cuts     *cutPool
-	cutBase  int
-	trueRows int     // rows of the original model; rows past this are cuts
-	objStep  float64 // objective lattice granularity (0 = no rounding)
-
 	nodes   atomic.Int64
 	lpIters atomic.Int64
 	incBits atomic.Uint64 // float64 bits of the incumbent objective
@@ -175,7 +165,7 @@ type engine struct {
 }
 
 func newEngine(p *lp.Problem, integer []bool, opts *Options, start time.Time) *engine {
-	e := &engine{p: p, integer: integer, opts: opts, start: start, pool: newPool(), trueRows: p.NumRows(), ctx: context.Background()}
+	e := &engine{p: p, integer: integer, opts: opts, start: start, pool: newPool(), ctx: context.Background()}
 	for j, isInt := range integer {
 		if isInt {
 			e.intCols = append(e.intCols, j)
@@ -186,16 +176,6 @@ func newEngine(p *lp.Problem, integer []bool, opts *Options, start time.Time) *e
 }
 
 func (e *engine) incObj() float64 { return math.Float64frombits(e.incBits.Load()) }
-
-// tighten rounds an LP bound up to the objective lattice (see
-// objGranularity): no integer point can land strictly between lattice
-// values, so the rounded bound prunes just as safely and much earlier.
-func (e *engine) tighten(b float64) float64 {
-	if e.objStep == 0 || math.IsInf(b, 0) {
-		return b
-	}
-	return e.objStep * math.Ceil(b/e.objStep-1e-6)
-}
 
 // gapAbs is the absolute slack implied by the relative gap at the
 // current incumbent (infinite while no incumbent exists, so nothing is
@@ -242,7 +222,7 @@ func (e *engine) run(rootSol *lp.Solution, res *Result) {
 	// The root node re-enters the engine with the root basis in hand,
 	// so its LP re-solve is a warm no-op rather than a repeat of the
 	// root relaxation.
-	e.pool.push(&node{bound: e.tighten(rootSol.Obj), basis: rootSol.Basis})
+	e.pool.push(&node{bound: rootSol.Obj, basis: rootSol.Basis})
 	var wg sync.WaitGroup
 	for w := 0; w < e.opts.Workers; w++ {
 		wg.Add(1)
@@ -279,25 +259,23 @@ func (e *engine) run(rootSol *lp.Solution, res *Result) {
 // workerCtx is the per-worker mutable state: a problem clone, the root
 // bounds of every column it may tighten, and scratch slices.
 type workerCtx struct {
-	prob        *lp.Problem
-	rootLo      []float64
-	rootHi      []float64
-	applied     []int // columns currently holding non-root bounds
-	path        []bchange
-	act         []float64 // feasibility-check scratch
-	lpOpts      lp.Options
-	cutsApplied int // pool-cut prefix length present as rows in prob
+	prob    *lp.Problem
+	rootLo  []float64
+	rootHi  []float64
+	applied []int // columns currently holding non-root bounds
+	path    []bchange
+	act     []float64 // feasibility-check scratch
+	lpOpts  lp.Options
 
 	// Telemetry tallies (plain ints — each workerCtx is owned by one
 	// goroutine), flushed to mip/worker<N>/ counters at worker exit.
 	statNodes      int64
-	statCuts       int64
 	statIncumbents int64
 }
 
 // worker drains the pool until the search ends. Each worker runs under
 // its own span track (tid id+1) so parallel dives are visible side by
-// side in the trace viewer, and flushes its node/cut/incumbent tallies
+// side in the trace viewer, and flushes its node/incumbent tallies
 // to the per-worker counters on exit.
 func (e *engine) worker(id int) {
 	if obs.Enabled() {
@@ -309,7 +287,6 @@ func (e *engine) worker(id int) {
 	defer func() {
 		prefix := fmt.Sprintf("mip/worker%d/", id)
 		obs.NewCounter(prefix + "nodes").Add(w.statNodes)
-		obs.NewCounter(prefix + "cuts").Add(w.statCuts)
 		obs.NewCounter(prefix + "incumbents").Add(w.statIncumbents)
 	}()
 	n := e.p.NumCols()
@@ -321,7 +298,6 @@ func (e *engine) worker(id int) {
 	if e.opts.LP != nil {
 		w.lpOpts = *e.opts.LP
 	}
-	w.cutsApplied = e.cutBase
 	for {
 		nd := e.pool.pop()
 		if nd == nil {
@@ -334,16 +310,6 @@ func (e *engine) worker(id int) {
 			e.pool.push(nd)
 			e.pool.done()
 			return
-		}
-		// Pull any pool cuts other workers separated since our last
-		// node, so this dive's first LP already sees them. The pool is
-		// append-only, so clones stay row-prefix compatible and the
-		// node's (shorter-prefix) basis still warm-starts the solve.
-		if e.cuts != nil {
-			w.cutsApplied = e.cuts.apply(w.prob, w.cutsApplied)
-			if w.prob.NumRows() > len(w.act) {
-				w.act = make([]float64, w.prob.NumRows())
-			}
 		}
 		e.safeDive(w, nd)
 		e.pool.done()
@@ -368,13 +334,6 @@ func (e *engine) safeDive(w *workerCtx, nd *node) {
 		// rebuild it from the engine's pristine problem.
 		w.prob = e.p.Clone()
 		w.applied = w.applied[:0]
-		w.cutsApplied = e.cutBase
-		if e.cuts != nil {
-			w.cutsApplied = e.cuts.apply(w.prob, w.cutsApplied)
-		}
-		if w.prob.NumRows() > len(w.act) {
-			w.act = make([]float64, w.prob.NumRows())
-		}
 		switch nd.retries {
 		case 0:
 			nd.retries, nd.basis = 1, nil
@@ -416,8 +375,6 @@ func (e *engine) dive(w *workerCtx, nd *node) {
 	}
 	warm := nd.basis
 	bound := nd.bound
-	recut := false          // re-solving the same node after a cut pass
-	sepDone := e.sep == nil // at most one separation pass per dive
 
 	for {
 		// Bound-based pruning against the current incumbent.
@@ -425,28 +382,23 @@ func (e *engine) dive(w *workerCtx, nd *node) {
 		if bound >= inc-e.gapAbs(inc) {
 			return
 		}
-		if recut {
-			// Same node, tightened by cut rows: already counted.
-			recut = false
-		} else {
-			seq := e.nodes.Add(1)
-			if seq > int64(e.opts.MaxNodes) {
-				e.nodes.Add(-1)
-				e.setHalt(NodeLimit)
+		seq := e.nodes.Add(1)
+		if seq > int64(e.opts.MaxNodes) {
+			e.nodes.Add(-1)
+			e.setHalt(NodeLimit)
+			return
+		}
+		w.statNodes++
+		// The deadline (and context poll) cost a syscall, so consult
+		// them every 64 nodes rather than per node.
+		if seq&63 == 0 {
+			if time.Since(e.start) > e.opts.Time {
+				e.setHalt(TimeLimit)
 				return
 			}
-			w.statNodes++
-			// The deadline (and context poll) cost a syscall, so consult
-			// them every 64 nodes rather than per node.
-			if seq&63 == 0 {
-				if time.Since(e.start) > e.opts.Time {
-					e.setHalt(TimeLimit)
-					return
-				}
-				if e.ctx.Err() != nil {
-					e.setHalt(Cancelled)
-					return
-				}
+			if e.ctx.Err() != nil {
+				e.setHalt(Cancelled)
+				return
 			}
 		}
 		w.lpOpts.WarmBasis = warm
@@ -493,20 +445,10 @@ func (e *engine) dive(w *workerCtx, nd *node) {
 		if sol.Status != lp.Optimal {
 			return // infeasible subtree
 		}
-		lpBound := e.tighten(sol.Obj)
+		lpBound := sol.Obj
 		inc = e.incObj()
 		if lpBound >= inc-e.gapAbs(inc) {
 			return
-		}
-		// One cutting-plane pass at the pooled node: offer this point's
-		// violated cuts to the shared pool, pull in whatever the clone
-		// is missing, and re-solve the same node with the extra rows.
-		if !sepDone {
-			sepDone = true
-			if e.trySeparate(w, sol.X) {
-				warm, bound, recut = sol.Basis, lpBound, true
-				continue
-			}
 		}
 		// Find the most fractional integer column, respecting branching
 		// priorities (highest priority class first).
@@ -568,33 +510,6 @@ func (e *engine) dive(w *workerCtx, nd *node) {
 	}
 }
 
-// nodeCutWindow stops node-level separation once the tree has grown
-// past this many nodes: cuts found early strengthen the whole search,
-// cuts found late mostly add LP rows.
-const nodeCutWindow = 1000
-
-// trySeparate runs one separation pass at a pooled node: while the
-// search is young and the pool has room, it offers the point's violated
-// cuts to the shared pool; it then pulls every pool cut the worker's
-// clone is missing (its own and other workers'). It reports whether the
-// clone gained rows, in which case the caller re-solves the node.
-func (e *engine) trySeparate(w *workerCtx, x []float64) bool {
-	if e.nodes.Load() <= nodeCutWindow && e.cuts.len() < e.cutBase+treeCutBudget {
-		if cuts := e.sep.separate(x, 8); len(cuts) > 0 {
-			w.statCuts += int64(e.cuts.add(cuts))
-		}
-	}
-	n := e.cuts.apply(w.prob, w.cutsApplied)
-	if n == w.cutsApplied {
-		return false
-	}
-	w.cutsApplied = n
-	if w.prob.NumRows() > len(w.act) {
-		w.act = make([]float64, w.prob.NumRows())
-	}
-	return true
-}
-
 // tryHeuristic runs the caller's completion hook (serialized — hooks
 // are not required to be goroutine-safe), verifies the candidate
 // against the worker's node-bounded problem, and offers it as an
@@ -604,7 +519,7 @@ func (e *engine) tryHeuristic(w *workerCtx, xLP []float64) bool {
 	e.heurMu.Lock()
 	cand, ok := callHeuristic(e.opts.Heuristic, xLP)
 	e.heurMu.Unlock()
-	if !ok || !feasibleRows(w.prob, cand, 1e-6, w.act, e.trueRows) {
+	if !ok || !feasibleScratch(w.prob, cand, 1e-6, w.act) {
 		return false
 	}
 	obj := 0.0

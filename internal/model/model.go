@@ -251,7 +251,7 @@ func (m *Model) Solve(opts *mip.Options) (*mip.Result, error) {
 		obj := pre.objConst
 		return &mip.Result{
 			Status: mip.Optimal, X: pre.expand(nil),
-			Obj: obj, RootObj: obj, RootCutObj: obj,
+			Obj: obj, RootObj: obj,
 		}, nil
 	}
 	// Remap the option fields expressed in original coordinates.
@@ -305,7 +305,6 @@ func (m *Model) Solve(opts *mip.Options) (*mip.Result, error) {
 	}
 	res.Obj += pre.objConst
 	res.RootObj += pre.objConst
-	res.RootCutObj += pre.objConst
 	return res, nil
 }
 

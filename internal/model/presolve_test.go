@@ -248,7 +248,7 @@ func TestPresolveShiftsLowerBound(t *testing.T) {
 	if err := m.CheckFeasible(worse, 1e-9); err != nil || m.Objective(worse) < opt.Obj+0.5 {
 		t.Fatalf("pinned-only point: err=%v obj=%g, optimum %g", err, m.Objective(worse), opt.Obj)
 	}
-	// Cuts off: no root heuristic replaces the seed before the bound
+	// Only the root rounding competes with the seed before the bound
 	// is checked.
 	for _, tc := range []struct {
 		name   string
@@ -259,7 +259,6 @@ func TestPresolveShiftsLowerBound(t *testing.T) {
 		{"optimal-seed", opt.X, 1},
 	} {
 		o := exact()
-		o.CutRounds = -1
 		o.Seed = tc.seed
 		lb := opt.Obj
 		o.LowerBound = &lb

@@ -62,11 +62,14 @@ func TestMPSBridgeNAT(t *testing.T) {
 
 	// Solve the imported model — standing in for an external MPS
 	// solver — and check it reaches the same optimum as the original.
-	ref, err := m.Solve(&mip.Options{Time: 4 * time.Minute})
+	// The default 1e-4 gap would let the two solves stop at different
+	// incumbents up to ~2e-4 apart, so both prove a gap well inside the
+	// 1e-6 the check asserts.
+	ref, err := m.Solve(&mip.Options{Time: 4 * time.Minute, Gap: 1e-9})
 	if err != nil {
 		t.Fatalf("solve original: %v", err)
 	}
-	imp, err := m2.Solve(&mip.Options{Time: 4 * time.Minute})
+	imp, err := m2.Solve(&mip.Options{Time: 4 * time.Minute, Gap: 1e-9})
 	if err != nil {
 		t.Fatalf("solve imported: %v", err)
 	}
