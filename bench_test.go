@@ -1,10 +1,12 @@
 package repro
 
-// The benchmark harness regenerates every table and figure of the
-// paper's evaluation (§11). Each benchmark prints the corresponding
-// rows; EXPERIMENTS.md records paper-vs-measured values.
+// Benchmarks for the paper's model figures (2 and 3), the alternative
+// spill objective, the engineering ablations of §7-§9 and whole-program
+// compile times. The §11 tables (Figures 5-7, throughput, chip scaling,
+// latency hiding) come from cmd/novabench; EXPERIMENTS.md records
+// paper-vs-measured values.
 //
-//	go test -bench=. -benchmem .
+//	go test -run=NONE -bench=. -benchtime=1x .
 
 import (
 	"fmt"
@@ -61,131 +63,12 @@ func BenchmarkFig3ModelBuild(b *testing.B) {
 			b.Fatalf("figure 3 must not spill")
 		}
 	}
-	comp, _ := nova.Compile("fig3.nova", fig3Source, nova.DefaultOptions())
+	comp, err := nova.Compile("fig3.nova", fig3Source, nova.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportMetric(float64(comp.Alloc.ModelStats.Vars), "model-vars")
 	b.ReportMetric(float64(comp.Alloc.NumMoves()), "moves")
-}
-
-// ---------------------------------------------------------------------------
-// Figure 5: static benchmark program statistics.
-
-func BenchmarkFig5StaticStats(b *testing.B) {
-	rows := make([]string, 0, 4)
-	for i := 0; i < b.N; i++ {
-		rows = rows[:0]
-		rows = append(rows, fmt.Sprintf("%-8s %6s %8s %6s %8s %6s %7s",
-			"", "Nova", "layouts", "pack", "unpack", "raise", "handle"))
-		for _, w := range workloadTable {
-			opts := nova.DefaultOptions()
-			opts.SkipAsm = true
-			// Static stats come from the front end only; stop before
-			// the ILP by asking for a tiny node budget is unnecessary —
-			// we only need parse data, so use the facade's stats on a
-			// full front-end pass via a cheap trick: parse-only.
-			st, err := staticOnly(w.name+".nova", w.src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rows = append(rows, fmt.Sprintf("%-8s %6d %8d %6d %8d %6d %7d",
-				w.name, st.Lines, st.Layouts, st.Packs, st.Unpacks, st.Raises, st.Handles))
-		}
-	}
-	b.StopTimer()
-	b.Logf("Figure 5 — static benchmark program statistics:\n%s", join(rows))
-}
-
-func staticOnly(name, src string) (nova.StaticStats, error) {
-	return nova.StaticStatsOf(name, src)
-}
-
-func join(rows []string) string {
-	out := ""
-	for _, r := range rows {
-		out += r + "\n"
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Figure 6: AMPL statistics — temps participating in aggregate
-// definitions and uses.
-
-func BenchmarkFig6AMPLStats(b *testing.B) {
-	var rows []string
-	for i := 0; i < b.N; i++ {
-		rows = rows[:0]
-		rows = append(rows, fmt.Sprintf("%-8s %6s %6s %8s %6s %6s %8s",
-			"", "DefL", "DefLD", "DefTotal", "UseS", "UseSD", "UseTotal"))
-		for _, w := range workloadTable {
-			comp := compileWorkload(b, w)
-			st := comp.Alloc.AggregateStats()
-			rows = append(rows, fmt.Sprintf("%-8s %6d %6d %8d %6d %6d %8d",
-				w.name, st.DefL, st.DefLD, st.DefL+st.DefLD, st.UseS, st.UseSD, st.UseS+st.UseSD))
-		}
-	}
-	b.StopTimer()
-	b.Logf("Figure 6 — AMPL coloring statistics:\n%s", join(rows))
-}
-
-// ---------------------------------------------------------------------------
-// Figure 7: solver statistics — root and integer solve times, model
-// size, moves and spills.
-
-func BenchmarkFig7Solver(b *testing.B) {
-	var rows []string
-	for i := 0; i < b.N; i++ {
-		rows = rows[:0]
-		rows = append(rows, fmt.Sprintf("%-8s %10s %10s %10s %12s %10s %7s %7s",
-			"", "root(s)", "integer(s)", "vars", "constraints", "obj-terms", "moves", "spills"))
-		for _, w := range workloadTable {
-			comp := compileWorkload(b, w)
-			root, total := comp.Alloc.SolveTimes()
-			st := comp.Alloc.ModelStats
-			rows = append(rows, fmt.Sprintf("%-8s %10.2f %10.2f %10d %12d %10d %7d %7d",
-				w.name, root.Seconds(), total.Seconds(),
-				st.Vars, st.Constraints, st.ObjTerms,
-				comp.Alloc.NumMoves(), comp.Alloc.Spills))
-		}
-	}
-	b.StopTimer()
-	b.Logf("Figure 7 — solver statistics:\n%s", join(rows))
-}
-
-// ---------------------------------------------------------------------------
-// §11 throughput: compiled workloads on the simulated 233 MHz engine.
-
-func benchThroughput(b *testing.B, w workload, payloads []int) {
-	comp := compileWorkload(b, w)
-	const threads = 4
-	clockHz := newMachine(1).Cfg.ClockMHz * 1e6
-	for _, payload := range payloads {
-		b.Run(fmt.Sprintf("payload=%dB", payload), func(b *testing.B) {
-			var mbpsEngine, mbpsChip float64
-			for i := 0; i < b.N; i++ {
-				cycles := runWorkloadBatch(b, comp, w, threads, payload)
-				bits := float64(threads * payload * 8)
-				mbpsEngine = bits / (float64(cycles) / clockHz) / 1e6
-				// Full 6-engine chip with shared-port contention.
-				chipCycles := runWorkloadChip(b, comp, w, 6, threads, payload)
-				chipBits := float64(6 * threads * payload * 8)
-				mbpsChip = chipBits / (float64(chipCycles) / clockHz) / 1e6
-			}
-			b.ReportMetric(mbpsEngine, "Mbps/engine")
-			b.ReportMetric(mbpsChip, "Mbps/chip")
-		})
-	}
-}
-
-func BenchmarkThroughputAES(b *testing.B) {
-	benchThroughput(b, workloadTable[0], []int{16, 64, 256})
-}
-
-func BenchmarkThroughputKasumi(b *testing.B) {
-	benchThroughput(b, workloadTable[1], []int{8, 16, 256})
-}
-
-func BenchmarkThroughputNAT(b *testing.B) {
-	benchThroughput(b, workloadTable[2], []int{64, 256})
 }
 
 // ---------------------------------------------------------------------------
@@ -346,42 +229,6 @@ fun main(x: word) -> word {
 			}
 			b.ReportMetric(float64(code), "code-words")
 			b.ReportMetric(float64(remats), "remats")
-		})
-	}
-}
-
-// BenchmarkChipScaling: AES throughput as micro-engines are added to
-// the chip — the shared SRAM port (all T-tables live in SRAM, as in
-// the paper) bounds the scaling.
-func BenchmarkChipScaling(b *testing.B) {
-	comp := compileWorkload(b, workloadTable[0])
-	clockHz := newMachine(1).Cfg.ClockMHz * 1e6
-	for _, engines := range []int{1, 2, 4, 6} {
-		b.Run(fmt.Sprintf("engines=%d", engines), func(b *testing.B) {
-			var mbps float64
-			for i := 0; i < b.N; i++ {
-				cycles := runWorkloadChip(b, comp, workloadTable[0], engines, 4, 64)
-				bits := float64(engines * 4 * 64 * 8)
-				mbps = bits / (float64(cycles) / clockHz) / 1e6
-			}
-			b.ReportMetric(mbps, "Mbps")
-			b.ReportMetric(mbps/float64(engines), "Mbps/engine")
-		})
-	}
-}
-
-// BenchmarkLatencyHiding: the multithreading experiment — cycles per
-// packet as hardware threads are added.
-func BenchmarkLatencyHiding(b *testing.B) {
-	comp := compileWorkload(b, workloadTable[0])
-	for _, threads := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			var perPacket float64
-			for i := 0; i < b.N; i++ {
-				cycles := runWorkloadBatch(b, comp, workloadTable[0], threads, 64)
-				perPacket = float64(cycles) / float64(threads)
-			}
-			b.ReportMetric(perPacket, "cycles/packet")
 		})
 	}
 }

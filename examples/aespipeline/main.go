@@ -12,22 +12,21 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/ixp"
 	"repro/internal/mip"
-	"repro/internal/nova"
 	"repro/internal/pktgen"
 	"repro/internal/workloads"
 )
 
 func main() {
-	opts := nova.DefaultOptions()
-	opts.MIP = &mip.Options{Time: 4 * time.Minute}
 	fmt.Println("compiling aes.nova (ILP register/bank allocation) ...")
 	start := time.Now()
-	comp, err := nova.Compile("aes.nova", workloads.AESSource, opts)
+	w, err := fleet.Compile("aes", &mip.Options{Time: 4 * time.Minute})
 	if err != nil {
 		log.Fatal(err)
 	}
+	comp := w.Comp
 	root, total := comp.Alloc.SolveTimes()
 	fmt.Printf("compiled in %v (root LP %v, integer %v; %v)\n",
 		time.Since(start).Round(time.Millisecond),
@@ -36,46 +35,31 @@ func main() {
 	fmt.Printf("  %d moves, %d spills, %d code words\n\n",
 		comp.Alloc.NumMoves(), comp.Alloc.Spills, comp.Asm.CodeWords())
 
-	regs, err := comp.EntryRegs()
-	if err != nil {
-		log.Fatal(err)
-	}
 	const threads = 4
+	o := fleet.Options{Engines: 1, Threads: threads}.Normalize()
 	for _, payload := range []int{16, 64, 256} {
-		cfg := ixp.DefaultConfig()
-		cfg.SRAMWords = 1 << 14
-		cfg.SDRAMWords = 1 << 16
-		cfg.Threads = threads
-		m := ixp.New(cfg)
-		workloads.InitAES(m.SRAM)
-		m.Load(comp.Asm)
-
-		oracle := make([]uint32, len(m.SDRAM))
-		for th := 0; th < threads; th++ {
-			pkt := pktgen.BuildTCP(int64(th+1), payload)
-			base := uint32(0x100 + th*0x400)
-			copy(m.SDRAM[base:], pkt.Words)
-			copy(oracle[base:], pkt.Words)
-			if err := m.SetArgs(th, regs, []uint32{base, uint32(payload / 16)}); err != nil {
-				log.Fatal(err)
-			}
+		chip := ixp.NewChip(o.MachineConfig(), o.Engines)
+		w.Init(chip)
+		// The reference cipher encrypts the same packets, staged by the
+		// same adapter, in a second chip's memory.
+		ref := ixp.NewChip(o.MachineConfig(), o.Engines)
+		batch := make([]*pktgen.Packet, threads)
+		for th := range batch {
+			batch[th] = &pktgen.Packet{Words: pktgen.BuildTCP(int64(th+1), payload).Words, PayloadBytes: payload, Kind: w.Kind}
+			args := w.Stage(ref, th, batch[th])
+			workloads.AESOracle(ref.SDRAM(), args[0], args[1])
 		}
-		st, err := m.Run(500_000_000)
+		st, err := w.RunBatch(chip, batch, o.BatchBudget)
 		if err != nil {
 			log.Fatal(err)
 		}
 		// Differential check against the Go reference cipher.
-		for th := 0; th < threads; th++ {
-			base := uint32(0x100 + th*0x400)
-			workloads.AESOracle(oracle, base, uint32(payload/16))
-		}
-		for i := range oracle {
-			if m.SDRAM[i] != oracle[i] {
-				log.Fatalf("mismatch at sdram[%#x]: sim %#x, reference %#x",
-					i, m.SDRAM[i], oracle[i])
+		for i, want := range ref.SDRAM() {
+			if got := chip.SDRAM()[i]; got != want {
+				log.Fatalf("mismatch at sdram[%#x]: sim %#x, reference %#x", i, got, want)
 			}
 		}
-		secs := m.Seconds(st.Cycles)
+		secs := chip.Seconds(st.Cycles)
 		mbps := float64(threads*payload*8) / secs / 1e6
 		fmt.Printf("payload %3d B: %7.0f cycles/packet, %6.1f Mb/s per engine (~%5.0f per chip) [verified]\n",
 			payload, float64(st.Cycles)/threads, mbps, mbps*6)

@@ -9,14 +9,13 @@ import (
 	"repro/internal/mip"
 	"repro/internal/nova"
 	"repro/internal/obs"
-	"repro/internal/pktgen"
 	"repro/internal/workloads"
 )
 
 // natRun compiles the NAT workload with the given allocator options,
-// runs one translated packet through the IXP simulator, and returns
-// the compilation, the checksum result, the rewritten SDRAM image,
-// and the cycle count.
+// runs TestWorkloadsEndToEnd's NAT packet through the IXP simulator,
+// and returns the compilation, the checksum result, the rewritten
+// SDRAM image, and the cycle count.
 func natRun(t *testing.T, alloc func(*nova.Options)) (*nova.Compilation, uint32, []uint32, int64) {
 	t.Helper()
 	opts := nova.DefaultOptions()
@@ -28,21 +27,7 @@ func natRun(t *testing.T, alloc func(*nova.Options)) (*nova.Compilation, uint32,
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	m := newMachine(1)
-	m.Load(comp.Asm)
-	regs, err := comp.EntryRegs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	words := pktgen.BuildIPv6TCP(7, 64)
-	copy(m.SDRAM[0x100:], words)
-	if err := m.SetArgs(0, regs, []uint32{0x100, 0x8000, 8}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := m.Run(100_000_000)
-	if err != nil {
-		t.Fatalf("simulate: %v", err)
-	}
+	m, st := runPacket(t, comp, workloadTable[2])
 	return comp, st.Results[0][0], append([]uint32(nil), m.SDRAM...), st.Cycles
 }
 

@@ -13,16 +13,28 @@ import (
 )
 
 // Workload descriptors shared by the tests and benches in this package.
+// pkt and args are the one packet TestWorkloadsEndToEnd stages at
+// SDRAM 0x100 and its entry arguments; oracle is the Go reference run
+// on the same memory.
 type workload struct {
-	name string
-	src  string
-	init func(m *ixp.Machine)
+	name   string
+	src    string
+	init   func(m *ixp.Machine)
+	pkt    []uint32
+	args   []uint32
+	oracle func(sdram, args []uint32) uint32
 }
 
 var workloadTable = []workload{
-	{"AES", workloads.AESSource, func(m *ixp.Machine) { workloads.InitAES(m.SRAM) }},
-	{"Kasumi", workloads.KasumiSource, func(m *ixp.Machine) { workloads.InitKasumi(m.SRAM, m.Scratch) }},
-	{"NAT", workloads.NATSource, nil},
+	{"AES", workloads.AESSource, func(m *ixp.Machine) { workloads.InitAES(m.SRAM) },
+		pktgen.BuildTCP(5, 64).Words, []uint32{0x100, 4},
+		func(mem, a []uint32) uint32 { return workloads.AESOracle(mem, a[0], a[1]) }},
+	{"Kasumi", workloads.KasumiSource, func(m *ixp.Machine) { workloads.InitKasumi(m.SRAM, m.Scratch) },
+		pktgen.BuildTCP(6, 64).Words, []uint32{0x100, 8},
+		func(mem, a []uint32) uint32 { return workloads.KasumiOracle(mem, a[0], a[1]) }},
+	{"NAT", workloads.NATSource, nil,
+		pktgen.BuildIPv6TCP(7, 64), []uint32{0x100, 0x8000, 8},
+		func(mem, a []uint32) uint32 { return workloads.NATOracle(mem, a[0], a[1], a[2]) }},
 }
 
 // compileCache memoizes the expensive ILP compilations across the
@@ -58,108 +70,29 @@ func newMachine(threads int) *ixp.Machine {
 	return ixp.New(cfg)
 }
 
-// runAES simulates one batch: each thread encrypts its own packet of
-// the given payload size. It returns the consumed cycles.
-func runWorkloadBatch(tb testing.TB, comp *nova.Compilation, w workload,
-	threads, payloadBytes int) int64 {
-	tb.Helper()
-	m := newMachine(threads)
+// runPacket runs comp on a one-thread machine set up for w, with w's
+// packet staged at SDRAM 0x100. It returns the machine and the run's
+// statistics.
+func runPacket(t *testing.T, comp *nova.Compilation, w workload) (*ixp.Machine, *ixp.Stats) {
+	t.Helper()
+	m := newMachine(1)
 	if w.init != nil {
 		w.init(m)
 	}
 	m.Load(comp.Asm)
 	regs, err := comp.EntryRegs()
 	if err != nil {
-		tb.Fatal(err)
+		t.Fatal(err)
 	}
-	for th := 0; th < threads; th++ {
-		switch w.name {
-		case "AES":
-			pkt := pktgen.BuildTCP(int64(th+1), payloadBytes)
-			base := uint32(0x100 + th*0x400)
-			copy(m.SDRAM[base:], pkt.Words)
-			if err := m.SetArgs(th, regs, []uint32{base, uint32(payloadBytes / 16)}); err != nil {
-				tb.Fatal(err)
-			}
-		case "Kasumi":
-			pkt := pktgen.BuildTCP(int64(th+17), payloadBytes)
-			base := uint32(0x100 + th*0x400)
-			copy(m.SDRAM[base:], pkt.Words)
-			if err := m.SetArgs(th, regs, []uint32{base, uint32(payloadBytes / 8)}); err != nil {
-				tb.Fatal(err)
-			}
-		case "NAT":
-			words := pktgen.BuildIPv6TCP(int64(th+33), payloadBytes)
-			src := uint32(0x100 + th*0x800)
-			dst := uint32(0x8000 + th*0x800)
-			copy(m.SDRAM[src:], words)
-			if err := m.SetArgs(th, regs, []uint32{src, dst, uint32((payloadBytes + 7) / 8)}); err != nil {
-				tb.Fatal(err)
-			}
-		}
+	copy(m.SDRAM[0x100:], w.pkt)
+	if err := m.SetArgs(0, regs, w.args); err != nil {
+		t.Fatal(err)
 	}
-	st, err := m.Run(500_000_000)
+	st, err := m.Run(100_000_000)
 	if err != nil {
-		tb.Fatalf("%s: %v", w.name, err)
+		t.Fatalf("%s: %v", w.name, err)
 	}
-	return st.Cycles
-}
-
-// runWorkloadChip runs one batch on a full n-engine chip (shared
-// memory ports) and returns the makespan in cycles.
-func runWorkloadChip(tb testing.TB, comp *nova.Compilation, w workload,
-	engines, threads, payloadBytes int) int64 {
-	tb.Helper()
-	cfg := ixp.DefaultConfig()
-	cfg.SRAMWords = 1 << 14
-	cfg.SDRAMWords = 1 << 18
-	cfg.Threads = threads
-	chip := ixp.NewChip(cfg, engines)
-	switch w.name {
-	case "AES":
-		workloads.InitAES(chip.SRAM())
-	case "Kasumi":
-		workloads.InitKasumi(chip.SRAM(), chip.Scratch())
-	}
-	chip.Load(comp.Asm)
-	regs, err := comp.EntryRegs()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for e := 0; e < engines; e++ {
-		for th := 0; th < threads; th++ {
-			slot := e*threads + th
-			switch w.name {
-			case "AES":
-				pkt := pktgen.BuildTCP(int64(slot+1), payloadBytes)
-				base := uint32(0x100 + slot*0x400)
-				copy(chip.SDRAM()[base:], pkt.Words)
-				if err := chip.Engines[e].SetArgs(th, regs, []uint32{base, uint32(payloadBytes / 16)}); err != nil {
-					tb.Fatal(err)
-				}
-			case "Kasumi":
-				pkt := pktgen.BuildTCP(int64(slot+17), payloadBytes)
-				base := uint32(0x100 + slot*0x400)
-				copy(chip.SDRAM()[base:], pkt.Words)
-				if err := chip.Engines[e].SetArgs(th, regs, []uint32{base, uint32(payloadBytes / 8)}); err != nil {
-					tb.Fatal(err)
-				}
-			case "NAT":
-				words := pktgen.BuildIPv6TCP(int64(slot+33), payloadBytes)
-				src := uint32(0x100 + slot*0x800)
-				dst := uint32(0x20000 + slot*0x800)
-				copy(chip.SDRAM()[src:], words)
-				if err := chip.Engines[e].SetArgs(th, regs, []uint32{src, dst, uint32((payloadBytes + 7) / 8)}); err != nil {
-					tb.Fatal(err)
-				}
-			}
-		}
-	}
-	st, err := chip.Run(500_000_000)
-	if err != nil {
-		tb.Fatalf("%s chip: %v", w.name, err)
-	}
-	return st.Cycles
+	return m, st
 }
 
 // TestWorkloadsEndToEnd compiles all three benchmarks through the full
@@ -171,48 +104,11 @@ func TestWorkloadsEndToEnd(t *testing.T) {
 		t.Skip("full ILP compilation takes minutes")
 	}
 	for _, w := range workloadTable {
-		comp := compileWorkload(t, w)
-		m := newMachine(1)
-		if w.init != nil {
-			w.init(m)
-		}
-		m.Load(comp.Asm)
-		regs, err := comp.EntryRegs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracleMem := append([]uint32(nil), m.SDRAM...)
-		var args []uint32
-		var wantRet uint32
-		switch w.name {
-		case "AES":
-			pkt := pktgen.BuildTCP(5, 64)
-			copy(m.SDRAM[0x100:], pkt.Words)
-			copy(oracleMem[0x100:], pkt.Words)
-			args = []uint32{0x100, 4}
-			wantRet = workloads.AESOracle(oracleMem, 0x100, 4)
-		case "Kasumi":
-			pkt := pktgen.BuildTCP(6, 64)
-			copy(m.SDRAM[0x100:], pkt.Words)
-			copy(oracleMem[0x100:], pkt.Words)
-			args = []uint32{0x100, 8}
-			wantRet = workloads.KasumiOracle(oracleMem, 0x100, 8)
-		case "NAT":
-			words := pktgen.BuildIPv6TCP(7, 64)
-			copy(m.SDRAM[0x100:], words)
-			copy(oracleMem[0x100:], words)
-			args = []uint32{0x100, 0x8000, 8}
-			wantRet = workloads.NATOracle(oracleMem, 0x100, 0x8000, 8)
-		}
-		if err := m.SetArgs(0, regs, args); err != nil {
-			t.Fatal(err)
-		}
-		st, err := m.Run(100_000_000)
-		if err != nil {
-			t.Fatalf("%s: %v", w.name, err)
-		}
-		if got := st.Results[0][0]; got != wantRet {
-			t.Errorf("%s: result %#x, oracle %#x", w.name, got, wantRet)
+		m, st := runPacket(t, compileWorkload(t, w), w)
+		oracleMem := make([]uint32, len(m.SDRAM))
+		copy(oracleMem[0x100:], w.pkt)
+		if got, want := st.Results[0][0], w.oracle(oracleMem, w.args); got != want {
+			t.Errorf("%s: result %#x, oracle %#x", w.name, got, want)
 		}
 		for i := range oracleMem {
 			if m.SDRAM[i] != oracleMem[i] {

@@ -698,16 +698,7 @@ func (s *runState) runBatch(ci int, chip *ixp.Chip, cr *ChipResult, batch []*pkt
 			}
 		}
 	}
-	chip.Load(s.w.Prog)
-	for i, p := range batch {
-		args := s.w.Stage(chip, i, p)
-		if err := chip.Engines[i/s.o.Threads].SetArgs(i%s.o.Threads, s.w.EntryRegs, args); err != nil {
-			restore()
-			s.wedge(ci, cr, batch, rx, err)
-			return false
-		}
-	}
-	st, err := chip.Run(s.o.BatchBudget)
+	st, err := s.w.RunBatch(chip, batch, s.o.BatchBudget)
 	restore()
 	if err != nil {
 		s.wedge(ci, cr, batch, rx, err)

@@ -23,6 +23,11 @@ type Workload struct {
 	Name string
 	// Kind is the packet template the workload consumes.
 	Kind pktgen.Kind
+	// Comp is the compilation Compile built Prog from: its allocation
+	// (model size, solver effort, moves, spills) and static program
+	// statistics are what the paper's Figures 5-7 tabulate. Nil for
+	// workloads filled in by hand.
+	Comp *nova.Compilation
 	// Prog is the compiled program every engine runs.
 	Prog *asm.Program
 	// EntryRegs are the physical registers holding the entry arguments.
@@ -52,9 +57,9 @@ func Digest(h uint64, words []uint32) uint64 {
 // DigestSeed is the initial value for Digest chains.
 const DigestSeed = 0x9e3779b97f4a7c15
 
-// Per-slot SDRAM layout shared by the standard workload adapters (the
-// same scheme novabench's solo-chip runs use): each thread slot stages
-// its packet at a fixed, disjoint base.
+// Per-slot SDRAM layout of the standard workload adapters, the only
+// place a paper workload's packet addresses are computed: each thread
+// slot stages its packet at a fixed, disjoint base.
 const (
 	tcpSlotBase   = 0x100   // + slot*0x400: AES/Kasumi packet words
 	tcpSlotStride = 0x400   // fits payloads up to ~4 KB
@@ -116,6 +121,7 @@ func Compile(name string, mo *mip.Options) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
+	w.Comp = comp
 	w.Prog = comp.Asm
 	w.EntryRegs = regs
 	switch w.Name {
@@ -155,6 +161,45 @@ func Compile(name string, mo *mip.Options) (*Workload, error) {
 		}
 	}
 	return w, nil
+}
+
+// RunBatch loads w's program on chip, stages batch[i] into thread slot
+// i and runs the chip until every staged thread halts, failing once
+// that takes more than budget cycles. Halt results come back in slot
+// order. Run runs every batch through it.
+func (w *Workload) RunBatch(chip *ixp.Chip, batch []*pktgen.Packet, budget int64) (*ixp.Stats, error) {
+	chip.Load(w.Prog)
+	threads := chip.Cfg.Threads
+	for i, p := range batch {
+		if err := chip.Engines[i/threads].SetArgs(i%threads, w.EntryRegs, w.Stage(chip, i, p)); err != nil {
+			return nil, err
+		}
+	}
+	return chip.Run(budget)
+}
+
+// Solo runs one batch of w on a fresh chip built from o: every thread
+// slot s carries the packet pktgen builds from seed s+1 with
+// payloadBytes of payload. The paper's throughput, chip-scaling and
+// latency-hiding rows (cmd/novabench) and ixpsim's single-chip run are
+// Solo batches.
+func Solo(w *Workload, o Options, payloadBytes int) (*ixp.Stats, error) {
+	o = o.Normalize()
+	chip := ixp.NewChip(o.MachineConfig(), o.Engines)
+	if w.Init != nil {
+		w.Init(chip)
+	}
+	batch := make([]*pktgen.Packet, o.Engines*o.Threads)
+	for slot := range batch {
+		p := &pktgen.Packet{PayloadBytes: payloadBytes, Kind: w.Kind}
+		if w.Kind == pktgen.KindIPv6 {
+			p.Words = pktgen.BuildIPv6TCP(int64(slot+1), payloadBytes)
+		} else {
+			p.Words = pktgen.BuildTCP(int64(slot+1), payloadBytes).Words
+		}
+		batch[slot] = p
+	}
+	return w.RunBatch(chip, batch, o.BatchBudget)
 }
 
 // natChunks is the NAT workload's paylen argument: 2-word payload

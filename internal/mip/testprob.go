@@ -10,9 +10,9 @@ import (
 // MultiKnapsack builds a correlated multi-dimensional 0-1 knapsack — n
 // binary items, m capacity rows, values tied to weights so the LP bound
 // is weak and branch and bound must open a real tree. It is the scaling
-// workload behind BenchmarkMIPScaling and the novabench JSON record
-// (BENCH_mip.json); it lives outside the test files so the benchmark
-// tool can build the identical instance.
+// workload behind BenchmarkMIPScaling; it lives outside the test files
+// because the tests of other packages (cache, server, model,
+// workloads) build the identical instance.
 func MultiKnapsack(n, m int, seed int64) *lp.Problem {
 	rng := rand.New(rand.NewSource(seed))
 	p := lp.NewProblem()
