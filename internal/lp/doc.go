@@ -1,10 +1,12 @@
 // Package lp implements a linear-programming solver: a bounded-variable
 // simplex over sparse columns with a sparse LU basis factorization
 // (threshold-Markowitz pivoting, Forrest–Tomlin-style update etas
-// between refactorizations), devex pricing on the primal side, and a
-// dual simplex for warm-started re-solves after bound changes or added
-// rows. It is the substrate under the branch-and-bound MIP solver that
-// stands in for CPLEX in this reproduction.
+// between refactorizations, hypersparse triangular solves), pivot
+// rows priced from a row-wise copy of the matrix, devex pricing on the
+// primal side, and a dual simplex for warm-started re-solves after
+// bound changes or added rows. It is the substrate under the
+// branch-and-bound MIP solver that stands in for CPLEX in this
+// reproduction.
 //
 // Problems are stated as
 //

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -77,9 +78,6 @@ func (s *simplex) runDual() (Status, error) {
 	if s.rowW == nil {
 		s.rowW = make([]float64, s.m)
 	}
-	if s.alpha == nil {
-		s.alpha = make([]float64, s.n+s.m)
-	}
 	for i := range s.rowW {
 		s.rowW[i] = 1
 	}
@@ -117,31 +115,24 @@ func (s *simplex) runDual() (Status, error) {
 		if delta < 0 {
 			sgn = -1
 		}
-		// Pivot row: ρ = B⁻ᵀ e_r, then α_j = ρ·A_j for every nonbasic.
-		for i := range s.y {
-			s.y[i] = 0
-		}
-		s.y[r] = 1
-		s.btran(s.y)
+		// Pivot row: ρ = B⁻ᵀ e_r, then α_j = ρ·A_j over the columns
+		// ρ's support touches (every other α_j is zero, so no other
+		// nonbasic is a breakpoint).
+		s.pivotRow(r)
 		// Dual ratio test: every eligible nonbasic (at-lower needs
 		// sgn·α > 0, at-upper sgn·α < 0, free either) is a breakpoint
 		// at ratio d_j/(sgn·α_j) where the dual objective's slope
-		// changes.
+		// changes. The candidates must reach the (unstable) sort below
+		// in ascending j, as a scan of every column appends them, so
+		// ties land where they always did.
+		slices.Sort(s.alpha.nz)
 		cands = cands[:0]
-		for j := 0; j < s.n+s.m; j++ {
+		for _, j := range s.alpha.nz {
 			st := s.state[j]
 			if st == stBasic {
 				continue
 			}
-			var a float64
-			if j < s.n {
-				for _, nz := range s.p.cols[j] {
-					a += s.y[nz.Row] * nz.Val
-				}
-			} else {
-				a = -s.y[j-s.n]
-			}
-			s.alpha[j] = a
+			a := s.alpha.x[j]
 			sa := sgn * a
 			var ratio float64
 			switch st {
@@ -210,7 +201,7 @@ func (s *simplex) runDual() (Status, error) {
 			// the flipped columns' contribution, then the violated row
 			// is re-read (its residual is the slope left after the
 			// flips, same sign).
-			s.clearW()
+			s.w.clear()
 			for _, j := range flips {
 				var dxj float64
 				if s.state[j] == stLower {
@@ -224,14 +215,14 @@ func (s *simplex) runDual() (Status, error) {
 					continue // a fixed variable's flip is a no-op breakpoint
 				}
 				s.column(j, func(row int, val float64) {
-					s.w[row] += val * dxj
-					s.touchW(row)
+					s.w.x[row] += val * dxj
+					s.w.touch(row)
 				})
 			}
 			s.ftranW()
-			for _, i := range s.wTouch {
-				if s.w[i] != 0 {
-					s.xB[i] -= s.w[i]
+			for _, i := range s.w.nz {
+				if s.w.x[i] != 0 {
+					s.xB[i] -= s.w.x[i]
 				}
 			}
 			s.boundFlips += len(flips)
@@ -257,11 +248,11 @@ func (s *simplex) runDual() (Status, error) {
 		}
 		// Entering column through the factorization; its row-r entry
 		// must agree with the btran pricing of the same element.
-		s.clearW()
+		s.w.clear()
 		s.scatterColumn(enter)
 		s.ftranW()
-		aq := s.w[r]
-		if ar := s.alpha[enter]; math.Abs(aq) < 1e-9 ||
+		aq := s.w.x[r]
+		if ar := s.alpha.x[enter]; math.Abs(aq) < 1e-9 ||
 			math.Abs(aq-ar) > 1e-6*(1+math.Abs(aq)) {
 			// The factorized arithmetic disagrees with itself: refresh
 			// the factorization and let the primal take over.
@@ -274,11 +265,11 @@ func (s *simplex) runDual() (Status, error) {
 		theta := s.d[enter] / aq
 		// Maintained reduced costs across the pivot (same algebra as
 		// the primal update, with the pivot row already priced).
-		for j := 0; j < s.n+s.m; j++ {
+		for _, j := range s.alpha.nz {
 			if s.state[j] == stBasic || j == enter {
 				continue
 			}
-			if a := s.alpha[j]; a != 0 {
+			if a := s.alpha.x[j]; a != 0 {
 				s.d[j] -= theta * a
 			}
 		}
@@ -289,11 +280,11 @@ func (s *simplex) runDual() (Status, error) {
 		// image of the entering column.
 		wr := s.rowW[r]
 		den := aq * aq
-		for _, i := range s.wTouch {
+		for _, i := range s.w.nz {
 			if i == r {
 				continue
 			}
-			wi := s.w[i]
+			wi := s.w.x[i]
 			if wi == 0 {
 				continue
 			}
@@ -308,9 +299,9 @@ func (s *simplex) runDual() (Status, error) {
 		}
 		// Primal point: every basic moves by -w·dx; the leaving
 		// variable lands exactly on its violated bound.
-		for _, i := range s.wTouch {
-			if s.w[i] != 0 {
-				s.xB[i] -= s.w[i] * dx
+		for _, i := range s.w.nz {
+			if s.w.x[i] != 0 {
+				s.xB[i] -= s.w.x[i] * dx
 			}
 		}
 		if delta > 0 {

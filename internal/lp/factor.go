@@ -3,7 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // This file holds the sparse LU representation of the simplex basis.
@@ -15,6 +15,17 @@ import (
 // frozen luFactor is immutable and shareable: a Basis snapshot carries
 // it (warmFactor) so warm-started re-solves of the same matrix adopt
 // it instead of refactorizing.
+//
+// The triangular solves are hypersparse (Gilbert & Peierls 1988; Hall
+// & McKinnon 2005): a solve first collects the elimination steps
+// reachable from its right-hand side's support, then runs the dense
+// loop's body on just those steps, in the dense loop's order. A step
+// the reach misses would only have read zeros, so the floating-point
+// operations, the nonzero results and the accumulator's support order
+// are those of the dense solve, and so are the pivots. FTRAN walks L
+// and U by columns (the L-solve inside factorize too); BTRAN walks the
+// transposed step indexes that factorize builds once at the end.
+// ftranDense and btranDense remain for dense right-hand sides.
 
 // luFactor is a frozen sparse LU factorization of a basis matrix.
 // Elimination step k pivots one basis column on row prow[k]; by the
@@ -27,6 +38,7 @@ type luFactor struct {
 	nnz int    // stored nonzeros in L and U, diagonals included
 
 	prow []int32 // pivot row of elimination step k
+	pos  []int32 // elimination step of pivot row i (-1 while unpivoted)
 
 	// L as m unit-diagonal column etas in elimination order: eta k
 	// holds the multipliers for the rows still unpivoted at step k.
@@ -40,6 +52,13 @@ type luFactor struct {
 	uind  []int32 // elimination-step indices
 	uval  []float64
 	udiag []float64
+
+	// The BTRAN reach graphs, by step: utind[utptr[k]:utptr[k+1]] are
+	// the later steps whose U column has an entry in step k, and
+	// ltind[ltptr[k]:ltptr[k+1]] the earlier steps whose L column has
+	// an entry in row prow[k].
+	utptr, utind []int32
+	ltptr, ltind []int32
 }
 
 // warmFactor is the factorization payload a Basis snapshot carries: a
@@ -51,46 +70,142 @@ type warmFactor struct {
 	nnz     int // nonzeros in the update file
 }
 
-// lsolveW applies L⁻¹ to the sparse accumulator: the left-looking
-// elimination of every step recorded so far (also used mid-factorize,
-// when the eta file is still growing).
-func (f *luFactor) lsolveW(s *simplex) {
-	for k := 0; k < len(f.prow); k++ {
-		v := s.w[f.prow[k]]
+// reach closes s.steps, seeded by the caller through markStep, under
+// the step graph whose step k leads to ind[ptr[k]:ptr[k+1]] (row
+// indices mapped through rowStep when it is non-nil, unpivoted rows
+// skipped), and lists the reached steps ascending.
+func (s *simplex) reach(ptr, ind, rowStep []int32) {
+	for h := 0; h < len(s.steps); h++ {
+		k := s.steps[h]
+		for t := ptr[k]; t < ptr[k+1]; t++ {
+			j := ind[t]
+			if rowStep != nil {
+				if j = rowStep[j]; j < 0 {
+					continue
+				}
+			}
+			s.markStep(j)
+		}
+	}
+	if len(s.steps) > len(s.stepMark)/32 {
+		// A large reach comes out in step order from a scan of the m
+		// marks sooner than from a sort (k log k compares for k steps).
+		s.steps = s.steps[:0]
+		for k, on := range s.stepMark {
+			if on {
+				s.steps = append(s.steps, int32(k))
+			}
+		}
+		return
+	}
+	slices.Sort(s.steps)
+}
+
+// markStep adds elimination step k to the reach.
+func (s *simplex) markStep(k int32) {
+	if !s.stepMark[k] {
+		s.stepMark[k] = true
+		s.steps = append(s.steps, k)
+	}
+}
+
+// clearSteps empties the reach.
+func (s *simplex) clearSteps() {
+	for _, k := range s.steps {
+		s.stepMark[k] = false
+	}
+	s.steps = s.steps[:0]
+}
+
+// lsolve applies L⁻¹ to the FTRAN accumulator, visiting in ascending
+// order the steps reachable from its pivoted rows (also used
+// mid-factorize, when L is still growing and some rows are unpivoted).
+func (f *luFactor) lsolve(s *simplex) {
+	for _, i := range s.w.nz {
+		if k := f.pos[i]; k >= 0 {
+			s.markStep(k)
+		}
+	}
+	s.reach(f.lptr, f.lind, f.pos)
+	w := s.w.x
+	for _, k := range s.steps {
+		v := w[f.prow[k]]
 		if v == 0 {
 			continue
 		}
 		for t := f.lptr[k]; t < f.lptr[k+1]; t++ {
 			i := f.lind[t]
-			if !s.wIn[i] {
-				s.wIn[i] = true
-				s.wTouch = append(s.wTouch, int(i))
-			}
-			s.w[i] -= f.lval[t] * v
+			s.w.touch(int(i))
+			w[i] -= f.lval[t] * v
 		}
 	}
+	s.clearSteps()
 }
 
-// usolveW back-substitutes U on the accumulator. After lsolveW this
-// completes B⁻¹w, with the step-k component in w[prow[k]].
-func (f *luFactor) usolveW(s *simplex) {
-	for k := f.m - 1; k >= 0; k-- {
+// usolve back-substitutes U on the FTRAN accumulator, visiting in
+// descending order the steps reachable from its support. After lsolve
+// this completes B⁻¹w, with the step-k component in w[prow[k]].
+func (f *luFactor) usolve(s *simplex) {
+	for _, i := range s.w.nz {
+		s.markStep(f.pos[i])
+	}
+	s.reach(f.uptr, f.uind, nil)
+	w := s.w.x
+	for h := len(s.steps) - 1; h >= 0; h-- {
+		k := s.steps[h]
 		r := f.prow[k]
-		v := s.w[r]
+		v := w[r]
 		if v == 0 {
 			continue
 		}
 		x := v / f.udiag[k]
-		s.w[r] = x
+		w[r] = x
 		for t := f.uptr[k]; t < f.uptr[k+1]; t++ {
-			i := int(f.prow[f.uind[t]])
-			if !s.wIn[i] {
-				s.wIn[i] = true
-				s.wTouch = append(s.wTouch, i)
-			}
-			s.w[i] -= f.uval[t] * x
+			i := f.prow[f.uind[t]]
+			s.w.touch(int(i))
+			w[i] -= f.uval[t] * x
 		}
 	}
+	s.clearSteps()
+}
+
+// btranReach solves Bᵀ y = y in place on the BTRAN accumulator, with
+// btranDense's operations restricted to the reach: transposed U
+// forward over the steps reachable from the support, then the
+// transposed L etas in reverse over the steps reachable from the
+// grown support.
+func (f *luFactor) btranReach(s *simplex) {
+	y := s.rho.x
+	for _, i := range s.rho.nz {
+		s.markStep(f.pos[i])
+	}
+	s.reach(f.utptr, f.utind, nil)
+	for _, k := range s.steps {
+		r := f.prow[k]
+		v := y[r]
+		for t := f.uptr[k]; t < f.uptr[k+1]; t++ {
+			v -= f.uval[t] * y[f.prow[f.uind[t]]]
+		}
+		y[r] = v / f.udiag[k]
+		s.rho.touch(int(r))
+	}
+	s.clearSteps()
+	for _, i := range s.rho.nz {
+		s.markStep(f.pos[i])
+	}
+	s.reach(f.ltptr, f.ltind, nil)
+	for h := len(s.steps) - 1; h >= 0; h-- {
+		k := s.steps[h]
+		var sum float64
+		for t := f.lptr[k]; t < f.lptr[k+1]; t++ {
+			sum += f.lval[t] * y[f.lind[t]]
+		}
+		if sum != 0 {
+			y[f.prow[k]] -= sum
+			s.rho.touch(int(f.prow[k]))
+		}
+	}
+	s.clearSteps()
 }
 
 // ftranDense solves B z = w in place on a dense vector.
@@ -143,18 +258,18 @@ func (f *luFactor) btranDense(y []float64) {
 // addColumn records one elimination step from the accumulator:
 // entries at already-pivoted rows become U column entries, entries at
 // unpivoted rows divided by the pivot become L multipliers.
-func (f *luFactor) addColumn(s *simplex, prow int, pivoted []bool, pos []int32) {
-	piv := s.w[prow]
-	for _, i := range s.wTouch {
+func (f *luFactor) addColumn(s *simplex, prow int) {
+	piv := s.w.x[prow]
+	for _, i := range s.w.nz {
 		if i == prow {
 			continue
 		}
-		v := s.w[i]
+		v := s.w.x[i]
 		if v < 1e-12 && v > -1e-12 {
 			continue
 		}
-		if pivoted[i] {
-			f.uind = append(f.uind, pos[i])
+		if k := f.pos[i]; k >= 0 {
+			f.uind = append(f.uind, k)
 			f.uval = append(f.uval, v)
 		} else {
 			f.lind = append(f.lind, int32(i))
@@ -164,7 +279,38 @@ func (f *luFactor) addColumn(s *simplex, prow int, pivoted []bool, pos []int32) 
 	f.uptr = append(f.uptr, int32(len(f.uind)))
 	f.lptr = append(f.lptr, int32(len(f.lind)))
 	f.udiag = append(f.udiag, piv)
+	f.pos[prow] = int32(len(f.prow))
 	f.prow = append(f.prow, int32(prow))
+}
+
+// transpose returns the step graph that reverses (ptr, ind): step k
+// leads to every step whose entries in (ptr, ind) include k, in
+// ascending order. rowStep maps row-valued entries to steps (nil when
+// ind already holds steps).
+func transpose(m int, ptr, ind, rowStep []int32) (tptr, tind []int32) {
+	tptr = make([]int32, m+1)
+	for _, j := range ind {
+		if rowStep != nil {
+			j = rowStep[j]
+		}
+		tptr[j+1]++
+	}
+	for k := 0; k < m; k++ {
+		tptr[k+1] += tptr[k]
+	}
+	tind = make([]int32, len(ind))
+	next := append([]int32(nil), tptr[:m]...)
+	for k := 0; k < m; k++ {
+		for t := ptr[k]; t < ptr[k+1]; t++ {
+			j := ind[t]
+			if rowStep != nil {
+				j = rowStep[j]
+			}
+			tind[next[j]] = int32(k)
+			next[j]++
+		}
+	}
+	return tptr, tind
 }
 
 // factorize computes a fresh LU factorization of the current basis,
@@ -178,9 +324,13 @@ func (s *simplex) factorize() error {
 	f := &luFactor{
 		m: s.m, sig: s.p.matSig,
 		prow:  make([]int32, 0, s.m),
+		pos:   make([]int32, s.m),
 		lptr:  make([]int32, 1, s.m+1),
 		uptr:  make([]int32, 1, s.m+1),
 		udiag: make([]float64, 0, s.m),
+	}
+	for i := range f.pos {
+		f.pos[i] = -1
 	}
 	// Static row counts of the basis matrix drive the Markowitz-style
 	// pivot-row choice below: among numerically acceptable candidates,
@@ -206,26 +356,24 @@ func (s *simplex) factorize() error {
 	}
 	// The column half of the Markowitz product is a priori: ascending
 	// column count, column id breaking ties for determinism.
-	sort.Slice(slots, func(a, b int) bool {
-		if slots[a].nnz != slots[b].nnz {
-			return slots[a].nnz < slots[b].nnz
+	slices.SortFunc(slots, func(a, b slot) int {
+		if a.nnz != b.nnz {
+			return a.nnz - b.nnz
 		}
-		return slots[a].j < slots[b].j
+		return a.j - b.j
 	})
-	pivoted := make([]bool, s.m)
-	pos := make([]int32, s.m) // pivot row -> elimination step
 	newBasis := make([]int, s.m)
 	var failed []int
 	for _, sl := range slots {
-		s.clearW()
+		s.w.clear()
 		s.scatterColumn(sl.j)
-		f.lsolveW(s)
+		f.lsolve(s)
 		maxAbs := 0.0
-		for _, i := range s.wTouch {
-			if pivoted[i] {
+		for _, i := range s.w.nz {
+			if f.pos[i] >= 0 {
 				continue
 			}
-			if a := math.Abs(s.w[i]); a > maxAbs {
+			if a := math.Abs(s.w.x[i]); a > maxAbs {
 				maxAbs = a
 			}
 		}
@@ -238,11 +386,11 @@ func (s *simplex) factorize() error {
 		// nonzeros wins (Markowitz), magnitude breaks ties.
 		bestR, bestV, bestC := -1, 0.0, 0
 		thresh := 0.1 * maxAbs
-		for _, i := range s.wTouch {
-			if pivoted[i] {
+		for _, i := range s.w.nz {
+			if f.pos[i] >= 0 {
 				continue
 			}
-			a := math.Abs(s.w[i])
+			a := math.Abs(s.w.x[i])
 			if a < thresh {
 				continue
 			}
@@ -250,9 +398,7 @@ func (s *simplex) factorize() error {
 				bestR, bestV, bestC = i, a, rowCount[i]
 			}
 		}
-		f.addColumn(s, bestR, pivoted, pos)
-		pivoted[bestR] = true
-		pos[bestR] = int32(len(f.prow) - 1)
+		f.addColumn(s, bestR)
 		newBasis[bestR] = sl.j
 	}
 	// Repair: failed columns leave the basis; unpivoted rows get their
@@ -268,7 +414,7 @@ func (s *simplex) factorize() error {
 		s.inRow[j] = -1
 	}
 	for r := 0; r < s.m; r++ {
-		if pivoted[r] {
+		if f.pos[r] >= 0 {
 			continue
 		}
 		j := s.n + r
@@ -279,17 +425,12 @@ func (s *simplex) factorize() error {
 			return &StabilityError{Stage: "refactor",
 				Detail: fmt.Sprintf("slack of row %d is basic in row %d", r, s.inRow[j])}
 		}
-		s.clearW()
-		s.w[r] = -1
-		s.touchW(r)
-		f.lsolveW(s)
-		if a := math.Abs(s.w[r]); a <= 1e-10 {
-			return &StabilityError{Stage: "refactor",
-				Detail: fmt.Sprintf("slack repair pivot vanished in row %d", r)}
-		}
-		f.addColumn(s, r, pivoted, pos)
-		pivoted[r] = true
-		pos[r] = int32(len(f.prow) - 1)
+		// The slack's column -e_r at an unpivoted row reaches no step,
+		// so its L-solve is the identity.
+		s.w.clear()
+		s.w.x[r] = -1
+		s.w.touch(r)
+		f.addColumn(s, r)
 		newBasis[r] = j
 	}
 	copy(s.basis, newBasis)
@@ -298,6 +439,8 @@ func (s *simplex) factorize() error {
 		s.state[s.basis[r]] = stBasic
 	}
 	f.nnz = len(f.lval) + len(f.uval) + s.m
+	f.utptr, f.utind = transpose(s.m, f.uptr, f.uind, nil)
+	f.ltptr, f.ltind = transpose(s.m, f.lptr, f.lind, f.pos)
 	s.lu = f
 	s.fillBudget = 2*f.nnz + 16*s.m
 	return nil

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -218,5 +219,251 @@ func TestRefactorCadenceCounters(t *testing.T) {
 	}
 	if d["lp/refactor_cadence"] == 0 {
 		t.Fatal("lp/refactor_cadence = 0, want > 0 with RefactorGap 16")
+	}
+}
+
+// sameFloat reports whether a and b are the same float64: equal bits,
+// or both zero. A dense solve can store -0 where the reach-restricted
+// one leaves a +0 it never visited.
+func sameFloat(a, b float64) bool {
+	if a == 0 && b == 0 {
+		return true
+	}
+	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// checkSparseSolves asserts, on s's current factorization and update
+// file, that the reach-restricted solves equal the dense ones bit for
+// bit and keep every nonzero in the accumulator's support: ftranW of
+// every column against ftran, btranRho of every unit vector and of one
+// sparse ±1 vector (a phase-1 cost vector) against btran. It also
+// checks that priceRow's row-wise pivot row equals a loop down every
+// column.
+func checkSparseSolves(t testing.TB, s *simplex, rng *rand.Rand) {
+	t.Helper()
+	dense := make([]float64, s.m)
+	for j := 0; j < s.n+s.m; j++ {
+		s.w.clear()
+		s.scatterColumn(j)
+		s.ftranW()
+		clear(dense)
+		s.column(j, func(r int, v float64) { dense[r] = v })
+		s.ftran(dense)
+		for i, v := range dense {
+			if !sameFloat(s.w.x[i], v) || (v != 0 && !s.w.in[i]) {
+				t.Fatalf("ftran of column %d, row %d: sparse %v (in support: %v), dense %v",
+					j, i, s.w.x[i], s.w.in[i], v)
+			}
+		}
+	}
+	for r := 0; r <= s.m; r++ {
+		s.rho.clear()
+		clear(dense)
+		if r < s.m {
+			s.rho.x[r], dense[r] = 1, 1
+			s.rho.touch(r)
+		} else {
+			for i := range dense {
+				if rng.Intn(4) == 0 {
+					c := float64(2*rng.Intn(2) - 1)
+					s.rho.x[i], dense[i] = c, c
+					s.rho.touch(i)
+				}
+			}
+		}
+		s.btranRho()
+		s.btran(dense)
+		for i, v := range dense {
+			if !sameFloat(s.rho.x[i], v) || (v != 0 && !s.rho.in[i]) {
+				t.Fatalf("btran of rhs %d, row %d: sparse %v (in support: %v), dense %v",
+					r, i, s.rho.x[i], s.rho.in[i], v)
+			}
+		}
+		s.priceRow()
+		for j := 0; j < s.n+s.m; j++ {
+			var a float64
+			if j < s.n {
+				for _, nz := range s.p.cols[j] {
+					a += dense[nz.Row] * nz.Val
+				}
+			} else {
+				a = -dense[j-s.n]
+			}
+			if !sameFloat(s.alpha.x[j], a) || (a != 0 && !s.alpha.in[j]) {
+				t.Fatalf("pivot row of rhs %d, column %d: row-wise %v (touched: %v), column loop %v",
+					r, j, s.alpha.x[j], s.alpha.in[j], a)
+			}
+		}
+	}
+}
+
+// randomSparseLP builds an m-row LP with 1–4 nonzeros per column. Some
+// columns repeat an earlier column scaled by 2, so a random basis is
+// often singular.
+func randomSparseLP(rng *rand.Rand, m, n int) *Problem {
+	p := NewProblem()
+	rows := make([][]int, m)
+	vals := make([][]float64, m)
+	type entry struct {
+		row int
+		val float64
+	}
+	var cols [][]entry
+	for j := 0; j < n; j++ {
+		p.AddCol(rng.NormFloat64(), 0, 1)
+		var c []entry
+		if j > 0 && rng.Intn(5) == 0 {
+			for _, e := range cols[rng.Intn(j)] {
+				c = append(c, entry{e.row, 2 * e.val})
+			}
+		} else {
+			seen := map[int]bool{}
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				i := rng.Intn(m)
+				if seen[i] {
+					continue
+				}
+				seen[i] = true
+				v := float64(1 + rng.Intn(3))
+				if rng.Intn(3) == 0 {
+					v = rng.NormFloat64()
+				}
+				if rng.Intn(2) == 0 {
+					v = -v
+				}
+				c = append(c, entry{i, v})
+			}
+		}
+		cols = append(cols, c)
+		for _, e := range c {
+			rows[e.row] = append(rows[e.row], j)
+			vals[e.row] = append(vals[e.row], e.val)
+		}
+	}
+	for i := 0; i < m; i++ {
+		p.AddRow(0, 1, rows[i], vals[i])
+	}
+	return p
+}
+
+// TestSparseSolvesMatchDense pins the hypersparse kernels to the dense
+// ones bit for bit on random sparse bases: fresh factorizations,
+// factorizations whose singular columns the repair swapped for slacks,
+// and Forrest–Tomlin updates stacked on both.
+func TestSparseSolvesMatchDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	repaired := 0
+	for trial := 0; trial < 60; trial++ {
+		m := 5 + rng.Intn(36)
+		if trial%10 == 0 {
+			m = 200 + rng.Intn(200) // reaches both under and over reach's scan threshold
+		}
+		p := randomSparseLP(rng, m, m+rng.Intn(2*m))
+		var o Options
+		o.fill(p)
+		s := newSimplex(p, &o)
+		s.crashBasis()
+		// A random basis: each row slot takes a structural with
+		// probability 3/4, otherwise keeps its own slack.
+		for r := 0; r < s.m; r++ {
+			if rng.Intn(4) == 0 {
+				continue
+			}
+			j := rng.Intn(s.n)
+			if s.state[j] == stBasic {
+				continue
+			}
+			old := s.basis[r]
+			s.state[old], s.inRow[old] = stLower, -1
+			s.basis[r], s.inRow[j], s.state[j] = j, r, stBasic
+		}
+		before := append([]int(nil), s.basis...)
+		if err := s.refactor(); err != nil {
+			continue // a repair conflict; the solve would restart from the crash basis
+		}
+		slices.Sort(before)
+		after := append([]int(nil), s.basis...)
+		slices.Sort(after)
+		if !slices.Equal(before, after) {
+			repaired++
+		}
+		checkSparseSolves(t, s, rng)
+		// Stack updates: random entering columns, each leaving on the
+		// largest entry of its FTRAN image.
+		for u := 0; u < 12; u++ {
+			q := rng.Intn(s.n + s.m)
+			if s.state[q] == stBasic {
+				continue
+			}
+			s.w.clear()
+			s.scatterColumn(q)
+			s.ftranW()
+			r, best := -1, 1e-3
+			for _, i := range s.w.nz {
+				if a := math.Abs(s.w.x[i]); a > best {
+					r, best = i, a
+				}
+			}
+			if r < 0 {
+				continue
+			}
+			leaving := s.basis[r]
+			s.state[leaving], s.inRow[leaving] = stLower, -1
+			s.basis[r], s.inRow[q], s.state[q] = q, r, stBasic
+			s.pushEtaW(r)
+		}
+		checkSparseSolves(t, s, rng)
+	}
+	if repaired == 0 {
+		t.Fatal("no trial went through the singular-basis repair")
+	}
+}
+
+// TestPivotKernelsDoNotAllocate pins the steady state of a devex
+// pivot: once the scratch is warm, an FTRAN of the entering column
+// plus the pricing update (unit BTRAN, row-wise pivot row, reduced
+// cost and weight update) allocates nothing.
+func TestPivotKernelsDoNotAllocate(t *testing.T) {
+	p := buildAssignment(12, 4)
+	var o Options
+	o.fill(p)
+	s := newSimplex(p, &o)
+	s.crashBasis()
+	if err := s.refactor(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.run(true); err != nil {
+		t.Fatal(err)
+	}
+	s.initPricing()
+	q, r := -1, -1
+	for j := 0; j < s.n && r < 0; j++ {
+		if s.state[j] == stBasic {
+			continue
+		}
+		s.w.clear()
+		s.scatterColumn(j)
+		s.ftranW()
+		for _, i := range s.w.nz {
+			if math.Abs(s.w.x[i]) > 1e-3 {
+				q, r = j, i
+				break
+			}
+		}
+	}
+	if r < 0 {
+		t.Fatal("no entering column with a usable pivot")
+	}
+	if len(s.updates) == 0 {
+		t.Fatal("phase 1 stacked no updates; the pin would miss the eta pass")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		s.w.clear()
+		s.scatterColumn(q)
+		s.ftranW()
+		s.updatePricing(q, r)
+	})
+	if allocs != 0 {
+		t.Fatalf("ftranW + updatePricing allocate %v times per pivot, want 0", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -88,6 +89,20 @@ func FuzzSolve(f *testing.F) {
 			// Errors are allowed (e.g. persistent instability); panics
 			// and false Optimal claims are not.
 			return
+		}
+		if sol.Basis != nil {
+			// On the final basis and the update file stacked on its
+			// factorization, the hypersparse solves and the row-wise
+			// pivot row must match the dense kernels bit for bit.
+			var o Options
+			o.fill(p)
+			s := newSimplex(p, &o)
+			if s.loadBasis(sol.Basis) {
+				adopted, _ := s.adoptFactor(sol.Basis)
+				if adopted || s.refactor() == nil {
+					checkSparseSolves(t, s, rand.New(rand.NewSource(int64(len(data)))))
+				}
+			}
 		}
 		if sol.Status != Optimal {
 			return

@@ -2,19 +2,20 @@ package lp
 
 import (
 	"math"
+	"slices"
 	"time"
 )
 
 // Devex pricing for the primal phase 2 (Forrest–Goldfarb reference
 // weights, approximating steepest edge without the extra ftran per
 // candidate). The loop maintains the full reduced-cost vector
-// incrementally — one btran of the pivot row plus a pass over the
-// nonbasic columns per pivot, the same work a single Dantzig pricing
-// pass costs — and recomputes it exactly at every refactorization and
-// once more before optimality is declared, so maintained-cost drift
-// can never produce a false optimum. Long degenerate runs hand the
-// phase to the Bland-guarded Dantzig loop (blandSwitch), preserving
-// the anti-cycling guarantee.
+// incrementally — one hypersparse btran of the pivot row, priced from
+// the row-wise copy of A over just the rows in its support — and
+// recomputes it exactly at every refactorization and once more before
+// optimality is declared, so maintained-cost drift can never produce
+// a false optimum. Long degenerate runs hand the phase to the
+// Bland-guarded Dantzig loop (blandSwitch), preserving the
+// anti-cycling guarantee.
 
 // initPricing (re)initializes the maintained reduced costs and resets
 // every devex weight to the current nonbasic reference framework.
@@ -89,33 +90,91 @@ func (s *simplex) priceDevex(tol float64) (int, float64) {
 	return enter, enterDir
 }
 
+// rowMatrix is A stored by rows: row i holds the columns
+// col[ptr[i]:ptr[i+1]], ascending, with their coefficients in val. A
+// solve builds it once, on first use, for pricing pivot rows.
+type rowMatrix struct {
+	ptr []int32
+	col []int32
+	val []float64
+}
+
+func newRowMatrix(p *Problem) *rowMatrix {
+	m := p.NumRows()
+	a := &rowMatrix{ptr: make([]int32, m+1)}
+	for _, c := range p.cols {
+		for _, nz := range c {
+			a.ptr[nz.Row+1]++
+		}
+	}
+	for i := 0; i < m; i++ {
+		a.ptr[i+1] += a.ptr[i]
+	}
+	a.col = make([]int32, a.ptr[m])
+	a.val = make([]float64, a.ptr[m])
+	next := append([]int32(nil), a.ptr[:m]...)
+	for j, c := range p.cols {
+		for _, nz := range c {
+			a.col[next[nz.Row]] = int32(j)
+			a.val[next[nz.Row]] = nz.Val
+			next[nz.Row]++
+		}
+	}
+	return a
+}
+
+// priceRow computes α_j = ρ·a_j into s.alpha for every variable j,
+// slacks included, whose column has a nonzero in the support of the
+// BTRAN accumulator ρ, and lists those variables in s.alpha.nz (in
+// touch order, not ascending); every other α_j is zero. It visits the
+// support's rows in ascending order, so each α_j adds its terms in the
+// order of a loop down column j and gets that loop's bits.
+func (s *simplex) priceRow() {
+	if s.rows == nil {
+		s.rows = newRowMatrix(s.p)
+		s.alpha = newSparseVec(s.n + s.m)
+	}
+	s.alpha.clear()
+	slices.Sort(s.rho.nz)
+	a, alpha := s.rows, s.alpha.x
+	for _, i := range s.rho.nz {
+		yi := s.rho.x[i]
+		if yi == 0 {
+			continue
+		}
+		for t := a.ptr[i]; t < a.ptr[i+1]; t++ {
+			j := int(a.col[t])
+			s.alpha.touch(j)
+			alpha[j] += yi * a.val[t]
+		}
+		s.alpha.touch(s.n + i)
+		alpha[s.n+i] = -yi
+	}
+}
+
+// pivotRow prices basis row slot r of the tableau: ρ = B⁻ᵀe_r by the
+// hypersparse BTRAN, then α = ρᵀ[A | -I] by priceRow.
+func (s *simplex) pivotRow(r int) {
+	s.rho.clear()
+	s.rho.x[r] = 1
+	s.rho.touch(r)
+	s.btranRho()
+	s.priceRow()
+}
+
 // updatePricing carries the maintained reduced costs and devex
 // weights across one pivot (entering q at basis row slot r). It must
 // run before the basis arrays are mutated: it reads the pivot element
 // from the accumulator (the ftran image of q) and prices the pivot
 // row against the still-current nonbasic set.
 func (s *simplex) updatePricing(q, r int) {
-	for i := range s.y {
-		s.y[i] = 0
-	}
-	s.y[r] = 1
-	s.btran(s.y)
-	aq := s.w[r]
+	s.pivotRow(r)
+	aq := s.w.x[r]
 	theta := s.d[q] / aq
 	gq := s.gamma[q]
-	for j := 0; j < s.n+s.m; j++ {
-		if s.state[j] == stBasic || j == q {
-			continue
-		}
-		var a float64
-		if j < s.n {
-			for _, nz := range s.p.cols[j] {
-				a += s.y[nz.Row] * nz.Val
-			}
-		} else {
-			a = -s.y[j-s.n]
-		}
-		if a == 0 {
+	for _, j := range s.alpha.nz {
+		a := s.alpha.x[j]
+		if a == 0 || s.state[j] == stBasic || j == q {
 			continue
 		}
 		s.d[j] -= theta * a
@@ -158,7 +217,7 @@ func (s *simplex) runDevex() (Status, error) {
 			return Optimal, nil
 		}
 		exact = false
-		s.clearW()
+		s.w.clear()
 		s.scatterColumn(enter)
 		s.ftranW()
 		leave, leaveToUpper, limit, maxAbsW := s.ratioTest(enter, enterDir, false, tol)
@@ -176,9 +235,9 @@ func (s *simplex) runDevex() (Status, error) {
 			s.degenerate = 0
 		}
 		step := enterDir * limit
-		for _, r := range s.wTouch {
-			if s.w[r] != 0 {
-				s.xB[r] -= s.w[r] * step
+		for _, r := range s.w.nz {
+			if s.w.x[r] != 0 {
+				s.xB[r] -= s.w.x[r] * step
 			}
 		}
 		if leave < 0 {
@@ -205,7 +264,7 @@ func (s *simplex) runDevex() (Status, error) {
 		s.basis[leave] = enter
 		s.inRow[enter] = leave
 		s.state[enter] = stBasic
-		piv := math.Abs(s.w[leave])
+		piv := math.Abs(s.w.x[leave])
 		s.pushEtaW(leave)
 		s.xB[leave] = enterVal
 		refd, err := s.maybeRefactor(piv < 1e-8*maxAbsW)

@@ -96,21 +96,25 @@ type simplex struct {
 	updateNnz  int
 	fillBudget int
 
-	// scratch. w is a sparse accumulator: wTouch lists the indices
-	// that may be nonzero and wIn marks membership, so hot loops never
-	// scan all m rows.
-	w      []float64 // ftran work (dense storage)
-	wTouch []int
-	wIn    []bool
-	y      []float64 // btran work
-	iter   int
-	// pricing state (allocated on first use): maintained phase-2
-	// reduced costs, devex column weights, dual row weights, and the
-	// pivot-row coefficients of the current dual iteration.
+	// scratch. w is the FTRAN accumulator and rho the BTRAN one (the
+	// row of B⁻¹ being priced); y is dense BTRAN work for dense
+	// right-hand sides. steps and stepMark hold the elimination steps a
+	// hypersparse solve reaches (factor.go).
+	w        sparseVec
+	rho      sparseVec
+	y        []float64
+	steps    []int32
+	stepMark []bool
+	iter     int
+	// pricing state (allocated on first use): the row-wise copy of A,
+	// the pivot-row coefficients α over the columns the priced rows
+	// touch, maintained phase-2 reduced costs, devex column weights and
+	// dual row weights.
+	rows  *rowMatrix
+	alpha sparseVec
 	d     []float64
 	gamma []float64
 	rowW  []float64
-	alpha []float64
 	// degeneracy handling
 	degenerate int
 	bland      bool
@@ -137,57 +141,71 @@ func newSimplex(p *Problem, opts *Options) *simplex {
 		basis: make([]int, m),
 		inRow: make([]int, n+m),
 		xB:    make([]float64, m),
-		w:     make([]float64, m),
-		wIn:   make([]bool, m),
+		w:     newSparseVec(m),
+		rho:   newSparseVec(m),
 		y:     make([]float64, m),
+
+		steps:    make([]int32, 0, m),
+		stepMark: make([]bool, m),
 	}
 	return s
 }
 
-// clearW resets the sparse accumulator.
-func (s *simplex) clearW() {
-	for _, i := range s.wTouch {
-		s.w[i] = 0
-		s.wIn[i] = false
-	}
-	s.wTouch = s.wTouch[:0]
+// sparseVec is a sparse accumulator: x is dense storage, nz lists the
+// indices that may be nonzero and in marks membership, so hot loops
+// never scan all of x. Every index outside nz holds zero.
+type sparseVec struct {
+	x  []float64
+	nz []int
+	in []bool
 }
 
-// touchW adds index i to the accumulator's support.
-func (s *simplex) touchW(i int) {
-	if !s.wIn[i] {
-		s.wIn[i] = true
-		s.wTouch = append(s.wTouch, i)
+func newSparseVec(n int) sparseVec {
+	return sparseVec{x: make([]float64, n), nz: make([]int, 0, n), in: make([]bool, n)}
+}
+
+// clear resets the accumulator to zero.
+func (v *sparseVec) clear() {
+	for _, i := range v.nz {
+		v.x[i] = 0
+		v.in[i] = false
+	}
+	v.nz = v.nz[:0]
+}
+
+// touch adds index i to the accumulator's support.
+func (v *sparseVec) touch(i int) {
+	if !v.in[i] {
+		v.in[i] = true
+		v.nz = append(v.nz, i)
 	}
 }
 
 // scatterColumn loads variable j's column into the accumulator.
 func (s *simplex) scatterColumn(j int) {
 	s.column(j, func(row int, val float64) {
-		s.w[row] = val
-		s.touchW(row)
+		s.w.x[row] = val
+		s.w.touch(row)
 	})
 }
 
 // ftranW solves B z = w in place on the sparse accumulator: through
-// the LU factors, then through the update etas in stacking order.
+// the reach-restricted LU solves (factor.go), then through the update
+// etas in stacking order.
 func (s *simplex) ftranW() {
-	s.lu.lsolveW(s)
-	s.lu.usolveW(s)
+	s.lu.lsolve(s)
+	s.lu.usolve(s)
 	for k := range s.updates {
 		e := &s.updates[k]
-		wr := s.w[e.r]
+		wr := s.w.x[e.r]
 		if wr == 0 {
 			continue
 		}
 		zr := wr / e.piv
-		s.w[e.r] = zr
+		s.w.x[e.r] = zr
 		for i, ix := range e.idx {
-			if !s.wIn[ix] {
-				s.wIn[ix] = true
-				s.wTouch = append(s.wTouch, int(ix))
-			}
-			s.w[ix] -= e.val[i] * zr
+			s.w.touch(int(ix))
+			s.w.x[ix] -= e.val[i] * zr
 		}
 	}
 }
@@ -223,17 +241,38 @@ func (s *simplex) btran(y []float64) {
 	s.lu.btranDense(y)
 }
 
+// btranRho solves Bᵀ z = rho in place on the sparse BTRAN
+// accumulator, with the same operations as btran: the transposed
+// update etas in reverse stacking order, then the reach-restricted
+// transposed LU solves (factor.go).
+func (s *simplex) btranRho() {
+	x := s.rho.x
+	for k := len(s.updates) - 1; k >= 0; k-- {
+		e := &s.updates[k]
+		var sum float64
+		for i, ix := range e.idx {
+			sum += e.val[i] * x[ix]
+		}
+		if sum == 0 && x[e.r] == 0 {
+			continue // btran stores a zero here too
+		}
+		x[e.r] = (x[e.r] - sum) / e.piv
+		s.rho.touch(e.r)
+	}
+	s.lu.btranReach(s)
+}
+
 // pushEtaW records the accumulator as a Forrest–Tomlin update eta
 // with pivot row r.
 func (s *simplex) pushEtaW(r int) {
 	var idx []int32
 	var val []float64
-	piv := s.w[r]
-	for _, i := range s.wTouch {
+	piv := s.w.x[r]
+	for _, i := range s.w.nz {
 		if i == r {
 			continue
 		}
-		if v := s.w[i]; v > 1e-12 || v < -1e-12 {
+		if v := s.w.x[i]; v > 1e-12 || v < -1e-12 {
 			idx = append(idx, int32(i))
 			val = append(val, v)
 		}
@@ -644,8 +683,8 @@ func (s *simplex) ratioTest(enter int, enterDir float64, phase1 bool, tol float6
 	}
 	leave = -1
 	bestPiv := 0.0
-	for _, r := range s.wTouch {
-		wr := s.w[r]
+	for _, r := range s.w.nz {
+		wr := s.w.x[r]
 		aw := math.Abs(wr)
 		if aw > maxAbsW {
 			maxAbsW = aw
@@ -741,45 +780,59 @@ func (s *simplex) run(phase1 bool) (Status, error) {
 		if phase1 && s.infeasibility() <= tol {
 			return Optimal, nil
 		}
-		// y = Btran(cB)
-		for r := 0; r < s.m; r++ {
-			s.y[r] = s.costOf(s.basis[r], phase1)
-		}
-		s.btran(s.y)
-		// Price nonbasics.
 		enter := -1
 		var enterDir float64
 		best := tol
-		for j := 0; j < s.n+s.m; j++ {
-			if s.state[j] == stBasic {
-				continue
-			}
-			d := s.costOf(j, phase1)
-			s.column(j, func(row int, val float64) {
-				d -= s.y[row] * val
-			})
-			var score float64
-			var dir float64
-			switch s.state[j] {
-			case stLower:
-				if d < -tol {
-					score, dir = -d, 1
-				}
-			case stUpper:
-				if d > tol {
-					score, dir = d, -1
-				}
-			case stZero:
-				if d < -tol {
-					score, dir = -d, 1
-				} else if d > tol {
-					score, dir = d, -1
+		if phase1 {
+			// The phase-1 costs are nonzero only on infeasible basics:
+			// y = Btran(cB) is hypersparse, and d_j = -y·a_j is nonzero
+			// only on the columns priceRow touches. They come in touch
+			// order, so ties go to the lowest index explicitly: the
+			// choice is the one an ascending scan of every column makes.
+			s.rho.clear()
+			for r := 0; r < s.m; r++ {
+				if c := s.costOf(s.basis[r], true); c != 0 {
+					s.rho.x[r] = c
+					s.rho.touch(r)
 				}
 			}
-			if score > best {
-				best, enter, enterDir = score, j, dir
-				if s.bland {
-					break // Bland: first eligible index
+			s.btranRho()
+			s.priceRow()
+			for _, j := range s.alpha.nz {
+				if s.state[j] == stBasic {
+					continue
+				}
+				score, dir := dantzigScore(s.state[j], -s.alpha.x[j], tol)
+				if score <= tol {
+					continue
+				}
+				if s.bland { // Bland: lowest eligible index
+					if enter < 0 || j < enter {
+						enter, enterDir = j, dir
+					}
+				} else if score > best || (score == best && j < enter) {
+					best, enter, enterDir = score, j, dir
+				}
+			}
+		} else {
+			// y = Btran(cB), then price every nonbasic.
+			for r := 0; r < s.m; r++ {
+				s.y[r] = s.costOf(s.basis[r], false)
+			}
+			s.btran(s.y)
+			for j := 0; j < s.n+s.m; j++ {
+				if s.state[j] == stBasic {
+					continue
+				}
+				d := s.costOf(j, false)
+				s.column(j, func(row int, val float64) {
+					d -= s.y[row] * val
+				})
+				if score, dir := dantzigScore(s.state[j], d, tol); score > best {
+					best, enter, enterDir = score, j, dir
+					if s.bland {
+						break // Bland: first eligible index
+					}
 				}
 			}
 		}
@@ -790,7 +843,7 @@ func (s *simplex) run(phase1 bool) (Status, error) {
 			return Optimal, nil
 		}
 		// w = Ftran(column of entering variable)
-		s.clearW()
+		s.w.clear()
 		s.scatterColumn(enter)
 		s.ftranW()
 
@@ -809,9 +862,9 @@ func (s *simplex) run(phase1 bool) (Status, error) {
 		}
 		step := enterDir * limit
 		// Update basic values.
-		for _, r := range s.wTouch {
-			if s.w[r] != 0 {
-				s.xB[r] -= s.w[r] * step
+		for _, r := range s.w.nz {
+			if s.w.x[r] != 0 {
+				s.xB[r] -= s.w.x[r] * step
 			}
 		}
 		if leave < 0 {
@@ -838,7 +891,7 @@ func (s *simplex) run(phase1 bool) (Status, error) {
 		s.basis[leave] = enter
 		s.inRow[enter] = leave
 		s.state[enter] = stBasic
-		piv := math.Abs(s.w[leave])
+		piv := math.Abs(s.w.x[leave])
 		s.pushEtaW(leave)
 		s.xB[leave] = enterVal
 		if _, err := s.maybeRefactor(piv < 1e-8*maxAbsW); err != nil {
@@ -846,6 +899,29 @@ func (s *simplex) run(phase1 bool) (Status, error) {
 		}
 	}
 	return IterLimit, nil
+}
+
+// dantzigScore returns |d| and the direction that moves nonbasic
+// variable j (state st, reduced cost d) off its bound when that
+// improves the phase objective by more than tol, and zeros otherwise.
+func dantzigScore(st varState, d, tol float64) (score, dir float64) {
+	switch st {
+	case stLower:
+		if d < -tol {
+			return -d, 1
+		}
+	case stUpper:
+		if d > tol {
+			return d, -1
+		}
+	case stZero:
+		if d < -tol {
+			return -d, 1
+		} else if d > tol {
+			return d, -1
+		}
+	}
+	return 0, 0
 }
 
 // refactor collapses the update file into a fresh LU factorization of
