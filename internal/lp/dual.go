@@ -61,16 +61,39 @@ func (s *simplex) dualFeasible(dtol float64) bool {
 	return true
 }
 
+// dualLeaving picks the dual simplex's leaving row: the basic with
+// the largest dual-devex weighted violation of a bound by more than
+// tol, returned with its signed violation, or -1 when there is none.
+// Every such row is in the pruned infeasible set. Ties go to the
+// lowest row explicitly, the pick of an ascending scan of every row.
+func (s *simplex) dualLeaving(tol float64) (r int, delta float64) {
+	r = -1
+	var best float64
+	s.pruneInfeasible()
+	for _, i := range s.infeas.nz {
+		x := s.xB[i]
+		j := s.basis[i]
+		var v float64
+		if lo := s.lob(j); x < lo-tol {
+			v = x - lo
+		} else if hi := s.hib(j); x > hi+tol {
+			v = x - hi
+		} else {
+			continue
+		}
+		if score := v * v / s.rowW[i]; score > best || (score == best && i < r) {
+			best, r, delta = score, i, v
+		}
+	}
+	return r, delta
+}
+
 // runDual iterates the dual simplex until the point is primal
 // feasible (Optimal — the caller's phase 2 then confirms optimality),
 // provably primal infeasible (Infeasible), out of budget (IterLimit),
 // or the loop wants the primal to take over (dualBail).
 func (s *simplex) runDual() (Status, error) {
 	tol := s.opts.Tol
-	if s.d == nil {
-		s.d = make([]float64, s.n+s.m)
-		s.gamma = make([]float64, s.n+s.m)
-	}
 	s.computeReducedCosts()
 	if !s.dualFeasible(10 * tol) {
 		return dualBail, nil
@@ -89,25 +112,7 @@ func (s *simplex) runDual() (Status, error) {
 		if checkClock && s.iter&255 == 0 && time.Now().After(s.opts.Deadline) {
 			return IterLimit, nil
 		}
-		// Leaving variable: the basic with the largest dual-devex
-		// weighted bound violation.
-		r := -1
-		var delta, best float64
-		for i := 0; i < s.m; i++ {
-			x := s.xB[i]
-			j := s.basis[i]
-			var v float64
-			if lo := s.lob(j); x < lo-tol {
-				v = x - lo
-			} else if hi := s.hib(j); x > hi+tol {
-				v = x - hi
-			} else {
-				continue
-			}
-			if score := v * v / s.rowW[i]; score > best {
-				best, r, delta = score, i, v
-			}
-		}
+		r, delta := s.dualLeaving(tol)
 		if r < 0 {
 			return Optimal, nil // primal feasible
 		}
@@ -220,11 +225,7 @@ func (s *simplex) runDual() (Status, error) {
 				})
 			}
 			s.ftranW()
-			for _, i := range s.w.nz {
-				if s.w.x[i] != 0 {
-					s.xB[i] -= s.w.x[i]
-				}
-			}
+			s.stepXB(1) // x·1 is x: the flips' image itself
 			s.boundFlips += len(flips)
 			x := s.xB[r]
 			j := s.basis[r]
@@ -298,24 +299,9 @@ func (s *simplex) runDual() (Status, error) {
 			s.rowW[r] = 1e-4
 		}
 		// Primal point: every basic moves by -w·dx; the leaving
-		// variable lands exactly on its violated bound.
-		for _, i := range s.w.nz {
-			if s.w.x[i] != 0 {
-				s.xB[i] -= s.w.x[i] * dx
-			}
-		}
-		if delta > 0 {
-			s.state[leaving] = stUpper
-		} else {
-			s.state[leaving] = stLower
-		}
-		s.inRow[leaving] = -1
-		enterVal := s.nonbasicValue(enter) + dx
-		s.basis[r] = enter
-		s.inRow[enter] = r
-		s.state[enter] = stBasic
-		s.pushEtaW(r)
-		s.xB[r] = enterVal
+		// variable lands exactly on its violated bound, which is finite.
+		s.stepXB(dx)
+		s.pivot(enter, r, delta > 0, dx)
 		s.dualIters++
 		if chosenRatio <= 1e-11 {
 			s.degenTotal++

@@ -466,7 +466,12 @@ func (s *simplex) adoptFactor(b *Basis) (bool, error) {
 			Detail: "injected repair conflict (carried factorization)", FTDepth: len(f.updates)}
 	}
 	s.lu = f.lu
-	s.updates = append(s.updates[:0], f.updates...)
+	s.clearUpdates()
+	s.updates = append(s.updates, f.updates...)
+	s.etaLinks = slices.Grow(s.etaLinks, f.nnz) // one entry per stored nonzero
+	for k := range s.updates {
+		s.linkEta(k)
+	}
 	s.updateNnz = f.nnz
 	s.fillBudget = 2*f.lu.nnz + 16*s.m
 	return true, nil
@@ -494,4 +499,5 @@ func (s *simplex) recomputeXB() {
 	}
 	s.ftran(rhs)
 	copy(s.xB, rhs)
+	s.rebuildInfeasible()
 }

@@ -420,9 +420,10 @@ func TestSparseSolvesMatchDense(t *testing.T) {
 }
 
 // TestPivotKernelsDoNotAllocate pins the steady state of a devex
-// pivot: once the scratch is warm, an FTRAN of the entering column
-// plus the pricing update (unit BTRAN, row-wise pivot row, reduced
-// cost and weight update) allocates nothing.
+// pivot: once the scratch is warm, an FTRAN of the entering column,
+// the pricing update (unit BTRAN through the eta row index, row-wise
+// pivot row, reduced cost, weight and candidate update) and the devex
+// pick over the candidate list allocate nothing.
 func TestPivotKernelsDoNotAllocate(t *testing.T) {
 	p := buildAssignment(12, 4)
 	var o Options
@@ -462,8 +463,9 @@ func TestPivotKernelsDoNotAllocate(t *testing.T) {
 		s.scatterColumn(q)
 		s.ftranW()
 		s.updatePricing(q, r)
+		s.priceDevex(o.Tol)
 	})
 	if allocs != 0 {
-		t.Fatalf("ftranW + updatePricing allocate %v times per pivot, want 0", allocs)
+		t.Fatalf("ftranW + updatePricing + priceDevex allocate %v times per pivot, want 0", allocs)
 	}
 }

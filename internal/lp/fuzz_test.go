@@ -54,6 +54,24 @@ func decodeLP(data []byte) *Problem {
 	return p
 }
 
+// solveChecked is p.Solve(&o) that also checks, on the final basis,
+// the sets the pivot loops keep up to date against fresh scans: the
+// infeasible rows always, and the devex candidates when the solve
+// ended optimal in the devex loop (not handed to Bland's rule).
+func solveChecked(t *testing.T, p *Problem, o Options) (*Solution, error) {
+	o.fill(p)
+	s := newSimplex(p, &o)
+	sol, err := s.solve()
+	if err != nil {
+		return sol, err
+	}
+	checkInfeasibleSet(t, s)
+	if sol.Status == Optimal && !s.bland {
+		checkDevexCandidates(t, s)
+	}
+	return sol, err
+}
+
 // FuzzSolve checks the simplex invariant on arbitrary bounded LPs: a
 // solve must never panic, and any claimed Optimal point must actually
 // satisfy every bound and row of the problem it was asked about.
@@ -84,7 +102,7 @@ func FuzzSolve(f *testing.F) {
 			t.Skip("oversized input")
 		}
 		p := decodeLP(data)
-		sol, err := p.Solve(&Options{MaxIters: 5000})
+		sol, err := solveChecked(t, p, Options{MaxIters: 5000})
 		if err != nil {
 			// Errors are allowed (e.g. persistent instability); panics
 			// and false Optimal claims are not.
@@ -162,8 +180,8 @@ func FuzzSolve(f *testing.F) {
 			}
 			q.AddRow(math.Inf(-1), cut/2, cols, vals)
 		}
-		cold, cerr := q.Solve(&Options{MaxIters: 5000, Method: MethodPrimal})
-		warm, werr := q.Solve(&Options{MaxIters: 5000, Method: MethodDual, WarmBasis: sol.Basis})
+		cold, cerr := solveChecked(t, q, Options{MaxIters: 5000, Method: MethodPrimal})
+		warm, werr := solveChecked(t, q, Options{MaxIters: 5000, Method: MethodDual, WarmBasis: sol.Basis})
 		if cerr != nil || werr != nil {
 			return // instability is allowed; disagreement is not
 		}

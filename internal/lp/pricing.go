@@ -16,23 +16,60 @@ import (
 // a false optimum. Long degenerate runs hand the phase to the
 // Bland-guarded Dantzig loop (blandSwitch), preserving the
 // anti-cycling guarantee.
+//
+// No pivot loop rescans every variable or row per iteration. Three
+// sets are kept up to date from each pivot's sparse support instead
+// (Hall & McKinnon), each read so that it gives the scan's
+// floating-point operations in the scan's order, and so its pivots:
+//
+//   - The infeasible set (simplex.infeas) holds every basic row
+//     strictly outside its bounds. recomputeXB rebuilds it; stepXB adds
+//     each row it moves. Phase 1 prunes it and sorts it ascending, so
+//     its infeasibility sum and its c_B are infeasibility()'s and the
+//     old scan's, term for term. The dual's leaving row reads the same
+//     pruned set, with ties to the lowest row.
+//   - The devex candidates (simplex.cand) hold every nonbasic whose d
+//     prices it in. repriceDevex rebuilds the list with d;
+//     updatePricing adds each j whose d it changes. priceDevex drops
+//     entries priced out as it scans, and breaks ties to the lowest j.
+//   - The eta row index lists, per row, the update etas that read or
+//     pivot on it. btranRho visits only the etas it links to ρ's
+//     support; every other eta would read only +0 and be skipped by
+//     the scan too.
 
-// initPricing (re)initializes the maintained reduced costs and resets
-// every devex weight to the current nonbasic reference framework.
+// initPricing (re)initializes the maintained reduced costs and the
+// candidate list, and resets every devex weight to the current
+// nonbasic reference framework.
 func (s *simplex) initPricing() {
-	if s.d == nil {
-		s.d = make([]float64, s.n+s.m)
-		s.gamma = make([]float64, s.n+s.m)
-	}
-	s.computeReducedCosts()
+	s.repriceDevex()
 	for j := range s.gamma {
 		s.gamma[j] = 1
+	}
+}
+
+// repriceDevex recomputes d exactly and rebuilds the devex candidate
+// list from it.
+func (s *simplex) repriceDevex() {
+	s.computeReducedCosts()
+	if s.cand.in == nil {
+		s.cand = newIndexSet(s.n + s.m)
+	}
+	s.cand.empty()
+	tol := s.opts.Tol
+	for j, d := range s.d {
+		if _, dir := dantzigScore(s.state[j], d, tol); dir != 0 {
+			s.cand.touch(j)
+		}
 	}
 }
 
 // computeReducedCosts recomputes d exactly for the phase-2 objective:
 // one btran of the basic costs plus a pass over every column.
 func (s *simplex) computeReducedCosts() {
+	if s.d == nil {
+		s.d = make([]float64, s.n+s.m)
+		s.gamma = make([]float64, s.n+s.m)
+	}
 	for r := 0; r < s.m; r++ {
 		s.y[r] = s.costOf(s.basis[r], false)
 	}
@@ -55,45 +92,36 @@ func (s *simplex) computeReducedCosts() {
 }
 
 // priceDevex picks the entering variable maximizing d²/γ over the
-// eligible nonbasics, returning (-1, 0) when none is eligible.
+// eligible nonbasics, returning (-1, 0) when none is eligible. It
+// scans only the candidate list, dropping the entries that are no
+// longer eligible, and breaks score ties to the lowest index: the
+// pick an ascending scan of every variable makes.
 func (s *simplex) priceDevex(tol float64) (int, float64) {
 	enter := -1
 	var enterDir, best float64
-	for j := 0; j < s.n+s.m; j++ {
+	kept := s.cand.nz[:0]
+	for _, j := range s.cand.nz {
 		d := s.d[j]
-		var dir float64
-		switch s.state[j] {
-		case stLower:
-			if d < -tol {
-				dir = 1
-			}
-		case stUpper:
-			if d > tol {
-				dir = -1
-			}
-		case stZero:
-			if d < -tol {
-				dir = 1
-			} else if d > tol {
-				dir = -1
-			}
-		default:
-			continue
-		}
+		_, dir := dantzigScore(s.state[j], d, tol)
 		if dir == 0 {
+			s.cand.in[j] = false
 			continue
 		}
-		if score := d * d / s.gamma[j]; score > best {
+		kept = append(kept, j)
+		if score := d * d / s.gamma[j]; score > best || (score == best && j < enter) {
 			best, enter, enterDir = score, j, dir
 		}
 	}
+	s.cand.nz = kept
 	return enter, enterDir
 }
 
 // rowMatrix is A stored by rows: row i holds the columns
-// col[ptr[i]:ptr[i+1]], ascending, with their coefficients in val. A
-// solve builds it once, on first use, for pricing pivot rows.
+// col[ptr[i]:ptr[i+1]], ascending, with their coefficients in val. It
+// is built once per Problem and matrix signature, on the first solve
+// that prices a pivot row, and never changes after (Problem.rowCopy).
 type rowMatrix struct {
+	sig uint64 // matSig of the matrix it copies
 	ptr []int32
 	col []int32
 	val []float64
@@ -101,7 +129,7 @@ type rowMatrix struct {
 
 func newRowMatrix(p *Problem) *rowMatrix {
 	m := p.NumRows()
-	a := &rowMatrix{ptr: make([]int32, m+1)}
+	a := &rowMatrix{sig: p.matSig, ptr: make([]int32, m+1)}
 	for _, c := range p.cols {
 		for _, nz := range c {
 			a.ptr[nz.Row+1]++
@@ -131,7 +159,7 @@ func newRowMatrix(p *Problem) *rowMatrix {
 // order of a loop down column j and gets that loop's bits.
 func (s *simplex) priceRow() {
 	if s.rows == nil {
-		s.rows = newRowMatrix(s.p)
+		s.rows = s.p.rowCopy()
 		s.alpha = newSparseVec(s.n + s.m)
 	}
 	s.alpha.clear()
@@ -162,11 +190,11 @@ func (s *simplex) pivotRow(r int) {
 	s.priceRow()
 }
 
-// updatePricing carries the maintained reduced costs and devex
-// weights across one pivot (entering q at basis row slot r). It must
-// run before the basis arrays are mutated: it reads the pivot element
-// from the accumulator (the ftran image of q) and prices the pivot
-// row against the still-current nonbasic set.
+// updatePricing carries the maintained reduced costs, devex weights
+// and candidate list across one pivot (entering q at basis row slot
+// r). It must run before the basis arrays are mutated: it reads the
+// pivot element from the accumulator (the ftran image of q) and prices
+// the pivot row against the still-current nonbasic set.
 func (s *simplex) updatePricing(q, r int) {
 	s.pivotRow(r)
 	aq := s.w.x[r]
@@ -178,10 +206,14 @@ func (s *simplex) updatePricing(q, r int) {
 			continue
 		}
 		s.d[j] -= theta * a
+		s.cand.touch(j)
 		if g := (a / aq) * (a / aq) * gq; g > s.gamma[j] {
 			s.gamma[j] = g
 		}
 	}
+	// The leaving variable's new d = -θ has the sign that keeps it from
+	// re-entering at the bound the ratio test sent it to, so the
+	// candidate list does not need it.
 	leaving := s.basis[r]
 	s.d[leaving] = -theta
 	s.d[q] = 0
@@ -209,7 +241,7 @@ func (s *simplex) runDevex() (Status, error) {
 		if enter < 0 && !exact {
 			// The maintained costs claim optimality; confirm against an
 			// exact recompute before declaring it.
-			s.computeReducedCosts()
+			s.repriceDevex()
 			exact = true
 			enter, enterDir = s.priceDevex(tol)
 		}
@@ -235,11 +267,7 @@ func (s *simplex) runDevex() (Status, error) {
 			s.degenerate = 0
 		}
 		step := enterDir * limit
-		for _, r := range s.w.nz {
-			if s.w.x[r] != 0 {
-				s.xB[r] -= s.w.x[r] * step
-			}
-		}
+		s.stepXB(step)
 		if leave < 0 {
 			// Bound flip: reduced costs and weights are unaffected.
 			if s.state[enter] == stLower {
@@ -250,29 +278,14 @@ func (s *simplex) runDevex() (Status, error) {
 			continue
 		}
 		s.updatePricing(enter, leave)
-		leaving := s.basis[leave]
-		if leaveToUpper {
-			s.state[leaving] = stUpper
-		} else {
-			s.state[leaving] = stLower
-		}
-		if s.hib(leaving) == Inf && s.lob(leaving) == math.Inf(-1) {
-			s.state[leaving] = stZero
-		}
-		s.inRow[leaving] = -1
-		enterVal := s.nonbasicValue(enter) + step
-		s.basis[leave] = enter
-		s.inRow[enter] = leave
-		s.state[enter] = stBasic
 		piv := math.Abs(s.w.x[leave])
-		s.pushEtaW(leave)
-		s.xB[leave] = enterVal
+		s.pivot(enter, leave, leaveToUpper, step)
 		refd, err := s.maybeRefactor(piv < 1e-8*maxAbsW)
 		if err != nil {
 			return IterLimit, err
 		}
 		if refd {
-			s.computeReducedCosts()
+			s.repriceDevex()
 			exact = true
 		}
 	}

@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 )
 
@@ -31,6 +32,23 @@ type Problem struct {
 	// computed on is (structurally) the same one being solved. Bound
 	// and objective edits leave it alone — they do not change B.
 	matSig uint64
+
+	// rows caches the row-wise copy of the matrix for pivot-row
+	// pricing (pricing.go), stamped with the matSig it copies. It is
+	// immutable once stored, so concurrent solves and clones of the same
+	// matrix share it.
+	rows atomic.Pointer[rowMatrix]
+}
+
+// rowCopy returns the row-wise copy of the current matrix, building it
+// on first use and whenever the matrix has changed since.
+func (p *Problem) rowCopy() *rowMatrix {
+	if a := p.rows.Load(); a != nil && a.sig == p.matSig {
+		return a
+	}
+	a := newRowMatrix(p)
+	p.rows.Store(a)
+	return a
 }
 
 // mix folds one event into the matrix signature (FNV-style).
@@ -209,6 +227,7 @@ func (p *Problem) Clone() *Problem {
 		q.cols[j] = append([]Nz(nil), c...)
 	}
 	q.matSig = p.matSig
+	q.rows.Store(p.rows.Load())
 	return q
 }
 

@@ -3,6 +3,7 @@ package lp
 import (
 	"errors"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/fault"
@@ -69,13 +70,19 @@ const (
 // eta is one Forrest–Tomlin-style product-form update stacked on the
 // LU factorization: the basis changed by pivoting the column with
 // (pre-pivot) ftran image v at row r. The pivot value v[r] is stored
-// separately; idx/val hold only the off-pivot entries.
+// separately; idx/val hold only the off-pivot entries. mark is
+// btranRho's scratch, false whenever no BTRAN is running.
 type eta struct {
-	r   int
-	piv float64
-	idx []int32
-	val []float64
+	r    int
+	piv  float64
+	idx  []int32
+	val  []float64
+	mark bool
 }
+
+// etaLink is one entry of the eta row index: an eta that reads or
+// pivots on the entry's row, and the row's next older entry (-1: none).
+type etaLink struct{ eta, next int32 }
 
 type simplex struct {
 	p    *Problem
@@ -96,6 +103,16 @@ type simplex struct {
 	updateNnz  int
 	fillBudget int
 
+	// The eta row index: for each row i, the update etas that read i or
+	// pivot on it, as a list newest first that starts at etaLinks entry
+	// etaHead[i] (-1: none).
+	etaHead  []int32
+	etaLinks []etaLink
+
+	// infeas holds every basic row whose value lies strictly outside its
+	// bounds, plus rows since moved back inside; readers prune it first.
+	infeas indexSet
+
 	// scratch. w is the FTRAN accumulator and rho the BTRAN one (the
 	// row of B⁻¹ being priced); y is dense BTRAN work for dense
 	// right-hand sides. steps and stepMark hold the elimination steps a
@@ -108,12 +125,15 @@ type simplex struct {
 	iter     int
 	// pricing state (allocated on first use): the row-wise copy of A,
 	// the pivot-row coefficients α over the columns the priced rows
-	// touch, maintained phase-2 reduced costs, devex column weights and
-	// dual row weights.
+	// touch, maintained phase-2 reduced costs, devex column weights,
+	// the devex candidates and dual row weights. cand lists every
+	// nonbasic whose maintained d_j prices it in, plus some since priced
+	// out; priceDevex prunes it as it scans.
 	rows  *rowMatrix
 	alpha sparseVec
 	d     []float64
 	gamma []float64
+	cand  indexSet
 	rowW  []float64
 	// degeneracy handling
 	degenerate int
@@ -147,38 +167,61 @@ func newSimplex(p *Problem, opts *Options) *simplex {
 
 		steps:    make([]int32, 0, m),
 		stepMark: make([]bool, m),
+		etaHead:  make([]int32, m),
+		infeas:   newIndexSet(m),
+	}
+	for i := range s.etaHead {
+		s.etaHead[i] = -1
 	}
 	return s
 }
 
-// sparseVec is a sparse accumulator: x is dense storage, nz lists the
-// indices that may be nonzero and in marks membership, so hot loops
-// never scan all of x. Every index outside nz holds zero.
-type sparseVec struct {
-	x  []float64
+// indexSet is a set of indices below a fixed bound: nz lists the
+// members in insertion order and in marks them, so adding one and
+// emptying the set cost O(1) per member.
+type indexSet struct {
 	nz []int
 	in []bool
 }
 
+func newIndexSet(n int) indexSet {
+	return indexSet{nz: make([]int, 0, n), in: make([]bool, n)}
+}
+
+// touch adds index i to the set.
+func (t *indexSet) touch(i int) {
+	if !t.in[i] {
+		t.in[i] = true
+		t.nz = append(t.nz, i)
+	}
+}
+
+// empty removes every member.
+func (t *indexSet) empty() {
+	for _, i := range t.nz {
+		t.in[i] = false
+	}
+	t.nz = t.nz[:0]
+}
+
+// sparseVec is a sparse accumulator: x is dense storage and the
+// embedded set lists the indices that may be nonzero (its support),
+// so hot loops never scan all of x. Every index outside nz holds zero.
+type sparseVec struct {
+	x []float64
+	indexSet
+}
+
 func newSparseVec(n int) sparseVec {
-	return sparseVec{x: make([]float64, n), nz: make([]int, 0, n), in: make([]bool, n)}
+	return sparseVec{x: make([]float64, n), indexSet: newIndexSet(n)}
 }
 
 // clear resets the accumulator to zero.
 func (v *sparseVec) clear() {
 	for _, i := range v.nz {
 		v.x[i] = 0
-		v.in[i] = false
 	}
-	v.nz = v.nz[:0]
-}
-
-// touch adds index i to the accumulator's support.
-func (v *sparseVec) touch(i int) {
-	if !v.in[i] {
-		v.in[i] = true
-		v.nz = append(v.nz, i)
-	}
+	v.empty()
 }
 
 // scatterColumn loads variable j's column into the accumulator.
@@ -244,11 +287,29 @@ func (s *simplex) btran(y []float64) {
 // btranRho solves Bᵀ z = rho in place on the sparse BTRAN
 // accumulator, with the same operations as btran: the transposed
 // update etas in reverse stacking order, then the reach-restricted
-// transposed LU solves (factor.go).
+// transposed LU solves (factor.go). Only the etas the eta row index
+// links to a row of the support are visited: those of the starting
+// support, and those below k of each row eta k newly writes. Any other
+// eta reads only +0 entries, so btran's dot product is +0 there and it
+// skips the eta as well. marked counts the etas flagged and not yet
+// visited; once it reaches k, every eta below k is flagged and the
+// index walks stop.
 func (s *simplex) btranRho() {
 	x := s.rho.x
+	marked := 0
+	for _, i := range s.rho.nz {
+		if marked == len(s.updates) {
+			break
+		}
+		marked += s.markEtas(i, len(s.updates))
+	}
 	for k := len(s.updates) - 1; k >= 0; k-- {
 		e := &s.updates[k]
+		if !e.mark {
+			continue
+		}
+		e.mark = false
+		marked--
 		var sum float64
 		for i, ix := range e.idx {
 			sum += e.val[i] * x[ix]
@@ -257,9 +318,56 @@ func (s *simplex) btranRho() {
 			continue // btran stores a zero here too
 		}
 		x[e.r] = (x[e.r] - sum) / e.piv
-		s.rho.touch(e.r)
+		if !s.rho.in[e.r] {
+			s.rho.touch(e.r)
+			if marked < k {
+				marked += s.markEtas(e.r, k)
+			}
+		}
 	}
 	s.lu.btranReach(s)
+}
+
+// markEtas flags for btranRho the etas below k that read row i or
+// pivot on it, and returns how many were not flagged already.
+func (s *simplex) markEtas(i, k int) int {
+	n := 0
+	for t := s.etaHead[i]; t >= 0; t = s.etaLinks[t].next {
+		if e := &s.updates[s.etaLinks[t].eta]; s.etaLinks[t].eta < int32(k) && !e.mark {
+			e.mark = true
+			n++
+		}
+	}
+	return n
+}
+
+// linkEta adds update eta k to the index lists of its pivot row and
+// of every row it reads.
+func (s *simplex) linkEta(k int) {
+	e := &s.updates[k]
+	s.linkRow(e.r, k)
+	for _, i := range e.idx {
+		s.linkRow(int(i), k)
+	}
+}
+
+func (s *simplex) linkRow(i, k int) {
+	s.etaLinks = append(s.etaLinks, etaLink{eta: int32(k), next: s.etaHead[i]})
+	s.etaHead[i] = int32(len(s.etaLinks) - 1)
+}
+
+// clearUpdates empties the update file and its row index.
+func (s *simplex) clearUpdates() {
+	for k := range s.updates {
+		e := &s.updates[k]
+		s.etaHead[e.r] = -1
+		for _, i := range e.idx {
+			s.etaHead[i] = -1
+		}
+	}
+	s.updates = s.updates[:0]
+	s.etaLinks = s.etaLinks[:0]
+	s.updateNnz = 0
 }
 
 // pushEtaW records the accumulator as a Forrest–Tomlin update eta
@@ -278,6 +386,7 @@ func (s *simplex) pushEtaW(r int) {
 		}
 	}
 	s.updates = append(s.updates, eta{r: r, piv: piv, idx: idx, val: val})
+	s.linkEta(len(s.updates) - 1)
 	s.updateNnz += len(idx) + 1
 	s.ftUpdates++
 }
@@ -374,6 +483,7 @@ func (s *simplex) solve() (*Solution, error) {
 				// Corrupt one basic value so the residual check below
 				// sees the drift this fault simulates.
 				s.xB[0] += mag
+				s.infeas.touch(0)
 			}
 			if drift, scale := s.primalResidual(); drift > 1e-6*scale {
 				s.driftRetries++
@@ -470,8 +580,7 @@ func (s *simplex) solveOnce(warm *Basis) (*Solution, error) {
 // solve including its restarts.
 func (s *simplex) reset() {
 	s.lu = nil
-	s.updates = s.updates[:0]
-	s.updateNnz = 0
+	s.clearUpdates()
 	s.fillBudget = 0
 	s.degenerate = 0
 	s.bland = false
@@ -632,13 +741,60 @@ func (s *simplex) snapshot() *Basis {
 func (s *simplex) infeasibility() float64 {
 	sum := 0.0
 	for r := 0; r < s.m; r++ {
-		j := s.basis[r]
-		x := s.xB[r]
-		if lo := s.lob(j); x < lo {
-			sum += lo - x
-		} else if hi := s.hib(j); x > hi {
-			sum += x - hi
+		sum += s.violation(r)
+	}
+	return sum
+}
+
+// violation returns how far the basic value of row r lies outside its
+// variable's bounds, and +0 inside them. Adding the +0 leaves any
+// running sum's bits alone, so a sum over any superset of the violated
+// rows, in ascending order, has infeasibility's bits.
+func (s *simplex) violation(r int) float64 {
+	j, x := s.basis[r], s.xB[r]
+	if lo := s.lob(j); x < lo {
+		return lo - x
+	}
+	if hi := s.hib(j); x > hi {
+		return x - hi
+	}
+	return 0
+}
+
+// rebuildInfeasible rescans every row into the infeasible set; it runs
+// wherever all of x_B is recomputed.
+func (s *simplex) rebuildInfeasible() {
+	s.infeas.empty()
+	for r := 0; r < s.m; r++ {
+		if s.violation(r) != 0 {
+			s.infeas.touch(r)
 		}
+	}
+}
+
+// pruneInfeasible drops the rows of the infeasible set whose basic
+// value is back inside its bounds, leaving exactly the violated rows.
+func (s *simplex) pruneInfeasible() {
+	kept := s.infeas.nz[:0]
+	for _, r := range s.infeas.nz {
+		if s.violation(r) != 0 {
+			kept = append(kept, r)
+		} else {
+			s.infeas.in[r] = false
+		}
+	}
+	s.infeas.nz = kept
+}
+
+// phase1Infeasibility prunes the infeasible set, sorts it ascending
+// and returns infeasibility() summed over it: the same terms in the
+// same order, so the same bits.
+func (s *simplex) phase1Infeasibility() float64 {
+	s.pruneInfeasible()
+	slices.Sort(s.infeas.nz)
+	sum := 0.0
+	for _, r := range s.infeas.nz {
+		sum += s.violation(r)
 	}
 	return sum
 }
@@ -777,20 +933,24 @@ func (s *simplex) run(phase1 bool) (Status, error) {
 		if checkClock && s.iter&255 == 0 && time.Now().After(s.opts.Deadline) {
 			return IterLimit, nil
 		}
-		if phase1 && s.infeasibility() <= tol {
-			return Optimal, nil
+		var infeas float64
+		if phase1 {
+			if infeas = s.phase1Infeasibility(); infeas <= tol {
+				return Optimal, nil
+			}
 		}
 		enter := -1
 		var enterDir float64
 		best := tol
 		if phase1 {
-			// The phase-1 costs are nonzero only on infeasible basics:
-			// y = Btran(cB) is hypersparse, and d_j = -y·a_j is nonzero
-			// only on the columns priceRow touches. They come in touch
-			// order, so ties go to the lowest index explicitly: the
-			// choice is the one an ascending scan of every column makes.
+			// The phase-1 costs are nonzero only on infeasible basics,
+			// a subset of the (now sorted) infeasible set: y = Btran(cB)
+			// is hypersparse, and d_j = -y·a_j is nonzero only on the
+			// columns priceRow touches. They come in touch order, so
+			// ties go to the lowest index explicitly: the choice is the
+			// one an ascending scan of every column makes.
 			s.rho.clear()
-			for r := 0; r < s.m; r++ {
+			for _, r := range s.infeas.nz {
 				if c := s.costOf(s.basis[r], true); c != 0 {
 					s.rho.x[r] = c
 					s.rho.touch(r)
@@ -837,7 +997,7 @@ func (s *simplex) run(phase1 bool) (Status, error) {
 			}
 		}
 		if enter < 0 {
-			if phase1 && s.infeasibility() > tol {
+			if phase1 && infeas > tol {
 				return Infeasible, nil
 			}
 			return Optimal, nil
@@ -861,12 +1021,7 @@ func (s *simplex) run(phase1 bool) (Status, error) {
 			s.degenerate = 0
 		}
 		step := enterDir * limit
-		// Update basic values.
-		for _, r := range s.w.nz {
-			if s.w.x[r] != 0 {
-				s.xB[r] -= s.w.x[r] * step
-			}
-		}
+		s.stepXB(step)
 		if leave < 0 {
 			// Bound flip of the entering variable.
 			if s.state[enter] == stLower {
@@ -876,29 +1031,50 @@ func (s *simplex) run(phase1 bool) (Status, error) {
 			}
 			continue
 		}
-		// Pivot.
-		leaving := s.basis[leave]
-		if leaveToUpper {
-			s.state[leaving] = stUpper
-		} else {
-			s.state[leaving] = stLower
-		}
-		if s.hib(leaving) == Inf && s.lob(leaving) == math.Inf(-1) {
-			s.state[leaving] = stZero
-		}
-		s.inRow[leaving] = -1
-		enterVal := s.nonbasicValue(enter) + step
-		s.basis[leave] = enter
-		s.inRow[enter] = leave
-		s.state[enter] = stBasic
 		piv := math.Abs(s.w.x[leave])
-		s.pushEtaW(leave)
-		s.xB[leave] = enterVal
+		s.pivot(enter, leave, leaveToUpper, step)
 		if _, err := s.maybeRefactor(piv < 1e-8*maxAbsW); err != nil {
 			return IterLimit, err
 		}
 	}
 	return IterLimit, nil
+}
+
+// stepXB moves every basic value by -w·step, w the FTRAN image of
+// the entering column in the accumulator, and adds the rows it moves
+// to the infeasible set.
+func (s *simplex) stepXB(step float64) {
+	for _, r := range s.w.nz {
+		if s.w.x[r] != 0 {
+			s.xB[r] -= s.w.x[r] * step
+			s.infeas.touch(r)
+		}
+	}
+}
+
+// pivot makes the entering variable basic in row slot leave once
+// stepXB has moved the basic values by step: the leaving variable goes
+// nonbasic at the bound it hit (held at zero if it has none), the
+// accumulator's FTRAN image becomes an update eta, and the entering
+// variable takes its new value. Row leave is in the infeasible set
+// already: its pivot element is nonzero, so stepXB added it.
+func (s *simplex) pivot(enter, leave int, leaveToUpper bool, step float64) {
+	leaving := s.basis[leave]
+	if leaveToUpper {
+		s.state[leaving] = stUpper
+	} else {
+		s.state[leaving] = stLower
+	}
+	if s.hib(leaving) == Inf && s.lob(leaving) == math.Inf(-1) {
+		s.state[leaving] = stZero
+	}
+	s.inRow[leaving] = -1
+	enterVal := s.nonbasicValue(enter) + step
+	s.basis[leave] = enter
+	s.inRow[enter] = leave
+	s.state[enter] = stBasic
+	s.pushEtaW(leave)
+	s.xB[leave] = enterVal
 }
 
 // dantzigScore returns |d| and the direction that moves nonbasic
@@ -938,8 +1114,7 @@ func (s *simplex) refactor() error {
 	if fpRefactorFail.Fire() {
 		return &StabilityError{Stage: "refactor", Detail: "injected repair conflict", FTDepth: depth}
 	}
-	s.updates = s.updates[:0]
-	s.updateNnz = 0
+	s.clearUpdates()
 	if err := s.factorize(); err != nil {
 		var se *StabilityError
 		if errors.As(err, &se) {
