@@ -48,17 +48,24 @@ func (g *goldenStats) add(st *ixp.Stats) {
 // engine re-selected before every quantum) that the run-ahead
 // scheduler replaced. A scheduling change that reorders a memory-port
 // or hash-unit grant moves at least one of them.
+//
+// The aes and nat rows (with aes/partial and nat/maxbudget) were
+// re-recorded when the cold dual simplex moved the root LP to a
+// cost-equal alternative optimum: same instructions, results and
+// output, different register choices, so different timing. They come
+// from this test run with this tree's compiler against chip.go and
+// ixp.go of commit c763cc6, the last lockstep scheduler; that harness
+// reproduces every earlier row on the earlier allocation.
 var chipStatsGolden = map[string]goldenStats{
-	"aes":        {Cycles: 103335, Instrs: 366768, MemRefs: 50112, Swaps: 49806, SRAMRefs: 49248, SDRAMRefs: 864, StallCycles: 185694, PortWaitCycles: 878055, Results: 72, ResultsDigest: 0x7728426071069ed8, OutputDigest: 0x350231b8906f9023},
+	"aes":        {Cycles: 103317, Instrs: 366768, MemRefs: 50112, Swaps: 49806, SRAMRefs: 49248, SDRAMRefs: 864, StallCycles: 185565, PortWaitCycles: 878502, Results: 72, ResultsDigest: 0x7728426071069ed8, OutputDigest: 0x350231b8906f9023},
 	"kasumi":     {Cycles: 133830, Instrs: 663696, MemRefs: 61344, Swaps: 60747, SRAMRefs: 27648, SDRAMRefs: 1440, ScratchRefs: 32256, StallCycles: 39321, PortWaitCycles: 58308, Results: 72, ResultsDigest: 0x34ab081009c8192b, OutputDigest: 0xb29a6a7d93982155},
-	"nat":        {Cycles: 6414, Instrs: 14616, MemRefs: 1512, Swaps: 918, SDRAMRefs: 1368, HashRefs: 144, StallCycles: 18198, PortWaitCycles: 149067, Results: 72, ResultsDigest: 0xd62377765e760018, OutputDigest: 0x99c420e64959b5ba},
+	"nat":        {Cycles: 6405, Instrs: 14616, MemRefs: 1512, Swaps: 918, SDRAMRefs: 1368, HashRefs: 144, StallCycles: 18144, PortWaitCycles: 149289, Results: 72, ResultsDigest: 0xd62377765e760018, OutputDigest: 0x99c420e64959b5ba},
 	"sum":        {Cycles: 504, Instrs: 792, MemRefs: 216, Swaps: 162, SRAMRefs: 72, SDRAMRefs: 144, StallCycles: 1896, PortWaitCycles: 4944, Results: 72, ResultsDigest: 0x48d6e7d6793e474b, OutputDigest: 0xf71f0a58b9f8fa98},
 	"contention": {Cycles: 87, Instrs: 336, MemRefs: 48, Swaps: 42, SRAMRefs: 48, StallCycles: 114, PortWaitCycles: 768, Results: 24, ResultsDigest: 0xbfd9fc64f7f64705, OutputDigest: 0x94a77bd98275820b},
 
-	// Recorded on the run-ahead scheduler that stopped every engine
-	// before each shared quantum, before programs were decoded at Load.
-	"aes/partial":   {Cycles: 78024, Instrs: 259794, MemRefs: 35496, Swaps: 33192, SRAMRefs: 34884, SDRAMRefs: 612, StallCycles: 74076, PortWaitCycles: 137211, Results: 51, ResultsDigest: 0x5c1dfa9118530d1b, OutputDigest: 0x96a1204ffaccac84},
-	"nat/maxbudget": {Cycles: 6414, Instrs: 14616, MemRefs: 1512, Swaps: 918, SDRAMRefs: 1368, HashRefs: 144, StallCycles: 18198, PortWaitCycles: 149067, Results: 72, ResultsDigest: 0xd62377765e760018, OutputDigest: 0x99c420e64959b5ba},
+	// Uneven engines (17-slot batches) and the largest cycle budget.
+	"aes/partial":   {Cycles: 78042, Instrs: 259794, MemRefs: 35496, Swaps: 33192, SRAMRefs: 34884, SDRAMRefs: 612, StallCycles: 74031, PortWaitCycles: 134898, Results: 51, ResultsDigest: 0x5c1dfa9118530d1b, OutputDigest: 0x96a1204ffaccac84},
+	"nat/maxbudget": {Cycles: 6405, Instrs: 14616, MemRefs: 1512, Swaps: 918, SDRAMRefs: 1368, HashRefs: 144, StallCycles: 18144, PortWaitCycles: 149289, Results: 72, ResultsDigest: 0xd62377765e760018, OutputDigest: 0x99c420e64959b5ba},
 }
 
 var goldenWL = struct {

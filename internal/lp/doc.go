@@ -3,7 +3,8 @@
 // (threshold-Markowitz pivoting, Forrest–Tomlin-style update etas
 // between refactorizations, hypersparse triangular solves), pivot
 // rows priced from a row-wise copy of the matrix, devex pricing on the
-// primal side, and a dual simplex for warm-started re-solves after
+// primal side, and a bound-flipping dual simplex for cold solves whose
+// crash basis is dual feasible and for warm-started re-solves after
 // bound changes or added rows. It is the substrate under the
 // branch-and-bound MIP solver that stands in for CPLEX in this
 // reproduction.
@@ -37,9 +38,13 @@
 // refactorizing (guarded by a matrix signature), and Options.Method
 // MethodAuto routes the re-solve through the dual simplex, which
 // restores optimality in a handful of pivots instead of a full solve.
-// Options.Method pins the algorithm (MethodPrimal, MethodDual) for
-// experiments; the default chooses dual-on-warm. Primal phase 2
-// always prices with devex.
+// A cold solve whose crash basis is dual feasible (every column at
+// the bound its cost prefers, as in the register allocator's models)
+// runs the same dual on costs perturbed by about Tol, then drops the
+// perturbation and lets primal phase 2 reprice from the true costs;
+// it needs no phase 1 (DESIGN.md §11). Options.Method MethodPrimal
+// pins the two-phase primal for experiments and as the reference the
+// dual is tested against. Primal phase 2 always prices with devex.
 //
 // The lp/ observability counters (lp/solves, lp/iterations,
 // lp/dual_iterations, lp/degenerate_pivots, lp/bland_activations,

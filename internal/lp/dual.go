@@ -14,7 +14,9 @@ import (
 // multiplier) while the primal point violates the new bound. The dual
 // simplex iterates directly on that structure — pick the most
 // violated basic variable, price its row, ratio-test on the reduced
-// costs — instead of re-entering primal phase 1 from scratch.
+// costs — instead of re-entering primal phase 1 from scratch. A cold
+// solve whose crash basis is dual feasible starts here too, on costs
+// solveOnce has perturbed (DESIGN.md §11).
 //
 // Robustness: the dual-unbounded conclusion ("no entering candidate
 // ⇒ primal infeasible") depends only on the signs of the pivot-row

@@ -8,17 +8,17 @@ import (
 	"repro/internal/obs"
 )
 
-// solveBoth solves q cold with the forced primal (the previous
-// revision's path) and warm with the forced dual from basis b, and
-// checks the two agree on status and objective. It returns the two
-// iteration counts for callers that also assert on effort.
+// solveBoth solves q cold with the forced primal and warm from basis
+// b with the default method, the dual, and checks the two agree on
+// status and objective. It returns the two iteration counts for
+// callers that also assert on effort.
 func solveBoth(t *testing.T, q *Problem, b *Basis, label string) (coldIters, warmIters int) {
 	t.Helper()
 	cold, err := q.Solve(&Options{Method: MethodPrimal})
 	if err != nil {
 		t.Fatalf("%s: cold primal: %v", label, err)
 	}
-	warm, err := q.Solve(&Options{Method: MethodDual, WarmBasis: b})
+	warm, err := q.Solve(&Options{WarmBasis: b})
 	if err != nil {
 		t.Fatalf("%s: warm dual: %v", label, err)
 	}
@@ -118,10 +118,9 @@ func TestDualDetectsInfeasible(t *testing.T) {
 	solveBoth(t, q, sol.Basis, "infeasible branch")
 }
 
-// TestDualColdFallsBackToPrimal forces MethodDual on a cold solve
-// whose crash basis is not dual feasible (negative objective
-// coefficients): the dual must hand over to the primal and still
-// reach the optimum, never affect the answer.
+// TestDualColdFallsBackToPrimal solves cold a problem whose crash
+// basis is not dual feasible (negative objective coefficients): the
+// default method must take the primal path and reach its optimum.
 func TestDualColdFallsBackToPrimal(t *testing.T) {
 	p := NewProblem()
 	var cols []int
@@ -135,12 +134,12 @@ func TestDualColdFallsBackToPrimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.Solve(&Options{Method: MethodDual})
+	got, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Status != want.Status || math.Abs(got.Obj-want.Obj) > 1e-6 {
-		t.Fatalf("dual-forced cold solve: %v obj %v, want %v obj %v",
+		t.Fatalf("default cold solve: %v obj %v, want %v obj %v",
 			got.Status, got.Obj, want.Status, want.Obj)
 	}
 }
@@ -176,4 +175,139 @@ func TestDualWarmCheaperThanCold(t *testing.T) {
 	if totalWarm*2 >= totalCold {
 		t.Fatalf("warm dual iterations %d not clearly cheaper than cold primal %d", totalWarm, totalCold)
 	}
+}
+
+// allocatorLP builds a random sparse LP shaped like the register
+// allocator's root relaxation: 0-1 columns at their lower bound, costs
+// ≥ 0 with a quarter of them zero, "one location" equations
+// (Σ x = 1), pairwise conflict rows (x_a + x_b ≤ 1) and range rows
+// linking two columns (0 ≤ x_a − x_b ≤ 1). With infeasible set, an
+// extra row demands Σ x ≥ 1.5 over the columns of the first equation.
+func allocatorLP(rng *rand.Rand, m, n int, infeasible bool) *Problem {
+	p := NewProblem()
+	for j := 0; j < n; j++ {
+		c := 0.0
+		if rng.Intn(4) != 0 {
+			// Six distinct magnitudes, so columns of one equation often
+			// tie, split by near ties a few µ apart: above Tol, below
+			// the perturbation of costs in the tens and hundreds.
+			c = float64(1+rng.Intn(3))*math.Pow(10, float64(1+rng.Intn(2))) + 1e-6*float64(rng.Intn(4))
+		}
+		p.AddCol(c, 0, 1)
+	}
+	var first []int
+	for r := 0; r < m; r++ {
+		kind := rng.Intn(3)
+		if r == 0 {
+			kind = 0 // the crash point violates at least one row
+		}
+		switch kind {
+		case 0:
+			cols := rng.Perm(n)[:2+rng.Intn(6)]
+			vals := make([]float64, len(cols))
+			for i := range vals {
+				vals[i] = 1
+			}
+			p.AddRow(1, 1, cols, vals)
+			if first == nil {
+				first = cols
+			}
+		case 1:
+			a, b := rng.Intn(n), rng.Intn(n)
+			if a != b {
+				p.AddRow(math.Inf(-1), 1, []int{a, b}, []float64{1, 1})
+			}
+		default:
+			a, b := rng.Intn(n), rng.Intn(n)
+			if a != b {
+				p.AddRow(0, 1, []int{a, b}, []float64{1, -1})
+			}
+		}
+	}
+	if infeasible && first != nil {
+		vals := make([]float64, len(first))
+		for i := range vals {
+			vals[i] = 1
+		}
+		p.AddRow(1.5, Inf, first, vals)
+	}
+	return p
+}
+
+// TestColdDualMatchesPrimal solves random allocator-shaped LPs cold
+// with the default method, which runs the dual simplex on perturbed
+// costs from the crash basis, and checks every result against the
+// two-phase primal (MethodPrimal): the same status and objective, a
+// point inside the problem's own bounds, reduced costs recomputed from
+// the true costs that are dual feasible (no perturbation is left in
+// the answer), and a second solve with the same bits.
+func TestColdDualMatchesPrimal(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	counts := map[Status]int{}
+	for trial := 0; trial < 400; trial++ {
+		m := 10 + rng.Intn(40)
+		p := allocatorLP(rng, m, m+rng.Intn(2*m), trial%5 == 4)
+		var o Options
+		o.fill(p)
+		s := newSimplex(p, &o)
+		got, err := s.solve()
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if s.dualIters == 0 {
+			t.Fatalf("trial %d: the cold solve took no dual pivot", trial)
+		}
+		want, err := p.Solve(&Options{Method: MethodPrimal})
+		if err != nil {
+			t.Fatalf("trial %d: primal: %v", trial, err)
+		}
+		counts[got.Status]++
+		if got.Status != want.Status {
+			t.Fatalf("trial %d: cold dual %v, primal %v", trial, got.Status, want.Status)
+		}
+		if got.Status != Optimal {
+			continue
+		}
+		if d := math.Abs(got.Obj - want.Obj); d > 1e-9*(1+math.Abs(want.Obj)) {
+			t.Fatalf("trial %d: objective %v, primal %v", trial, got.Obj, want.Obj)
+		}
+		act := make([]float64, p.NumRows())
+		for j, x := range got.X {
+			if x < p.lo[j]-o.Tol || x > p.hi[j]+o.Tol {
+				t.Fatalf("trial %d: x[%d] = %v outside [%v, %v]", trial, j, x, p.lo[j], p.hi[j])
+			}
+			for _, nz := range p.cols[j] {
+				act[nz.Row] += nz.Val * x
+			}
+		}
+		for r, a := range act {
+			if a < p.rowLo[r]-o.Tol || a > p.rowHi[r]+o.Tol {
+				t.Fatalf("trial %d: row %d activity %v outside [%v, %v]", trial, r, a, p.rowLo[r], p.rowHi[r])
+			}
+		}
+		f := newSimplex(p, &o)
+		if !f.loadBasis(got.Basis) {
+			t.Fatalf("trial %d: final basis rejected", trial)
+		}
+		if err := f.refactor(); err != nil {
+			t.Fatal(err)
+		}
+		f.computeReducedCosts()
+		if !f.dualFeasible(o.Tol) {
+			t.Fatalf("trial %d: reduced costs from the true costs are not dual feasible", trial)
+		}
+		again, err := p.Solve(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range got.X {
+			if math.Float64bits(got.X[j]) != math.Float64bits(again.X[j]) {
+				t.Fatalf("trial %d: x[%d] = %v, then %v", trial, j, got.X[j], again.X[j])
+			}
+		}
+	}
+	if counts[Optimal] < 200 || counts[Infeasible] < 40 {
+		t.Fatalf("instance mix %v: want at least 200 optimal and 40 infeasible", counts)
+	}
+	t.Logf("statuses: %v", counts)
 }

@@ -73,8 +73,10 @@ func solveChecked(t *testing.T, p *Problem, o Options) (*Solution, error) {
 }
 
 // FuzzSolve checks the simplex invariant on arbitrary bounded LPs: a
-// solve must never panic, and any claimed Optimal point must actually
-// satisfy every bound and row of the problem it was asked about.
+// solve must never panic, any claimed Optimal point must actually
+// satisfy every bound and row of the problem it was asked about, and
+// the default solve (the cold dual, when the crash basis is dual
+// feasible) must agree with the two-phase primal.
 func FuzzSolve(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 2, 200, 0, 8, 0, 100, 4, 4, 0, 50, 0, 12, 1})
@@ -107,6 +109,21 @@ func FuzzSolve(f *testing.F) {
 			// Errors are allowed (e.g. persistent instability); panics
 			// and false Optimal claims are not.
 			return
+		}
+		decided := func(st Status) bool {
+			return st == Optimal || st == Infeasible || st == Unbounded
+		}
+		// Whenever the crash basis is dual feasible, the default solve ran
+		// the cold dual on perturbed costs: the two-phase primal must
+		// reach the same verdict and optimum.
+		ref, rerr := solveChecked(t, p, Options{MaxIters: 5000, Method: MethodPrimal})
+		if rerr == nil && decided(sol.Status) && decided(ref.Status) {
+			if sol.Status != ref.Status {
+				t.Fatalf("default %v, primal %v", sol.Status, ref.Status)
+			}
+			if sol.Status == Optimal && math.Abs(sol.Obj-ref.Obj) > 1e-5*(1+math.Abs(ref.Obj)) {
+				t.Fatalf("default objective %v, primal %v", sol.Obj, ref.Obj)
+			}
 		}
 		if sol.Basis != nil {
 			// On the final basis and the update file stacked on its
@@ -149,7 +166,7 @@ func FuzzSolve(f *testing.F) {
 		// problem the way branch and bound does (fix one variable near
 		// its optimal value, or append a violated cut row — the choice
 		// and the target derived from the input), then compare a cold
-		// forced-primal solve against a warm forced-dual solve. The two
+		// forced-primal solve against a warm default (dual) solve. The two
 		// paths must agree on status and, when optimal, on objective.
 		pick := func(i int) byte {
 			if len(data) == 0 {
@@ -181,12 +198,9 @@ func FuzzSolve(f *testing.F) {
 			q.AddRow(math.Inf(-1), cut/2, cols, vals)
 		}
 		cold, cerr := solveChecked(t, q, Options{MaxIters: 5000, Method: MethodPrimal})
-		warm, werr := solveChecked(t, q, Options{MaxIters: 5000, Method: MethodDual, WarmBasis: sol.Basis})
+		warm, werr := solveChecked(t, q, Options{MaxIters: 5000, WarmBasis: sol.Basis})
 		if cerr != nil || werr != nil {
 			return // instability is allowed; disagreement is not
-		}
-		decided := func(st Status) bool {
-			return st == Optimal || st == Infeasible || st == Unbounded
 		}
 		if !decided(cold.Status) || !decided(warm.Status) {
 			return // an iteration/deadline halt decides nothing

@@ -199,7 +199,7 @@ type Solution struct {
 	Basis  *Basis // final basis snapshot, for warm-starting re-solves
 }
 
-// Solve runs two-phase primal simplex. A nil opts uses defaults. The
+// Solve runs the simplex (see Method). A nil opts uses defaults. The
 // options are copied before defaulting, so one Options value can be
 // shared by concurrent solves of different problems.
 func (p *Problem) Solve(opts *Options) (*Solution, error) {
@@ -235,18 +235,18 @@ func (p *Problem) Clone() *Problem {
 type Method int
 
 const (
-	// MethodAuto runs the dual simplex when a usable warm basis was
-	// loaded (the branch-and-bound re-solve case, where a bound change
-	// or an appended row leaves the old basis dual feasible) and the
-	// two-phase primal simplex otherwise.
+	// MethodAuto runs the dual simplex whenever the start is dual
+	// feasible and primal infeasible: from a usable warm basis (the
+	// branch-and-bound re-solve case, where a bound change or an
+	// appended row leaves the old basis dual feasible), and cold from
+	// the crash basis on perturbed costs when every column sits at the
+	// bound its cost prefers (the allocator's root LP). Any other solve,
+	// and any dual run that bails, takes the two-phase primal simplex;
+	// the answer is never affected, only the path.
 	MethodAuto Method = iota
 	// MethodPrimal forces the two-phase primal simplex on every solve,
 	// the reference path the dual simplex is tested against.
 	MethodPrimal
-	// MethodDual asks for the dual simplex. Solves that cannot start
-	// dual feasible (or that stall) fall back to the primal
-	// automatically; the answer is never affected, only the path.
-	MethodDual
 )
 
 // Options tunes the solver.

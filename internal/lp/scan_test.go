@@ -309,7 +309,7 @@ func stepMaintained(t *testing.T, p *Problem, gap int, bland bool, rng *rand.Ran
 		}
 	}
 	for k := 1; k < 200; k++ {
-		o := Options{RefactorGap: gap, Method: MethodDual}
+		o := Options{RefactorGap: gap}
 		o.fill(q)
 		s := newSimplex(q, &o)
 		if !s.loadBasis(opt) {

@@ -135,6 +135,9 @@ type simplex struct {
 	gamma []float64
 	cand  indexSet
 	rowW  []float64
+	// cost is the objective that phase-2 pricing reads (costOf): the
+	// problem's own, or its perturbed copy while the cold dual runs.
+	cost []float64
 	// degeneracy handling
 	degenerate int
 	bland      bool
@@ -157,6 +160,7 @@ func newSimplex(p *Problem, opts *Options) *simplex {
 	m, n := p.NumRows(), p.NumCols()
 	s := &simplex{
 		p: p, opts: opts, m: m, n: n,
+		cost:  p.obj,
 		state: make([]varState, n+m),
 		basis: make([]int, m),
 		inRow: make([]int, n+m),
@@ -522,11 +526,17 @@ func (s *simplex) solveOnce(warm *Basis) (*Solution, error) {
 	}
 	// Dual simplex: after a bound change or an appended row the old
 	// basis stays dual feasible while the point is primal infeasible —
-	// the dual iterates from there instead of re-entering phase 1.
-	tryDual := s.opts.Method == MethodDual ||
-		(s.opts.Method == MethodAuto && warmLoaded)
-	if tryDual && s.infeasibility() > s.opts.Tol {
+	// the dual iterates from there instead of re-entering phase 1. So
+	// does a crash basis whose columns all sit at the bound their cost
+	// prefers (the allocator's root LP); a cold dual runs on perturbed
+	// costs (DESIGN.md §11). runDual defers to the primal phases at
+	// once when the start is not dual feasible.
+	if s.opts.Method != MethodPrimal && s.infeasibility() > s.opts.Tol {
+		if !warmLoaded {
+			s.cost = s.perturbedCosts()
+		}
 		st, err := s.runDual()
+		s.cost = s.p.obj
 		if err != nil {
 			return nil, err
 		}
@@ -535,8 +545,9 @@ func (s *simplex) solveOnce(warm *Basis) (*Solution, error) {
 			return &Solution{Status: st, Iters: s.iter}, nil
 		}
 		// Optimal: the point is primal feasible now and phase 2 below
-		// re-verifies optimality exactly (usually zero pivots).
-		// dualBail: the primal phases take over from where it stopped.
+		// reprices from the true costs and re-verifies optimality (a few
+		// pivots at most). dualBail: the primal phases take over from
+		// where it stopped.
 	}
 	// Phase 1: drive out infeasibility.
 	if s.infeasibility() > s.opts.Tol {
@@ -642,6 +653,33 @@ func (s *simplex) crashBasis() {
 		s.basis[r] = j
 		s.inRow[j] = r
 	}
+}
+
+// perturbedCosts returns the costs a cold dual runs on. Each
+// structural j at a bound gets δ_j = Tol·(1+|c_j|)·(1+u_j) added toward
+// the side that keeps its reduced cost dual feasible, u_j ∈ [0, 1) a
+// fixed hash of j. The zero-cost columns, which would otherwise tie at
+// every dual ratio test, get distinct nonzero ratios, so the dual's
+// pivots stop being degenerate; the deviation is small enough that
+// phase 2 on the true costs cleans up in a few pivots.
+func (s *simplex) perturbedCosts() []float64 {
+	c := make([]float64, s.n)
+	for j, cj := range s.p.obj {
+		h := uint64(j) + 0x9e3779b97f4a7c15 // splitmix64 of j
+		h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+		h = (h ^ h>>27) * 0x94d049bb133111eb
+		u := float64((h^h>>31)>>11) / (1 << 53)
+		delta := s.opts.Tol * (1 + math.Abs(cj)) * (1 + u)
+		switch s.state[j] {
+		case stLower:
+			c[j] = cj + delta
+		case stUpper:
+			c[j] = cj - delta
+		default:
+			c[j] = cj
+		}
+	}
+	return c
 }
 
 // loadBasis installs a snapshot taken from a structurally identical
@@ -815,7 +853,7 @@ func (s *simplex) costOf(j int, phase1 bool) float64 {
 		return 0
 	}
 	if j < s.n {
-		return s.p.obj[j]
+		return s.cost[j]
 	}
 	return 0
 }

@@ -401,18 +401,10 @@ func (e *engine) dive(w *workerCtx, nd *node) {
 				return
 			}
 		}
-		w.lpOpts.WarmBasis = warm
 		// A node re-solve only changed branching bounds since the warm
-		// basis was snapshot, so it is dual feasible: iterate on the
-		// dual instead of re-entering primal phase 1. Respect a method
-		// the caller pinned; cold restarts keep the primal.
-		if e.opts.LP == nil || e.opts.LP.Method == lp.MethodAuto {
-			if warm != nil {
-				w.lpOpts.Method = lp.MethodDual
-			} else {
-				w.lpOpts.Method = lp.MethodAuto
-			}
-		}
+		// basis was snapshot, so it is dual feasible: the default method
+		// iterates on the dual instead of re-entering primal phase 1.
+		w.lpOpts.WarmBasis = warm
 		sol, err := w.prob.Solve(&w.lpOpts)
 		if err != nil {
 			var se *lp.StabilityError

@@ -114,7 +114,7 @@ func TestDualWarmRestartWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: cold primal: %v", ins.name, mut, err)
 			}
-			warm, err := q.Solve(&lp.Options{Method: lp.MethodDual, WarmBasis: root.Basis})
+			warm, err := q.Solve(&lp.Options{WarmBasis: root.Basis})
 			if err != nil {
 				t.Fatalf("%s/%s: warm dual: %v", ins.name, mut, err)
 			}
