@@ -8,7 +8,7 @@
 //	novac [-entry main] [-print cps|mir|asm] [-stats] [-no-prune]
 //	      [-no-coarsen] [-remat] [-presolve=false]
 //	      [-alloc-budget 30s] [-fallback auto|off|force]
-//	      [-lp out.lp] [-mps out.mps] [-fault spec]
+//	      [-mps out.mps] [-fault spec]
 //	      [-trace out.json] file.nova
 //
 // -stats prints per-phase wall time and the solver/simulator counters
@@ -44,7 +44,6 @@ func main() {
 	faultSpec := flag.String("fault", "", "fault-injection plan, e.g. 'mip/worker_panic@1,lp/refactor_fail@1' (testing)")
 	jobs := flag.Int("j", 0, "parallel ILP search workers (0 = all cores)")
 	presolve := flag.Bool("presolve", true, "ILP presolve reductions before the solve")
-	lpOut := flag.String("lp", "", "write the generated integer program to this file (CPLEX LP format)")
 	mpsOut := flag.String("mps", "", "write the generated integer program to this file (MPS format, canonical naming)")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file of the compile to this path")
 	flag.Parse()
@@ -121,18 +120,6 @@ func main() {
 		f.Close()
 	}
 
-	if *lpOut != "" {
-		f, err := os.Create(*lpOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := comp.Alloc.WriteLP(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f.Close()
-	}
 	if *mpsOut != "" {
 		f, err := os.Create(*mpsOut)
 		if err != nil {

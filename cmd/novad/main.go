@@ -12,9 +12,9 @@
 //
 // Compile requests hit three tiers: an exact output cache keyed by the
 // source text, an exact model cache keyed by the canonicalized ILP's
-// content hash, and a near-miss tier that warm-starts branch and bound
-// from the closest structural match. See internal/server for the
-// endpoints and README "Serving" for a worked example.
+// content hash, and otherwise a cold solve. See internal/server for
+// the endpoints and request limits, and README "Serving" for a worked
+// example.
 package main
 
 import (

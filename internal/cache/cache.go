@@ -1,14 +1,14 @@
 // Package cache is the compile cache behind novad (DESIGN.md §12). It
-// stores verified allocations and warm-start material keyed by the
-// canonical content hashes of the ILP model (model.Canon), plus an
-// opaque source-level output tier for byte-identical replays.
+// stores verified allocations keyed by the canonical content hash of
+// the ILP model (model.Canon.Exact), plus an opaque source-level
+// output tier for byte-identical replays.
 //
-// Nothing read from the cache is ever trusted: served solutions are
-// re-verified against the requesting model (model.CheckFeasible), a
-// near-miss seed passes the solver's own seed check, and the cached
-// optimum becomes a lower bound only after the pairing is verified as
-// an isomorphism. A corrupted entry or a hash collision therefore
-// degrades to a cold compile — never a wrong allocation.
+// Nothing read from the cache is ever trusted: before a cached
+// solution is served, the canonical pairing is verified as a matrix
+// isomorphism with equal bounds and objective, and the translated
+// point is re-verified against the requesting model
+// (model.CheckFeasible). A corrupted entry or a hash collision
+// therefore degrades to a cold compile — never a wrong allocation.
 package cache
 
 import (
@@ -21,7 +21,6 @@ import (
 var (
 	cHits       = obs.NewCounter("cache/hits")
 	cSourceHits = obs.NewCounter("cache/source_hits")
-	cNearMisses = obs.NewCounter("cache/near_misses")
 	cMisses     = obs.NewCounter("cache/misses")
 	cEvictions  = obs.NewCounter("cache/evictions")
 	cDrops      = obs.NewCounter("cache/validation_drops")
@@ -49,19 +48,15 @@ func (c Config) withDefaults() Config {
 // model's coordinates; canonical orders translate it into a
 // structurally identical requester's coordinates (see mapSolution).
 type entry struct {
-	structural string
-	region     string
-	exact      string
-	nCols      int
-	nRows      int
-	colOrder   []int // canonical position -> cached column index
-	rowOrder   []int
-	x          []float64 // verified optimal point
-	obj        float64
-	// Bounds and objective at solve time, for the near-miss validity
-	// test: the cached optimum is a proven lower bound for a request
-	// whose feasible region is a subset of the cached one
-	// (regionSubset) and whose objective matches (sameObjective).
+	exact    string
+	nCols    int
+	nRows    int
+	colOrder []int // canonical position -> cached column index
+	rowOrder []int
+	x        []float64 // verified optimal point
+	// Bounds and objective at solve time: an exact hit is served only
+	// when they equal the request's at every canonical position
+	// (regionEqual, sameObjective).
 	colLo, colHi []float64
 	rowLo, rowHi []float64
 	objCoef      []float64
@@ -133,21 +128,6 @@ func (c *Cache) lookupExact(exact string) *entry {
 		c.lru.MoveToFront(e.elem)
 	}
 	return e
-}
-
-// lookupStructural returns the most recently used entry with the given
-// structural hash (any bounds/objective), or nil.
-func (c *Cache) lookupStructural(structural string) *entry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		if e.structural == structural {
-			c.lru.MoveToFront(el)
-			return e
-		}
-	}
-	return nil
 }
 
 // drop removes an entry that failed validation (corruption, collision,

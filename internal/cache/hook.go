@@ -17,20 +17,17 @@ var corruptPoint = fault.NewPoint("cache/corrupt")
 type Outcome int
 
 const (
-	OutcomeNone     Outcome = iota // hook never consulted (e.g. fallback-forced)
-	OutcomeMiss                    // cold: no usable entry
-	OutcomeNearMiss                // warm-started from a structural match
-	OutcomeHit                     // served a verified cached allocation
+	OutcomeNone Outcome = iota // hook never consulted (e.g. fallback-forced)
+	OutcomeMiss                // cold: no usable entry
+	OutcomeHit                 // served a verified cached allocation
 )
 
 // String returns the wire name of the outcome, as reported in novad
-// responses ("miss", "near_miss", "hit", "none").
+// responses ("miss", "hit", "none").
 func (o Outcome) String() string {
 	switch o {
 	case OutcomeMiss:
 		return "miss"
-	case OutcomeNearMiss:
-		return "near_miss"
 	case OutcomeHit:
 		return "hit"
 	default:
@@ -46,9 +43,8 @@ type Hook struct {
 	C *Cache
 
 	// Filled in by BeforeSolve.
-	Outcome    Outcome
-	Structural string
-	Exact      string
+	Outcome Outcome
+	Exact   string
 
 	canon *model.Canon
 }
@@ -57,30 +53,18 @@ type Hook struct {
 // matches the solver's own integrality tolerance.
 const feasTol = 1e-6
 
-// BeforeSolve implements the exact-hit and near-miss tiers.
-//
-// Exact tier: an entry with the same Exact hash encodes the same
-// optimization problem up to variable/row permutation. Before its
-// stored point is served, the canonical pairing is verified to be a
-// genuine matrix isomorphism with matching bounds and objective
-// (verifyIso/regionEqual/sameObjective — canonical orders can pair
-// truly symmetric variables arbitrarily, and hashes can in principle
-// collide), and the translated point is re-verified with
-// model.CheckFeasible. Verification failure falls through to a normal
-// solve; a point that fails feasibility after a verified pairing is
-// corrupt and the entry is dropped.
-//
-// Near-miss tier: an entry with the same Structural hash has the same
-// constraint matrix but different bounds or objective. Its optimum is
-// installed as the seed incumbent unconditionally — the solver
-// re-verifies it, so a stale or mistranslated seed costs at most the
-// warm-up it fails to provide. The optimality-proof lower bound
-// changes what the solver may conclude, so it additionally requires
-// the verified isomorphism, a region no looser than the cached one,
-// and the same objective. The solve runs with the default presolve.
-func (h *Hook) BeforeSolve(m *model.Model, opts *mip.Options) ([]float64, bool) {
+// BeforeSolve implements the exact-hit tier. An entry with the same
+// Exact hash encodes the same optimization problem up to variable/row
+// permutation. Before its stored point is served, the canonical
+// pairing is verified to be a genuine matrix isomorphism with matching
+// bounds and objective (verifyIso/regionEqual/sameObjective —
+// canonical orders can pair truly symmetric variables arbitrarily, and
+// hashes can in principle collide), and the translated point is
+// re-verified with model.CheckFeasible. Verification failure falls
+// through to a normal solve; a point that fails feasibility after a
+// verified pairing is corrupt and the entry is dropped.
+func (h *Hook) BeforeSolve(m *model.Model) ([]float64, bool) {
 	h.canon = m.Canonicalize()
-	h.Structural = h.canon.Structural
 	h.Exact = h.canon.Exact
 
 	if e := h.C.lookupExact(h.canon.Exact); e != nil {
@@ -100,25 +84,6 @@ func (h *Hook) BeforeSolve(m *model.Model, opts *mip.Options) ([]float64, bool) 
 		}
 	}
 
-	if e := h.C.lookupStructural(h.canon.Structural); e != nil {
-		cNearMisses.Inc()
-		h.Outcome = OutcomeNearMiss
-		if x := mapSolution(e, h.canon, m.LP().NumCols()); x != nil {
-			opts.Seed = x // re-verified inside mip.Solve
-		}
-		if verifyIso(e, h.canon, m) && sameObjective(e, h.canon, m) &&
-			(e.region == h.canon.Region || regionSubset(e, h.canon, m)) {
-			// Minimizing the same objective over a subset of the cached
-			// region cannot beat the cached optimum, so it is a proven
-			// global lower bound: if the seeded incumbent still attains
-			// it, the optimality proof transfers and the solve ends at
-			// the root (mip/bound_proofs).
-			lb := e.obj
-			opts.LowerBound = &lb
-		}
-		return nil, false
-	}
-
 	cMisses.Inc()
 	h.Outcome = OutcomeMiss
 	return nil, false
@@ -134,20 +99,17 @@ func (h *Hook) AfterSolve(m *model.Model, res *mip.Result) {
 	}
 	p := m.LP()
 	e := &entry{
-		structural: h.canon.Structural,
-		region:     h.canon.Region,
-		exact:      h.canon.Exact,
-		nCols:      p.NumCols(),
-		nRows:      p.NumRows(),
-		colOrder:   append([]int(nil), h.canon.ColOrder...),
-		rowOrder:   append([]int(nil), h.canon.RowOrder...),
-		x:          append([]float64(nil), res.X...),
-		obj:        m.Objective(res.X),
-		colLo:      make([]float64, p.NumCols()),
-		colHi:      make([]float64, p.NumCols()),
-		rowLo:      make([]float64, p.NumRows()),
-		rowHi:      make([]float64, p.NumRows()),
-		objCoef:    make([]float64, p.NumCols()),
+		exact:    h.canon.Exact,
+		nCols:    p.NumCols(),
+		nRows:    p.NumRows(),
+		colOrder: append([]int(nil), h.canon.ColOrder...),
+		rowOrder: append([]int(nil), h.canon.RowOrder...),
+		x:        append([]float64(nil), res.X...),
+		colLo:    make([]float64, p.NumCols()),
+		colHi:    make([]float64, p.NumCols()),
+		rowLo:    make([]float64, p.NumRows()),
+		rowHi:    make([]float64, p.NumRows()),
+		objCoef:  make([]float64, p.NumCols()),
 	}
 	for j := 0; j < p.NumCols(); j++ {
 		e.colLo[j], e.colHi[j] = p.Bounds(j)
@@ -181,9 +143,9 @@ func (h *Hook) AfterSolve(m *model.Model, res *mip.Result) {
 // same canonical row positions with bitwise-equal coefficients. Since
 // every nonzero of both matrices is covered, passing this check means
 // the requesting model's matrix IS the cached matrix up to the paired
-// permutation — which is what makes translated seeds and transferred
-// optimality proofs sound even when WL colors leave symmetric
-// variables ambiguous or hashes collide.
+// permutation — which is what makes a translated optimum sound even
+// when WL colors leave symmetric variables ambiguous or hashes
+// collide.
 func verifyIso(e *entry, canon *model.Canon, m *model.Model) bool {
 	p := m.LP()
 	if p.NumCols() != e.nCols || p.NumRows() != e.nRows {
@@ -227,7 +189,8 @@ func verifyIso(e *entry, canon *model.Canon, m *model.Model) bool {
 
 // regionEqual reports whether the requesting model's bounds and row
 // ranges are bitwise equal to the cached entry's at every matching
-// canonical position — the exact-tier analogue of regionSubset.
+// canonical position. Bounds were recorded in cached coordinates, so
+// the comparison walks the two canonical orders in lockstep.
 func regionEqual(e *entry, canon *model.Canon, m *model.Model) bool {
 	p := m.LP()
 	if len(e.colLo) != e.nCols || len(e.rowLo) != e.nRows {
@@ -247,37 +210,6 @@ func regionEqual(e *entry, canon *model.Canon, m *model.Model) bool {
 		lo, hi := p.RowBounds(rNew)
 		rc := e.rowOrder[i]
 		if lo != e.rowLo[rc] || hi != e.rowHi[rc] {
-			return false
-		}
-	}
-	return true
-}
-
-// regionSubset reports whether the requesting model's feasible region
-// is contained in the cached entry's: every variable bound and row
-// range at the matching canonical position is at least as tight.
-// Bounds were recorded in cached coordinates, so the comparison walks
-// the two canonical orders in lockstep.
-func regionSubset(e *entry, canon *model.Canon, m *model.Model) bool {
-	p := m.LP()
-	if len(e.colLo) != e.nCols || len(e.rowLo) != e.nRows {
-		return false
-	}
-	if p.NumCols() != e.nCols || p.NumRows() != e.nRows {
-		return false
-	}
-	const eps = 1e-12
-	for i, jNew := range canon.ColOrder {
-		lo, hi := p.Bounds(jNew)
-		jc := e.colOrder[i]
-		if lo < e.colLo[jc]-eps || hi > e.colHi[jc]+eps {
-			return false
-		}
-	}
-	for i, rNew := range canon.RowOrder {
-		lo, hi := p.RowBounds(rNew)
-		rc := e.rowOrder[i]
-		if lo < e.rowLo[rc]-eps || hi > e.rowHi[rc]+eps {
 			return false
 		}
 	}

@@ -36,8 +36,8 @@ type Options struct {
 	// usable allocation (see FallbackMode and DESIGN.md §10).
 	Fallback FallbackMode
 	// Hook, when set, intercepts the ILP solve: it may serve a cached
-	// solution outright, install warm-start material, and observe
-	// verified results for caching (see SolveHook and internal/cache).
+	// solution outright and observes verified results for caching (see
+	// SolveHook and internal/cache).
 	Hook SolveHook
 }
 

@@ -56,13 +56,9 @@ type Result struct {
 	model *model.Model
 }
 
-// WriteLP exports the solved integer program in CPLEX LP format, for
-// cross-checking against an external solver.
-func (r *Result) WriteLP(w io.Writer) error { return r.model.WriteLP(w) }
-
 // WriteMPS exports the solved integer program in MPS format with
-// canonical row/column naming (see model.WriteMPS), the other bridge
-// to external solvers.
+// canonical row/column naming (see model.WriteMPS), the bridge to
+// external solvers.
 func (r *Result) WriteMPS(w io.Writer, format model.MPSFormat) error {
 	return r.model.WriteMPS(w, format)
 }
@@ -82,14 +78,12 @@ func (r *Result) ModelLP() (*lp.Problem, []bool) {
 // SolveHook intercepts the allocator's ILP solve. The compile cache
 // (internal/cache) implements it without core importing the cache.
 //
-// BeforeSolve runs after the model and mip options are fully built and
-// may do either of two things: return (x, true) to serve x as the
-// verified optimal solution — the solver is skipped entirely — or
-// set opts.Seed and opts.LowerBound to warm-start the solve and return
-// (nil, false). AfterSolve observes every solver-
-// produced Optimal result so the hook can retain it.
+// BeforeSolve runs after the model is fully built. Returning (x, true)
+// serves x as the verified optimal solution and skips the solver
+// entirely; (nil, false) lets the solve run. AfterSolve observes every
+// solver-produced Optimal result so the hook can retain it.
 type SolveHook interface {
-	BeforeSolve(m *model.Model, opts *mip.Options) (x []float64, served bool)
+	BeforeSolve(m *model.Model) (x []float64, served bool)
 	AfterSolve(m *model.Model, res *mip.Result)
 }
 
@@ -162,7 +156,7 @@ func Allocate(mp *mir.Program, opts Options, mipOpts *mip.Options) (*Result, err
 		if opts.Hook != nil {
 			sp = obs.StartSpan("phase/alloc/cache")
 			var x []float64
-			x, served = opts.Hook.BeforeSolve(il.m, mipOpts)
+			x, served = opts.Hook.BeforeSolve(il.m)
 			sp.End()
 			if served {
 				// The hook only serves solutions it has re-verified

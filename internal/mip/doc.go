@@ -10,10 +10,8 @@
 // dives depth-first into the nearer child (keeping the basis in hand)
 // while the sibling goes back to the pool. Presolve reductions run
 // first (Options.Presolve, applied by the model layer); the root LP
-// vertex is rounded for a first incumbent, a caller seed
-// (Options.Seed) and proven bound (Options.LowerBound) can close the
-// proof before the tree opens, and otherwise the tree starts from the
-// root basis.
+// vertex is rounded for a first incumbent, and the tree starts from
+// the root basis.
 //
 // # Usage
 //

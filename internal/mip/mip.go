@@ -27,17 +27,6 @@ var (
 	gMIPPoolPeak   = obs.NewGauge("mip/pool_peak")
 )
 
-// Warm-start reuse counters (DESIGN.md §12): the compile cache's
-// near-miss path hands a previous solve's optimum back in through
-// Options.Seed and, when the edit provably cannot beat it, through
-// Options.LowerBound; these record how often the seed survived
-// verification and how often the bound closed the proof at the root.
-var (
-	cMIPSeedUsed    = obs.NewCounter("mip/seed_incumbents")
-	cMIPSeedDrops   = obs.NewCounter("mip/seed_drops")
-	cMIPBoundProofs = obs.NewCounter("mip/bound_proofs")
-)
-
 // Fault-injection points (internal/fault): worker_panic panics inside
 // a tree-search worker's dive, heuristic_err panics inside the
 // protected heuristic call. Both exercise the recovery paths that
@@ -87,32 +76,6 @@ type Options struct {
 	// together with the best incumbent found so far (nil X when none
 	// exists). Nil means no cancellation (context.Background()).
 	Ctx context.Context
-
-	// Seed, when non-nil, proposes a starting incumbent in the solved
-	// problem's coordinates — the compile cache's near-miss path seeds
-	// the search with the cached solution of a structurally identical
-	// model. The solver verifies the point against bounds, integrality,
-	// and every row before installing it; a seed that fails
-	// verification is dropped (mip/seed_drops) rather than trusted, so
-	// a stale or corrupt seed can cost time but never correctness.
-	Seed []float64
-
-	// LowerBound, when non-nil, is a caller-PROVEN global lower bound
-	// on the optimal objective. The canonical source is the compile
-	// cache: when a request only tightens bounds of a cached model and
-	// keeps its objective, the cached optimum bounds the edited problem
-	// from below (minimizing over a subset cannot do better). If an
-	// incumbent meets the bound within Gap before the tree opens, the
-	// solve finishes Optimal right there (mip/bound_proofs) — the
-	// optimality proof transfers instead of being re-searched. A wrong
-	// bound could only mislabel a solve as proven, never change the
-	// incumbent, and the cache's subset check is what keeps it sound.
-	LowerBound *float64
-
-	// seedX/seedObj hold the verified Seed: Solve installs it as the
-	// starting incumbent before the tree opens.
-	seedX   []float64
-	seedObj float64
 }
 
 func (o *Options) fill() {
@@ -149,6 +112,8 @@ const (
 	Degraded
 )
 
+// String returns the status's lower-case name, as printed by novac
+// and reported in novad responses.
 func (s Status) String() string {
 	switch s {
 	case Optimal:
@@ -221,19 +186,6 @@ func Solve(p *lp.Problem, integer []bool, opts *Options) (*Result, error) {
 		return res, nil
 	}
 
-	// Cache-provided warm-start material (DESIGN.md §12). The seed
-	// incumbent is verified here — never trusted — so a stale cache
-	// entry degrades to a cold search instead of a wrong answer.
-	if o.Seed != nil {
-		if x, obj, ok := checkSeed(p, integer, o.Seed); ok {
-			o.seedX, o.seedObj = x, obj
-			cMIPSeedUsed.Inc()
-		} else {
-			cMIPSeedDrops.Inc()
-		}
-		o.Seed = nil
-	}
-
 	rootStart := time.Now()
 	rootSp := obs.StartSpan("mip/root_lp")
 	rootSol, err := p.Solve(o.LP)
@@ -261,33 +213,12 @@ func Solve(p *lp.Problem, integer []bool, opts *Options) (*Result, error) {
 
 	e := newEngine(p, integer, &o, start)
 	e.ctx = ctx
-	// Root incumbents: the verified caller seed, then the rounded root
-	// vertex if it is better.
+	// Root incumbent: the rounded root vertex.
 	heurSp := obs.StartSpan("mip/root_heuristics")
-	if o.seedX != nil {
-		e.offerIncumbent(o.seedObj, o.seedX)
-	}
 	if x, obj, ok := roundFeasible(p, integer, rootSol.X); ok {
 		e.offerIncumbent(obj, x)
 	}
 	heurSp.End()
-	// A caller-proven global lower bound can finish the proof before
-	// the tree opens: when the best incumbent already meets it within
-	// the optimality gap, there is nothing left to search. The cache's
-	// near-miss path lands here whenever a region-tightening edit
-	// leaves the cached optimum feasible.
-	if o.LowerBound != nil {
-		if inc := e.incObj(); !math.IsInf(inc, 1) && inc-*o.LowerBound <= e.gapAbs(inc) {
-			e.mu.Lock()
-			res.Obj, res.X = inc, e.incX
-			e.mu.Unlock()
-			res.Status = Optimal
-			res.Time = time.Since(start)
-			cMIPSolves.Inc()
-			cMIPBoundProofs.Inc()
-			return res, nil
-		}
-	}
 	searchSp := obs.StartSpan("mip/search")
 	e.run(rootSol, res)
 	searchSp.End()
@@ -358,37 +289,6 @@ func callHeuristic(h func(x []float64) ([]float64, bool), x []float64) (cand []f
 		panic("fault: injected heuristic error")
 	}
 	return h(x)
-}
-
-// checkSeed verifies a caller-proposed incumbent: integral where
-// required, inside bounds, and feasible for every row. It returns a
-// defensive copy with the integer components snapped exactly onto the
-// lattice, plus the objective value.
-func checkSeed(p *lp.Problem, integer []bool, seed []float64) ([]float64, float64, bool) {
-	if len(seed) != p.NumCols() {
-		return nil, 0, false
-	}
-	x := append([]float64(nil), seed...)
-	for j := range x {
-		if !integer[j] {
-			continue
-		}
-		r := math.Round(x[j])
-		if math.Abs(x[j]-r) > 1e-6 {
-			return nil, 0, false
-		}
-		x[j] = r
-	}
-	for j := range x {
-		lo, hi := p.Bounds(j)
-		if x[j] < lo-1e-9 || x[j] > hi+1e-9 {
-			return nil, 0, false
-		}
-	}
-	if !Feasible(p, x, 1e-6) {
-		return nil, 0, false
-	}
-	return x, objOf(p, x), true
 }
 
 // objOf evaluates p's objective at x.

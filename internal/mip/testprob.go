@@ -11,8 +11,8 @@ import (
 // binary items, m capacity rows, values tied to weights so the LP bound
 // is weak and branch and bound must open a real tree. It is the scaling
 // workload behind BenchmarkMIPScaling; it lives outside the test files
-// because the tests of other packages (cache, server, model,
-// workloads) build the identical instance.
+// because the tests of other packages (cache, model, workloads) build
+// the identical instance.
 func MultiKnapsack(n, m int, seed int64) *lp.Problem {
 	rng := rand.New(rand.NewSource(seed))
 	p := lp.NewProblem()

@@ -11,29 +11,19 @@ import (
 
 // This file is the model-canonicalization layer behind the compile
 // cache (DESIGN.md §12): it reduces an ILP to an identifier-independent
-// canonical form whose content hashes key the novad cache. Two models
+// canonical form whose content hash keys the novad cache. Two models
 // that differ only in variable naming, declaration order, or column/row
-// insertion order hash identically; a bound or objective edit changes
-// the exact hash but not the structural one, which is what lets the
-// cache tell an exact hit from a warm-startable near miss.
+// insertion order hash identically; any edit to a coefficient, bound,
+// row range or objective term changes the hash.
 
-// Canon is the canonical form of a model: three content hashes at
-// increasing levels of detail plus the canonical column/row orders
-// used to translate solutions and bases between structurally identical
-// models.
+// Canon is the canonical form of a model: one content hash plus the
+// canonical column/row orders used to translate solutions between
+// isomorphic models.
 //
-// The hashes nest:
-//
-//   - Structural covers dimensions, integrality, and the constraint
-//     matrix coefficients — everything that determines the shape of the
-//     basis factorization. Bound, right-hand-side, and objective edits
-//     leave it unchanged.
-//   - Region adds the variable bounds and row ranges: two models with
-//     equal Region hashes have the same feasible region, so cutting
-//     planes valid for one are valid for the other.
-//   - Exact adds the objective. Equal Exact hashes mean the same
-//     optimization problem, so a verified optimal solution carries over
-//     outright.
+// Exact covers dimensions, integrality, the constraint matrix, the
+// variable bounds and row ranges, and the objective. Equal Exact
+// hashes mean the same optimization problem, so a verified optimal
+// solution carries over outright.
 //
 // Hashing is permutation-invariant (Weisfeiler–Leman color refinement
 // over the bipartite column/row graph followed by multiset hashing),
@@ -42,9 +32,7 @@ import (
 // guarded downstream: every cached artifact is re-verified against the
 // requesting model before it is trusted (see internal/cache).
 type Canon struct {
-	Structural string // hex, 128-bit
-	Region     string
-	Exact      string
+	Exact string // hex, 128-bit
 
 	// ColOrder and RowOrder list column/row indices in canonical order
 	// (canonical position i holds original index ColOrder[i]). Ties
@@ -147,29 +135,27 @@ func (m *Model) Canonicalize() *Canon {
 		colC, rowC = newCol, newRow
 	}
 
-	// Layered multiset digests.
-	structural := make([]uint64, 0, n+mr+1)
-	structural = append(structural, mix64(0xd1e, uint64(n), uint64(mr)))
+	// One multiset digest over the matrix colors, the bounds and row
+	// ranges, and the objective. The items are tagged per kind, so their
+	// order in the slice does not matter (digest sorts them).
+	items := make([]uint64, 0, 1+3*n+2*mr)
+	items = append(items, mix64(0xd1e, uint64(n), uint64(mr)))
 	for j := 0; j < n; j++ {
-		structural = append(structural, mix64(0xc0, colC[j]))
+		items = append(items, mix64(0xc0, colC[j]))
 	}
 	for r := 0; r < mr; r++ {
-		structural = append(structural, mix64(0x70, rowC[r]))
+		items = append(items, mix64(0x70, rowC[r]))
 	}
-	region := make([]uint64, len(structural), len(structural)+n+mr)
-	copy(region, structural)
 	for j := 0; j < n; j++ {
 		lo, hi := p.Bounds(j)
-		region = append(region, mix64(0xcb, colC[j], f64bits(lo), f64bits(hi)))
+		items = append(items, mix64(0xcb, colC[j], f64bits(lo), f64bits(hi)))
 	}
 	for r := 0; r < mr; r++ {
 		lo, hi := p.RowBounds(r)
-		region = append(region, mix64(0x7b, rowC[r], f64bits(lo), f64bits(hi)))
+		items = append(items, mix64(0x7b, rowC[r], f64bits(lo), f64bits(hi)))
 	}
-	exact := make([]uint64, len(region), len(region)+n)
-	copy(exact, region)
 	for j := 0; j < n; j++ {
-		exact = append(exact, mix64(0xcf, colC[j], f64bits(p.Obj(j))))
+		items = append(items, mix64(0xcf, colC[j], f64bits(p.Obj(j))))
 	}
 
 	c := &Canon{
@@ -219,9 +205,7 @@ func (m *Model) Canonicalize() *Canon {
 		}
 		return ra < rb
 	})
-	c.Structural = digest(structural)
-	c.Region = digest(region)
-	c.Exact = digest(exact)
+	c.Exact = digest(items)
 	return c
 }
 

@@ -44,7 +44,7 @@ func ident(n int) []int {
 func TestCanonSameModelTwice(t *testing.T) {
 	a := buildPacking([2]string{"x", "y"}, ident(9)).Canonicalize()
 	b := buildPacking([2]string{"x", "y"}, ident(9)).Canonicalize()
-	if a.Structural != b.Structural || a.Region != b.Region || a.Exact != b.Exact {
+	if a.Exact != b.Exact {
 		t.Fatalf("same model hashed differently:\n%+v\n%+v", a, b)
 	}
 }
@@ -56,41 +56,26 @@ func TestCanonRenameAndReorderInvariant(t *testing.T) {
 		perm[i], perm[j] = perm[j], perm[i]
 	})
 	b := buildPacking([2]string{"alpha", "beta"}, perm).Canonicalize()
-	if a.Structural != b.Structural {
-		t.Fatalf("structural hash changed under rename+reorder: %s vs %s", a.Structural, b.Structural)
-	}
-	if a.Region != b.Region {
-		t.Fatalf("region hash changed under rename+reorder: %s vs %s", a.Region, b.Region)
-	}
 	if a.Exact != b.Exact {
 		t.Fatalf("exact hash changed under rename+reorder: %s vs %s", a.Exact, b.Exact)
 	}
 }
 
-func TestCanonBoundEditChangesOnlyRegion(t *testing.T) {
+func TestCanonBoundEditChangesExact(t *testing.T) {
 	m := buildPacking([2]string{"x", "y"}, ident(9))
 	a := m.Canonicalize()
 	m.LP().SetBounds(4, 0, 0) // fix one variable
 	b := m.Canonicalize()
-	if a.Structural != b.Structural {
-		t.Fatalf("bound edit changed the structural hash: %s vs %s", a.Structural, b.Structural)
-	}
-	if a.Region == b.Region {
-		t.Fatalf("bound edit left the region hash unchanged: %s", a.Region)
-	}
 	if a.Exact == b.Exact {
 		t.Fatalf("bound edit left the exact hash unchanged: %s", a.Exact)
 	}
 }
 
-func TestCanonObjectiveEditChangesOnlyExact(t *testing.T) {
+func TestCanonObjectiveEditChangesExact(t *testing.T) {
 	m := buildPacking([2]string{"x", "y"}, ident(9))
 	a := m.Canonicalize()
 	m.ObjAdd(2, 7.5)
 	b := m.Canonicalize()
-	if a.Structural != b.Structural || a.Region != b.Region {
-		t.Fatalf("objective edit changed structural/region hashes")
-	}
 	if a.Exact == b.Exact {
 		t.Fatalf("objective edit left the exact hash unchanged: %s", a.Exact)
 	}

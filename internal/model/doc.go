@@ -31,8 +31,9 @@
 // Solve runs the presolve reductions (bound propagation, fixing,
 // row dropping — Options.Presolve) before handing the reduced program
 // to mip.Solve, then maps the solution back to the original columns.
-// WriteLP exports the generated program in CPLEX LP format for
-// cross-checking against an external solver.
+// WriteMPS exports the generated program in MPS format for
+// cross-checking against an external solver, and ReadMPS reads it
+// back.
 //
 // Presolve effort is published on the always-on obs counters
 // (mip/presolve/fixed_vars, mip/presolve/dropped_rows,

@@ -256,18 +256,6 @@ func (m *Model) Solve(opts *mip.Options) (*mip.Result, error) {
 	}
 	// Remap the option fields expressed in original coordinates.
 	o.ObjOffset += pre.objConst
-	// Warm-start material from the compile cache arrives in model
-	// coordinates; translate it into the reduction. A seed that
-	// contradicts a presolve fixing cannot be feasible and is dropped.
-	if o.Seed != nil {
-		o.Seed = remapSeed(o.Seed, pre)
-	}
-	if o.LowerBound != nil {
-		// The bound is on the model objective; the reduction's objective
-		// excludes the constant presolve fixed.
-		lb := *o.LowerBound - pre.objConst
-		o.LowerBound = &lb
-	}
 	if opts != nil && opts.Priority != nil {
 		pri := make([]int, pre.p.NumCols())
 		for j, rj := range pre.colMap {
@@ -306,23 +294,6 @@ func (m *Model) Solve(opts *mip.Options) (*mip.Result, error) {
 	res.Obj += pre.objConst
 	res.RootObj += pre.objConst
 	return res, nil
-}
-
-// remapSeed translates a model-coordinate incumbent into presolve's
-// reduced coordinates, or nil when it contradicts a fixing.
-func remapSeed(seed []float64, pre *presolved) []float64 {
-	if len(seed) != len(pre.colMap) {
-		return nil
-	}
-	red := make([]float64, pre.p.NumCols())
-	for j, rj := range pre.colMap {
-		if rj >= 0 {
-			red[rj] = seed[j]
-		} else if math.Abs(seed[j]-pre.fixed[j]) > 1e-6 {
-			return nil
-		}
-	}
-	return red
 }
 
 // Value reads a variable's value out of a solution, defaulting to 0

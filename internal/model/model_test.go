@@ -2,7 +2,6 @@ package model
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -135,30 +134,5 @@ func TestStringSummary(t *testing.T) {
 	s := m.String()
 	if s == "" {
 		t.Fatal("empty summary")
-	}
-}
-
-func TestWriteLP(t *testing.T) {
-	m := New()
-	x := m.Binary("x", "a")
-	y := m.Binary("y")
-	s := m.Continuous("s", 0, 10)
-	m.ObjAdd(x, 2)
-	m.ObjAdd(s, 0.5)
-	m.Eq("pick", NewExpr().Add(1, x).Add(1, y), 1)
-	m.Le("cap", NewExpr().Add(3, x).Add(-1, s), 2)
-	m.Ge("floor", NewExpr().Add(1, s), 0.25)
-	var buf strings.Builder
-	if err := m.WriteLP(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, frag := range []string{
-		"Minimize", "Subject To", "Bounds", "Binaries", "End",
-		"x_a", "= 1", "<= 2", ">= 0.25", "2 xx_a",
-	} {
-		if !strings.Contains(out, frag) {
-			t.Fatalf("LP output missing %q:\n%s", frag, out)
-		}
 	}
 }

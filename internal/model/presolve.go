@@ -14,7 +14,7 @@ import (
 // removed here shrinks all downstream node LPs. The pass iterates
 // bound propagation to a fixpoint, then substitutes fixed columns out
 // of the problem; an index remap expands solver solutions back to
-// original coordinates, so callers (Value, Lookup, WriteLP) never see
+// original coordinates, so callers (Value, Lookup, WriteMPS) never see
 // reduced indices.
 
 // PresolveInfo reports the reductions of a presolve run.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/mip"
-	"repro/internal/obs"
 )
 
 // TestPresolveSingletonFix: a singleton equality row pins a binary;
@@ -217,61 +216,5 @@ func TestPresolveValueRoundTrip(t *testing.T) {
 	// Presolve disabled must clear the stats marker.
 	if st := m.Stats(); st.Presolve != nil {
 		t.Fatalf("Stats().Presolve = %+v after presolve-off solve, want nil", st.Presolve)
-	}
-}
-
-// TestPresolveShiftsLowerBound: Options.LowerBound is on the model
-// objective, and presolve moves the cost of a fixed column into a
-// constant, so Solve must shift the bound by that constant. A bound
-// shifted too low never proves anything; one shifted too high proves a
-// worse seed optimal. The pinned item carries a large cost so either
-// error is far outside the gap.
-func TestPresolveShiftsLowerBound(t *testing.T) {
-	p := mip.MultiKnapsack(12, 4, 3)
-	p.SetBounds(0, 1, 1)
-	p.SetObj(0, 100*p.Obj(0))
-	mask := make([]bool, p.NumCols())
-	for j := range mask {
-		mask[j] = true
-	}
-	m := FromILP(p, mask)
-	exact := func() *mip.Options { return &mip.Options{Workers: 1, Gap: 1e-12} }
-	opt, err := m.Solve(exact())
-	if err != nil || opt.Status != mip.Optimal {
-		t.Fatalf("reference solve: %v %v", opt.Status, err)
-	}
-	if m.Stats().Presolve.FixedVars == 0 {
-		t.Fatal("presolve fixed no column")
-	}
-	worse := make([]float64, p.NumCols())
-	worse[0] = 1
-	if err := m.CheckFeasible(worse, 1e-9); err != nil || m.Objective(worse) < opt.Obj+0.5 {
-		t.Fatalf("pinned-only point: err=%v obj=%g, optimum %g", err, m.Objective(worse), opt.Obj)
-	}
-	// Only the root rounding competes with the seed before the bound
-	// is checked.
-	for _, tc := range []struct {
-		name   string
-		seed   []float64
-		proofs int64
-	}{
-		{"worse-seed", worse, 0},
-		{"optimal-seed", opt.X, 1},
-	} {
-		o := exact()
-		o.Seed = tc.seed
-		lb := opt.Obj
-		o.LowerBound = &lb
-		before := obs.TakeSnapshot()
-		res, err := m.Solve(o)
-		if err != nil || res.Status != mip.Optimal {
-			t.Fatalf("%s: %v %v", tc.name, res.Status, err)
-		}
-		if math.Abs(res.Obj-opt.Obj) > 1e-9 {
-			t.Fatalf("%s: objective %.12g, optimum %.12g", tc.name, res.Obj, opt.Obj)
-		}
-		if d := obs.Since(before)["mip/bound_proofs"]; d != tc.proofs {
-			t.Fatalf("%s: bound_proofs delta %d, want %d", tc.name, d, tc.proofs)
-		}
 	}
 }

@@ -1,17 +1,20 @@
 // Package server is the HTTP front end of novad, the compile-as-a-
 // service daemon: compile requests in JSON, allocated assembly out,
-// with the three-tier compile cache (internal/cache) in front of the
-// solver and the PR 3 observability endpoints mounted alongside.
+// with the compile cache (internal/cache) in front of the solver and
+// the observability endpoints mounted alongside.
 //
 // Endpoints:
 //
 //	POST   /compile         compile Nova source (sync, or async with "async": true)
 //	GET    /jobs/{id}       poll an async job; returns the result when done
 //	DELETE /jobs/{id}       cancel an async job
-//	POST   /solve           solve a raw ILP (cols/rows JSON) through the same cache
 //	GET    /healthz         liveness probe
 //	GET    /debug/counters  obs counter dump (text)
 //	GET    /debug/pprof/    net/http/pprof profiles
+//
+// A /compile body larger than maxBodyBytes is refused with 413, and a
+// "workers" value outside [0, maxWorkers] with 400; both are counted
+// under server/errors and start no solve.
 package server
 
 import (
@@ -19,6 +22,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -90,7 +94,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /compile", s.handleCompile)
 	s.mux.HandleFunc("GET /jobs/{id}", s.handleJobGet)
 	s.mux.HandleFunc("DELETE /jobs/{id}", s.handleJobDelete)
-	s.mux.HandleFunc("POST /solve", s.handleSolve)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -152,7 +155,7 @@ type CompileRequest struct {
 	Name    string `json:"name"`    // diagnostic name, e.g. "nat.nova"
 	Source  string `json:"source"`  // Nova source text
 	Entry   string `json:"entry"`   // entry function; default "main"
-	Workers int    `json:"workers"` // ILP tree-search workers; 0 = all cores
+	Workers int    `json:"workers"` // ILP tree-search workers, 0..maxWorkers; 0 = all cores
 	// Async enqueues the compile and returns a job id immediately
 	// (poll GET /jobs/{id}).
 	Async bool `json:"async"`
@@ -166,18 +169,25 @@ type CompileResponse struct {
 	Name string `json:"name"`
 	Asm  string `json:"asm"`
 	// Outcome reports which cache tier served the request:
-	// "source_hit", "hit", "near_miss", or "miss".
-	Outcome    string  `json:"outcome"`
-	Structural string  `json:"structural,omitempty"`
-	Exact      string  `json:"exact,omitempty"`
-	Obj        float64 `json:"obj"` // total weighted move cost
-	Moves      int     `json:"moves"`
-	Spills     int     `json:"spills"`
-	Remats     int     `json:"remats"`
-	Nodes      int     `json:"nodes"`
-	LPIters    int     `json:"lp_iters"`
-	ElapsedMS  float64 `json:"elapsed_ms"`
+	// "source_hit", "hit", or "miss".
+	Outcome   string  `json:"outcome"`
+	Exact     string  `json:"exact,omitempty"`
+	Obj       float64 `json:"obj"` // total weighted move cost
+	Moves     int     `json:"moves"`
+	Spills    int     `json:"spills"`
+	Remats    int     `json:"remats"`
+	Nodes     int     `json:"nodes"`
+	LPIters   int     `json:"lp_iters"`
+	ElapsedMS float64 `json:"elapsed_ms"`
 }
+
+// Request limits. The paper's Nova sources are at most 4.4 KB, so a
+// 1 MiB body leaves ample room; the workers cap bounds how many
+// tree-search goroutines one request can start.
+const (
+	maxBodyBytes = 1 << 20
+	maxWorkers   = 64
+)
 
 // errorResponse is every non-2xx body.
 type errorResponse struct {
@@ -247,12 +257,21 @@ func (s *Server) mipOptions(ctx context.Context) (*mip.Options, context.CancelFu
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	cRequests.Inc()
 	var req CompileRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			WriteError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
+			return
+		}
 		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if req.Source == "" {
 		WriteError(w, http.StatusBadRequest, "empty source")
+		return
+	}
+	if req.Workers < 0 || req.Workers > maxWorkers {
+		WriteError(w, http.StatusBadRequest, "workers %d outside [0, %d]", req.Workers, maxWorkers)
 		return
 	}
 	if req.Name == "" {
@@ -334,17 +353,16 @@ func (s *Server) compile(ctx context.Context, req *CompileRequest) (*CompileResp
 		return nil, http.StatusUnprocessableEntity, err
 	}
 	resp := &CompileResponse{
-		Name:       req.Name,
-		Asm:        comp.Asm.String(),
-		Outcome:    hook.Outcome.String(),
-		Structural: hook.Structural,
-		Exact:      hook.Exact,
-		Obj:        comp.Alloc.MIP.Obj + comp.Alloc.ObjConst,
-		Moves:      comp.Alloc.NumMoves(),
-		Spills:     comp.Alloc.Spills,
-		Remats:     comp.Alloc.Remats,
-		Nodes:      comp.Alloc.MIP.Nodes,
-		LPIters:    comp.Alloc.MIP.LPIters,
+		Name:    req.Name,
+		Asm:     comp.Asm.String(),
+		Outcome: hook.Outcome.String(),
+		Exact:   hook.Exact,
+		Obj:     comp.Alloc.MIP.Obj + comp.Alloc.ObjConst,
+		Moves:   comp.Alloc.NumMoves(),
+		Spills:  comp.Alloc.Spills,
+		Remats:  comp.Alloc.Remats,
+		Nodes:   comp.Alloc.MIP.Nodes,
+		LPIters: comp.Alloc.MIP.LPIters,
 	}
 	// A fallback allocation is correct but unproven; never let it
 	// masquerade as a cached optimum.

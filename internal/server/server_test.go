@@ -131,87 +131,48 @@ func TestCompileCacheTiers(t *testing.T) {
 	}
 }
 
-// knapsackSolveRequest builds a /solve body from the shared test
-// generator.
-func knapsackSolveRequest(n, m int, seed int64, workers int) SolveRequest {
-	p := mip.MultiKnapsack(n, m, seed)
-	req := SolveRequest{Workers: workers}
-	for j := 0; j < p.NumCols(); j++ {
-		lo, hi := p.Bounds(j)
-		obj := p.Obj(j)
-		l, h := lo, hi
-		req.Cols = append(req.Cols, SolveCol{Lo: &l, Hi: &h, Obj: obj, Integer: true})
+// TestCompileBodyCap: a /compile body one byte over maxBodyBytes is
+// refused with 413 and counted under server/errors, and no solve
+// starts.
+func TestCompileBodyCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	head, tail := `{"name":"big.nova","source":"`, `"}`
+	body := head + strings.Repeat(" ", maxBodyBytes+1-len(head)-len(tail)) + tail
+	if len(body) != maxBodyBytes+1 {
+		t.Fatalf("body is %d bytes, want %d", len(body), maxBodyBytes+1)
 	}
-	for r := 0; r < p.NumRows(); r++ {
-		_, hi := p.RowBounds(r)
-		h := hi
-		row := SolveRow{Hi: &h}
-		for j := 0; j < p.NumCols(); j++ {
-			for _, nz := range p.Col(j) {
-				if nz.Row == r {
-					row.Cols = append(row.Cols, j)
-					row.Vals = append(row.Vals, nz.Val)
-				}
-			}
-		}
-		req.Rows = append(req.Rows, row)
+	base := obs.TakeSnapshot()
+	r, err := http.Post(ts.URL+"/compile", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return req
+	r.Body.Close()
+	if r.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: HTTP %d, want 413", r.StatusCode)
+	}
+	d := obs.Since(base)
+	if d["server/errors"] != 1 || d["mip/solves"] != 0 {
+		t.Fatalf("deltas: server/errors %d (want 1), mip/solves %d (want 0)", d["server/errors"], d["mip/solves"])
+	}
 }
 
-func TestSolveTiers(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
-	req := knapsackSolveRequest(20, 6, 9, 1)
-
-	var cold SolveResponse
-	if code := postJSON(t, ts.URL+"/solve", req, &cold); code != 200 {
-		t.Fatalf("cold solve: HTTP %d", code)
-	}
-	if cold.Outcome != "miss" || cold.Status != "optimal" {
-		t.Fatalf("cold: outcome %q status %q", cold.Outcome, cold.Status)
-	}
-
-	var hit SolveResponse
-	if code := postJSON(t, ts.URL+"/solve", req, &hit); code != 200 {
-		t.Fatalf("replay: HTTP %d", code)
-	}
-	if hit.Outcome != "hit" {
-		t.Fatalf("replay outcome %q, want hit", hit.Outcome)
-	}
-	if math.Abs(hit.Obj-cold.Obj) > 1e-9 {
-		t.Fatalf("hit objective %g, want %g", hit.Obj, cold.Obj)
-	}
-	if hit.Nodes != 0 || hit.LPIters != 0 {
-		t.Fatalf("hit ran the solver: %d nodes, %d iters", hit.Nodes, hit.LPIters)
-	}
-
-	// Tighten a bound on a variable at zero: warm-started near miss
-	// with the same optimum.
-	jz := -1
-	for j, v := range cold.X {
-		if v < 1e-9 {
-			jz = j
-			break
+// TestCompileWorkersCap: a "workers" value outside [0, maxWorkers] is
+// refused with 400 before any solve starts. Only the values just
+// outside the range are tried, so a broken check starts at most
+// maxWorkers+1 search goroutines.
+func TestCompileWorkersCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, workers := range []int{maxWorkers + 1, -1} {
+		base := obs.TakeSnapshot()
+		req := CompileRequest{Name: "tiny.nova", Source: tinySource, Workers: workers, NoSourceCache: true}
+		if code := postJSON(t, ts.URL+"/compile", req, nil); code != http.StatusBadRequest {
+			t.Fatalf("workers %d: HTTP %d, want 400", workers, code)
 		}
-	}
-	if jz < 0 {
-		t.Fatal("no zero variable in optimum")
-	}
-	zero := 0.0
-	req.Cols[jz].Hi = &zero
-	var near SolveResponse
-	if code := postJSON(t, ts.URL+"/solve", req, &near); code != 200 {
-		t.Fatalf("near miss: HTTP %d", code)
-	}
-	if near.Outcome != "near_miss" || near.Status != "optimal" {
-		t.Fatalf("near: outcome %q status %q", near.Outcome, near.Status)
-	}
-	if math.Abs(near.Obj-cold.Obj) > 1e-9 {
-		t.Fatalf("near-miss objective %g, want %g", near.Obj, cold.Obj)
-	}
-	if near.Structural != cold.Structural || near.Exact == cold.Exact {
-		t.Fatalf("near-miss hashes wrong: structural %s/%s exact %s/%s",
-			near.Structural, cold.Structural, near.Exact, cold.Exact)
+		d := obs.Since(base)
+		if d["server/errors"] != 1 || d["mip/solves"] != 0 {
+			t.Fatalf("workers %d: server/errors delta %d (want 1), mip/solves delta %d (want 0)",
+				workers, d["server/errors"], d["mip/solves"])
+		}
 	}
 }
 
