@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/mir"
@@ -246,7 +245,7 @@ func (il *ilp) solveColors(bankChosen map[locID]Bank) (map[colorVarKey]int, bool
 		d    int // value(a) != value(b) + d
 	}
 	var diseqs []diseq
-	seen := map[string]bool{}
+	seen := map[diseq]bool{}
 	for p := 0; p < g.npoints; p++ {
 		for _, list := range [][]locEntry{g.beforeLocs[p], g.afterLocs[p]} {
 			for i := 0; i < len(list); i++ {
@@ -277,12 +276,12 @@ func (il *ilp) solveColors(bankChosen map[locID]Bank) (map[colorVarKey]int, bool
 						}
 						continue
 					}
-					key := keyOf(ra, rb, ob-oa)
+					key := diseq{a: ra, b: rb, d: ob - oa}
 					if seen[key] {
 						continue
 					}
 					seen[key] = true
-					diseqs = append(diseqs, diseq{a: ra, b: rb, d: ob - oa})
+					diseqs = append(diseqs, key)
 				}
 			}
 		}
@@ -344,10 +343,6 @@ func (il *ilp) solveColors(bankChosen map[locID]Bank) (map[colorVarKey]int, bool
 		out[k] = val[r] + o
 	}
 	return out, true
-}
-
-func keyOf(a, b colorVarKey, d int) string {
-	return fmt.Sprintf("%d.%d|%d.%d|%d", a.v, a.bank, b.v, b.bank, d)
 }
 
 func less(a, b colorVarKey) bool {

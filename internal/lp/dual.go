@@ -3,7 +3,6 @@ package lp
 import (
 	"math"
 	"slices"
-	"sort"
 	"time"
 )
 
@@ -40,6 +39,24 @@ type dualCand struct {
 	ratio, abs float64
 }
 
+// cmpDualCand orders breakpoints by ratio, then by |α| descending for
+// stability on ties. Candidates equal in both keys keep the place the
+// unstable sort gives them, which depends on their input order.
+func cmpDualCand(a, b dualCand) int {
+	switch {
+	case a.ratio != b.ratio:
+		if a.ratio < b.ratio {
+			return -1
+		}
+		return 1
+	case a.abs > b.abs:
+		return -1
+	case a.abs < b.abs:
+		return 1
+	}
+	return 0
+}
+
 // dualFeasible reports whether the current nonbasic reduced costs
 // satisfy the dual sign conditions to tolerance dtol.
 func (s *simplex) dualFeasible(dtol float64) bool {
@@ -63,31 +80,184 @@ func (s *simplex) dualFeasible(dtol float64) bool {
 	return true
 }
 
-// dualLeaving picks the dual simplex's leaving row: the basic with
-// the largest dual-devex weighted violation of a bound by more than
-// tol, returned with its signed violation, or -1 when there is none.
-// Every such row is in the pruned infeasible set. Ties go to the
-// lowest row explicitly, the pick of an ascending scan of every row.
-func (s *simplex) dualLeaving(tol float64) (r int, delta float64) {
-	r = -1
-	var best float64
-	s.pruneInfeasible()
-	for _, i := range s.infeas.nz {
-		x := s.xB[i]
-		j := s.basis[i]
-		var v float64
-		if lo := s.lob(j); x < lo-tol {
-			v = x - lo
-		} else if hi := s.hib(j); x > hi+tol {
-			v = x - hi
-		} else {
-			continue
+// The dual's leaving row (CHUZR) is the basic with the largest
+// dual-devex weighted violation v²/rowW of a bound by more than Tol,
+// ties to the lowest row. A max-heap keeps every such row under that
+// order, so a pick reads the top instead of scanning the infeasible
+// set. A row's score depends only on its x_B, its weight and its basic
+// variable's bounds, and between picks those change only on the rows
+// stepXB moves: the support of the flips' and of the entering column's
+// FTRAN images, which includes the pivot row. runDual re-scores just
+// those rows after each step (rescoreW) and rebuilds the heap wherever
+// x_B or all the weights are reset. A re-score bumps the row's version
+// stamp, which makes its older entries stale; stale entries are
+// dropped when they reach the top, and the heap is compacted when they
+// outnumber the live ones.
+
+// chuzrEnt is a heap entry: row's score and signed violation v when
+// it was scored, current while ver equals the row's stamp.
+type chuzrEnt struct {
+	score, v float64
+	row      int32
+	ver      uint32
+}
+
+// before orders the heap: higher score first, then lower row.
+func (a *chuzrEnt) before(b *chuzrEnt) bool {
+	return a.score > b.score || (a.score == b.score && a.row < b.row)
+}
+
+// chuzrHeap is the leaving-row heap, with one version stamp per row
+// and a flag for the rows whose current stamp has an entry.
+type chuzrHeap struct {
+	h     []chuzrEnt
+	ver   []uint32
+	live  []bool
+	nlive int
+}
+
+// clear drops every entry.
+func (q *chuzrHeap) clear() {
+	for _, e := range q.h {
+		q.live[e.row] = false
+	}
+	q.h = q.h[:0]
+	q.nlive = 0
+}
+
+func (q *chuzrHeap) up(k int) {
+	h := q.h
+	for k > 0 {
+		p := (k - 1) / 2
+		if !h[k].before(&h[p]) {
+			return
 		}
-		if score := v * v / s.rowW[i]; score > best || (score == best && i < r) {
-			best, r, delta = score, i, v
+		h[k], h[p] = h[p], h[k]
+		k = p
+	}
+}
+
+func (q *chuzrHeap) down(k int) {
+	h := q.h
+	for {
+		c := 2*k + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&h[k]) {
+			return
+		}
+		h[k], h[c] = h[c], h[k]
+		k = c
+	}
+}
+
+// heapify restores the heap order over all of h.
+func (q *chuzrHeap) heapify() {
+	for k := len(q.h)/2 - 1; k >= 0; k-- {
+		q.down(k)
+	}
+}
+
+// pop removes the top entry.
+func (q *chuzrHeap) pop() {
+	last := len(q.h) - 1
+	q.h[0] = q.h[last]
+	q.h = q.h[:last]
+	q.down(0)
+}
+
+// compact drops the stale entries.
+func (q *chuzrHeap) compact() {
+	kept := q.h[:0]
+	for _, e := range q.h {
+		if e.ver == q.ver[e.row] {
+			kept = append(kept, e)
 		}
 	}
-	return r, delta
+	q.h = kept
+	q.heapify()
+}
+
+// pushRow adds row i's entry at its current stamp when the row is
+// violated by more than Tol with a positive score — the rows an
+// ascending scan from a best score of zero can pick. It reports
+// whether it added one.
+func (s *simplex) pushRow(i int) bool {
+	tol := s.opts.Tol
+	x := s.xB[i]
+	j := s.basis[i]
+	var v float64
+	if lo := s.lob(j); x < lo-tol {
+		v = x - lo
+	} else if hi := s.hib(j); x > hi+tol {
+		v = x - hi
+	} else {
+		return false
+	}
+	score := v * v / s.rowW[i]
+	if !(score > 0) {
+		return false
+	}
+	q := &s.chuzr
+	q.h = append(q.h, chuzrEnt{score: score, v: v, row: int32(i), ver: q.ver[i]})
+	q.live[i] = true
+	q.nlive++
+	return true
+}
+
+// rebuildChuzr scores every row of the infeasible set (a superset of
+// the violated rows) into an emptied heap.
+func (s *simplex) rebuildChuzr() {
+	q := &s.chuzr
+	if q.ver == nil {
+		q.ver = make([]uint32, s.m)
+		q.live = make([]bool, s.m)
+	}
+	q.clear()
+	for _, i := range s.infeas.nz {
+		s.pushRow(i)
+	}
+	q.heapify()
+}
+
+// rescoreW re-scores the rows the last stepXB moved: every row of the
+// FTRAN accumulator's support with a nonzero entry.
+func (s *simplex) rescoreW() {
+	q := &s.chuzr
+	for _, i := range s.w.nz {
+		if s.w.x[i] == 0 {
+			continue
+		}
+		q.ver[i]++
+		if q.live[i] {
+			q.live[i] = false
+			q.nlive--
+		}
+		if s.pushRow(i) {
+			q.up(len(q.h) - 1)
+		}
+	}
+	if len(q.h)-q.nlive > q.nlive {
+		q.compact()
+	}
+}
+
+// dualLeaving returns the dual simplex's leaving row and its signed
+// violation, or -1 when no row is violated by more than Tol: the top
+// of the heap once its stale entries are gone.
+func (s *simplex) dualLeaving() (r int, delta float64) {
+	q := &s.chuzr
+	for len(q.h) > 0 {
+		if e := &q.h[0]; e.ver == q.ver[e.row] {
+			return int(e.row), e.v
+		}
+		q.pop()
+	}
+	return -1, 0
 }
 
 // runDual iterates the dual simplex until the point is primal
@@ -106,15 +276,14 @@ func (s *simplex) runDual() (Status, error) {
 	for i := range s.rowW {
 		s.rowW[i] = 1
 	}
+	s.rebuildChuzr()
 	stall := 0
-	cands := make([]dualCand, 0, s.n+s.m)
-	flips := make([]int, 0, 16)
 	checkClock := !s.opts.Deadline.IsZero()
 	for ; s.iter < s.opts.MaxIters; s.iter++ {
 		if checkClock && s.iter&255 == 0 && time.Now().After(s.opts.Deadline) {
 			return IterLimit, nil
 		}
-		r, delta := s.dualLeaving(tol)
+		r, delta := s.dualLeaving()
 		if r < 0 {
 			return Optimal, nil // primal feasible
 		}
@@ -132,8 +301,8 @@ func (s *simplex) runDual() (Status, error) {
 		// changes. The candidates must reach the (unstable) sort below
 		// in ascending j, as a scan of every column appends them, so
 		// ties land where they always did.
-		slices.Sort(s.alpha.nz)
-		cands = cands[:0]
+		s.alpha.sort()
+		cands := s.cands[:0]
 		for _, j := range s.alpha.nz {
 			st := s.state[j]
 			if st == stBasic {
@@ -164,6 +333,7 @@ func (s *simplex) runDual() (Status, error) {
 			}
 			cands = append(cands, dualCand{j, ratio, math.Abs(a)})
 		}
+		s.cands = cands
 		// Bound-flip ratio test (long-step dual): walk the breakpoints
 		// in ratio order. A boxed candidate whose flip to its opposite
 		// bound leaves the dual slope positive is flipped rather than
@@ -175,16 +345,11 @@ func (s *simplex) runDual() (Status, error) {
 		// final θ is at least j's own breakpoint, so j's updated
 		// reduced cost has crossed to the at-upper sign (symmetrically
 		// for at-upper).
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].ratio != cands[b].ratio {
-				return cands[a].ratio < cands[b].ratio
-			}
-			return cands[a].abs > cands[b].abs // |α| for stability on ties
-		})
+		slices.SortFunc(cands, cmpDualCand)
 		enter := -1
 		var chosenRatio float64
 		slope := math.Abs(delta)
-		flips = flips[:0]
+		flips := s.flips[:0]
 		for _, c := range cands {
 			rng := s.hib(c.j) - s.lob(c.j)
 			if gain := c.abs * rng; !math.IsInf(rng, 1) && slope-gain > 1e-9 {
@@ -195,6 +360,7 @@ func (s *simplex) runDual() (Status, error) {
 			enter, chosenRatio = c.j, c.ratio
 			break
 		}
+		s.flips = flips
 		if enter < 0 {
 			// Dual ray: no nonbasic move (or flipping all of them) can
 			// repair the violated row — the problem is primal
@@ -228,6 +394,7 @@ func (s *simplex) runDual() (Status, error) {
 			}
 			s.ftranW()
 			s.stepXB(1) // x·1 is x: the flips' image itself
+			s.rescoreW()
 			s.boundFlips += len(flips)
 			x := s.xB[r]
 			j := s.basis[r]
@@ -304,6 +471,7 @@ func (s *simplex) runDual() (Status, error) {
 		// variable lands exactly on its violated bound, which is finite.
 		s.stepXB(dx)
 		s.pivot(enter, r, delta > 0, dx)
+		s.rescoreW()
 		s.dualIters++
 		if chosenRatio <= 1e-11 {
 			s.degenTotal++
@@ -325,6 +493,7 @@ func (s *simplex) runDual() (Status, error) {
 				// drifted out of dual feasibility; the primal finishes.
 				return dualBail, nil
 			}
+			s.rebuildChuzr()
 		}
 	}
 	return IterLimit, nil

@@ -321,89 +321,120 @@ func transpose(m int, ptr, ind, rowStep []int32) (tptr, tind []int32) {
 // represents a permutation of the basis). On success s.lu is replaced
 // and the basis arrays are consistent; the caller recomputes xB.
 func (s *simplex) factorize() error {
+	f := s.newFactor()
+	order := s.orderBasis()
+	k := s.placeSingletons(f, order)
+	for _, j := range order[k:] {
+		s.eliminate(f, j)
+	}
+	return s.finishFactor(f)
+}
+
+// newFactor starts an empty factorization with no row pivoted. The
+// factor itself is always fresh, since snapshots share it; its slices
+// are sized from the previous factor's.
+func (s *simplex) newFactor() *luFactor {
+	m := s.m
 	f := &luFactor{
-		m: s.m, sig: s.p.matSig,
-		prow:  make([]int32, 0, s.m),
-		pos:   make([]int32, s.m),
-		lptr:  make([]int32, 1, s.m+1),
-		uptr:  make([]int32, 1, s.m+1),
-		udiag: make([]float64, 0, s.m),
+		m: m, sig: s.p.matSig,
+		prow:  make([]int32, 0, m),
+		pos:   make([]int32, m),
+		lptr:  make([]int32, 1, m+1),
+		lind:  make([]int32, 0, s.lnnz),
+		lval:  make([]float64, 0, s.lnnz),
+		uptr:  make([]int32, 1, m+1),
+		uind:  make([]int32, 0, s.unnz),
+		uval:  make([]float64, 0, s.unnz),
+		udiag: make([]float64, 0, m),
 	}
 	for i := range f.pos {
 		f.pos[i] = -1
 	}
-	// Static row counts of the basis matrix drive the Markowitz-style
-	// pivot-row choice below: among numerically acceptable candidates,
-	// the row with the fewest original nonzeros limits fill-in.
-	rowCount := make([]int, s.m)
-	type slot struct {
-		j   int
-		nnz int
+	if s.newBasis == nil {
+		s.newBasis = make([]int, m)
 	}
-	slots := make([]slot, 0, s.m)
-	for r := 0; r < s.m; r++ {
-		j := s.basis[r]
-		nnz := 1
-		if j < s.n {
-			nnz = len(s.p.cols[j])
-			for _, nz := range s.p.cols[j] {
-				rowCount[nz.Row]++
-			}
-		} else {
-			rowCount[j-s.n]++
+	s.failed = s.failed[:0]
+	return f
+}
+
+// placeSingletons pivots the leading columns of the elimination order
+// that have at most one nonzero and returns how many it consumed.
+// Every step before one of them pivots a singleton and stores no L
+// entry, so its L-solve is the identity and eliminate would pivot the
+// column on its own entry, unless that row is pivoted already or the
+// entry is too small. This does the same without the accumulator.
+func (s *simplex) placeSingletons(f *luFactor, order []int) int {
+	for k, j := range order {
+		i, v := -1, 0.0 // an empty column has no entry
+		if j >= s.n {
+			i, v = j-s.n, -1
+		} else if c := s.p.cols[j]; len(c) > 1 {
+			return k
+		} else if len(c) == 1 {
+			i, v = c[0].Row, c[0].Val
 		}
-		slots = append(slots, slot{j: j, nnz: nnz})
-	}
-	// The column half of the Markowitz product is a priori: ascending
-	// column count, column id breaking ties for determinism.
-	slices.SortFunc(slots, func(a, b slot) int {
-		if a.nnz != b.nnz {
-			return a.nnz - b.nnz
-		}
-		return a.j - b.j
-	})
-	newBasis := make([]int, s.m)
-	var failed []int
-	for _, sl := range slots {
-		s.w.clear()
-		s.scatterColumn(sl.j)
-		f.lsolve(s)
-		maxAbs := 0.0
-		for _, i := range s.w.nz {
-			if f.pos[i] >= 0 {
-				continue
-			}
-			if a := math.Abs(s.w.x[i]); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		if maxAbs <= 1e-7 {
-			failed = append(failed, sl.j)
+		if i < 0 || f.pos[i] >= 0 || !(math.Abs(v) > 1e-7) {
+			s.failed = append(s.failed, j)
 			continue
 		}
-		// Threshold pivoting: any row within 10x of the largest
-		// magnitude is acceptable; among those, fewest original
-		// nonzeros wins (Markowitz), magnitude breaks ties.
-		bestR, bestV, bestC := -1, 0.0, 0
-		thresh := 0.1 * maxAbs
-		for _, i := range s.w.nz {
-			if f.pos[i] >= 0 {
-				continue
-			}
-			a := math.Abs(s.w.x[i])
-			if a < thresh {
-				continue
-			}
-			if bestR < 0 || rowCount[i] < bestC || (rowCount[i] == bestC && a > bestV) {
-				bestR, bestV, bestC = i, a, rowCount[i]
-			}
-		}
-		f.addColumn(s, bestR)
-		newBasis[bestR] = sl.j
+		f.uptr = append(f.uptr, 0)
+		f.lptr = append(f.lptr, 0)
+		f.udiag = append(f.udiag, v)
+		f.pos[i] = int32(len(f.prow))
+		f.prow = append(f.prow, int32(i))
+		s.newBasis[i] = j
 	}
+	return len(order)
+}
+
+// eliminate runs one elimination step on basic column j: its L-solve
+// against the steps so far, then a pivot row chosen by threshold
+// pivoting — any row within 10x of the largest magnitude is
+// acceptable; among those, fewest original nonzeros wins (Markowitz,
+// from the static row counts of orderBasis), magnitude breaks ties. A
+// column with no usable entry goes to s.failed.
+func (s *simplex) eliminate(f *luFactor, j int) {
+	s.w.clear()
+	s.scatterColumn(j)
+	f.lsolve(s)
+	maxAbs := 0.0
+	for _, i := range s.w.nz {
+		if f.pos[i] >= 0 {
+			continue
+		}
+		if a := math.Abs(s.w.x[i]); a > maxAbs {
+			maxAbs = a
+		}
+	}
+	if maxAbs <= 1e-7 {
+		s.failed = append(s.failed, j)
+		return
+	}
+	bestR, bestV, bestC := -1, 0.0, 0
+	thresh := 0.1 * maxAbs
+	for _, i := range s.w.nz {
+		if f.pos[i] >= 0 {
+			continue
+		}
+		a := math.Abs(s.w.x[i])
+		if a < thresh {
+			continue
+		}
+		if c := s.rowCount[i]; bestR < 0 || c < bestC || (c == bestC && a > bestV) {
+			bestR, bestV, bestC = i, a, c
+		}
+	}
+	f.addColumn(s, bestR)
+	s.newBasis[bestR] = j
+}
+
+// finishFactor repairs the basis around the steps taken and installs
+// the factorization.
+func (s *simplex) finishFactor(f *luFactor) error {
+	newBasis := s.newBasis
 	// Repair: failed columns leave the basis; unpivoted rows get their
 	// slack back.
-	for _, j := range failed {
+	for _, j := range s.failed {
 		s.state[j] = stLower
 		if s.lob(j) == math.Inf(-1) {
 			s.state[j] = stZero
@@ -439,11 +470,68 @@ func (s *simplex) factorize() error {
 		s.state[s.basis[r]] = stBasic
 	}
 	f.nnz = len(f.lval) + len(f.uval) + s.m
+	s.lnnz, s.unnz = len(f.lval), len(f.uval)
 	f.utptr, f.utind = transpose(s.m, f.uptr, f.uind, nil)
 	f.ltptr, f.ltind = transpose(s.m, f.lptr, f.lind, f.pos)
 	s.lu = f
 	s.fillBudget = 2*f.nnz + 16*s.m
 	return nil
+}
+
+// orderBasis counts the basis matrix's nonzeros per row into
+// s.rowCount and returns the basic columns in elimination order: the
+// column half of the Markowitz product is a priori, ascending column
+// count with the column id breaking ties. One counting pass over the
+// variables in ascending id places each basic column after every
+// column with fewer nonzeros, or with as many and a lower id, so the
+// order is the one a sort by (count, id) gives.
+func (s *simplex) orderBasis() []int {
+	if s.rowCount == nil {
+		s.rowCount = make([]int, s.m)
+		s.colOrder = make([]int, s.m)
+	}
+	rowCount := s.rowCount
+	clear(rowCount)
+	most := 1
+	for r := 0; r < s.m; r++ {
+		if j := s.basis[r]; j < s.n {
+			c := s.p.cols[j]
+			for _, nz := range c {
+				rowCount[nz.Row]++
+			}
+			most = max(most, len(c))
+		} else {
+			rowCount[j-s.n]++
+		}
+	}
+	// bucket[c] is where the next basic column with c nonzeros goes.
+	s.bucket = slices.Grow(s.bucket[:0], most+1)[:most+1]
+	next := s.bucket
+	clear(next)
+	for r := 0; r < s.m; r++ {
+		if c := s.colNnz(s.basis[r]); c < most {
+			next[c+1]++
+		}
+	}
+	for c := 1; c <= most; c++ {
+		next[c] += next[c-1]
+	}
+	for j := 0; j < s.n+s.m; j++ {
+		if r := s.inRow[j]; r >= 0 && s.basis[r] == j {
+			c := s.colNnz(j)
+			s.colOrder[next[c]] = j
+			next[c]++
+		}
+	}
+	return s.colOrder
+}
+
+// colNnz returns the number of nonzeros in any variable's column.
+func (s *simplex) colNnz(j int) int {
+	if j < s.n {
+		return len(s.p.cols[j])
+	}
+	return 1
 }
 
 // adoptFactor installs the factorization carried by a warm basis
@@ -480,7 +568,8 @@ func (s *simplex) adoptFactor(b *Basis) (bool, error) {
 // recomputeXB recomputes the basic values from the nonbasic point:
 // x_B = ftran(-(N x_N)).
 func (s *simplex) recomputeXB() {
-	rhs := make([]float64, s.m)
+	rhs := s.xB
+	clear(rhs)
 	for j := 0; j < s.n+s.m; j++ {
 		if s.state[j] == stBasic {
 			continue
@@ -498,6 +587,5 @@ func (s *simplex) recomputeXB() {
 		}
 	}
 	s.ftran(rhs)
-	copy(s.xB, rhs)
 	s.rebuildInfeasible()
 }

@@ -1,6 +1,8 @@
 package lp
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -419,11 +421,13 @@ func TestSparseSolvesMatchDense(t *testing.T) {
 	}
 }
 
-// TestPivotKernelsDoNotAllocate pins the steady state of a devex
-// pivot: once the scratch is warm, an FTRAN of the entering column,
+// TestPivotKernelsDoNotAllocate pins the steady state of a pivot's
+// kernels: once the scratch is warm, an FTRAN of the entering column,
 // the pricing update (unit BTRAN through the eta row index, row-wise
-// pivot row, reduced cost, weight and candidate update) and the devex
-// pick over the candidate list allocate nothing.
+// pivot row, reduced cost, weight and candidate update), the devex
+// pick over the candidate list, a dual pick after a step of the basic
+// values (re-scoring the moved rows into the leaving-row heap) and an
+// update eta carved from an arena chunk allocate nothing.
 func TestPivotKernelsDoNotAllocate(t *testing.T) {
 	p := buildAssignment(12, 4)
 	var o Options
@@ -458,14 +462,191 @@ func TestPivotKernelsDoNotAllocate(t *testing.T) {
 	if len(s.updates) == 0 {
 		t.Fatal("phase 1 stacked no updates; the pin would miss the eta pass")
 	}
+	s.rowW = make([]float64, s.m)
+	for i := range s.rowW {
+		s.rowW[i] = 1
+	}
+	s.rebuildChuzr()
+	// A second workspace holds one FTRAN image to push as an eta, again
+	// and again, into the arena chunk its first push allocates.
+	e := newSimplex(p, &o)
+	e.crashBasis()
+	if err := e.refactor(); err != nil {
+		t.Fatal(err)
+	}
+	e.w.clear()
+	e.scatterColumn(q)
+	e.ftranW()
+	er := e.w.nz[0]
 	allocs := testing.AllocsPerRun(100, func() {
 		s.w.clear()
 		s.scatterColumn(q)
 		s.ftranW()
 		s.updatePricing(q, r)
 		s.priceDevex(o.Tol)
+		s.stepXB(0)
+		s.rescoreW()
+		s.dualLeaving()
+		e.clearUpdates()
+		e.pushEtaW(er)
 	})
 	if allocs != 0 {
-		t.Fatalf("ftranW + updatePricing + priceDevex allocate %v times per pivot, want 0", allocs)
+		t.Fatalf("a pivot's kernels allocate %v times, want 0", allocs)
 	}
+	if len(e.etaIdx) < 100 || cap(e.etaIdx) != etaChunk {
+		t.Fatalf("the etas filled %d of a %d-entry chunk, want one chunk", len(e.etaIdx), cap(e.etaIdx))
+	}
+}
+
+// refFactorize is factorize with the column order it replaced: every
+// basic column through eliminate, in the order a sort by (nonzero
+// count, column id) gives.
+func refFactorize(s *simplex) error {
+	f := s.newFactor()
+	s.orderBasis() // the static row counts eliminate reads
+	order := slices.Clone(s.basis)
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(s.colNnz(a), s.colNnz(b)); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	for _, j := range order {
+		s.eliminate(f, j)
+	}
+	return s.finishFactor(f)
+}
+
+// orderLP builds an m-row problem whose columns include the cases the
+// counting order and the singleton placement must get right: empty
+// columns, pairs of singletons on one row, singletons below the 1e-7
+// pivot tolerance, and general columns of 2–4 entries, some of them
+// repeats (singular bases).
+func orderLP(rng *rand.Rand, m int) *Problem {
+	type entry struct {
+		row int
+		val float64
+	}
+	var cols [][]entry
+	for len(cols) < 2*m {
+		switch k := rng.Intn(8); {
+		case k == 0:
+			cols = append(cols, nil)
+		case k == 1:
+			i := rng.Intn(m)
+			cols = append(cols, []entry{{i, 2}}, []entry{{i, -1}})
+		case k == 2:
+			cols = append(cols, []entry{{rng.Intn(m), 1e-8}})
+		case k == 3:
+			cols = append(cols, []entry{{rng.Intn(m), float64(1 + rng.Intn(3))}})
+		case k == 4 && len(cols) > 0:
+			cols = append(cols, cols[rng.Intn(len(cols))])
+		default:
+			var c []entry
+			for _, i := range rng.Perm(m)[:min(m, 2+rng.Intn(3))] {
+				c = append(c, entry{i, rng.NormFloat64()})
+			}
+			cols = append(cols, c)
+		}
+	}
+	p := NewProblem()
+	rows := make([][]int, m)
+	vals := make([][]float64, m)
+	for j, c := range cols {
+		p.AddCol(0, 0, 1)
+		for _, e := range c {
+			rows[e.row] = append(rows[e.row], j)
+			vals[e.row] = append(vals[e.row], e.val)
+		}
+	}
+	for i := 0; i < m; i++ {
+		p.AddRow(0, 1, rows[i], vals[i])
+	}
+	return p
+}
+
+// TestFactorizeOrderMatchesSort holds factorize — the counting order
+// and the singleton placement — to refFactorize on random bases mixing
+// slacks with every kind of orderLP column: the same error, or the
+// same pivot rows, step positions, L, U and diagonal bit for bit and
+// the same repaired basis.
+func TestFactorizeOrderMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	seen := map[string]int{}
+	for trial := 0; trial < 200; trial++ {
+		m := 3 + rng.Intn(30)
+		if trial%20 == 0 {
+			m = 200 + rng.Intn(200)
+		}
+		p := orderLP(rng, m)
+		var o Options
+		o.fill(p)
+		s, ref := newSimplex(p, &o), newSimplex(p, &o)
+		s.crashBasis()
+		for r := 0; r < s.m; r++ {
+			if j := rng.Intn(s.n); rng.Intn(4) != 0 && s.state[j] != stBasic {
+				old := s.basis[r]
+				s.state[old], s.inRow[old] = stLower, -1
+				s.basis[r], s.inRow[j], s.state[j] = j, r, stBasic
+			}
+		}
+		copy(ref.state, s.state)
+		copy(ref.basis, s.basis)
+		copy(ref.inRow, s.inRow)
+		onRow := map[int]int{} // basic singletons per row
+		for _, j := range s.basis {
+			if j >= s.n {
+				onRow[j-s.n]++
+			} else if len(p.cols[j]) == 1 {
+				if onRow[p.cols[j][0].Row]++; onRow[p.cols[j][0].Row] == 2 {
+					seen["two singletons on a row"]++
+				}
+			}
+			switch c := s.colNnz(j); {
+			case j >= s.n:
+				seen["slack"]++
+			case c == 0:
+				seen["empty"]++
+			case c == 1 && math.Abs(p.cols[j][0].Val) < 1e-7:
+				seen["tiny singleton"]++
+			case c == 1:
+				seen["singleton"]++
+			}
+		}
+		err, refErr := s.factorize(), refFactorize(ref)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("trial %d: factorize error %v, sorted reference %v", trial, err, refErr)
+		}
+		if err != nil {
+			seen["repair conflict"]++
+			continue
+		}
+		if len(s.failed) > 0 {
+			seen["failed columns"]++
+		}
+		f, g := s.lu, ref.lu
+		same := slices.Equal(f.prow, g.prow) && slices.Equal(f.pos, g.pos) &&
+			slices.Equal(f.lptr, g.lptr) && slices.Equal(f.lind, g.lind) &&
+			slices.Equal(f.uptr, g.uptr) && slices.Equal(f.uind, g.uind) &&
+			sameBits(f.lval, g.lval) && sameBits(f.uval, g.uval) && sameBits(f.udiag, g.udiag)
+		if !same {
+			t.Fatalf("trial %d (m=%d): the factor differs from the sorted reference's", trial, m)
+		}
+		if !slices.Equal(s.basis, ref.basis) || !slices.Equal(s.state, ref.state) || !slices.Equal(s.inRow, ref.inRow) {
+			t.Fatalf("trial %d: the repaired basis differs from the sorted reference's", trial)
+		}
+	}
+	t.Logf("basic columns and outcomes: %v", seen)
+	for _, k := range []string{"slack", "empty", "tiny singleton", "singleton", "two singletons on a row", "failed columns"} {
+		if seen[k] == 0 {
+			t.Fatalf("no trial covered %q: %v", k, seen)
+		}
+	}
+}
+
+// sameBits reports whether two float slices are equal bit for bit.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	})
 }

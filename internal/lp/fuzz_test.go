@@ -72,11 +72,31 @@ func solveChecked(t *testing.T, p *Problem, o Options) (*Solution, error) {
 	return sol, err
 }
 
+// checkRecycledResolve solves p, fixes column k mod n at its lower
+// bound and re-solves warm twice: on p, which recycles the first
+// solve's workspace, and on a clone, which builds a fresh one. The two
+// must end bit for bit alike.
+func checkRecycledResolve(t *testing.T, p *Problem, k int) {
+	t.Helper()
+	first, err := p.Solve(&Options{MaxIters: 5000})
+	if err != nil {
+		return
+	}
+	k %= p.NumCols()
+	lo, _ := p.Bounds(k)
+	p.SetBounds(k, lo, lo)
+	o := Options{MaxIters: 5000, WarmBasis: first.Basis}
+	want, wantErr := p.Clone().Solve(&o)
+	got, err := p.Solve(&o)
+	sameSolve(t, "re-solve after a bound edit", got, want, err, wantErr)
+}
+
 // FuzzSolve checks the simplex invariant on arbitrary bounded LPs: a
 // solve must never panic, any claimed Optimal point must actually
-// satisfy every bound and row of the problem it was asked about, and
-// the default solve (the cold dual, when the crash basis is dual
-// feasible) must agree with the two-phase primal.
+// satisfy every bound and row of the problem it was asked about, the
+// default solve (the cold dual, when the crash basis is dual feasible)
+// must agree with the two-phase primal, and a re-solve on a recycled
+// workspace must match one on a fresh workspace (checkRecycledResolve).
 func FuzzSolve(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 2, 200, 0, 8, 0, 100, 4, 4, 0, 50, 0, 12, 1})
@@ -103,6 +123,7 @@ func FuzzSolve(f *testing.F) {
 		if len(data) > 256 {
 			t.Skip("oversized input")
 		}
+		checkRecycledResolve(t, decodeLP(data), len(data))
 		p := decodeLP(data)
 		sol, err := solveChecked(t, p, Options{MaxIters: 5000})
 		if err != nil {

@@ -2,7 +2,6 @@ package lp
 
 import (
 	"math"
-	"slices"
 	"time"
 )
 
@@ -17,17 +16,20 @@ import (
 // Bland-guarded Dantzig loop (blandSwitch), preserving the
 // anti-cycling guarantee.
 //
-// No pivot loop rescans every variable or row per iteration. Three
-// sets are kept up to date from each pivot's sparse support instead
-// (Hall & McKinnon), each read so that it gives the scan's
+// No pivot loop rescans every variable or row per iteration. Four
+// structures are kept up to date from each pivot's sparse support
+// instead (Hall & McKinnon), each read so that it gives the scan's
 // floating-point operations in the scan's order, and so its pivots:
 //
 //   - The infeasible set (simplex.infeas) holds every basic row
 //     strictly outside its bounds. recomputeXB rebuilds it; stepXB adds
 //     each row it moves. Phase 1 prunes it and sorts it ascending, so
 //     its infeasibility sum and its c_B are infeasibility()'s and the
-//     old scan's, term for term. The dual's leaving row reads the same
-//     pruned set, with ties to the lowest row.
+//     old scan's, term for term.
+//   - The dual's leaving-row heap (simplex.chuzr, dual.go) holds each
+//     row violated by more than Tol under its weighted violation; the
+//     dual re-scores the rows each step moves, and its top is the
+//     scan's pick, ties to the lowest row.
 //   - The devex candidates (simplex.cand) hold every nonbasic whose d
 //     prices it in. repriceDevex rebuilds the list with d;
 //     updatePricing adds each j whose d it changes. priceDevex drops
@@ -163,7 +165,7 @@ func (s *simplex) priceRow() {
 		s.alpha = newSparseVec(s.n + s.m)
 	}
 	s.alpha.clear()
-	slices.Sort(s.rho.nz)
+	s.rho.sort()
 	a, alpha := s.rows, s.alpha.x
 	for _, i := range s.rho.nz {
 		yi := s.rho.x[i]

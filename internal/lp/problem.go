@@ -38,6 +38,12 @@ type Problem struct {
 	// immutable once stored, so concurrent solves and clones of the same
 	// matrix share it.
 	rows atomic.Pointer[rowMatrix]
+
+	// work holds the workspace the last solve left, for the next solve
+	// of the same matrix to recycle. A solve takes it out while it runs,
+	// so a concurrent solve finds none and builds its own; a clone
+	// starts without one.
+	work atomic.Pointer[simplex]
 }
 
 // rowCopy returns the row-wise copy of the current matrix, building it
@@ -201,15 +207,26 @@ type Solution struct {
 
 // Solve runs the simplex (see Method). A nil opts uses defaults. The
 // options are copied before defaulting, so one Options value can be
-// shared by concurrent solves of different problems.
+// shared by concurrent solves of different problems. The Problem keeps
+// the solver workspace its last solve used and recycles it for the
+// next solve of the same matrix; concurrent solves of one Problem are
+// safe, each but one building a workspace of its own.
 func (p *Problem) Solve(opts *Options) (*Solution, error) {
 	var o Options
 	if opts != nil {
 		o = *opts
 	}
 	o.fill(p)
-	s := newSimplex(p, &o)
-	return s.solve()
+	s := p.work.Swap(nil)
+	if s != nil && s.m == p.NumRows() && s.n == p.NumCols() && s.sig == p.matSig {
+		s.recycle(&o)
+	} else {
+		s = newSimplex(p, &o)
+	}
+	sol, err := s.solve()
+	s.opts.WarmBasis, s.lu = nil, nil // retain no snapshot or factor
+	p.work.Store(s)
+	return sol, err
 }
 
 // Clone returns a deep copy of the problem. Branch-and-bound workers

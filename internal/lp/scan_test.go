@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// The pivot loops keep three sets up to date from each pivot's sparse
-// support instead of rescanning: the infeasible rows (phase 1 and the
-// dual's leaving row), the devex candidates and the eta row index
-// (btranRho). The tests here hold each one to the full scan it
+// The pivot loops keep four structures up to date from each pivot's
+// sparse support instead of rescanning: the infeasible rows (phase 1),
+// the dual's leaving-row heap, the devex candidates and the eta row
+// index (btranRho). The tests here hold each one to the full scan it
 // replaced, which lives only in this file.
 
 // refPriceDevex is the full scan priceDevex replaced: every variable in
@@ -90,12 +90,12 @@ func checkDevexCandidates(t testing.TB, s *simplex) {
 }
 
 // checkDualLeaving asserts that the dual's leaving-row choice from the
-// infeasible set is the full scan's.
+// heap is the full scan's: the row and the bits of its violation.
 func checkDualLeaving(t testing.TB, s *simplex) {
 	t.Helper()
 	tol := s.opts.Tol
 	wantR, wantDelta := refDualLeaving(s, tol)
-	if gotR, gotDelta := s.dualLeaving(tol); gotR != wantR || math.Float64bits(gotDelta) != math.Float64bits(wantDelta) {
+	if gotR, gotDelta := s.dualLeaving(); gotR != wantR || math.Float64bits(gotDelta) != math.Float64bits(wantDelta) {
 		t.Fatalf("dual leaving row (%d, %v), full scan (%d, %v)", gotR, gotDelta, wantR, wantDelta)
 	}
 }
@@ -137,12 +137,15 @@ func phase1LP(rng *rand.Rand, m, n int) *Problem {
 // have stepped through.
 type maintainedTally struct {
 	phase1, devex, dual, flips, refactors, blandPhase1, blandHandoff int
+	// dual pivots checked after bound flips and after refactorizations
+	dualFlips, dualRefactors int
 }
 
 // TestMaintainedSetsMatchScans steps the phase-1, devex and dual loops
 // one pivot at a time on random sparse LPs, with a small RefactorGap,
 // through bound flips, refactorizations and the Bland hand-off. After
-// every pivot it checks each maintained set against its full scan, and
+// every pivot it checks each maintained set against its full scan (and
+// after every dual pivot the heap's leaving row), and
 // btranRho, which skips the etas the eta row index does not link to
 // its support, against dense btran (checkSparseSolves).
 //
@@ -163,7 +166,8 @@ func TestMaintainedSetsMatchScans(t *testing.T) {
 	}
 	t.Logf("%+v", tally)
 	if tally.phase1 == 0 || tally.devex == 0 || tally.dual == 0 || tally.flips == 0 ||
-		tally.refactors == 0 || tally.blandPhase1 == 0 || tally.blandHandoff == 0 {
+		tally.refactors == 0 || tally.blandPhase1 == 0 || tally.blandHandoff == 0 ||
+		tally.dualFlips == 0 || tally.dualRefactors == 0 {
 		t.Fatalf("some path was never stepped: %+v", tally)
 	}
 }
@@ -331,6 +335,12 @@ func stepMaintained(t *testing.T, p *Problem, gap int, bland bool, rng *rand.Ran
 		tally.dual++
 		tally.flips += s.boundFlips - flips
 		tally.refactors += s.refactors - refactors
+		if s.boundFlips > flips {
+			tally.dualFlips++
+		}
+		if s.refactors > refactors {
+			tally.dualRefactors++
+		}
 		checkInfeasibleSet(t, s)
 		checkDualLeaving(t, s)
 		checkSparseSolves(t, s, rng)
@@ -375,13 +385,21 @@ func TestPicksBreakTiesToLowestIndex(t *testing.T) {
 	}
 
 	// Every row's slack sits at 0 below its lower bound 1: equal
-	// violations.
+	// violations. The heap is built by its rebuild path; then rows 2, 1
+	// and 3 are re-scored in that order, as after a step that moved
+	// them, which pushes the tied entries again behind stale ones.
 	s.rowW = []float64{2, 1, 1, 1} // row 0 scores lower
-	s.infeas.empty()
-	for _, r := range []int{2, 1, 3, 0} {
-		s.infeas.touch(r)
+	s.rebuildChuzr()
+	if r, _ := s.dualLeaving(); r != 1 {
+		t.Fatalf("dual picked row %d among ties 1, 2, 3 after a rebuild, want 1", r)
 	}
-	if r, _ := s.dualLeaving(o.Tol); r != 1 {
+	s.w.clear()
+	for _, r := range []int{2, 1, 3} {
+		s.w.x[r] = 1
+		s.w.touch(r)
+	}
+	s.rescoreW()
+	if r, _ := s.dualLeaving(); r != 1 {
 		t.Fatalf("dual picked row %d among ties 2, 1, 3, want 1", r)
 	}
 	if r, _ := refDualLeaving(s, o.Tol); r != 1 {
@@ -391,8 +409,10 @@ func TestPicksBreakTiesToLowestIndex(t *testing.T) {
 
 // TestRowCopySharedPerMatrix checks the per-matrix cache of the
 // row-wise copy of A: concurrent solves of one Problem and of its
-// clones share one copy (run under -race), and a clone that appends a
-// row builds its own without touching the original's.
+// clones share one copy (run under -race) and end bit for bit where
+// the first solve did, whether they recycled the Problem's workspace
+// or built their own, and a clone that appends a row builds its own
+// copy without touching the original's.
 func TestRowCopySharedPerMatrix(t *testing.T) {
 	p := buildAssignment(8, 7)
 	want, err := p.Solve(nil)
@@ -403,7 +423,11 @@ func TestRowCopySharedPerMatrix(t *testing.T) {
 	if a == nil || a.sig != p.matSig {
 		t.Fatal("a solve left no row copy for the problem's matrix")
 	}
-	objs := make(chan float64, 8)
+	type result struct {
+		sol *Solution
+		err error
+	}
+	results := make(chan result, 8)
 	for g := 0; g < 8; g++ {
 		q := p
 		if g%2 == 1 {
@@ -411,17 +435,12 @@ func TestRowCopySharedPerMatrix(t *testing.T) {
 		}
 		go func() {
 			sol, err := q.Solve(nil)
-			if err != nil || sol.Status != Optimal {
-				objs <- math.NaN()
-				return
-			}
-			objs <- sol.Obj
+			results <- result{sol, err}
 		}()
 	}
 	for g := 0; g < 8; g++ {
-		if obj := <-objs; obj != want.Obj {
-			t.Fatalf("concurrent solve: obj %v, want %v", obj, want.Obj)
-		}
+		r := <-results
+		sameSolve(t, "concurrent solve", r.sol, want, r.err, nil)
 	}
 	q := p.Clone()
 	if q.rowCopy() != a {

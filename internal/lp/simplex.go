@@ -84,10 +84,16 @@ type eta struct {
 // pivots on the entry's row, and the row's next older entry (-1: none).
 type etaLink struct{ eta, next int32 }
 
+// simplex is the solver's workspace: the basis, its factorization and
+// every scratch array a pivot loop touches. Problem.Solve keeps the
+// last one on its Problem and recycles it for the next solve of the
+// same matrix (recycle), so a branch-and-bound worker's node re-solves
+// reuse its m- and n-sized arrays instead of allocating them afresh.
 type simplex struct {
 	p    *Problem
-	opts *Options
-	m, n int // rows, structural columns
+	opts Options // the solve's own copy, defaults filled
+	m, n int     // rows, structural columns
+	sig  uint64  // matrix signature of p when the workspace was built
 
 	state []varState
 	basis []int     // basis[r] = variable occupying row slot r
@@ -103,6 +109,24 @@ type simplex struct {
 	updateNnz  int
 	fillBudget int
 
+	// The eta arena: pushEtaW carves each eta's idx/val from the free
+	// tail of these chunks. A full chunk is replaced, never reset, so
+	// the etas a Basis snapshot shares are never overwritten.
+	etaIdx []int32
+	etaVal []float64
+
+	// factorize's scratch (factor.go): static row counts of the basis
+	// matrix, the basic columns in elimination order, the bucket
+	// offsets that order them, the new basis slots and the columns that
+	// failed to pivot; lnnz and unnz are the previous factor's L and U
+	// sizes, so the next one is allocated at about its final size.
+	rowCount   []int
+	colOrder   []int
+	bucket     []int
+	newBasis   []int
+	failed     []int
+	lnnz, unnz int
+
 	// The eta row index: for each row i, the update etas that read i or
 	// pivot on it, as a list newest first that starts at etaLinks entry
 	// etaHead[i] (-1: none).
@@ -112,6 +136,8 @@ type simplex struct {
 	// infeas holds every basic row whose value lies strictly outside its
 	// bounds, plus rows since moved back inside; readers prune it first.
 	infeas indexSet
+	// chuzr is the dual simplex's leaving-row heap (dual.go).
+	chuzr chuzrHeap
 
 	// scratch. w is the FTRAN accumulator and rho the BTRAN one (the
 	// row of B⁻¹ being priced); y is dense BTRAN work for dense
@@ -136,8 +162,13 @@ type simplex struct {
 	cand  indexSet
 	rowW  []float64
 	// cost is the objective that phase-2 pricing reads (costOf): the
-	// problem's own, or its perturbed copy while the cold dual runs.
-	cost []float64
+	// problem's own, or its perturbed copy (pcost) while the cold dual
+	// runs.
+	cost  []float64
+	pcost []float64
+	// The dual ratio test's breakpoints and bound flips (dual.go).
+	cands []dualCand
+	flips []int
 	// degeneracy handling
 	degenerate int
 	bland      bool
@@ -159,7 +190,7 @@ type simplex struct {
 func newSimplex(p *Problem, opts *Options) *simplex {
 	m, n := p.NumRows(), p.NumCols()
 	s := &simplex{
-		p: p, opts: opts, m: m, n: n,
+		p: p, opts: *opts, m: m, n: n, sig: p.matSig,
 		cost:  p.obj,
 		state: make([]varState, n+m),
 		basis: make([]int, m),
@@ -180,6 +211,28 @@ func newSimplex(p *Problem, opts *Options) *simplex {
 	return s
 }
 
+// recycle readies a workspace that an earlier solve of the same matrix
+// left behind for a solve under opts. It resets only the per-solve
+// state: the tallies, the update file, the accumulators, the sets and
+// the CHUZR heap. Every dense array a solve reads (xB, y, d, gamma,
+// rowW and the basis arrays) is written first by the phase that reads
+// it, so none of it needs clearing here.
+func (s *simplex) recycle(opts *Options) {
+	s.opts = *opts
+	s.cost = s.p.obj
+	s.iter = 0
+	s.degenTotal, s.dualIters, s.boundFlips = 0, 0, 0
+	s.ftUpdates, s.cadence, s.refactors = 0, 0, 0
+	s.retries, s.driftRetries = 0, 0
+	s.clearUpdates()
+	s.w.clear()
+	s.rho.clear()
+	s.alpha.clear()
+	s.infeas.empty()
+	s.cand.empty()
+	s.chuzr.clear()
+}
+
 // indexSet is a set of indices below a fixed bound: nz lists the
 // members in insertion order and in marks them, so adding one and
 // emptying the set cost O(1) per member.
@@ -197,6 +250,22 @@ func (t *indexSet) touch(i int) {
 	if !t.in[i] {
 		t.in[i] = true
 		t.nz = append(t.nz, i)
+	}
+}
+
+// sort orders the member list ascending. A large set is listed
+// afresh from a scan of the marks, which beats a sort's k log k
+// compares once k passes about n/32.
+func (t *indexSet) sort() {
+	if len(t.nz) <= len(t.in)/32 {
+		slices.Sort(t.nz)
+		return
+	}
+	t.nz = t.nz[:0]
+	for i, on := range t.in {
+		if on {
+			t.nz = append(t.nz, i)
+		}
 	}
 }
 
@@ -374,21 +443,30 @@ func (s *simplex) clearUpdates() {
 	s.updateNnz = 0
 }
 
+// etaChunk is the size, in entries, of an eta arena chunk.
+const etaChunk = 4096
+
 // pushEtaW records the accumulator as a Forrest–Tomlin update eta
-// with pivot row r.
+// with pivot row r, its off-pivot entries carved from the eta arena.
 func (s *simplex) pushEtaW(r int) {
-	var idx []int32
-	var val []float64
+	if cap(s.etaIdx)-len(s.etaIdx) < len(s.w.nz) {
+		c := max(etaChunk, len(s.w.nz))
+		s.etaIdx = make([]int32, 0, c)
+		s.etaVal = make([]float64, 0, c)
+	}
+	start := len(s.etaIdx)
 	piv := s.w.x[r]
 	for _, i := range s.w.nz {
 		if i == r {
 			continue
 		}
 		if v := s.w.x[i]; v > 1e-12 || v < -1e-12 {
-			idx = append(idx, int32(i))
-			val = append(val, v)
+			s.etaIdx = append(s.etaIdx, int32(i))
+			s.etaVal = append(s.etaVal, v)
 		}
 	}
+	end := len(s.etaIdx)
+	idx, val := s.etaIdx[start:end:end], s.etaVal[start:end:end]
 	s.updates = append(s.updates, eta{r: r, piv: piv, idx: idx, val: val})
 	s.linkEta(len(s.updates) - 1)
 	s.updateNnz += len(idx) + 1
@@ -476,8 +554,7 @@ func (s *simplex) solve() (*Solution, error) {
 	warm := s.opts.WarmBasis
 	for {
 		sol, err := s.solveOnce(warm)
-		var se *StabilityError
-		if err != nil && errors.As(err, &se) && s.retries == 0 {
+		if err != nil && s.retries == 0 && isStabilityError(err) {
 			s.retries++
 			warm = nil
 			continue
@@ -497,6 +574,12 @@ func (s *simplex) solve() (*Solution, error) {
 		}
 		return sol, err
 	}
+}
+
+// isStabilityError reports whether err is or wraps a *StabilityError.
+func isStabilityError(err error) bool {
+	var se *StabilityError
+	return errors.As(err, &se)
 }
 
 // solveOnce is one pass from the given warm basis (nil for the crash
@@ -663,7 +746,10 @@ func (s *simplex) crashBasis() {
 // pivots stop being degenerate; the deviation is small enough that
 // phase 2 on the true costs cleans up in a few pivots.
 func (s *simplex) perturbedCosts() []float64 {
-	c := make([]float64, s.n)
+	if s.pcost == nil {
+		s.pcost = make([]float64, s.n)
+	}
+	c := s.pcost
 	for j, cj := range s.p.obj {
 		h := uint64(j) + 0x9e3779b97f4a7c15 // splitmix64 of j
 		h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
@@ -829,7 +915,7 @@ func (s *simplex) pruneInfeasible() {
 // same order, so the same bits.
 func (s *simplex) phase1Infeasibility() float64 {
 	s.pruneInfeasible()
-	slices.Sort(s.infeas.nz)
+	s.infeas.sort()
 	sum := 0.0
 	for _, r := range s.infeas.nz {
 		sum += s.violation(r)
