@@ -301,7 +301,7 @@ func (s *simplex) runDual() (Status, error) {
 		// changes. The candidates must reach the (unstable) sort below
 		// in ascending j, as a scan of every column appends them, so
 		// ties land where they always did.
-		s.alpha.sort()
+		slices.Sort(s.alpha.nz)
 		cands := s.cands[:0]
 		for _, j := range s.alpha.nz {
 			st := s.state[j]

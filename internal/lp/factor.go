@@ -322,9 +322,7 @@ func transpose(m int, ptr, ind, rowStep []int32) (tptr, tind []int32) {
 // and the basis arrays are consistent; the caller recomputes xB.
 func (s *simplex) factorize() error {
 	f := s.newFactor()
-	order := s.orderBasis()
-	k := s.placeSingletons(f, order)
-	for _, j := range order[k:] {
+	for _, j := range s.orderBasis() {
 		s.eliminate(f, j)
 	}
 	return s.finishFactor(f)
@@ -355,36 +353,6 @@ func (s *simplex) newFactor() *luFactor {
 	}
 	s.failed = s.failed[:0]
 	return f
-}
-
-// placeSingletons pivots the leading columns of the elimination order
-// that have at most one nonzero and returns how many it consumed.
-// Every step before one of them pivots a singleton and stores no L
-// entry, so its L-solve is the identity and eliminate would pivot the
-// column on its own entry, unless that row is pivoted already or the
-// entry is too small. This does the same without the accumulator.
-func (s *simplex) placeSingletons(f *luFactor, order []int) int {
-	for k, j := range order {
-		i, v := -1, 0.0 // an empty column has no entry
-		if j >= s.n {
-			i, v = j-s.n, -1
-		} else if c := s.p.cols[j]; len(c) > 1 {
-			return k
-		} else if len(c) == 1 {
-			i, v = c[0].Row, c[0].Val
-		}
-		if i < 0 || f.pos[i] >= 0 || !(math.Abs(v) > 1e-7) {
-			s.failed = append(s.failed, j)
-			continue
-		}
-		f.uptr = append(f.uptr, 0)
-		f.lptr = append(f.lptr, 0)
-		f.udiag = append(f.udiag, v)
-		f.pos[i] = int32(len(f.prow))
-		f.prow = append(f.prow, int32(i))
-		s.newBasis[i] = j
-	}
-	return len(order)
 }
 
 // eliminate runs one elimination step on basic column j: its L-solve

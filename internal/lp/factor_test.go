@@ -518,10 +518,10 @@ func refFactorize(s *simplex) error {
 }
 
 // orderLP builds an m-row problem whose columns include the cases the
-// counting order and the singleton placement must get right: empty
-// columns, pairs of singletons on one row, singletons below the 1e-7
-// pivot tolerance, and general columns of 2–4 entries, some of them
-// repeats (singular bases).
+// counting order must get right: empty columns, pairs of singletons on
+// one row (the order decides which one pivots), singletons below the
+// 1e-7 pivot tolerance, and general columns of 2–4 entries, some of
+// them repeats (singular bases).
 func orderLP(rng *rand.Rand, m int) *Problem {
 	type entry struct {
 		row int
@@ -565,8 +565,8 @@ func orderLP(rng *rand.Rand, m int) *Problem {
 	return p
 }
 
-// TestFactorizeOrderMatchesSort holds factorize — the counting order
-// and the singleton placement — to refFactorize on random bases mixing
+// TestFactorizeOrderMatchesSort holds factorize and its counting
+// order to refFactorize on random bases mixing
 // slacks with every kind of orderLP column: the same error, or the
 // same pivot rows, step positions, L, U and diagonal bit for bit and
 // the same repaired basis.

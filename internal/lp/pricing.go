@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"slices"
 	"time"
 )
 
@@ -165,7 +166,7 @@ func (s *simplex) priceRow() {
 		s.alpha = newSparseVec(s.n + s.m)
 	}
 	s.alpha.clear()
-	s.rho.sort()
+	slices.Sort(s.rho.nz)
 	a, alpha := s.rows, s.alpha.x
 	for _, i := range s.rho.nz {
 		yi := s.rho.x[i]

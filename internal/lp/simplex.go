@@ -253,22 +253,6 @@ func (t *indexSet) touch(i int) {
 	}
 }
 
-// sort orders the member list ascending. A large set is listed
-// afresh from a scan of the marks, which beats a sort's k log k
-// compares once k passes about n/32.
-func (t *indexSet) sort() {
-	if len(t.nz) <= len(t.in)/32 {
-		slices.Sort(t.nz)
-		return
-	}
-	t.nz = t.nz[:0]
-	for i, on := range t.in {
-		if on {
-			t.nz = append(t.nz, i)
-		}
-	}
-}
-
 // empty removes every member.
 func (t *indexSet) empty() {
 	for _, i := range t.nz {
@@ -915,7 +899,7 @@ func (s *simplex) pruneInfeasible() {
 // same order, so the same bits.
 func (s *simplex) phase1Infeasibility() float64 {
 	s.pruneInfeasible()
-	s.infeas.sort()
+	slices.Sort(s.infeas.nz)
 	sum := 0.0
 	for _, r := range s.infeas.nz {
 		sum += s.violation(r)
