@@ -7,7 +7,7 @@
 //
 //	novac [-entry main] [-print cps|mir|asm] [-stats] [-no-prune]
 //	      [-no-coarsen] [-remat] [-presolve=false]
-//	      [-alloc-budget 30s] [-fallback auto|off|force]
+//	      [-solve-timeout 4m] [-fallback auto|off|force]
 //	      [-mps out.mps] [-fault spec]
 //	      [-trace out.json] file.nova
 //
@@ -39,7 +39,6 @@ func main() {
 	noCoarsen := flag.Bool("no-coarsen", false, "use the per-point (paper-exact) move model")
 	remat := flag.Bool("remat", false, "enable the §12 constant bank C")
 	timeout := flag.Duration("solve-timeout", 4*time.Minute, "ILP solve budget")
-	allocBudget := flag.Duration("alloc-budget", 0, "hard allocation budget; overrides -solve-timeout and falls back to the greedy allocator when no incumbent exists at expiry")
 	fallbackMode := flag.String("fallback", "auto", "greedy fallback allocator policy: auto, off, force")
 	faultSpec := flag.String("fault", "", "fault-injection plan, e.g. 'mip/worker_panic@1,lp/refactor_fail@1' (testing)")
 	jobs := flag.Int("j", 0, "parallel ILP search workers (0 = all cores)")
@@ -74,11 +73,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -fallback %q (want auto, off, or force)\n", *fallbackMode)
 		os.Exit(2)
 	}
-	budget := *timeout
-	if *allocBudget > 0 {
-		budget = *allocBudget
-	}
-	opts.MIP = &mip.Options{Time: budget, Workers: *jobs}
+	opts.MIP = &mip.Options{Time: *timeout, Workers: *jobs}
 	if !*presolve {
 		opts.MIP.Presolve = -1
 	}

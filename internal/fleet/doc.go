@@ -5,13 +5,14 @@
 //
 // The moving parts: a single dispatcher goroutine pulls packets from a
 // Source, picks each flow's chip by rendezvous hashing (same flow →
-// same chip, always), and hands packets over lock-free SPSC RX rings
-// to one worker goroutine per chip. A worker batches packets onto its
-// chip's thread slots, runs the cycle-level simulation, and pushes
-// per-packet output digests over a TX ring to the aggregator, which
-// folds them into order-independent per-flow digests. Per-chip
-// ixp.Stats roll up into fleet totals, mirrored on the always-on
-// fleet/* obs counters (per-chip under fleet/chipN/*).
+// same chip, always), fills one pending batch per chip, and sends each
+// batch whole over a Go channel to that chip's worker goroutine — when
+// the batch is full, or partial on a flush. A worker runs each batch
+// through the cycle-level simulation and folds the per-packet output
+// digests into its chip's order-independent per-flow digests, which
+// Run sums once the workers exit. Per-chip ixp.Stats roll up into
+// fleet totals, mirrored on the always-on fleet/* obs counters
+// (per-chip under fleet/chipN/*).
 //
 // Faults are first-class: the fleet/fifo_drop, fleet/sram_stall, and
 // fleet/chip_wedge injection points (internal/fault) lose a packet,

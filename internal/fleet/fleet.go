@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,7 +27,7 @@ var (
 )
 
 // Chip-level fault points (DESIGN.md §13): fifo_drop loses one packet
-// at the RX handoff, sram_stall slows a chip's SRAM port for one batch
+// at the dispatcher's hand-off, sram_stall slows a chip's SRAM port for one batch
 // (payload = extra latency cycles, default 64), chip_wedge kills the
 // chip at a batch boundary so its flows must be re-sharded.
 var (
@@ -69,13 +68,12 @@ func Shard(flow uint64, alive []int) int {
 type Source = func() *pktgen.Packet
 
 // Options sizes a fleet run. The zero value means: 1 chip of
-// ixp.NumEngines engines with 4 threads each, 1024-slot rings, a
-// 200M-cycle batch budget, and the standard fleet machine config.
+// ixp.NumEngines engines with 4 threads each, a 200M-cycle batch
+// budget, and the standard fleet machine config.
 type Options struct {
 	Chips       int         // simulated IXP1200 chips (N)
 	Engines     int         // engines per chip (default ixp.NumEngines)
 	Threads     int         // hardware threads per engine (default 4)
-	RingCap     int         // RX/TX ring capacity (default 1024)
 	BatchBudget int64       // cycle budget per batch (default 200M)
 	Config      *ixp.Config // base machine config (default DefaultConfig sized for the workloads)
 
@@ -107,14 +105,6 @@ func (o Options) Normalize() Options {
 	}
 	if o.Threads < 1 {
 		o.Threads = 4
-	}
-	if o.RingCap < 2*o.Engines*o.Threads {
-		if o.RingCap < 1024 {
-			o.RingCap = 1024
-		}
-		if o.RingCap < 2*o.Engines*o.Threads {
-			o.RingCap = 2 * o.Engines * o.Threads
-		}
 	}
 	if o.BatchBudget <= 0 {
 		o.BatchBudget = 200_000_000
@@ -264,7 +254,7 @@ func StatsEqual(a, b *ixp.Stats) bool {
 }
 
 // addStats accumulates src into dst field-wise (Cycles summed, Results
-// ignored: outputs travel through the TX rings as digests).
+// ignored: outputs are folded into the per-flow digests).
 func addStats(dst, src *ixp.Stats) {
 	dst.Cycles += src.Cycles
 	dst.Instrs += src.Instrs
@@ -279,15 +269,41 @@ func addStats(dst, src *ixp.Stats) {
 	dst.PortWaitCycles += src.PortWaitCycles
 }
 
-// flushPacket tells a worker to run whatever partial batch it holds —
-// pushed by the dispatcher at end of stream and after re-sharding.
-var flushPacket = &pktgen.Packet{}
+// rxDepth is how many batches the dispatcher may queue ahead of each
+// chip's worker: enough that a worker finishing a batch finds the next
+// one waiting while the dispatcher is busy generating. A 48-batch queue
+// measured the same on perfbench simulate, so the shorter one keeps
+// MaxInFlight small.
+const rxDepth = 8
 
-// txRec is one delivered packet's record on the TX ring.
-type txRec struct {
-	flow   uint64
-	seq    int64
-	digest uint64
+// MaxInFlight is the most packets a Run with these Options can hold
+// between pulling them from the source and resolving them: per chip,
+// the batch the dispatcher is filling, rxDepth queued batches and the
+// batch the worker has in hand, plus the packet the dispatcher is
+// routing. A wedged chip keeps its share until the dispatcher reclaims
+// it, and re-routing only moves packets between shares.
+func (o Options) MaxInFlight() int64 {
+	o = o.Normalize()
+	return int64(o.Chips*(rxDepth+2)*o.Engines*o.Threads + 1)
+}
+
+// link is one worker incarnation on a chip: the batches the dispatcher
+// sends it, dead (closed by the worker when the chip wedges), exit
+// (closed when the worker returns) and the batch it held when it
+// wedged, which the dispatcher reads only after exit closes.
+type link struct {
+	rx       chan []*pktgen.Packet
+	dead     chan struct{}
+	exit     chan struct{}
+	handback []*pktgen.Packet
+}
+
+func newLink() *link {
+	return &link{
+		rx:   make(chan []*pktgen.Packet, rxDepth),
+		dead: make(chan struct{}),
+		exit: make(chan struct{}),
+	}
 }
 
 // chipCounters is one chip's fleet/chipN/* obs surface.
@@ -295,21 +311,15 @@ type chipCounters struct {
 	packets, batches, cycles, drops, wedged *obs.Counter
 }
 
-// runState carries one Run invocation; chips are goroutines, the
-// dispatcher runs inline, and a separate aggregator folds TX records.
+// runState carries one Run invocation; chips are goroutines and the
+// dispatcher runs inline.
 type runState struct {
-	w *Workload
-	o Options
+	w     *Workload
+	o     Options
+	slots int
 
-	// rx/tx are the dispatcher's view of the rings; workers hold their
-	// own ring pointers, so the dispatcher may swap a dead chip's slots
-	// on re-admission (heal.go) without racing anyone.
-	rx      []*ring[*pktgen.Packet]
-	tx      []*ring[txRec]
-	alive   []atomic.Bool
-	exited  []atomic.Bool
-	nAlive  atomic.Int64
-	requeue chan *pktgen.Packet
+	alive  []atomic.Bool
+	nAlive atomic.Int64
 
 	// live is the continuously updated ledger (caller's Options.Live or
 	// a private one); delivered/dropped/generated all live there.
@@ -318,7 +328,11 @@ type runState struct {
 	chips []ChipResult
 	cc    []chipCounters
 
-	// Dispatcher-owned routing state.
+	// Dispatcher-owned routing state. links[ci] is chip ci's current
+	// worker (nil once a wedged one has been reclaimed); pending[ci] is
+	// the batch being filled for it.
+	links       []*link
+	pending     [][]*pktgen.Packet
 	generated   int64
 	requeued    int64
 	unroutable  int64
@@ -327,21 +341,24 @@ type runState struct {
 	lastChip    map[uint64]int
 	resharded   map[uint64]bool
 
+	// kick wakes the dispatcher's end-of-stream wait: workers post to it
+	// after every batch and when they exit.
+	kick chan struct{}
+
 	// Re-admission plumbing (nil wedgeEvents/readmits when Options.Heal
-	// is unset). done closes when the dispatcher finishes; newTX carries
-	// TX-ring swaps to the aggregator.
+	// is unset). done closes when the dispatcher finishes.
 	done        chan struct{}
 	wedgeEvents chan int
 	readmits    chan readmitCmd
-	newTX       chan txSwap
 	healPolicy  HealPolicy
 	hs          *healState
 
-	wg, awg, hwg sync.WaitGroup
+	wg, hwg sync.WaitGroup
 
-	// Aggregator-owned per-flow accounting.
-	digests map[uint64]uint64
-	fpkts   map[uint64]int64
+	// Per-chip flow tallies, written only by that chip's worker (one
+	// incarnation at a time) and summed by Run after the workers exit.
+	digests []map[uint64]uint64
+	fpkts   []map[uint64]int64
 }
 
 // Run shards the source's packets across o.Chips concurrently
@@ -365,23 +382,21 @@ func Run(w *Workload, src Source, opts Options) (*Result, error) {
 	if err := live.init(o.Chips); err != nil {
 		return nil, err
 	}
-	slots := o.Engines * o.Threads
 	s := &runState{
 		w: w, o: o,
-		rx:        make([]*ring[*pktgen.Packet], o.Chips),
-		tx:        make([]*ring[txRec], o.Chips),
+		slots:     o.Engines * o.Threads,
 		alive:     make([]atomic.Bool, o.Chips),
-		exited:    make([]atomic.Bool, o.Chips),
-		requeue:   make(chan *pktgen.Packet, o.Chips*(o.RingCap+slots)+64),
 		live:      live,
 		chips:     make([]ChipResult, o.Chips),
 		cc:        make([]chipCounters, o.Chips),
+		links:     make([]*link, o.Chips),
+		pending:   make([][]*pktgen.Packet, o.Chips),
 		lastChip:  map[uint64]int{},
 		resharded: map[uint64]bool{},
+		kick:      make(chan struct{}, 1),
 		done:      make(chan struct{}),
-		newTX:     make(chan txSwap, o.Chips),
-		digests:   map[uint64]uint64{},
-		fpkts:     map[uint64]int64{},
+		digests:   make([]map[uint64]uint64, o.Chips),
+		fpkts:     make([]map[uint64]int64, o.Chips),
 	}
 	if o.Heal != nil {
 		s.healPolicy = o.Heal.normalize()
@@ -390,8 +405,7 @@ func Run(w *Workload, src Source, opts Options) (*Result, error) {
 		s.readmits = make(chan readmitCmd, o.Chips)
 	}
 	for i := 0; i < o.Chips; i++ {
-		s.rx[i] = newRing[*pktgen.Packet](o.RingCap)
-		s.tx[i] = newRing[txRec](o.RingCap)
+		s.links[i] = newLink()
 		s.alive[i].Store(true)
 		s.chips[i].Chip = i
 		s.cc[i] = chipCounters{
@@ -401,17 +415,17 @@ func Run(w *Workload, src Source, opts Options) (*Result, error) {
 			drops:   obs.NewCounter(fmt.Sprintf("fleet/chip%d/drops", i)),
 			wedged:  obs.NewCounter(fmt.Sprintf("fleet/chip%d/wedged", i)),
 		}
+		s.digests[i] = map[uint64]uint64{}
+		s.fpkts[i] = map[uint64]int64{}
 	}
 	s.nAlive.Store(int64(o.Chips))
 	gAlive.Set(int64(o.Chips))
 	gAvail.Set(1000)
 
 	start := time.Now()
-	s.awg.Add(1)
-	go s.aggregator()
 	for i := 0; i < o.Chips; i++ {
 		s.wg.Add(1)
-		go s.worker(i, nil, s.rx[i], s.tx[i])
+		go s.worker(i, nil, s.links[i])
 	}
 	if s.readmits != nil {
 		s.hwg.Add(1)
@@ -419,9 +433,8 @@ func Run(w *Workload, src Source, opts Options) (*Result, error) {
 	}
 	s.dispatch(src)
 	// Shutdown order: stop the heal machinery first (a probe completing
-	// after the RX rings closed would re-admit a chip nobody feeds),
-	// discard late re-admissions, then release the aggregator's swap
-	// stream and join everyone.
+	// after the RX channels closed would re-admit a chip nobody feeds),
+	// discard late re-admissions, then join the workers.
 	close(s.done)
 	s.hwg.Wait()
 	if s.readmits != nil {
@@ -434,9 +447,7 @@ func Run(w *Workload, src Source, opts Options) (*Result, error) {
 			}
 		}
 	}
-	close(s.newTX)
 	s.wg.Wait()
-	s.awg.Wait()
 
 	res := &Result{
 		Generated:   s.generated,
@@ -447,14 +458,20 @@ func Run(w *Workload, src Source, opts Options) (*Result, error) {
 		Heals:       s.heals,
 		Probes:      s.live.Probes.Load(),
 		Chips:       s.chips,
-		FlowDigests: s.digests,
-		FlowPackets: s.fpkts,
+		FlowDigests: map[uint64]uint64{},
+		FlowPackets: map[uint64]int64{},
 		FlowChips:   s.lastChip,
 		Elapsed:     time.Since(start),
 	}
 	for i := range s.chips {
 		addStats(&res.Agg, &s.chips[i].Stats)
 		res.Wedges += s.chips[i].Wedges
+		for f, d := range s.digests[i] {
+			res.FlowDigests[f] += d
+		}
+		for f, n := range s.fpkts[i] {
+			res.FlowPackets[f] += n
+		}
 	}
 	if res.Wedges > 0 || res.Dropped > 0 {
 		res.Status = StatusDegraded
@@ -473,93 +490,141 @@ func (s *runState) aliveList() []int {
 	return out
 }
 
-// route delivers one packet to its flow's chip, re-sharding off dead
-// chips. Packets that no alive chip can take are dropped with
-// accounting. Runs only on the dispatcher goroutine.
+// route adds one packet to its flow's chip's pending batch and sends
+// the batch once it is full. fleet/fifo_drop fires here, so a dropped
+// packet never takes a batch slot. Packets that no alive chip can take
+// are dropped with accounting. Runs only on the dispatcher goroutine.
 func (s *runState) route(p *pktgen.Packet) {
-	for {
-		ci := Shard(p.Flow, s.aliveList())
-		if ci < 0 {
-			// Full outage: drop honestly rather than park the packet on a
-			// heal that may never come (probes can keep failing).
-			s.unroutable++
-			s.live.Dropped.Add(1)
-			cDropped.Inc()
-			return
-		}
-		if prev, ok := s.lastChip[p.Flow]; ok && prev != ci && !s.resharded[p.Flow] {
-			s.resharded[p.Flow] = true
-			cResharded.Inc()
-		}
-		s.lastChip[p.Flow] = ci
-		if !s.rx[ci].push(p, func() bool { return !s.alive[ci].Load() }) {
-			continue // target died while we waited; re-shard
-		}
-		// If the target died between our push and its final drain the
-		// packet sits in a dead ring; the dispatcher wait loop drains
-		// dead rings once their workers have exited, so nothing is lost.
+	ci := Shard(p.Flow, s.aliveList())
+	if ci < 0 {
+		// Full outage: drop honestly rather than park the packet on a
+		// heal that may never come (probes can keep failing).
+		s.unroutable++
+		s.live.Dropped.Add(1)
+		cDropped.Inc()
 		return
+	}
+	if prev, ok := s.lastChip[p.Flow]; ok && prev != ci && !s.resharded[p.Flow] {
+		s.resharded[p.Flow] = true
+		cResharded.Inc()
+	}
+	s.lastChip[p.Flow] = ci
+	if pFIFODrop.Fire() {
+		s.chips[ci].Dropped++
+		s.cc[ci].drops.Inc()
+		s.live.Dropped.Add(1)
+		cDropped.Inc()
+		return
+	}
+	if s.pending[ci] == nil {
+		s.pending[ci] = make([]*pktgen.Packet, 0, s.slots)
+	}
+	s.pending[ci] = append(s.pending[ci], p)
+	if len(s.pending[ci]) == s.slots {
+		s.send(ci)
 	}
 }
 
-// drainRequeue routes everything currently on the requeue channel and
-// in dead chips' abandoned RX rings; it reports whether any packet
-// moved. Runs only on the dispatcher goroutine.
-func (s *runState) drainRequeue() bool {
-	moved := false
+// send hands chip ci its pending batch, blocking while its queue is
+// full. If the chip wedges first the batch is re-routed instead.
+func (s *runState) send(ci int) {
+	b := s.pending[ci]
+	if len(b) == 0 {
+		return
+	}
+	s.pending[ci] = nil
+	l := s.links[ci]
+	select {
+	case l.rx <- b:
+	case <-l.dead:
+		s.requeue(ci, b)
+	}
+}
+
+// requeue re-routes packets that wedged chip ci never ran and reports
+// whether there were any.
+func (s *runState) requeue(ci int, b []*pktgen.Packet) bool {
+	for _, p := range b {
+		s.requeued++
+		s.live.Requeued.Add(1)
+		cRequeued.Inc()
+		s.chips[ci].Requeued++
+		s.route(p)
+	}
+	return len(b) > 0
+}
+
+// reclaim re-routes everything wedged chip ci still holds: its pending
+// batch and, once its worker has exited, the batch that worker had in
+// hand and the batches still queued for it. With wait set it blocks
+// until the worker exits; otherwise a worker still exiting keeps its
+// packets until the next call. It reports whether any packet moved.
+func (s *runState) reclaim(ci int, wait bool) bool {
+	b := s.pending[ci]
+	s.pending[ci] = nil
+	moved := s.requeue(ci, b)
+	l := s.links[ci]
+	if l == nil {
+		return moved
+	}
+	if wait {
+		<-l.exit
+	} else {
+		select {
+		case <-l.exit:
+		default:
+			return moved
+		}
+	}
+	// The worker has exited and the chip is dead, so the dispatcher is
+	// the only party left on l: nothing more is sent to l.rx.
+	s.links[ci] = nil
+	moved = s.requeue(ci, l.handback) || moved
 	for {
 		select {
-		case p := <-s.requeue:
-			s.requeued++
-			s.live.Requeued.Add(1)
-			cRequeued.Inc()
-			s.route(p)
-			moved = true
+		case b := <-l.rx:
+			moved = s.requeue(ci, b) || moved
 			continue
 		default:
 		}
-		break
+		return moved
 	}
-	// A dead chip's ring may hold packets that raced its worker's own
-	// drain; the worker has exited (exited[ci]), so the dispatcher is
-	// the only consumer left and popping is still single-consumer.
-	for ci := range s.rx {
-		if s.alive[ci].Load() || !s.exited[ci].Load() {
-			continue
-		}
-		for {
-			p, ok, _ := s.rx[ci].tryPop()
-			if !ok {
-				break
-			}
-			if p == flushPacket {
-				continue
-			}
-			s.requeued++
-			s.live.Requeued.Add(1)
-			cRequeued.Inc()
-			s.chips[ci].Requeued++
-			s.route(p)
+}
+
+// reclaimDead reclaims every wedged chip's packets; it reports whether
+// any moved. Runs only on the dispatcher goroutine.
+func (s *runState) reclaimDead() bool {
+	moved := false
+	for ci := range s.links {
+		if !s.alive[ci].Load() && s.reclaim(ci, false) {
 			moved = true
 		}
 	}
 	return moved
 }
 
-// flushAlive tells every alive chip to run its partial batch.
+// flushAlive sends every alive chip its partial batch.
 func (s *runState) flushAlive() {
-	for ci := range s.rx {
+	for ci := range s.links {
 		if s.alive[ci].Load() {
-			s.rx[ci].push(flushPacket, func() bool { return !s.alive[ci].Load() })
+			s.send(ci)
 		}
 	}
 }
 
+// poke wakes the dispatcher's end-of-stream wait without blocking.
+func (s *runState) poke() {
+	select {
+	case s.kick <- struct{}{}:
+	default:
+	}
+}
+
 // dispatch generates, routes, and accounts the whole stream, then
-// closes the RX rings once every packet is resolved (delivered or
-// dropped) so workers flush and exit. With Options.Idle set the stream
-// may pause: nil packets trigger a housekeeping tick instead of ending
-// the run, until Idle reports the stream is truly over.
+// closes the RX channels once every packet is resolved (delivered or
+// dropped) so workers exit. With Options.Idle set the stream may
+// pause: nil packets trigger a housekeeping tick instead of ending the
+// run, until Idle reports the stream is truly over.
 func (s *runState) dispatch(src Source) {
 	for {
 		p := src()
@@ -578,29 +643,36 @@ func (s *runState) dispatch(src Source) {
 			s.flushAlive()
 		}
 		if s.generated%1024 == 0 {
-			s.drainRequeue()
+			s.reclaimDead()
 		}
 	}
 	s.flushAlive()
 	for s.live.Delivered.Load()+s.live.Dropped.Load() < s.generated {
-		healed := s.processHeals()
-		if s.drainRequeue() || healed {
+		healed := false
+		select {
+		case <-s.kick:
+		case cmd := <-s.readmits:
+			healed = s.readmit(cmd)
+		}
+		healed = s.processHeals() || healed
+		if s.reclaimDead() || healed {
 			s.flushAlive()
 		}
-		runtime.Gosched()
 	}
-	for ci := range s.rx {
-		s.rx[ci].close()
+	for _, l := range s.links {
+		if l != nil {
+			close(l.rx)
+		}
 	}
 }
 
 // idleTick runs dispatcher housekeeping while a daemon source has no
-// packet ready: apply pending re-admissions, re-route requeued work,
+// packet ready: apply pending re-admissions, re-route reclaimed work,
 // and flush partial batches so admitted packets never wait on future
 // arrivals. Returns Idle()'s verdict — false means end of stream.
 func (s *runState) idleTick() bool {
 	healed := s.processHeals()
-	moved := s.drainRequeue()
+	moved := s.reclaimDead()
 	if healed || moved || !s.idleFlushed {
 		s.flushAlive()
 		s.idleFlushed = true
@@ -608,16 +680,13 @@ func (s *runState) idleTick() bool {
 	return s.o.Idle()
 }
 
-// worker runs one chip: collect full batches off the RX ring, simulate
-// them, push per-packet output records to the TX ring. A flush marker
-// (or ring close) runs the partial batch; a wedge drains and exits.
-// The rings arrive as parameters (not via s.rx/s.tx) because the
-// dispatcher replaces a dead chip's slots on re-admission; chip is
-// non-nil when a probe already built it (heal.go).
-func (s *runState) worker(ci int, chip *ixp.Chip, rx *ring[*pktgen.Packet], tx *ring[txRec]) {
+// worker runs one incarnation of chip ci: simulate each batch the
+// dispatcher sends until the channel closes or the chip wedges. chip
+// is non-nil when a probe already built it (heal.go).
+func (s *runState) worker(ci int, chip *ixp.Chip, l *link) {
 	defer s.wg.Done()
-	defer s.exited[ci].Store(true)
-	defer tx.close()
+	defer s.poke()
+	defer close(l.exit)
 	if chip == nil {
 		chip = ixp.NewChip(s.o.MachineConfig(), s.o.Engines)
 		chip.SetID(ci)
@@ -625,62 +694,21 @@ func (s *runState) worker(ci int, chip *ixp.Chip, rx *ring[*pktgen.Packet], tx *
 			s.w.Init(chip)
 		}
 	}
-	slots := s.o.Engines * s.o.Threads
-	batch := make([]*pktgen.Packet, 0, slots)
-	cr := &s.chips[ci]
-	spins := 0
-	for {
-		p, ok, closed := rx.tryPop()
-		if !ok {
-			if closed {
-				if len(batch) > 0 && !s.runBatch(ci, chip, cr, batch, rx, tx) {
-					return
-				}
-				return
-			}
-			// Back off once the ring stays empty: a daemon fleet idles
-			// between bursts and must not spin whole cores.
-			if spins++; spins > 256 {
-				time.Sleep(50 * time.Microsecond)
-			} else {
-				runtime.Gosched()
-			}
-			continue
+	for batch := range l.rx {
+		if !s.runBatch(ci, chip, l, batch) {
+			return
 		}
-		spins = 0
-		if p == flushPacket {
-			if len(batch) > 0 {
-				if !s.runBatch(ci, chip, cr, batch, rx, tx) {
-					return
-				}
-				batch = batch[:0]
-			}
-			continue
-		}
-		if pFIFODrop.Fire() {
-			cr.Dropped++
-			s.cc[ci].drops.Inc()
-			s.live.Dropped.Add(1)
-			cDropped.Inc()
-			continue
-		}
-		batch = append(batch, p)
-		if len(batch) == slots {
-			if !s.runBatch(ci, chip, cr, batch, rx, tx) {
-				return
-			}
-			batch = batch[:0]
-		}
+		s.poke()
 	}
 }
 
-// runBatch simulates one batch on the chip. It returns false when the
-// chip wedged (injected or a real simulator failure): the batch and
-// the chip's remaining queue have been handed back for re-sharding and
-// the worker must exit.
-func (s *runState) runBatch(ci int, chip *ixp.Chip, cr *ChipResult, batch []*pktgen.Packet, rx *ring[*pktgen.Packet], tx *ring[txRec]) bool {
+// runBatch simulates one batch on the chip and folds its outputs into
+// the chip's flow tallies. It returns false when the chip wedged
+// (injected or a real simulator failure): the batch has been handed
+// back for re-sharding and the worker must exit.
+func (s *runState) runBatch(ci int, chip *ixp.Chip, l *link, batch []*pktgen.Packet) bool {
 	if pChipWedge.Fire() {
-		s.wedge(ci, cr, batch, rx, nil)
+		s.wedge(ci, l, batch, nil)
 		return false
 	}
 	restore := func() {}
@@ -701,15 +729,16 @@ func (s *runState) runBatch(ci int, chip *ixp.Chip, cr *ChipResult, batch []*pkt
 	st, err := s.w.RunBatch(chip, batch, s.o.BatchBudget)
 	restore()
 	if err != nil {
-		s.wedge(ci, cr, batch, rx, err)
+		s.wedge(ci, l, batch, err)
 		return false
 	}
 	// Slots are staged contiguously in engine-major order, which is
 	// exactly the order Chip.Run collects halt results in.
 	if len(st.Results) != len(batch) {
-		s.wedge(ci, cr, batch, rx, fmt.Errorf("%d results for %d staged packets", len(st.Results), len(batch)))
+		s.wedge(ci, l, batch, fmt.Errorf("%d results for %d staged packets", len(st.Results), len(batch)))
 		return false
 	}
+	cr := &s.chips[ci]
 	addStats(&cr.Stats, st)
 	cr.Batches++
 	cr.Packets += int64(len(batch))
@@ -719,135 +748,43 @@ func (s *runState) runBatch(ci int, chip *ixp.Chip, cr *ChipResult, batch []*pkt
 	s.cc[ci].cycles.Add(st.Cycles)
 	cBatches.Inc()
 	cCycles.Add(st.Cycles)
+	// The per-flow fold is an order-independent sum, so digests compare
+	// equal across any N and any re-sharding or heal history.
+	digests, fpkts := s.digests[ci], s.fpkts[ci]
 	for i, p := range batch {
 		d := s.w.Collect(chip, i, p, st.Results[i])
-		tx.push(txRec{flow: p.Flow, seq: p.Seq, digest: d}, nil)
-		s.live.Delivered.Add(1)
-		cDelivered.Inc()
+		digests[p.Flow] += mix64(d ^ mix64(uint64(p.Seq)+0x51ed270b))
+		fpkts[p.Flow]++
 	}
+	s.live.Delivered.Add(int64(len(batch)))
+	cDelivered.Add(int64(len(batch)))
 	return true
 }
 
-// wedge marks the chip dead, hands its unprocessed work (the in-flight
-// batch plus whatever its RX ring holds) back to the dispatcher for
-// re-sharding, and — when healing is on — posts the wedge event for the
-// healer. The requeue channel is sized for the worst case, so this
-// never blocks.
-func (s *runState) wedge(ci int, cr *ChipResult, batch []*pktgen.Packet, rx *ring[*pktgen.Packet], err error) {
+// wedge marks the chip dead, leaves the batch it was running for the
+// dispatcher to re-shard (with whatever is still queued for the chip),
+// and — when healing is on — posts the wedge event for the healer.
+func (s *runState) wedge(ci int, l *link, batch []*pktgen.Packet, err error) {
 	s.alive[ci].Store(false)
 	n := s.nAlive.Add(-1)
 	gAlive.Set(n)
 	s.live.Alive.Store(n)
 	gAvail.Set(1000 * n / int64(s.o.Chips))
+	cr := &s.chips[ci]
 	cr.Wedged = true
 	cr.Wedges++
 	cr.WedgeErr = err
 	s.live.Wedges.Add(1)
 	s.cc[ci].wedged.Inc()
 	cWedges.Inc()
-	for _, p := range batch {
-		cr.Requeued++
-		s.requeue <- p
-	}
-	for {
-		p, ok, _ := rx.tryPop()
-		if !ok {
-			break
-		}
-		if p == flushPacket {
-			continue
-		}
-		cr.Requeued++
-		s.requeue <- p
-	}
+	l.handback = batch
+	close(l.dead)
 	if s.wedgeEvents != nil {
 		// Capacity is Chips and a chip cannot wedge again before its
 		// re-admission consumed the prior event, so this never drops.
 		select {
 		case s.wedgeEvents <- ci:
 		default:
-		}
-	}
-}
-
-// aggregator folds every chip's TX records into the per-flow digests.
-// The combine is an order-independent sum, so digests compare equal
-// across any N and any re-sharding/heal history. It keeps a private
-// copy of the ring set and absorbs replacement rings from newTX as
-// chips are re-admitted, draining each retired ring to completion
-// first so no delivered record is lost.
-func (s *runState) aggregator() {
-	defer s.awg.Done()
-	rings := append([]*ring[txRec](nil), s.tx...)
-	done := make([]bool, len(rings))
-	open := len(rings)
-	swapsOpen := true
-	fold := func(rec txRec) {
-		s.digests[rec.flow] += mix64(rec.digest ^ mix64(uint64(rec.seq)+0x51ed270b))
-		s.fpkts[rec.flow]++
-	}
-	absorb := func() bool {
-		moved := false
-		for swapsOpen {
-			select {
-			case sw, ok := <-s.newTX:
-				if !ok {
-					swapsOpen = false
-					continue
-				}
-				// The retired ring is closed and fully pushed — the swap
-				// is sent only after the dispatcher saw the worker exit,
-				// and the worker closes its TX ring before that flag.
-				for {
-					rec, ok2, closed := rings[sw.ci].tryPop()
-					if ok2 {
-						fold(rec)
-						continue
-					}
-					if closed {
-						break
-					}
-					runtime.Gosched()
-				}
-				if done[sw.ci] {
-					done[sw.ci] = false
-					open++
-				}
-				rings[sw.ci] = sw.r
-				moved = true
-			default:
-				return moved
-			}
-		}
-		return moved
-	}
-	spins := 0
-	for open > 0 || swapsOpen {
-		progress := absorb()
-		for ci, r := range rings {
-			if done[ci] {
-				continue
-			}
-			for {
-				rec, ok, closed := r.tryPop()
-				if ok {
-					progress = true
-					fold(rec)
-					continue
-				}
-				if closed {
-					done[ci] = true
-					open--
-				}
-				break
-			}
-		}
-		if progress {
-			spins = 0
-		} else if spins++; spins > 256 {
-			time.Sleep(50 * time.Microsecond)
-		} else {
-			runtime.Gosched()
 		}
 	}
 }

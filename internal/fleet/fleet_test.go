@@ -89,37 +89,6 @@ func mustRun(t *testing.T, w *Workload, src Source, o Options) *Result {
 	return res
 }
 
-// TestRingSPSC: order and completeness under a concurrent producer and
-// consumer (the -race gate exercises the memory ordering).
-func TestRingSPSC(t *testing.T) {
-	r := newRing[int](64)
-	const total = 100_000
-	go func() {
-		for i := 0; i < total; i++ {
-			r.push(i, nil)
-		}
-		r.close()
-	}()
-	next := 0
-	for {
-		v, ok, closed := r.tryPop()
-		if ok {
-			if v != next {
-				t.Errorf("popped %d, want %d", v, next)
-				return
-			}
-			next++
-			continue
-		}
-		if closed {
-			break
-		}
-	}
-	if next != total {
-		t.Fatalf("consumed %d of %d", next, total)
-	}
-}
-
 // TestDeterministicSharding: for any N, the same seed and flow set
 // give identical per-chip assignment, per-chip Stats, and per-flow
 // digests across runs.
@@ -257,7 +226,9 @@ func TestWedgeDegraded(t *testing.T) {
 }
 
 // TestFifoDropAccounting: injected FIFO drops are counted, never
-// silently lost.
+// silently lost, and — because the drop fires at the dispatcher's
+// hand-off, in packet order — two runs of one seeded plan drop the same
+// packets: identical per-chip drops, batches, Stats and digests.
 func TestFifoDropAccounting(t *testing.T) {
 	plan, err := fault.Parse("fleet/fifo_drop@1:5")
 	if err != nil {
@@ -275,6 +246,35 @@ func TestFifoDropAccounting(t *testing.T) {
 	}
 	if res.Status != StatusDegraded {
 		t.Fatalf("status %v, want degraded", res.Status)
+	}
+
+	var runs [2]*Result
+	for i := range runs {
+		plan, err := fault.Parse("fleet/fifo_drop~0.05, seed=3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fault.Install(plan)
+		runs[i] = mustRun(t, w, stream(400), testOptions(2))
+	}
+	a, b := runs[0], runs[1]
+	if a.Dropped == 0 {
+		t.Fatal("seeded plan dropped nothing")
+	}
+	for i := range a.Chips {
+		ca, cb := &a.Chips[i], &b.Chips[i]
+		if ca.Dropped != cb.Dropped || ca.Batches != cb.Batches || !StatsEqual(&ca.Stats, &cb.Stats) {
+			t.Fatalf("chip %d: dropped %d vs %d, batches %d vs %d, stats equal %v across identical runs",
+				i, ca.Dropped, cb.Dropped, ca.Batches, cb.Batches, StatsEqual(&ca.Stats, &cb.Stats))
+		}
+	}
+	if len(a.FlowDigests) != len(b.FlowDigests) {
+		t.Fatalf("%d vs %d flow digests across identical runs", len(a.FlowDigests), len(b.FlowDigests))
+	}
+	for f, d := range a.FlowDigests {
+		if b.FlowDigests[f] != d {
+			t.Fatalf("flow %d digest differs across identical runs", f)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@ package fleet
 
 // Chip re-admission (DESIGN.md §15): a wedged chip is drained (the §13
 // protocol), then probed back to life on a jittered exponential
-// backoff, re-admitted with fresh rings and a fresh simulator, and put
+// backoff, re-admitted with a fresh worker and a fresh simulator, and put
 // on probation — a re-wedge inside the probation window doubles the
 // next backoff instead of resetting it. Because routing recomputes the
 // rendezvous hash over the *alive* set per packet, a re-admitted chip
@@ -14,7 +14,6 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,7 +21,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/ixp"
 	"repro/internal/obs"
-	"repro/internal/pktgen"
 )
 
 // Heal-cycle rollup counters (DESIGN.md §15) and the probe fault point:
@@ -36,19 +34,20 @@ var (
 	pProbeFail = fault.NewPoint("fleet/probe_fail")
 )
 
+// healJitter spreads each heal backoff uniformly over ±20% of its
+// nominal value, deterministically under HealPolicy.Seed.
+const healJitter = 0.2
+
 // HealPolicy enables chip re-admission: when Options.Heal is non-nil, a
 // wedged chip is not drained forever — after a jittered exponential
 // backoff it is probed (fresh chip, workload Init, fleet/probe_fail
-// consulted) and, on success, re-admitted to the alive set with fresh
-// rings. The zero value selects every documented default.
+// consulted) and, on success, re-admitted to the alive set with a
+// fresh worker. The zero value selects every documented default.
 type HealPolicy struct {
 	// Base is the first probe delay after a wedge (default 50ms).
 	Base time.Duration
 	// Max caps the exponential backoff (default 2s).
 	Max time.Duration
-	// Jitter spreads each backoff uniformly over ±Jitter of its nominal
-	// value (default 0.2), deterministically under Seed.
-	Jitter float64
 	// Probation is the window after a re-admission during which another
 	// wedge doubles the next backoff instead of resetting the ladder
 	// (default 1s).
@@ -67,12 +66,6 @@ func (hp HealPolicy) normalize() HealPolicy {
 	}
 	if hp.Max < hp.Base {
 		hp.Max = hp.Base
-	}
-	if hp.Jitter <= 0 {
-		hp.Jitter = 0.2
-	}
-	if hp.Jitter > 1 {
-		hp.Jitter = 1
 	}
 	if hp.Probation <= 0 {
 		hp.Probation = time.Second
@@ -145,13 +138,6 @@ type readmitCmd struct {
 	chip *ixp.Chip
 }
 
-// txSwap tells the aggregator chip ci's TX ring was replaced on
-// re-admission.
-type txSwap struct {
-	ci int
-	r  *ring[txRec]
-}
-
 // healState is the healer's per-chip backoff ladder.
 type healState struct {
 	mu       sync.Mutex
@@ -201,7 +187,7 @@ func (h *healState) backoff(hp HealPolicy, k int) time.Duration {
 		d = hp.Max
 	}
 	h.mu.Lock()
-	f := 1 - hp.Jitter + 2*hp.Jitter*h.rng.Float64()
+	f := 1 - healJitter + 2*healJitter*h.rng.Float64()
 	h.mu.Unlock()
 	return time.Duration(float64(d) * f)
 }
@@ -276,42 +262,17 @@ func (s *runState) processHeals() bool {
 	}
 }
 
-// readmit brings a probed chip back: drain whatever still sits in the
-// dead RX ring, swap in fresh rings (telling the aggregator), restore
-// the alive flag, and respawn the worker. Runs only on the dispatcher
-// goroutine, so the ring swap races nobody.
+// readmit brings a probed chip back: wait for the wedged worker to
+// exit, re-route whatever it still held, restore the alive flag, and
+// start a fresh worker. Runs only on the dispatcher goroutine.
 func (s *runState) readmit(cmd readmitCmd) bool {
 	ci := cmd.ci
 	if s.alive[ci].Load() {
 		return false // stale command; chip already serving
 	}
-	// The worker sets exited after its wedge drain; wait it out so the
-	// dead-ring pop below stays single-consumer.
-	for !s.exited[ci].Load() {
-		runtime.Gosched()
-	}
-	for {
-		p, ok, _ := s.rx[ci].tryPop()
-		if !ok {
-			break
-		}
-		if p == flushPacket {
-			continue
-		}
-		s.requeued++
-		s.live.Requeued.Add(1)
-		cRequeued.Inc()
-		s.chips[ci].Requeued++
-		s.route(p)
-	}
-	rx := newRing[*pktgen.Packet](s.o.RingCap)
-	tx := newRing[txRec](s.o.RingCap)
-	s.rx[ci] = rx
-	// s.tx deliberately keeps the retired ring: the aggregator copied
-	// that slice at startup and learns about the replacement through
-	// newTX; writing s.tx here would race its copy.
-	s.newTX <- txSwap{ci: ci, r: tx}
-	s.exited[ci].Store(false)
+	s.reclaim(ci, true)
+	l := newLink()
+	s.links[ci] = l
 	s.chips[ci].Wedged = false
 	s.chips[ci].Heals++
 	s.heals++
@@ -323,6 +284,6 @@ func (s *runState) readmit(cmd readmitCmd) bool {
 	s.live.Alive.Store(n)
 	gAvail.Set(1000 * n / int64(s.o.Chips))
 	s.wg.Add(1)
-	go s.worker(ci, cmd.chip, rx, tx)
+	go s.worker(ci, cmd.chip, l)
 	return true
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -76,6 +77,36 @@ func TestHealRestoresPlacementAndDigests(t *testing.T) {
 		if got := res.FlowDigests[f]; got != want {
 			t.Fatalf("flow %d digest %#x differs from fault-free %#x across wedge→heal", f, got, want)
 		}
+	}
+}
+
+// TestRunLeavesNoGoroutines: once a 3-chip run through wedges and
+// heals returns, every worker, the healer and every heal goroutine
+// have exited.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	w := testWorkload(t)
+	baseline := runtime.NumGoroutine()
+	plan, err := fault.Parse("fleet/chip_wedge@3:2, fleet/probe_fail@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Install(plan)
+	defer fault.Reset()
+	o := testOptions(3)
+	o.Heal = testHeal()
+	o.Live = NewLive(3)
+	res := mustRun(t, w, pacedStream(4000, o.Live), o)
+	if res.Wedges == 0 || res.Heals == 0 {
+		t.Fatalf("wedges %d, heals %d: the plan did not exercise a heal", res.Wedges, res.Heals)
+	}
+	// A goroutine that called wg.Done may still be retiring; give the
+	// runtime a moment.
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > baseline && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n > baseline {
+		t.Fatalf("%d goroutines after the run, %d before", n, baseline)
 	}
 }
 

@@ -85,24 +85,12 @@ func (d *Daemon) violate(rule, format string, args ...any) {
 	os.Exit(3)
 }
 
-// inflightBound is the most packets that can legitimately sit between
-// "generated" and "resolved": every RX ring full, every worker holding
-// a full batch plus one in hand, the requeue channel full, and one
-// packet in the dispatcher's routing loop.
-func (d *Daemon) inflightBound() int64 {
-	o := d.cfg.Fleet
-	slots := o.Engines * o.Threads
-	perChip := o.RingCap + slots + 1
-	requeueCap := o.Chips*(o.RingCap+slots) + 64
-	return int64(o.Chips*perChip + requeueCap + 1)
-}
-
 // audit is the live invariant auditor goroutine; baseline is the
 // goroutine count before the daemon spawned anything.
 func (d *Daemon) audit(baseline int) {
 	t := time.NewTicker(d.cfg.AuditEvery)
 	defer t.Stop()
-	bound := d.inflightBound()
+	bound := d.cfg.Fleet.MaxInFlight()
 	chips := int64(d.cfg.Fleet.Chips)
 	var (
 		liveMismatch int // consecutive ticks of a stable liveness mismatch
@@ -127,7 +115,7 @@ func (d *Daemon) audit(baseline int) {
 		}
 
 		// In-flight bound: generated (read first) minus resolved cannot
-		// exceed the physical queue capacity.
+		// exceed what the fleet's queues can hold (Options.MaxInFlight).
 		gen = d.live.Generated.Load()
 		inflight := gen - d.live.Delivered.Load() - d.live.Dropped.Load()
 		if inflight > bound {

@@ -310,8 +310,8 @@ func (d *Daemon) Run() (*Report, error) {
 	}
 	rep.PlacementRestored = placementRestored(res, opts.Chips)
 
-	// Drain-leak check: the generator, auditor, fleet workers, healer,
-	// and aggregator are all joined by now; give the runtime a moment
+	// Drain-leak check: the generator, auditor, fleet workers and
+	// healer are all joined by now; give the runtime a moment
 	// to retire exiting goroutines before sampling.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
