@@ -26,7 +26,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/mip"
-	"repro/internal/model"
 	"repro/internal/nova"
 	"repro/internal/obs"
 )
@@ -121,7 +120,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := comp.Alloc.WriteMPS(f, model.MPSFixed); err != nil {
+		if err := comp.Alloc.WriteMPS(f); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

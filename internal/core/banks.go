@@ -29,6 +29,7 @@ const (
 
 var bankNames = [...]string{"A", "B", "M", "L", "LD", "S", "SD", "C"}
 
+// String returns the bank's short name, as the paper writes it.
 func (b Bank) String() string { return bankNames[b] }
 
 // GBanks are the paper's GBank set; XBanks the transfer banks.

@@ -56,17 +56,18 @@ type Result struct {
 	model *model.Model
 }
 
-// WriteMPS exports the solved integer program in MPS format with
+// WriteMPS exports the solved integer program in fixed MPS format with
 // canonical row/column naming (see model.WriteMPS), the bridge to
 // external solvers.
-func (r *Result) WriteMPS(w io.Writer, format model.MPSFormat) error {
-	return r.model.WriteMPS(w, format)
+func (r *Result) WriteMPS(w io.Writer) error {
+	return r.model.WriteMPS(w)
 }
 
-// ModelLP returns a deep copy of the allocator's integer program —
-// the LP relaxation plus the integrality mask — so tests and tools
-// can probe the solver kernel on the paper's real models without
-// aliasing the solved allocation.
+// ModelLP returns a copy of the allocator's integer program — the LP
+// relaxation (a Clone: its own bounds and objective over the shared,
+// frozen matrix) plus the integrality mask — so tests and tools can
+// probe the solver kernel on the paper's real models without aliasing
+// the solved allocation.
 func (r *Result) ModelLP() (*lp.Problem, []bool) {
 	if r.model == nil {
 		return nil, nil

@@ -1,13 +1,13 @@
 // Package lp implements a linear-programming solver: a bounded-variable
-// simplex over sparse columns with a sparse LU basis factorization
-// (threshold-Markowitz pivoting, Forrest–Tomlin-style update etas
-// between refactorizations, hypersparse triangular solves), pivot
-// rows priced from a row-wise copy of the matrix, devex pricing on the
-// primal side, and a bound-flipping dual simplex for cold solves whose
-// crash basis is dual feasible and for warm-started re-solves after
-// bound changes or added rows. It is the substrate under the
-// branch-and-bound MIP solver that stands in for CPLEX in this
-// reproduction.
+// simplex over a frozen sparse matrix with a sparse LU basis
+// factorization (threshold-Markowitz pivoting, Forrest–Tomlin-style
+// update etas between refactorizations, hypersparse triangular
+// solves), pivot rows priced from the matrix's rows, devex pricing on
+// the primal side, a Bland fallback against cycling, and a
+// bound-flipping dual simplex for cold solves whose crash basis is
+// dual feasible (on perturbed costs) and for warm-started re-solves
+// after bound changes. It is the substrate under the branch-and-bound
+// MIP solver that stands in for CPLEX in this reproduction.
 //
 // Problems are stated as
 //
@@ -20,7 +20,9 @@
 //
 // # Usage
 //
-// Build a problem column by column, then solve:
+// Add the columns, then the rows, then solve. The first read of the
+// matrix (Solve, Clone, Col, Row) freezes it: clones share it, and
+// AddCol and AddRow panic from then on.
 //
 //	p := lp.NewProblem()
 //	x := p.AddCol(1.0, 0, lp.Inf)                   // objective coeff, bounds
@@ -35,9 +37,10 @@
 // row order, and the LU factorization with its pending update etas.
 // Passing it back through Options.WarmBasis after bound changes
 // warm-starts the re-solve: the factorization is adopted without
-// refactorizing (guarded by a matrix signature), and Options.Method
-// MethodAuto routes the re-solve through the dual simplex, which
-// restores optimality in a handful of pivots instead of a full solve.
+// refactorizing when it was computed on the same frozen matrix (the
+// Problem's or a clone's), and Options.Method MethodAuto routes the
+// re-solve through the dual simplex, which restores optimality in a
+// handful of pivots instead of a full solve.
 // A cold solve whose crash basis is dual feasible (every column at
 // the bound its cost prefers, as in the register allocator's models)
 // runs the same dual on costs perturbed by about Tol, then drops the

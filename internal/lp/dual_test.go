@@ -65,10 +65,11 @@ func TestDualWarmBoundChange(t *testing.T) {
 	}
 }
 
-// TestDualWarmAddRow appends a violated cut row (the cutting-plane
-// pattern) and checks the warm dual re-solve matches a cold primal
-// solve of the grown problem.
-func TestDualWarmAddRow(t *testing.T) {
+// TestDualWarmTightenedBounds caps every column of a random subset at
+// half its optimal value: bounds that imply the cut Σ_S x <= act/2 and
+// cut off the optimal vertex. The warm re-solve from the now primal-
+// infeasible basis must take the dual and match a cold primal solve.
+func TestDualWarmTightenedBounds(t *testing.T) {
 	base := obs.TakeSnapshot()
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 12; trial++ {
@@ -77,26 +78,22 @@ func TestDualWarmAddRow(t *testing.T) {
 		if err != nil || sol.Status != Optimal {
 			t.Fatalf("trial %d: root solve %v %v", trial, sol, err)
 		}
-		// A random subset row capped strictly below its current
-		// activity is violated at the incumbent point.
-		var cols []int
-		var vals []float64
+		q := p.Clone()
 		act := 0.0
 		for j, x := range sol.X {
 			if rng.Intn(2) == 0 {
-				cols = append(cols, j)
-				vals = append(vals, 1)
+				lo, _ := q.Bounds(j)
+				q.SetBounds(j, lo, x/2)
 				act += x
 			}
 		}
-		if len(cols) == 0 || act < 0.75 {
+		if act < 0.75 {
 			continue
 		}
-		p.AddRow(math.Inf(-1), act/2, cols, vals)
-		solveBoth(t, p, sol.Basis, "add-row")
+		solveBoth(t, q, sol.Basis, "tightened bounds")
 	}
 	if d := obs.Since(base); d["lp/dual_iterations"] == 0 {
-		t.Fatal("lp/dual_iterations = 0: the cut re-solves never took the dual path")
+		t.Fatal("lp/dual_iterations = 0: the re-solves never took the dual path")
 	}
 }
 
@@ -276,13 +273,13 @@ func TestColdDualMatchesPrimal(t *testing.T) {
 			if x < p.lo[j]-o.Tol || x > p.hi[j]+o.Tol {
 				t.Fatalf("trial %d: x[%d] = %v outside [%v, %v]", trial, j, x, p.lo[j], p.hi[j])
 			}
-			for _, nz := range p.cols[j] {
+			for _, nz := range p.Col(j) {
 				act[nz.Row] += nz.Val * x
 			}
 		}
 		for r, a := range act {
-			if a < p.rowLo[r]-o.Tol || a > p.rowHi[r]+o.Tol {
-				t.Fatalf("trial %d: row %d activity %v outside [%v, %v]", trial, r, a, p.rowLo[r], p.rowHi[r])
+			if a < p.a.rowLo[r]-o.Tol || a > p.a.rowHi[r]+o.Tol {
+				t.Fatalf("trial %d: row %d activity %v outside [%v, %v]", trial, r, a, p.a.rowLo[r], p.a.rowHi[r])
 			}
 		}
 		f := newSimplex(p, &o)

@@ -34,8 +34,8 @@ import (
 // exactly the slot of the variable it belongs to.
 type luFactor struct {
 	m   int
-	sig uint64 // matrix signature of the Problem it was computed on
-	nnz int    // stored nonzeros in L and U, diagonals included
+	a   *matrix // the frozen matrix it was computed on
+	nnz int     // stored nonzeros in L and U, diagonals included
 
 	prow []int32 // pivot row of elimination step k
 	pos  []int32 // elimination step of pivot row i (-1 while unpivoted)
@@ -334,7 +334,7 @@ func (s *simplex) factorize() error {
 func (s *simplex) newFactor() *luFactor {
 	m := s.m
 	f := &luFactor{
-		m: m, sig: s.p.matSig,
+		m: m, a: s.a,
 		prow:  make([]int32, 0, m),
 		pos:   make([]int32, m),
 		lptr:  make([]int32, 1, m+1),
@@ -463,7 +463,7 @@ func (s *simplex) orderBasis() []int {
 	most := 1
 	for r := 0; r < s.m; r++ {
 		if j := s.basis[r]; j < s.n {
-			c := s.p.cols[j]
+			c := s.a.col(j)
 			for _, nz := range c {
 				rowCount[nz.Row]++
 			}
@@ -497,7 +497,7 @@ func (s *simplex) orderBasis() []int {
 // colNnz returns the number of nonzeros in any variable's column.
 func (s *simplex) colNnz(j int) int {
 	if j < s.n {
-		return len(s.p.cols[j])
+		return int(s.a.cptr[j+1] - s.a.cptr[j])
 	}
 	return 1
 }
@@ -511,7 +511,7 @@ func (s *simplex) colNnz(j int) int {
 // failures reach warm re-solves that would otherwise never refactor.
 func (s *simplex) adoptFactor(b *Basis) (bool, error) {
 	f := b.factor
-	if f == nil || f.lu == nil || f.lu.m != s.m || f.lu.sig != s.p.matSig {
+	if f == nil || f.lu == nil || f.lu.a != s.a {
 		return false, nil
 	}
 	if len(f.updates) >= s.opts.RefactorGap || f.nnz > 2*f.lu.nnz+16*s.m {
@@ -547,7 +547,7 @@ func (s *simplex) recomputeXB() {
 			continue
 		}
 		if j < s.n {
-			for _, nz := range s.p.cols[j] {
+			for _, nz := range s.a.col(j) {
 				rhs[nz.Row] -= nz.Val * v
 			}
 		} else {

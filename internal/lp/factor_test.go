@@ -20,7 +20,7 @@ func residualFtran(s *simplex, v []float64) float64 {
 	for r := 0; r < s.m; r++ {
 		j := s.basis[r]
 		if j < s.n {
-			for _, nz := range s.p.cols[j] {
+			for _, nz := range s.a.col(j) {
 				act[nz.Row] += nz.Val * z[r]
 			}
 		} else {
@@ -45,7 +45,7 @@ func residualBtran(s *simplex, v []float64) float64 {
 		j := s.basis[r]
 		var dot float64
 		if j < s.n {
-			for _, nz := range s.p.cols[j] {
+			for _, nz := range s.a.col(j) {
 				dot += nz.Val * y[nz.Row]
 			}
 		} else {
@@ -162,8 +162,9 @@ func TestWarmAdoptionSkipsRefactorization(t *testing.T) {
 // TestMatrixSignatureGuardsAdoption warm-starts a solve of one matrix
 // with a basis snapshot taken on a different matrix of identical
 // shape. The basis itself is legal (shape-compatible) so it loads,
-// but the carried factorization must be rejected by the signature —
-// the solve refactorizes and still reaches the right optimum.
+// but the carried factorization belongs to another frozen matrix and
+// must be rejected — the solve refactorizes and still reaches the
+// right optimum.
 func TestMatrixSignatureGuardsAdoption(t *testing.T) {
 	mk := func(c float64) *Problem {
 		p := NewProblem()
@@ -285,7 +286,7 @@ func checkSparseSolves(t testing.TB, s *simplex, rng *rand.Rand) {
 		for j := 0; j < s.n+s.m; j++ {
 			var a float64
 			if j < s.n {
-				for _, nz := range s.p.cols[j] {
+				for _, nz := range s.a.col(j) {
 					a += dense[nz.Row] * nz.Val
 				}
 			} else {
@@ -597,8 +598,8 @@ func TestFactorizeOrderMatchesSort(t *testing.T) {
 		for _, j := range s.basis {
 			if j >= s.n {
 				onRow[j-s.n]++
-			} else if len(p.cols[j]) == 1 {
-				if onRow[p.cols[j][0].Row]++; onRow[p.cols[j][0].Row] == 2 {
+			} else if len(p.Col(j)) == 1 {
+				if onRow[p.Col(j)[0].Row]++; onRow[p.Col(j)[0].Row] == 2 {
 					seen["two singletons on a row"]++
 				}
 			}
@@ -607,7 +608,7 @@ func TestFactorizeOrderMatchesSort(t *testing.T) {
 				seen["slack"]++
 			case c == 0:
 				seen["empty"]++
-			case c == 1 && math.Abs(p.cols[j][0].Val) < 1e-7:
+			case c == 1 && math.Abs(p.Col(j)[0].Val) < 1e-7:
 				seen["tiny singleton"]++
 			case c == 1:
 				seen["singleton"]++

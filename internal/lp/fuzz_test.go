@@ -183,12 +183,14 @@ func FuzzSolve(f *testing.F) {
 				t.Fatalf("row %d activity %v outside [%v, %v]", r, a, lo, hi)
 			}
 		}
-		// Route the follow-up solve through the dual simplex: mutate the
-		// problem the way branch and bound does (fix one variable near
-		// its optimal value, or append a violated cut row — the choice
-		// and the target derived from the input), then compare a cold
-		// forced-primal solve against a warm default (dual) solve. The two
-		// paths must agree on status and, when optimal, on objective.
+		// Route the follow-up solve through the dual simplex: tighten
+		// bounds the way branch and bound does (fix one variable near its
+		// optimal value, or halve every column's distance above its lower
+		// bound, which cuts off the optimal vertex unless it sits at the
+		// lower corner — the choice and the target derived from the
+		// input), then compare a cold forced-primal solve against a warm
+		// default (dual) solve. The two paths must agree on status and,
+		// when optimal, on objective.
 		pick := func(i int) byte {
 			if len(data) == 0 {
 				return 0
@@ -208,15 +210,10 @@ func FuzzSolve(f *testing.F) {
 			}
 			q.SetBounds(k, v, v)
 		} else {
-			var cols []int
-			var vals []float64
-			cut := 0.0
 			for j, x := range sol.X {
-				cols = append(cols, j)
-				vals = append(vals, 1)
-				cut += x
+				lo, _ := q.Bounds(j)
+				q.SetBounds(j, lo, lo+max(x-lo, 0)/2)
 			}
-			q.AddRow(math.Inf(-1), cut/2, cols, vals)
 		}
 		cold, cerr := solveChecked(t, q, Options{MaxIters: 5000, Method: MethodPrimal})
 		warm, werr := solveChecked(t, q, Options{MaxIters: 5000, WarmBasis: sol.Basis})

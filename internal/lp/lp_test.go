@@ -194,7 +194,7 @@ func TestKKTProperty(t *testing.T) {
 			for j := 0; j < n; j++ {
 				ax += rows[r][j] * sol.X[j]
 			}
-			if ax < p.rowLo[r]-1e-5 || ax > p.rowHi[r]+1e-5 {
+			if ax < p.a.rowLo[r]-1e-5 || ax > p.a.rowHi[r]+1e-5 {
 				return false
 			}
 		}

@@ -84,7 +84,7 @@ func (s *simplex) computeReducedCosts() {
 		}
 		d := s.costOf(j, false)
 		if j < s.n {
-			for _, nz := range s.p.cols[j] {
+			for _, nz := range s.a.col(j) {
 				d -= s.y[nz.Row] * nz.Val
 			}
 		} else {
@@ -119,64 +119,28 @@ func (s *simplex) priceDevex(tol float64) (int, float64) {
 	return enter, enterDir
 }
 
-// rowMatrix is A stored by rows: row i holds the columns
-// col[ptr[i]:ptr[i+1]], ascending, with their coefficients in val. It
-// is built once per Problem and matrix signature, on the first solve
-// that prices a pivot row, and never changes after (Problem.rowCopy).
-type rowMatrix struct {
-	sig uint64 // matSig of the matrix it copies
-	ptr []int32
-	col []int32
-	val []float64
-}
-
-func newRowMatrix(p *Problem) *rowMatrix {
-	m := p.NumRows()
-	a := &rowMatrix{sig: p.matSig, ptr: make([]int32, m+1)}
-	for _, c := range p.cols {
-		for _, nz := range c {
-			a.ptr[nz.Row+1]++
-		}
-	}
-	for i := 0; i < m; i++ {
-		a.ptr[i+1] += a.ptr[i]
-	}
-	a.col = make([]int32, a.ptr[m])
-	a.val = make([]float64, a.ptr[m])
-	next := append([]int32(nil), a.ptr[:m]...)
-	for j, c := range p.cols {
-		for _, nz := range c {
-			a.col[next[nz.Row]] = int32(j)
-			a.val[next[nz.Row]] = nz.Val
-			next[nz.Row]++
-		}
-	}
-	return a
-}
-
 // priceRow computes α_j = ρ·a_j into s.alpha for every variable j,
 // slacks included, whose column has a nonzero in the support of the
 // BTRAN accumulator ρ, and lists those variables in s.alpha.nz (in
 // touch order, not ascending); every other α_j is zero. It visits the
 // support's rows in ascending order, so each α_j adds its terms in the
-// order of a loop down column j and gets that loop's bits.
+// order of a loop down column j and gets that loop's bits. The rows
+// are the frozen matrix's, whose columns ascend.
 func (s *simplex) priceRow() {
-	if s.rows == nil {
-		s.rows = s.p.rowCopy()
+	if s.alpha.x == nil {
 		s.alpha = newSparseVec(s.n + s.m)
 	}
 	s.alpha.clear()
 	slices.Sort(s.rho.nz)
-	a, alpha := s.rows, s.alpha.x
+	a, alpha := s.a, s.alpha.x
 	for _, i := range s.rho.nz {
 		yi := s.rho.x[i]
 		if yi == 0 {
 			continue
 		}
-		for t := a.ptr[i]; t < a.ptr[i+1]; t++ {
-			j := int(a.col[t])
-			s.alpha.touch(j)
-			alpha[j] += yi * a.val[t]
+		for _, e := range a.row(i) {
+			s.alpha.touch(e.Col)
+			alpha[e.Col] += yi * e.Val
 		}
 		s.alpha.touch(s.n + i)
 		alpha[s.n+i] = -yi

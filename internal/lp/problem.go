@@ -1,8 +1,11 @@
 package lp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -10,109 +13,140 @@ import (
 // Inf is the bound value for unbounded directions.
 var Inf = math.Inf(1)
 
-// Nz is one nonzero coefficient.
+// Nz is one nonzero coefficient of a column.
 type Nz struct {
 	Row int
 	Val float64
 }
 
-// Problem is a linear program under construction.
+// RowNz is one nonzero coefficient of a row.
+type RowNz struct {
+	Col int
+	Val float64
+}
+
+// Problem is a linear program. Its constraint matrix is built row by
+// row (AddCol, AddRow) and frozen by its first read (Solve, Clone, Col,
+// Row): from then on it is immutable, and AddCol and AddRow panic. The
+// objective and the column bounds stay editable (SetObj, SetBounds).
 type Problem struct {
-	cols  [][]Nz
-	obj   []float64
-	lo    []float64
-	hi    []float64
-	rowLo []float64
-	rowHi []float64
+	obj []float64
+	lo  []float64
+	hi  []float64
 
-	// matSig is an order-sensitive hash of the constraint matrix,
-	// updated incrementally by AddCol/AddRow and copied by Clone. A
-	// basis factorization is stamped with it, so a warm-started solve
-	// only adopts a carried factorization when the matrix it was
-	// computed on is (structurally) the same one being solved. Bound
-	// and objective edits leave it alone — they do not change B.
-	matSig uint64
-
-	// rows caches the row-wise copy of the matrix for pivot-row
-	// pricing (pricing.go), stamped with the matSig it copies. It is
-	// immutable once stored, so concurrent solves and clones of the same
-	// matrix share it.
-	rows atomic.Pointer[rowMatrix]
+	// a is the constraint matrix with its row bounds. Clones share it,
+	// so it is frozen before the first Clone.
+	a      *matrix
+	freeze sync.Once
 
 	// work holds the workspace the last solve left, for the next solve
-	// of the same matrix to recycle. A solve takes it out while it runs,
-	// so a concurrent solve finds none and builds its own; a clone
-	// starts without one.
+	// to recycle. A solve takes it out while it runs, so a concurrent
+	// solve finds none and builds its own; a clone starts without one.
 	work atomic.Pointer[simplex]
 }
 
-// rowCopy returns the row-wise copy of the current matrix, building it
-// on first use and whenever the matrix has changed since.
-func (p *Problem) rowCopy() *rowMatrix {
-	if a := p.rows.Load(); a != nil && a.sig == p.matSig {
-		return a
-	}
-	a := newRowMatrix(p)
-	p.rows.Store(a)
-	return a
+// matrix is a constraint matrix and its row bounds. AddRow appends row
+// r's nonzeros to rnz[rptr[r]:rptr[r+1]] in the order given; freezing
+// sorts each row by column (stably, so repeated columns keep their
+// order) and adds the column-wise copy: column j's nonzeros are
+// cnz[cptr[j]:cptr[j+1]], by ascending row. Once frozen it never
+// changes, so concurrent solves and clones read it freely.
+type matrix struct {
+	rowLo, rowHi []float64
+	rptr         []int32
+	rnz          []RowNz
+
+	frozen bool
+	cptr   []int32
+	cnz    []Nz
 }
 
-// mix folds one event into the matrix signature (FNV-style).
-func (p *Problem) mix(x uint64) {
-	h := (p.matSig ^ x) * 1099511628211
-	p.matSig = h ^ (h >> 29)
+// col returns the nonzeros of structural column j.
+func (a *matrix) col(j int) []Nz {
+	return a.cnz[a.cptr[j]:a.cptr[j+1]:a.cptr[j+1]]
+}
+
+// row returns the nonzeros of row r.
+func (a *matrix) row(r int) []RowNz {
+	return a.rnz[a.rptr[r]:a.rptr[r+1]:a.rptr[r+1]]
+}
+
+// build freezes the matrix of a problem with n columns.
+func (a *matrix) build(n int) {
+	byCol := func(x, y RowNz) int { return cmp.Compare(x.Col, y.Col) }
+	a.cptr = make([]int32, n+1)
+	for r := range a.rowLo {
+		row := a.row(r)
+		slices.SortStableFunc(row, byCol)
+		for _, e := range row {
+			a.cptr[e.Col+1]++
+		}
+	}
+	for j := 0; j < n; j++ {
+		a.cptr[j+1] += a.cptr[j]
+	}
+	a.cnz = make([]Nz, len(a.rnz))
+	next := slices.Clone(a.cptr[:n])
+	for r := range a.rowLo {
+		for _, e := range a.row(r) {
+			a.cnz[next[e.Col]] = Nz{Row: r, Val: e.Val}
+			next[e.Col]++
+		}
+	}
+	a.frozen = true
+}
+
+// matrix returns the problem's frozen matrix, freezing it on first use.
+func (p *Problem) matrix() *matrix {
+	p.freeze.Do(func() { p.a.build(len(p.obj)) })
+	return p.a
 }
 
 // NewProblem returns an empty problem.
-func NewProblem() *Problem { return &Problem{} }
+func NewProblem() *Problem { return &Problem{a: &matrix{rptr: []int32{0}}} }
 
 // NumCols returns the number of structural variables.
-func (p *Problem) NumCols() int { return len(p.cols) }
+func (p *Problem) NumCols() int { return len(p.obj) }
 
 // NumRows returns the number of constraints.
-func (p *Problem) NumRows() int { return len(p.rowLo) }
+func (p *Problem) NumRows() int { return len(p.a.rowLo) }
 
 // NumNonzeros returns the number of structural matrix coefficients.
-func (p *Problem) NumNonzeros() int {
-	n := 0
-	for _, c := range p.cols {
-		n += len(c)
-	}
-	return n
-}
+// Freezing does not change it, so it does not freeze the matrix.
+func (p *Problem) NumNonzeros() int { return len(p.a.rnz) }
 
 // AddCol adds a variable with the given objective coefficient and
-// bounds, returning its index.
+// bounds, returning its index. It panics once the matrix is frozen.
 func (p *Problem) AddCol(obj, lo, hi float64) int {
-	p.cols = append(p.cols, nil)
+	if p.a.frozen {
+		panic("lp: AddCol on a frozen matrix")
+	}
 	p.obj = append(p.obj, obj)
 	p.lo = append(p.lo, lo)
 	p.hi = append(p.hi, hi)
-	p.mix(0x9e3779b97f4a7c15 ^ uint64(len(p.cols)))
-	return len(p.cols) - 1
+	return len(p.obj) - 1
 }
 
 // AddRow adds a constraint lo <= sum coefs <= hi, returning its index.
-// Use equal bounds for an equation.
-//
-// Rows may be appended after a solve — the cutting-plane pattern. A
-// re-solve warm-started from the pre-AddRow basis (Options.WarmBasis)
-// restarts from that incumbent basis with the new rows' slacks basic,
-// so separating a cut costs a short feasibility-restoring cleanup
-// instead of a cold solve.
+// Use equal bounds for an equation. Zero coefficients are dropped. It
+// panics once the matrix is frozen, and on a column index out of range.
 func (p *Problem) AddRow(lo, hi float64, cols []int, vals []float64) int {
-	r := len(p.rowLo)
-	p.rowLo = append(p.rowLo, lo)
-	p.rowHi = append(p.rowHi, hi)
-	p.mix(0xbf58476d1ce4e5b9 ^ uint64(r))
+	a := p.a
+	if a.frozen {
+		panic("lp: AddRow on a frozen matrix")
+	}
 	for i, c := range cols {
+		if c < 0 || c >= len(p.obj) {
+			panic(fmt.Sprintf("lp: AddRow: column %d out of range [0, %d)", c, len(p.obj)))
+		}
 		if vals[i] != 0 {
-			p.cols[c] = append(p.cols[c], Nz{Row: r, Val: vals[i]})
-			p.mix(uint64(c))
-			p.mix(math.Float64bits(vals[i]))
+			a.rnz = append(a.rnz, RowNz{Col: c, Val: vals[i]})
 		}
 	}
-	return r
+	a.rptr = append(a.rptr, int32(len(a.rnz)))
+	a.rowLo = append(a.rowLo, lo)
+	a.rowHi = append(a.rowHi, hi)
+	return len(a.rowLo) - 1
 }
 
 // SetObj changes a variable's objective coefficient.
@@ -130,12 +164,17 @@ func (p *Problem) Bounds(col int) (lo, hi float64) { return p.lo[col], p.hi[col]
 // Obj returns a variable's objective coefficient.
 func (p *Problem) Obj(col int) float64 { return p.obj[col] }
 
-// Col returns the nonzeros of a column. The slice is shared; callers
-// must not mutate it.
-func (p *Problem) Col(col int) []Nz { return p.cols[col] }
+// Col returns the nonzeros of a column by ascending row, freezing the
+// matrix. The slice is shared; callers must not mutate it.
+func (p *Problem) Col(col int) []Nz { return p.matrix().col(col) }
+
+// Row returns the nonzeros of a row by ascending column, freezing the
+// matrix; a column AddRow was given twice appears twice, in the order
+// given. The slice is shared; callers must not mutate it.
+func (p *Problem) Row(row int) []RowNz { return p.matrix().row(row) }
 
 // RowBounds returns a constraint's range.
-func (p *Problem) RowBounds(row int) (lo, hi float64) { return p.rowLo[row], p.rowHi[row] }
+func (p *Problem) RowBounds(row int) (lo, hi float64) { return p.a.rowLo[row], p.a.rowHi[row] }
 
 // ObjTerms returns the number of nonzero objective coefficients — one
 // of the model statistics Figure 7 reports.
@@ -160,6 +199,7 @@ const (
 	IterLimit
 )
 
+// String returns the status in lower case, as logs and stats print it.
 func (s Status) String() string {
 	switch s {
 	case Optimal:
@@ -177,19 +217,17 @@ func (s Status) String() string {
 // (structurals 0..n-1 followed by the slacks of rows 0..m-1) and the
 // variable occupying each basis row slot. A Basis taken from one solve
 // can seed another via Options.WarmBasis on any problem with the same
-// row/column structure — in particular a Clone with changed bounds, the
-// branch-and-bound case — or on a problem that has since grown extra
-// rows (the cutting-plane case: the snapshot rows must be a prefix and
-// the structural columns identical; new rows' slacks enter the basis).
-// Snapshots are immutable; they may be shared across goroutines.
+// row and column counts — in particular a Clone with changed bounds,
+// the branch-and-bound case. Snapshots are immutable; they may be
+// shared across goroutines.
 type Basis struct {
 	State []int8 // varState values, length NumCols()+NumRows()
 	Order []int  // Order[r] = variable occupying basis row slot r
 
 	// factor optionally carries the LU factorization and its
 	// Forrest–Tomlin update file from the solve that produced the
-	// snapshot. A warm-started re-solve on the same matrix (validated
-	// by the matrix signature) adopts it instead of refactorizing, so
+	// snapshot. A warm-started re-solve on the same frozen matrix (the
+	// Problem's or a clone's) adopts it instead of refactorizing, so
 	// a branch-and-bound node pays for a factorization only when the
 	// update file has grown past the refactorization cadence. The
 	// payload is frozen and shared; it is never mutated in place.
@@ -207,10 +245,10 @@ type Solution struct {
 
 // Solve runs the simplex (see Method). A nil opts uses defaults. The
 // options are copied before defaulting, so one Options value can be
-// shared by concurrent solves of different problems. The Problem keeps
-// the solver workspace its last solve used and recycles it for the
-// next solve of the same matrix; concurrent solves of one Problem are
-// safe, each but one building a workspace of its own.
+// shared by concurrent solves of different problems. Solve freezes the
+// matrix. The Problem keeps the solver workspace its last solve used
+// and recycles it for the next solve; concurrent solves of one Problem
+// are safe, each but one building a workspace of its own.
 func (p *Problem) Solve(opts *Options) (*Solution, error) {
 	var o Options
 	if opts != nil {
@@ -218,7 +256,7 @@ func (p *Problem) Solve(opts *Options) (*Solution, error) {
 	}
 	o.fill(p)
 	s := p.work.Swap(nil)
-	if s != nil && s.m == p.NumRows() && s.n == p.NumCols() && s.sig == p.matSig {
+	if s != nil && s.a == p.matrix() {
 		s.recycle(&o)
 	} else {
 		s = newSimplex(p, &o)
@@ -229,22 +267,18 @@ func (p *Problem) Solve(opts *Options) (*Solution, error) {
 	return sol, err
 }
 
-// Clone returns a deep copy of the problem. Branch-and-bound workers
-// each own a clone, since bounds are mutated in place during search.
+// Clone returns a copy of the problem with its own objective and
+// column bounds, sharing the frozen matrix and row bounds. Branch-and-
+// bound workers each own a clone, since bounds are mutated in place
+// during search.
 func (p *Problem) Clone() *Problem {
 	q := &Problem{
-		cols:  make([][]Nz, len(p.cols)),
-		obj:   append([]float64(nil), p.obj...),
-		lo:    append([]float64(nil), p.lo...),
-		hi:    append([]float64(nil), p.hi...),
-		rowLo: append([]float64(nil), p.rowLo...),
-		rowHi: append([]float64(nil), p.rowHi...),
+		obj: slices.Clone(p.obj),
+		lo:  slices.Clone(p.lo),
+		hi:  slices.Clone(p.hi),
+		a:   p.matrix(),
 	}
-	for j, c := range p.cols {
-		q.cols[j] = append([]Nz(nil), c...)
-	}
-	q.matSig = p.matSig
-	q.rows.Store(p.rows.Load())
+	q.freeze.Do(func() {}) // q.a is frozen already
 	return q
 }
 
@@ -254,8 +288,8 @@ type Method int
 const (
 	// MethodAuto runs the dual simplex whenever the start is dual
 	// feasible and primal infeasible: from a usable warm basis (the
-	// branch-and-bound re-solve case, where a bound change or an
-	// appended row leaves the old basis dual feasible), and cold from
+	// branch-and-bound re-solve case, where a bound change leaves the
+	// old basis dual feasible), and cold from
 	// the crash basis on perturbed costs when every column sits at the
 	// bound its cost prefers (the allocator's root LP). Any other solve,
 	// and any dual run that bails, takes the two-phase primal simplex;
@@ -301,13 +335,13 @@ func (o *Options) fill(p *Problem) {
 }
 
 func (p *Problem) check() error {
-	for j := range p.cols {
+	for j := range p.obj {
 		if p.lo[j] > p.hi[j] {
 			return fmt.Errorf("lp: column %d has lo > hi", j)
 		}
 	}
-	for r := range p.rowLo {
-		if p.rowLo[r] > p.rowHi[r] {
+	for r, lo := range p.a.rowLo {
+		if lo > p.a.rowHi[r] {
 			return fmt.Errorf("lp: row %d has lo > hi", r)
 		}
 	}

@@ -116,18 +116,18 @@ func phase1LP(rng *rand.Rand, m, n int) *Problem {
 		if rng.Intn(2) == 0 {
 			x = float64(1+rng.Intn(3)) * p.hi[j] / 4
 		}
-		for _, nz := range p.cols[j] {
+		for _, nz := range p.Col(j) {
 			act[nz.Row] += nz.Val * x
 		}
 	}
 	for i, a := range act {
 		switch rng.Intn(3) {
 		case 0:
-			p.rowLo[i], p.rowHi[i] = a, a
+			p.a.rowLo[i], p.a.rowHi[i] = a, a
 		case 1:
-			p.rowLo[i], p.rowHi[i] = a-0.25, a+0.5
+			p.a.rowLo[i], p.a.rowHi[i] = a-0.25, a+0.5
 		case 2:
-			p.rowLo[i], p.rowHi[i] = math.Inf(-1), a
+			p.a.rowLo[i], p.a.rowHi[i] = math.Inf(-1), a
 		}
 	}
 	return p
@@ -407,24 +407,20 @@ func TestPicksBreakTiesToLowestIndex(t *testing.T) {
 	}
 }
 
-// TestRowCopySharedPerMatrix checks the per-matrix cache of the
-// row-wise copy of A: concurrent solves of one Problem and of its
-// clones share one copy (run under -race) and end bit for bit where
-// the first solve did, whether they recycled the Problem's workspace
-// or built their own, and a clone that appends a row builds its own
-// copy without touching the original's.
+// TestRowCopySharedPerMatrix checks that concurrent solves of one
+// Problem and of its clones read one frozen matrix, row-wise copy
+// included (run under -race), and end bit for bit where the first
+// solve did, whether they recycled the Problem's workspace or built
+// their own.
 func TestRowCopySharedPerMatrix(t *testing.T) {
 	p := buildAssignment(8, 7)
 	want, err := p.Solve(nil)
 	if err != nil || want.Status != Optimal {
 		t.Fatalf("solve: %v %v", want, err)
 	}
-	a := p.rows.Load()
-	if a == nil || a.sig != p.matSig {
-		t.Fatal("a solve left no row copy for the problem's matrix")
-	}
 	type result struct {
 		sol *Solution
+		a   *matrix
 		err error
 	}
 	results := make(chan result, 8)
@@ -435,22 +431,14 @@ func TestRowCopySharedPerMatrix(t *testing.T) {
 		}
 		go func() {
 			sol, err := q.Solve(nil)
-			results <- result{sol, err}
+			results <- result{sol, q.a, err}
 		}()
 	}
 	for g := 0; g < 8; g++ {
 		r := <-results
 		sameSolve(t, "concurrent solve", r.sol, want, r.err, nil)
-	}
-	q := p.Clone()
-	if q.rowCopy() != a {
-		t.Fatal("a clone of the same matrix rebuilt the row copy")
-	}
-	q.AddRow(math.Inf(-1), 4, []int{0, 1, 2}, []float64{1, 1, 1})
-	if b := q.rowCopy(); b == a || len(b.ptr) != q.NumRows()+1 {
-		t.Fatal("a clone with an appended row reused the old row copy")
-	}
-	if p.rows.Load() != a {
-		t.Fatal("the clone's new row copy replaced the original's")
+		if r.a != p.a {
+			t.Fatal("a clone solved on a matrix of its own")
+		}
 	}
 }

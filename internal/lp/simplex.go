@@ -86,14 +86,14 @@ type etaLink struct{ eta, next int32 }
 
 // simplex is the solver's workspace: the basis, its factorization and
 // every scratch array a pivot loop touches. Problem.Solve keeps the
-// last one on its Problem and recycles it for the next solve of the
-// same matrix (recycle), so a branch-and-bound worker's node re-solves
-// reuse its m- and n-sized arrays instead of allocating them afresh.
+// last one on its Problem and recycles it for the next solve (recycle),
+// so a branch-and-bound worker's node re-solves reuse its m- and
+// n-sized arrays instead of allocating them afresh.
 type simplex struct {
 	p    *Problem
+	a    *matrix // p's frozen matrix
 	opts Options // the solve's own copy, defaults filled
 	m, n int     // rows, structural columns
-	sig  uint64  // matrix signature of p when the workspace was built
 
 	state []varState
 	basis []int     // basis[r] = variable occupying row slot r
@@ -149,13 +149,12 @@ type simplex struct {
 	steps    []int32
 	stepMark []bool
 	iter     int
-	// pricing state (allocated on first use): the row-wise copy of A,
-	// the pivot-row coefficients α over the columns the priced rows
-	// touch, maintained phase-2 reduced costs, devex column weights,
-	// the devex candidates and dual row weights. cand lists every
-	// nonbasic whose maintained d_j prices it in, plus some since priced
-	// out; priceDevex prunes it as it scans.
-	rows  *rowMatrix
+	// pricing state (allocated on first use): the pivot-row
+	// coefficients α over the columns the priced rows touch, maintained
+	// phase-2 reduced costs, devex column weights, the devex candidates
+	// and dual row weights. cand lists every nonbasic whose maintained
+	// d_j prices it in, plus some since priced out; priceDevex prunes it
+	// as it scans.
 	alpha sparseVec
 	d     []float64
 	gamma []float64
@@ -190,7 +189,7 @@ type simplex struct {
 func newSimplex(p *Problem, opts *Options) *simplex {
 	m, n := p.NumRows(), p.NumCols()
 	s := &simplex{
-		p: p, opts: *opts, m: m, n: n, sig: p.matSig,
+		p: p, a: p.matrix(), opts: *opts, m: m, n: n,
 		cost:  p.obj,
 		state: make([]varState, n+m),
 		basis: make([]int, m),
@@ -211,10 +210,10 @@ func newSimplex(p *Problem, opts *Options) *simplex {
 	return s
 }
 
-// recycle readies a workspace that an earlier solve of the same matrix
-// left behind for a solve under opts. It resets only the per-solve
-// state: the tallies, the update file, the accumulators, the sets and
-// the CHUZR heap. Every dense array a solve reads (xB, y, d, gamma,
+// recycle readies a workspace that an earlier solve of the same
+// Problem left behind for a solve under opts. It resets only the
+// per-solve state: the tallies, the update file, the accumulators, the
+// sets and the CHUZR heap. Every dense array a solve reads (xB, y, d, gamma,
 // rowW and the basis arrays) is written first by the phase that reads
 // it, so none of it needs clearing here.
 func (s *simplex) recycle(opts *Options) {
@@ -462,20 +461,20 @@ func (s *simplex) lob(j int) float64 {
 	if j < s.n {
 		return s.p.lo[j]
 	}
-	return s.p.rowLo[j-s.n]
+	return s.a.rowLo[j-s.n]
 }
 
 func (s *simplex) hib(j int) float64 {
 	if j < s.n {
 		return s.p.hi[j]
 	}
-	return s.p.rowHi[j-s.n]
+	return s.a.rowHi[j-s.n]
 }
 
 // column visits the nonzeros of any variable's column.
 func (s *simplex) column(j int, f func(row int, val float64)) {
 	if j < s.n {
-		for _, nz := range s.p.cols[j] {
+		for _, nz := range s.a.col(j) {
 			f(nz.Row, nz.Val)
 		}
 		return
@@ -591,13 +590,13 @@ func (s *simplex) solveOnce(warm *Basis) (*Solution, error) {
 	} else if err := s.refactor(); err != nil {
 		return nil, err
 	}
-	// Dual simplex: after a bound change or an appended row the old
-	// basis stays dual feasible while the point is primal infeasible —
-	// the dual iterates from there instead of re-entering phase 1. So
-	// does a crash basis whose columns all sit at the bound their cost
-	// prefers (the allocator's root LP); a cold dual runs on perturbed
-	// costs (DESIGN.md §11). runDual defers to the primal phases at
-	// once when the start is not dual feasible.
+	// Dual simplex: after a bound change the old basis stays dual
+	// feasible while the point is primal infeasible — the dual iterates
+	// from there instead of re-entering phase 1. So does a crash basis
+	// whose columns all sit at the bound their cost prefers (the
+	// allocator's root LP); a cold dual runs on perturbed costs
+	// (DESIGN.md §11). runDual defers to the primal phases at once when
+	// the start is not dual feasible.
 	if s.opts.Method != MethodPrimal && s.infeasibility() > s.opts.Tol {
 		if !warmLoaded {
 			s.cost = s.perturbedCosts()
@@ -683,7 +682,7 @@ func (s *simplex) primalResidual() (drift, scale float64) {
 		if x == 0 {
 			continue
 		}
-		for _, nz := range s.p.cols[j] {
+		for _, nz := range s.a.col(j) {
 			act[nz.Row] += nz.Val * x
 		}
 	}
@@ -752,27 +751,19 @@ func (s *simplex) perturbedCosts() []float64 {
 	return c
 }
 
-// loadBasis installs a snapshot taken from a structurally identical
-// problem (typically the parent node in branch and bound, after a
-// bound change). The snapshot may also come from the same problem
-// *before* rows were appended (the cutting-plane case: AddRow then
-// re-solve): the snapshot's rows must be a prefix of the current rows
-// and the structural column count must match; the new rows' slacks
-// enter the basis, so the re-solve restarts from the incumbent basis
-// instead of a cold crash. It validates the snapshot and reports
-// whether it was usable; the caller factorizes (or adopts the carried
+// loadBasis installs a snapshot taken from a problem with the same row
+// and column counts (typically the parent node in branch and bound,
+// after a bound change). It validates the snapshot and reports whether
+// it was usable; the caller factorizes (or adopts the carried
 // factorization) afterwards. Nonbasic states are re-sanitized against
 // the (possibly changed) bounds so nonbasicValue never reads an
 // infinite bound.
 func (s *simplex) loadBasis(b *Basis) bool {
-	m0 := len(b.Order)
-	if m0 > s.m || len(b.State) != s.n+m0 {
+	if len(b.Order) != s.m || len(b.State) != s.n+s.m {
 		return false
 	}
-	// Snapshot variable ids are directly valid here: structurals are
-	// 0..n-1 in both, and the slack of old row r is n+r in both.
 	basics := 0
-	for j := 0; j < s.n+m0; j++ {
+	for j := 0; j < s.n+s.m; j++ {
 		st := varState(b.State[j])
 		if st < stBasic || st > stZero {
 			return false
@@ -783,20 +774,13 @@ func (s *simplex) loadBasis(b *Basis) bool {
 		s.state[j] = st
 		s.inRow[j] = -1
 	}
-	if basics != m0 {
+	if basics != s.m {
 		return false
 	}
 	for r, j := range b.Order {
-		if j < 0 || j >= s.n+m0 || varState(b.State[j]) != stBasic || s.inRow[j] >= 0 {
+		if j < 0 || j >= s.n+s.m || varState(b.State[j]) != stBasic || s.inRow[j] >= 0 {
 			return false
 		}
-		s.basis[r] = j
-		s.inRow[j] = r
-	}
-	// Rows appended since the snapshot: their slacks become basic.
-	for r := m0; r < s.m; r++ {
-		j := s.n + r
-		s.state[j] = stBasic
 		s.basis[r] = j
 		s.inRow[j] = r
 	}

@@ -21,6 +21,7 @@ type StabilityError struct {
 	FTDepth int
 }
 
+// Error names the failing stage, the update depth and the detail.
 func (e *StabilityError) Error() string {
 	return fmt.Sprintf("lp: numerical instability in %s (ft-update depth %d): %s",
 		e.Stage, e.FTDepth, e.Detail)

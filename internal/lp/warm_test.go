@@ -132,6 +132,28 @@ func TestWarmBasisMismatchFallsBack(t *testing.T) {
 	if err != nil || got.Status != Optimal || got.Obj != ref.Obj {
 		t.Fatalf("bad-basis solve: %+v, err %v", got, err)
 	}
+	// So is a snapshot over the same columns and fewer rows (the
+	// problem without its last two), or over more: the solve must end
+	// bit for bit where a cold one does.
+	fewer := NewProblem()
+	for j := 0; j < big.NumCols(); j++ {
+		lo, hi := big.Bounds(j)
+		fewer.AddCol(big.Obj(j), lo, hi)
+	}
+	for r := 0; r < big.NumRows()-2; r++ {
+		lo, hi := big.RowBounds(r)
+		var cols []int
+		var vals []float64
+		for _, e := range big.Row(r) {
+			cols, vals = append(cols, e.Col), append(vals, e.Val)
+		}
+		fewer.AddRow(lo, hi, cols, vals)
+	}
+	refF, errF := fewer.Solve(nil)
+	got, err = big.Clone().Solve(&Options{WarmBasis: refF.Basis})
+	sameSolve(t, "fewer-row snapshot", got, ref, err, nil)
+	got, err = fewer.Clone().Solve(&Options{WarmBasis: ref.Basis})
+	sameSolve(t, "more-row snapshot", got, refF, err, errF)
 }
 
 // TestClone verifies clones are fully independent of the original.

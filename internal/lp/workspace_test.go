@@ -82,11 +82,10 @@ func etaBits(b *Basis) [][]uint64 {
 }
 
 // checkRecycledSequence runs a cold solve, a bound edit with a warm
-// re-solve, an objective edit, an Infeasible solve, an IterLimit solve
-// and an AddRow re-solve on one Problem, and holds each result to the
-// same solve on a fresh clone. Every solve but the first and the last
-// must recycle the cached workspace; the AddRow changes m, so the last
-// must build a new one. The first solve's snapshot must come out of
+// re-solve, an objective edit, an Infeasible solve and an IterLimit
+// solve on one Problem, and holds each result to the same solve on a
+// fresh clone. Every solve but the first must recycle the cached
+// workspace. The first solve's snapshot must come out of
 // each later solve with its update file untouched, although they carve
 // their etas from the same arena. With poison set, the recycled
 // dense scratch is NaN before each recycled solve.
@@ -145,7 +144,7 @@ func checkRecycledSequence(t *testing.T, poison bool) {
 	// no point.
 	var row0 []int
 	for k := 0; k < p.NumCols(); k++ {
-		if len(p.cols[k]) > 0 && p.cols[k][0].Row == 0 {
+		if len(p.Col(k)) > 0 && p.Col(k)[0].Row == 0 {
 			row0 = append(row0, k)
 		}
 	}
@@ -162,21 +161,6 @@ func checkRecycledSequence(t *testing.T, poison bool) {
 	}
 	if sol := step("iteration limit, cold", &Options{MaxIters: 3}, true); sol.Status != IterLimit {
 		t.Fatalf("iteration limit: %v", sol.Status)
-	}
-	// A cut over the optimum's support: the row-prefix warm start.
-	var cols []int
-	var vals []float64
-	cut := 0.0
-	for k, x := range prev.X {
-		if x > 0 {
-			cols, vals = append(cols, k), append(vals, 1)
-			cut += x
-		}
-	}
-	p.AddRow(math.Inf(-1), cut-0.5, cols, vals)
-	step("AddRow, warm", &Options{WarmBasis: prev.Basis}, false)
-	if ws.m != p.NumRows() {
-		t.Fatalf("the workspace after AddRow has %d rows, the problem %d", ws.m, p.NumRows())
 	}
 }
 

@@ -86,18 +86,6 @@ func (m *Model) Canonicalize() *Canon {
 	p := m.lp
 	n, mr := p.NumCols(), p.NumRows()
 
-	// Row-major view of the column-major storage.
-	type rnz struct {
-		col int
-		val float64
-	}
-	rows := make([][]rnz, mr)
-	for j := 0; j < n; j++ {
-		for _, nz := range p.Col(j) {
-			rows[nz.Row] = append(rows[nz.Row], rnz{j, nz.Val})
-		}
-	}
-
 	// Weisfeiler–Leman refinement over structural data only: integral
 	// columns vs continuous, and the matrix coefficients as edge labels.
 	colC := make([]uint64, n)
@@ -110,15 +98,15 @@ func (m *Model) Canonicalize() *Canon {
 		colC[j] = mix64(init, uint64(len(p.Col(j))))
 	}
 	for r := 0; r < mr; r++ {
-		rowC[r] = mix64(0xa0b, uint64(len(rows[r])))
+		rowC[r] = mix64(0xa0b, uint64(len(p.Row(r))))
 	}
 	scratch := make([]uint64, 0, 64)
 	for round := 0; round < wlRounds; round++ {
 		newRow := make([]uint64, mr)
 		for r := 0; r < mr; r++ {
 			scratch = scratch[:0]
-			for _, e := range rows[r] {
-				scratch = append(scratch, mix64(colC[e.col], f64bits(e.val)))
+			for _, e := range p.Row(r) {
+				scratch = append(scratch, mix64(colC[e.Col], f64bits(e.Val)))
 			}
 			sort.Slice(scratch, func(a, b int) bool { return scratch[a] < scratch[b] })
 			newRow[r] = mix64(rowC[r], scratch...)

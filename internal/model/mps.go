@@ -23,20 +23,6 @@ import (
 // content hashes are identical, which is what TestMPSBridgeNAT and
 // the round-trip tests enforce.
 
-// MPSFormat selects the MPS layout WriteMPS produces. Both layouts
-// carry the same data; ReadMPS accepts either.
-type MPSFormat int
-
-const (
-	// MPSFixed is the classic fixed-field layout (fields at columns
-	// 2, 5, 15, 25, 40, 50). Values whose shortest round-trip decimal
-	// overflows the 12-character value field are written in full
-	// anyway — the common relaxation, accepted by modern readers.
-	MPSFixed MPSFormat = iota
-	// MPSFree is the whitespace-separated layout.
-	MPSFree
-)
-
 // mpsObjRow is the objective row name the writer emits.
 const mpsObjRow = "OBJ"
 
@@ -48,22 +34,12 @@ var fixedStarts = [6]int{1, 4, 14, 24, 39, 49}
 func mpsFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // writeMPSLine writes one data line: up to six fields, empty fields
-// skipped, padded to the classic offsets in fixed format.
-func writeMPSLine(bw *bufio.Writer, format MPSFormat, fields ...string) {
-	if format == MPSFree {
-		sep := " "
-		line := ""
-		for _, f := range fields {
-			if f == "" {
-				continue
-			}
-			line += sep + f
-			sep = "  "
-		}
-		bw.WriteString(line)
-		bw.WriteByte('\n')
-		return
-	}
+// skipped, padded to the classic fixed-format offsets. A field that
+// overruns its slot — a value whose shortest round-trip decimal is
+// longer than the 12-character value field, say — is written in full
+// and pushes the rest right by at least one space: the common
+// relaxation, accepted by modern readers.
+func writeMPSLine(bw *bufio.Writer, fields ...string) {
 	col := 0
 	for i, f := range fields {
 		if f == "" {
@@ -82,17 +58,17 @@ func writeMPSLine(bw *bufio.Writer, format MPSFormat, fields ...string) {
 	bw.WriteByte('\n')
 }
 
-// WriteMPS writes the model's ILP in MPS format. Naming is canonical:
-// column at canonical position j is X<j>, constraint row at canonical
-// position r is R<r> (both zero-padded to 7 digits), and sections list
-// entries in canonical order, so two models with equal Canon.Exact
-// hashes produce byte-identical MPS files. Rows with two finite,
-// unequal bounds use RHS+RANGES; free rows are emitted as extra N
-// rows. Columns with no nonzeros are kept alive with an explicit
-// zero-objective declaration entry. NaN anywhere, an infinite
+// WriteMPS writes the model's ILP in fixed MPS format. Naming is
+// canonical: column at canonical position j is X<j>, constraint row at
+// canonical position r is R<r> (both zero-padded to 7 digits), and
+// sections list entries in canonical order, so two models with equal
+// Canon.Exact hashes produce byte-identical MPS files. Rows with two
+// finite, unequal bounds use RHS+RANGES; free rows are emitted as
+// extra N rows. Columns with no nonzeros are kept alive with an
+// explicit zero-objective declaration entry. NaN anywhere, an infinite
 // objective or matrix coefficient, or an empty bound interval is an
 // error.
-func (m *Model) WriteMPS(w io.Writer, format MPSFormat) error {
+func (m *Model) WriteMPS(w io.Writer) error {
 	p := m.lp
 	n, mr := p.NumCols(), p.NumRows()
 	canon := m.Canonicalize()
@@ -148,9 +124,9 @@ func (m *Model) WriteMPS(w io.Writer, format MPSFormat) error {
 	fmt.Fprintln(bw, "NAME          NOVA")
 
 	fmt.Fprintln(bw, "ROWS")
-	writeMPSLine(bw, format, "N", mpsObjRow)
+	writeMPSLine(bw, "N", mpsObjRow)
 	for _, r := range canon.RowOrder {
-		writeMPSLine(bw, format, string(kind[r]), rowName[r])
+		writeMPSLine(bw, string(kind[r]), rowName[r])
 	}
 
 	fmt.Fprintln(bw, "COLUMNS")
@@ -162,7 +138,7 @@ func (m *Model) WriteMPS(w io.Writer, format MPSFormat) error {
 			if m.integer[j] {
 				which = "'INTORG'"
 			}
-			writeMPSLine(bw, format, "", fmt.Sprintf("M%07d", marker), "'MARKER'", which)
+			writeMPSLine(bw, "", fmt.Sprintf("M%07d", marker), "'MARKER'", which)
 			marker++
 			integer = m.integer[j]
 		}
@@ -171,7 +147,7 @@ func (m *Model) WriteMPS(w io.Writer, format MPSFormat) error {
 			if math.IsNaN(c) || math.IsInf(c, 0) {
 				return fmt.Errorf("mps: column %s has non-finite objective %g", m.colNames[j], c)
 			}
-			writeMPSLine(bw, format, "", colName[j], mpsObjRow, mpsFloat(c))
+			writeMPSLine(bw, "", colName[j], mpsObjRow, mpsFloat(c))
 			entries++
 		}
 		nzs := append([]lp.Nz(nil), p.Col(j)...)
@@ -180,23 +156,23 @@ func (m *Model) WriteMPS(w io.Writer, format MPSFormat) error {
 			if math.IsNaN(nz.Val) || math.IsInf(nz.Val, 0) {
 				return fmt.Errorf("mps: column %s has non-finite coefficient %g", m.colNames[j], nz.Val)
 			}
-			writeMPSLine(bw, format, "", colName[j], rowName[nz.Row], mpsFloat(nz.Val))
+			writeMPSLine(bw, "", colName[j], rowName[nz.Row], mpsFloat(nz.Val))
 			entries++
 		}
 		if entries == 0 {
 			// Declaration-only entry: a zero value registers the column
 			// without storing a coefficient (ReadMPS mirrors this).
-			writeMPSLine(bw, format, "", colName[j], mpsObjRow, "0")
+			writeMPSLine(bw, "", colName[j], mpsObjRow, "0")
 		}
 	}
 	if integer {
-		writeMPSLine(bw, format, "", fmt.Sprintf("M%07d", marker), "'MARKER'", "'INTEND'")
+		writeMPSLine(bw, "", fmt.Sprintf("M%07d", marker), "'MARKER'", "'INTEND'")
 	}
 
 	fmt.Fprintln(bw, "RHS")
 	for _, r := range canon.RowOrder {
 		if kind[r] != 'N' && rhs[r] != 0 {
-			writeMPSLine(bw, format, "", "RHS", rowName[r], mpsFloat(rhs[r]))
+			writeMPSLine(bw, "", "RHS", rowName[r], mpsFloat(rhs[r]))
 		}
 	}
 
@@ -211,7 +187,7 @@ func (m *Model) WriteMPS(w io.Writer, format MPSFormat) error {
 		fmt.Fprintln(bw, "RANGES")
 		for _, r := range canon.RowOrder {
 			if rng[r] != 0 {
-				writeMPSLine(bw, format, "", "RNG", rowName[r], mpsFloat(rng[r]))
+				writeMPSLine(bw, "", "RNG", rowName[r], mpsFloat(rng[r]))
 			}
 		}
 	}
@@ -226,23 +202,23 @@ func (m *Model) WriteMPS(w io.Writer, format MPSFormat) error {
 		loInf, hiInf := math.IsInf(lo, -1), math.IsInf(hi, 1)
 		switch {
 		case lo == hi:
-			writeMPSLine(bw, format, "FX", "BND", name, mpsFloat(lo))
+			writeMPSLine(bw, "FX", "BND", name, mpsFloat(lo))
 		case loInf && hiInf:
-			writeMPSLine(bw, format, "FR", "BND", name)
+			writeMPSLine(bw, "FR", "BND", name)
 		default:
 			if loInf {
-				writeMPSLine(bw, format, "MI", "BND", name)
+				writeMPSLine(bw, "MI", "BND", name)
 			} else if lo != 0 {
-				writeMPSLine(bw, format, "LO", "BND", name, mpsFloat(lo))
+				writeMPSLine(bw, "LO", "BND", name, mpsFloat(lo))
 			}
 			if hiInf {
 				// Integer columns default to an ambiguous upper bound in
 				// some readers; say "plus infinity" explicitly.
 				if m.integer[j] {
-					writeMPSLine(bw, format, "PL", "BND", name)
+					writeMPSLine(bw, "PL", "BND", name)
 				}
 			} else {
-				writeMPSLine(bw, format, "UP", "BND", name, mpsFloat(hi))
+				writeMPSLine(bw, "UP", "BND", name, mpsFloat(hi))
 			}
 		}
 	}

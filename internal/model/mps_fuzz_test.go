@@ -8,9 +8,9 @@ import (
 
 // FuzzReadMPS feeds arbitrary bytes to the MPS parser. Two properties
 // are enforced: malformed input produces a positioned error ("mps:<line>")
-// rather than a panic, and any input the parser accepts re-exports and
-// re-imports (in both formats) to a model with an identical canonical
-// content hash — the fuzz form of the round-trip identity gate.
+// rather than a panic, and any input the parser accepts — fixed or free
+// layout — re-exports and re-imports to a model with an identical
+// canonical content hash: the fuzz form of the round-trip identity gate.
 func FuzzReadMPS(f *testing.F) {
 	// A well-formed file exercising every section.
 	f.Add([]byte(`NAME T
@@ -54,25 +54,23 @@ ENDATA
 			return
 		}
 		c1 := m.Canonicalize()
-		for _, format := range []MPSFormat{MPSFixed, MPSFree} {
-			var buf bytes.Buffer
-			if err := m.WriteMPS(&buf, format); err != nil {
-				// The only legal refusal on an imported model is a ranged
-				// row whose far bound has no exact RHS±RANGE encoding.
-				if !strings.Contains(err.Error(), "not exactly representable") {
-					t.Fatalf("re-export refused an imported model: %v", err)
-				}
-				return
+		var buf bytes.Buffer
+		if err := m.WriteMPS(&buf); err != nil {
+			// The only legal refusal on an imported model is a ranged
+			// row whose far bound has no exact RHS±RANGE encoding.
+			if !strings.Contains(err.Error(), "not exactly representable") {
+				t.Fatalf("re-export refused an imported model: %v", err)
 			}
-			m2, err := ReadMPS(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("re-import of our own export failed: %v\nfile:\n%s", err, buf.String())
-			}
-			c2 := m2.Canonicalize()
-			if c1.Exact != c2.Exact {
-				t.Fatalf("round trip (%v) changed the hash: %s -> %s\ninput:\n%q\nexport:\n%s",
-					format, c1.Exact, c2.Exact, data, buf.String())
-			}
+			return
+		}
+		m2, err := ReadMPS(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("re-import of our own export failed: %v\nfile:\n%s", err, buf.String())
+		}
+		c2 := m2.Canonicalize()
+		if c1.Exact != c2.Exact {
+			t.Fatalf("round trip changed the hash: %s -> %s\ninput:\n%q\nexport:\n%s",
+				c1.Exact, c2.Exact, data, buf.String())
 		}
 	})
 }

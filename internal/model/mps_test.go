@@ -11,22 +11,22 @@ import (
 	"repro/internal/mip"
 )
 
-// roundTrip exports m in the given format, re-imports it, and fails
-// unless the canonical content hash is identical.
-func roundTrip(t *testing.T, m *Model, format MPSFormat) *Model {
+// roundTrip exports m, re-imports it, and fails unless the canonical
+// content hash is identical.
+func roundTrip(t *testing.T, m *Model) *Model {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := m.WriteMPS(&buf, format); err != nil {
-		t.Fatalf("WriteMPS(%v): %v", format, err)
+	if err := m.WriteMPS(&buf); err != nil {
+		t.Fatalf("WriteMPS: %v", err)
 	}
 	m2, err := ReadMPS(bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		t.Fatalf("ReadMPS(%v): %v\nfile:\n%s", format, err, buf.String())
+		t.Fatalf("ReadMPS: %v\nfile:\n%s", err, buf.String())
 	}
 	c1, c2 := m.Canonicalize(), m2.Canonicalize()
 	if c1.Exact != c2.Exact {
-		t.Fatalf("round trip (%v) changed the model: exact %s -> %s\nfile:\n%s",
-			format, c1.Exact, c2.Exact, buf.String())
+		t.Fatalf("round trip changed the model: exact %s -> %s\nfile:\n%s",
+			c1.Exact, c2.Exact, buf.String())
 	}
 	return m2
 }
@@ -38,24 +38,22 @@ func TestMPSRoundTripKnapsack(t *testing.T) {
 		mask[i] = true
 	}
 	m := FromILP(p, mask)
-	for _, format := range []MPSFormat{MPSFixed, MPSFree} {
-		m2 := roundTrip(t, m, format)
-		// The imported model must also solve to the same optimum.
-		opts := &mip.Options{Time: time.Minute}
-		r1, err := m.Solve(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := m2.Solve(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r1.Status != mip.Optimal || r2.Status != mip.Optimal {
-			t.Fatalf("statuses %v / %v, want Optimal", r1.Status, r2.Status)
-		}
-		if math.Abs(r1.Obj-r2.Obj) > 1e-9 {
-			t.Fatalf("imported optimum %g != original %g", r2.Obj, r1.Obj)
-		}
+	m2 := roundTrip(t, m)
+	// The imported model must also solve to the same optimum.
+	opts := &mip.Options{Time: time.Minute}
+	r1, err := m.Solve(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := m2.Solve(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.Status != mip.Optimal || r2.Status != mip.Optimal {
+		t.Fatalf("statuses %v / %v, want Optimal", r1.Status, r2.Status)
+	}
+	if math.Abs(r1.Obj-r2.Obj) > 1e-9 {
+		t.Fatalf("imported optimum %g != original %g", r2.Obj, r1.Obj)
 	}
 }
 
@@ -84,14 +82,12 @@ func TestMPSRoundTripAwkward(t *testing.T) {
 	m.LP().AddRow(1.25, 7.5, []int{y, z}, []float64{1, 1})
 	m.LP().AddRow(math.Inf(-1), math.Inf(1), []int{x, y}, []float64{1, 1})
 
-	for _, format := range []MPSFormat{MPSFixed, MPSFree} {
-		m2 := roundTrip(t, m, format)
-		if got, want := m2.LP().NumCols(), m.LP().NumCols(); got != want {
-			t.Fatalf("%v: imported %d columns, want %d", format, got, want)
-		}
-		if got, want := m2.LP().NumRows(), m.LP().NumRows(); got != want {
-			t.Fatalf("%v: imported %d rows, want %d", format, got, want)
-		}
+	m2 := roundTrip(t, m)
+	if got, want := m2.LP().NumCols(), m.LP().NumCols(); got != want {
+		t.Fatalf("imported %d columns, want %d", got, want)
+	}
+	if got, want := m2.LP().NumRows(), m.LP().NumRows(); got != want {
+		t.Fatalf("imported %d rows, want %d", got, want)
 	}
 }
 
@@ -114,10 +110,10 @@ func TestMPSDeterministic(t *testing.T) {
 		return m
 	}
 	var f1, f2 bytes.Buffer
-	if err := build(false).WriteMPS(&f1, MPSFixed); err != nil {
+	if err := build(false).WriteMPS(&f1); err != nil {
 		t.Fatal(err)
 	}
-	if err := build(true).WriteMPS(&f2, MPSFixed); err != nil {
+	if err := build(true).WriteMPS(&f2); err != nil {
 		t.Fatal(err)
 	}
 	if f1.String() != f2.String() {
@@ -130,7 +126,7 @@ func TestMPSWriteRejectsBadModels(t *testing.T) {
 	x := m.Binary("x")
 	m.ObjAdd(x, math.Inf(1))
 	var buf bytes.Buffer
-	if err := m.WriteMPS(&buf, MPSFree); err == nil {
+	if err := m.WriteMPS(&buf); err == nil {
 		t.Fatal("infinite objective coefficient exported without error")
 	}
 }

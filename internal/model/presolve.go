@@ -61,19 +61,10 @@ func presolve(p *lp.Problem, integer []bool, maxRounds int) *presolved {
 		}
 	}
 
-	// Row-wise view of the matrix.
-	rowCols := make([][]int, m)
-	rowVals := make([][]float64, m)
 	rowLo := make([]float64, m)
 	rowHi := make([]float64, m)
 	for r := 0; r < m; r++ {
 		rowLo[r], rowHi[r] = p.RowBounds(r)
-	}
-	for j := 0; j < n; j++ {
-		for _, nz := range p.Col(j) {
-			rowCols[nz.Row] = append(rowCols[nz.Row], j)
-			rowVals[nz.Row] = append(rowVals[nz.Row], nz.Val)
-		}
 	}
 
 	dropped := make([]bool, m)
@@ -110,8 +101,9 @@ func presolve(p *lp.Problem, integer []bool, maxRounds int) *presolved {
 			minAct, maxAct := 0.0, 0.0
 			freeCols := 0
 			lastFree := -1
-			for i, j := range rowCols[r] {
-				a := rowVals[r][i]
+			row := p.Row(r)
+			for i, e := range row {
+				j, a := e.Col, e.Val
 				if a == 0 {
 					continue // cancelled term; 0*Inf would poison the range
 				}
@@ -138,12 +130,11 @@ func presolve(p *lp.Problem, integer []bool, maxRounds int) *presolved {
 				// Effective singleton: the one free column must keep
 				// the fixed part inside the row bounds on its own.
 				i := lastFree
-				j := rowCols[r][i]
-				a := rowVals[r][i]
+				j, a := row[i].Col, row[i].Val
 				rest := 0.0
-				for k, jj := range rowCols[r] {
-					if k != i && rowVals[r][k] != 0 {
-						rest += rowVals[r][k] * lob[jj]
+				for k, e := range row {
+					if k != i && e.Val != 0 {
+						rest += e.Val * lob[e.Col]
 					}
 				}
 				lo, hi := (rowLo[r]-rest)/a, (rowHi[r]-rest)/a
@@ -158,10 +149,10 @@ func presolve(p *lp.Problem, integer []bool, maxRounds int) *presolved {
 			case maxAct <= rowLo[r]+preTol:
 				// Forcing at the max: the row's >= side is attainable
 				// only with every column at its max-contribution bound.
-				for i, j := range rowCols[r] {
-					if rowVals[r][i] > 0 {
+				for _, e := range row {
+					if j := e.Col; e.Val > 0 {
 						tighten(j, hib[j], hib[j])
-					} else if rowVals[r][i] < 0 {
+					} else if e.Val < 0 {
 						tighten(j, lob[j], lob[j])
 					}
 				}
@@ -169,10 +160,10 @@ func presolve(p *lp.Problem, integer []bool, maxRounds int) *presolved {
 				changed = true
 			case minAct >= rowHi[r]-preTol:
 				// Forcing at the min (the <= side is tight).
-				for i, j := range rowCols[r] {
-					if rowVals[r][i] > 0 {
+				for _, e := range row {
+					if j := e.Col; e.Val > 0 {
 						tighten(j, lob[j], lob[j])
-					} else if rowVals[r][i] < 0 {
+					} else if e.Val < 0 {
 						tighten(j, hib[j], hib[j])
 					}
 				}
@@ -203,21 +194,22 @@ func presolve(p *lp.Problem, integer []bool, maxRounds int) *presolved {
 		pre.colMap[j] = q.AddCol(p.Obj(j), lob[j], hib[j])
 		pre.integer = append(pre.integer, integer[j])
 	}
+	var cols []int
+	var vals []float64
 	for r := 0; r < m; r++ {
 		if dropped[r] {
 			pre.info.DroppedRows++
 			continue
 		}
-		var cols []int
-		var vals []float64
+		cols, vals = cols[:0], vals[:0]
 		shift := 0.0
-		for i, j := range rowCols[r] {
-			if pre.colMap[j] < 0 {
-				shift += rowVals[r][i] * pre.fixed[j]
+		for _, e := range p.Row(r) {
+			if pre.colMap[e.Col] < 0 {
+				shift += e.Val * pre.fixed[e.Col]
 				continue
 			}
-			cols = append(cols, pre.colMap[j])
-			vals = append(vals, rowVals[r][i])
+			cols = append(cols, pre.colMap[e.Col])
+			vals = append(vals, e.Val)
 		}
 		lo, hi := rowLo[r]-shift, rowHi[r]-shift
 		if len(cols) == 0 {

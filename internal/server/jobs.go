@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
@@ -40,10 +41,17 @@ func jobStatus(j *job) JobStatus {
 	return JobStatus{ID: j.id, State: j.state, Error: j.errMsg, Result: j.resp}
 }
 
+// keptJobs is how many finished async jobs the table keeps for
+// GET /jobs/{id}; finishing one more evicts the oldest.
+const keptJobs = 64
+
+// jobTable holds every queued and running async job and the keptJobs
+// most recently finished ones.
 type jobTable struct {
 	mu   sync.Mutex
 	next int
 	m    map[string]*job
+	done []string // ids of the finished jobs in m, oldest first
 }
 
 func newJobTable() *jobTable {
@@ -77,6 +85,24 @@ func (t *jobTable) remove(id string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	delete(t.m, id)
+	if i := slices.Index(t.done, id); i >= 0 {
+		t.done = slices.Delete(t.done, i, i+1)
+	}
+}
+
+// finish records that j has finished, evicting the oldest finished job
+// past keptJobs. A job removed while it ran stays removed.
+func (t *jobTable) finish(j *job) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.m[j.id] != j {
+		return
+	}
+	t.done = append(t.done, j.id)
+	if len(t.done) > keptJobs {
+		delete(t.m, t.done[0])
+		t.done = slices.Delete(t.done, 0, 1)
+	}
 }
 
 func (t *jobTable) cancelAll() {
@@ -113,7 +139,6 @@ func (s *Server) runJob(j *job) {
 	resp, _, err := s.compile(j.ctx, j.req)
 
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	switch {
 	case j.ctx.Err() != nil:
 		j.state = "cancelled"
@@ -126,6 +151,8 @@ func (s *Server) runJob(j *job) {
 		j.state = "done"
 		j.resp = resp
 	}
+	j.mu.Unlock()
+	s.jobs.finish(j)
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
@@ -149,5 +176,6 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 		j.state = "cancelled"
 	}
 	j.mu.Unlock()
+	s.jobs.remove(j.id)
 	WriteJSON(w, http.StatusOK, jobStatus(j))
 }

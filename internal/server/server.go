@@ -7,7 +7,7 @@
 //
 //	POST   /compile         compile Nova source (sync, or async with "async": true)
 //	GET    /jobs/{id}       poll an async job; returns the result when done
-//	DELETE /jobs/{id}       cancel an async job
+//	DELETE /jobs/{id}       cancel an async job and forget it
 //	GET    /healthz         liveness probe
 //	GET    /debug/counters  obs counter dump (text)
 //	GET    /debug/pprof/    net/http/pprof profiles
@@ -15,6 +15,11 @@
 // A /compile body larger than maxBodyBytes is refused with 413, and a
 // "workers" value outside [0, maxWorkers] with 400; both are counted
 // under server/errors and start no solve.
+//
+// The job table keeps every queued and running async job, and the 64
+// (keptJobs) most recently finished ones: finishing one more evicts
+// the oldest finished job, and DELETE removes a job at once, so a
+// later GET of either is a 404.
 package server
 
 import (

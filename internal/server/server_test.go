@@ -223,6 +223,74 @@ func TestAsyncJobLifecycle(t *testing.T) {
 	}
 }
 
+// getJob returns the HTTP status of GET /jobs/{id} and the body.
+func getJob(t *testing.T, url, id string) (int, JobStatus) {
+	t.Helper()
+	r, err := http.Get(url + "/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	var st JobStatus
+	if r.StatusCode == http.StatusOK {
+		json.NewDecoder(r.Body).Decode(&st)
+	}
+	return r.StatusCode, st
+}
+
+// TestJobRetention: the job table keeps keptJobs finished jobs, so the
+// oldest of keptJobs+1 is evicted, and DELETE forgets a job at once.
+func TestJobRetention(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: keptJobs + 1})
+	req := CompileRequest{Name: "tiny.nova", Source: tinySource, Workers: 1, Async: true}
+	ids := make([]string, keptJobs+1)
+	for i := range ids {
+		var st JobStatus
+		if code := postJSON(t, ts.URL+"/compile", req, &st); code != http.StatusAccepted {
+			t.Fatalf("job %d: HTTP %d", i, code)
+		}
+		ids[i] = st.ID
+	}
+	// One worker runs the queue in order: once the last job is done,
+	// so is every other.
+	last := ids[keptJobs]
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		code, st := getJob(t, ts.URL, last)
+		if code != http.StatusOK {
+			t.Fatalf("last job: HTTP %d", code)
+		}
+		if st.State == "done" {
+			break
+		}
+		if st.State != "queued" && st.State != "running" {
+			t.Fatalf("last job ended %q: %s", st.State, st.Error)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("last job stuck in state %q", st.State)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if code, _ := getJob(t, ts.URL, ids[0]); code != http.StatusNotFound {
+		t.Fatalf("the oldest of %d finished jobs: HTTP %d, want 404", keptJobs+1, code)
+	}
+	if code, _ := getJob(t, ts.URL, ids[1]); code != http.StatusOK {
+		t.Fatalf("the second oldest finished job: HTTP %d, want 200", code)
+	}
+	dreq, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+last, nil)
+	r, err := http.DefaultClient.Do(dreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE: HTTP %d", r.StatusCode)
+	}
+	if code, _ := getJob(t, ts.URL, last); code != http.StatusNotFound {
+		t.Fatalf("GET after DELETE: HTTP %d, want 404", code)
+	}
+}
+
 func TestQueueFullAndCancel(t *testing.T) {
 	// One worker, one queue slot. Slow every LP solve down so the
 	// first job occupies the worker while the rest pile up.

@@ -14,8 +14,9 @@ import (
 // TestDualWarmRestartWorkloads is the table test for warm-started
 // node re-solves on the paper's three workloads plus the MultiKnapsack
 // scaling instance: after a single branching bound change and after a
-// single appended cut row, the warm-started dual simplex must reach
-// the same optimum as a cold primal solve of the mutated LP. The
+// bound tightening that cuts off the root point, the warm-started dual
+// simplex must reach the same optimum as a cold primal solve of the
+// mutated LP. The
 // allocator ILPs are obtained by compiling each workload and pulling
 // the integer program back out of the allocation result.
 func TestDualWarmRestartWorkloads(t *testing.T) {
@@ -75,7 +76,7 @@ func TestDualWarmRestartWorkloads(t *testing.T) {
 				branch = j
 			}
 		}
-		for _, mut := range []string{"bound-change", "add-row"} {
+		for _, mut := range []string{"bound-change", "tighten"} {
 			q := ins.prob.Clone()
 			switch mut {
 			case "bound-change":
@@ -90,25 +91,22 @@ func TestDualWarmRestartWorkloads(t *testing.T) {
 					up = lo
 				}
 				q.SetBounds(branch, lo, up)
-			case "add-row":
-				// A fractional cover of the root point: cap the sum of
-				// the currently positive integer columns below its root
-				// activity, which the incumbent violates.
-				var cols []int
-				var vals []float64
-				act := 0.0
+			case "tighten":
+				// Cut off the root point by a bound: cap the integer
+				// column furthest above its lower bound halfway between
+				// the two.
+				top, gap := -1, 1e-6
 				for j, x := range root.X {
-					if ins.integer[j] && x > 1e-6 {
-						cols = append(cols, j)
-						vals = append(vals, 1)
-						act += x
+					if lo, _ := q.Bounds(j); ins.integer[j] && x-lo > gap {
+						top, gap = j, x-lo
 					}
 				}
-				if len(cols) == 0 {
-					t.Logf("%s: root point has no positive integer columns; skipping cut", ins.name)
+				if top < 0 {
+					t.Logf("%s: every integer column sits at its lower bound; skipping tightening", ins.name)
 					continue
 				}
-				q.AddRow(math.Inf(-1), act-0.5, cols, vals)
+				lo, _ := q.Bounds(top)
+				q.SetBounds(top, lo, lo+gap/2)
 			}
 			cold, err := q.Solve(&lp.Options{Method: lp.MethodPrimal})
 			if err != nil {

@@ -13,8 +13,8 @@ import (
 // TestMPSRoundTripWorkloads enforces the MPS round-trip identity gate
 // on the paper's three workload ILPs plus the MultiKnapsack scaling
 // instance: exporting the allocator's integer program and re-importing
-// it (in both fixed and free format) must reproduce a model with
-// an identical canonical content hash, so an external MPS solver sees
+// it must reproduce a model with an identical canonical content hash,
+// so an external MPS solver sees
 // exactly the program the in-tree branch-and-bound solves. It also
 // pins each instance's hash.
 func TestMPSRoundTripWorkloads(t *testing.T) {
@@ -64,22 +64,19 @@ func TestMPSRoundTripWorkloads(t *testing.T) {
 		if c1.Exact != wantExact[ins.name] {
 			t.Errorf("%s: exact hash %s, want %s", ins.name, c1.Exact, wantExact[ins.name])
 		}
-		for _, format := range []model.MPSFormat{model.MPSFixed, model.MPSFree} {
-			var buf bytes.Buffer
-			if err := ins.m.WriteMPS(&buf, format); err != nil {
-				t.Fatalf("%s: WriteMPS(%v): %v", ins.name, format, err)
-			}
-			m2, err := model.ReadMPS(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("%s: ReadMPS(%v): %v", ins.name, format, err)
-			}
-			c2 := m2.Canonicalize()
-			if c1.Exact != c2.Exact {
-				t.Fatalf("%s: round trip (%v) changed the hash: %s -> %s",
-					ins.name, format, c1.Exact, c2.Exact)
-			}
-			t.Logf("%s (%v): %d cols, %d rows, %d bytes, exact hash %s",
-				ins.name, format, ins.m.LP().NumCols(), ins.m.LP().NumRows(), buf.Len(), c1.Exact)
+		var buf bytes.Buffer
+		if err := ins.m.WriteMPS(&buf); err != nil {
+			t.Fatalf("%s: WriteMPS: %v", ins.name, err)
 		}
+		m2, err := model.ReadMPS(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: ReadMPS: %v", ins.name, err)
+		}
+		c2 := m2.Canonicalize()
+		if c1.Exact != c2.Exact {
+			t.Fatalf("%s: round trip changed the hash: %s -> %s", ins.name, c1.Exact, c2.Exact)
+		}
+		t.Logf("%s: %d cols, %d rows, %d bytes, exact hash %s",
+			ins.name, ins.m.LP().NumCols(), ins.m.LP().NumRows(), buf.Len(), c1.Exact)
 	}
 }

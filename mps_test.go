@@ -47,7 +47,7 @@ func TestMPSBridgeNAT(t *testing.T) {
 	}
 	m := model.FromILP(p, mask)
 	var buf bytes.Buffer
-	if err := m.WriteMPS(&buf, model.MPSFixed); err != nil {
+	if err := m.WriteMPS(&buf); err != nil {
 		t.Fatalf("WriteMPS: %v", err)
 	}
 	m2, err := model.ReadMPS(bytes.NewReader(buf.Bytes()))
