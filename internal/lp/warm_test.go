@@ -132,9 +132,18 @@ func TestWarmBasisMismatchFallsBack(t *testing.T) {
 	if err != nil || got.Status != Optimal || got.Obj != ref.Obj {
 		t.Fatalf("bad-basis solve: %+v, err %v", got, err)
 	}
-	// So is a snapshot over the same columns and fewer rows (the
-	// problem without its last two), or over more: the solve must end
-	// bit for bit where a cold one does.
+}
+
+// TestWarmBasisRowPrefixOnly: a snapshot over the same columns and
+// fewer rows (the problem without its last two), or over more, is not
+// adopted as a row prefix: the solve must end bit for bit where a cold
+// one does.
+func TestWarmBasisRowPrefixOnly(t *testing.T) {
+	big := buildAssignment(5, 1)
+	ref, err := big.Solve(nil)
+	if err != nil || ref.Status != Optimal {
+		t.Fatal(err)
+	}
 	fewer := NewProblem()
 	for j := 0; j < big.NumCols(); j++ {
 		lo, hi := big.Bounds(j)
@@ -150,7 +159,7 @@ func TestWarmBasisMismatchFallsBack(t *testing.T) {
 		fewer.AddRow(lo, hi, cols, vals)
 	}
 	refF, errF := fewer.Solve(nil)
-	got, err = big.Clone().Solve(&Options{WarmBasis: refF.Basis})
+	got, err := big.Clone().Solve(&Options{WarmBasis: refF.Basis})
 	sameSolve(t, "fewer-row snapshot", got, ref, err, nil)
 	got, err = fewer.Clone().Solve(&Options{WarmBasis: ref.Basis})
 	sameSolve(t, "more-row snapshot", got, refF, err, errF)
