@@ -2,7 +2,6 @@ package lp
 
 import (
 	"math"
-	"slices"
 	"time"
 )
 
@@ -40,8 +39,8 @@ type dualCand struct {
 }
 
 // cmpDualCand orders breakpoints by ratio, then by |α| descending for
-// stability on ties. Candidates equal in both keys keep the place the
-// unstable sort gives them, which depends on their input order.
+// stability on ties, then by ascending j. It is a total order, so the
+// order the candidates are collected in cannot change the ratio test.
 func cmpDualCand(a, b dualCand) int {
 	switch {
 	case a.ratio != b.ratio:
@@ -49,13 +48,112 @@ func cmpDualCand(a, b dualCand) int {
 			return -1
 		}
 		return 1
-	case a.abs > b.abs:
-		return -1
-	case a.abs < b.abs:
+	case a.abs != b.abs:
+		if a.abs > b.abs {
+			return -1
+		}
 		return 1
 	}
-	return 0
+	return a.j - b.j
 }
+
+// candDown sifts h[k] down the min-heap h under cmpDualCand.
+func candDown(h []dualCand, k int) {
+	for {
+		c := 2*k + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && cmpDualCand(h[c+1], h[c]) < 0 {
+			c++
+		}
+		if cmpDualCand(h[c], h[k]) >= 0 {
+			return
+		}
+		h[k], h[c] = h[c], h[k]
+		k = c
+	}
+}
+
+// ratioTest is the bound-flipping ratio test (long-step dual) over
+// the breakpoints cands, from a dual slope of slope: it walks them in
+// cmpDualCand order, flipping each boxed candidate whose flip to its
+// opposite bound (gain |α|·rng(j), rng(j) its bound range) leaves the
+// slope above 1e-9, and enters the first one the slope cannot pass.
+// It returns that candidate's column and ratio, or -1 when every
+// candidate flips (a dual ray), with the flips in walk order appended
+// to flips[:0]. The walk is partial: cands is heapified in place in
+// O(k) and only the breakpoints walked past are popped, so a test
+// that enters early never pays for a full sort. The result is the
+// walk over a full sort's order, as cmpDualCand is total.
+func ratioTest(cands []dualCand, slope float64, rng func(j int) float64, flips []int) (enter int, ratio float64, _ []int) {
+	h := cands
+	for k := len(h)/2 - 1; k >= 0; k-- {
+		candDown(h, k)
+	}
+	flips = flips[:0]
+	for len(h) > 0 {
+		c := h[0]
+		r := rng(c.j)
+		if gain := c.abs * r; !math.IsInf(r, 1) && slope-gain > 1e-9 {
+			flips = append(flips, c.j)
+			slope -= gain
+			last := len(h) - 1
+			h[0] = h[last]
+			h = h[:last]
+			candDown(h, 0)
+			continue
+		}
+		return c.j, c.ratio, flips
+	}
+	return -1, 0, flips
+}
+
+// dualRatio collects the pivot row's breakpoints into s.cands and
+// runs the ratio test on them from slope, leaving the flips in
+// s.flips. Every eligible nonbasic (at-lower needs sgn·α > 0,
+// at-upper sgn·α < 0, free either) is a breakpoint at ratio
+// d_j/(sgn·α_j) where the dual objective's slope changes. Candidates
+// come in α's support order, which the total order makes immaterial.
+func (s *simplex) dualRatio(sgn, slope float64) (enter int, ratio float64) {
+	cands := s.cands[:0]
+	for _, j := range s.alpha.nz {
+		st := s.state[j]
+		if st == stBasic {
+			continue
+		}
+		a := s.alpha.x[j]
+		sa := sgn * a
+		var ratio float64
+		switch st {
+		case stLower:
+			if sa <= 1e-9 {
+				continue
+			}
+			ratio = s.d[j] / sa
+		case stUpper:
+			if sa >= -1e-9 {
+				continue
+			}
+			ratio = s.d[j] / sa
+		default: // free at zero
+			if sa < 1e-9 && sa > -1e-9 {
+				continue
+			}
+			ratio = math.Abs(s.d[j]) / math.Abs(sa)
+		}
+		if ratio < 0 {
+			ratio = 0 // tolerance noise in d
+		}
+		cands = append(cands, dualCand{j, ratio, math.Abs(a)})
+	}
+	s.cands = cands
+	enter, ratio, s.flips = ratioTest(cands, slope, s.boundRange, s.flips)
+	return enter, ratio
+}
+
+// boundRange returns variable j's bound range hi - lo.
+func (s *simplex) boundRange(j int) float64 { return s.hib(j) - s.lob(j) }
 
 // dualFeasible reports whether the current nonbasic reduced costs
 // satisfy the dual sign conditions to tolerance dtol.
@@ -295,72 +393,18 @@ func (s *simplex) runDual() (Status, error) {
 		// ρ's support touches (every other α_j is zero, so no other
 		// nonbasic is a breakpoint).
 		s.pivotRow(r)
-		// Dual ratio test: every eligible nonbasic (at-lower needs
-		// sgn·α > 0, at-upper sgn·α < 0, free either) is a breakpoint
-		// at ratio d_j/(sgn·α_j) where the dual objective's slope
-		// changes. The candidates must reach the (unstable) sort below
-		// in ascending j, as a scan of every column appends them, so
-		// ties land where they always did.
-		slices.Sort(s.alpha.nz)
-		cands := s.cands[:0]
-		for _, j := range s.alpha.nz {
-			st := s.state[j]
-			if st == stBasic {
-				continue
-			}
-			a := s.alpha.x[j]
-			sa := sgn * a
-			var ratio float64
-			switch st {
-			case stLower:
-				if sa <= 1e-9 {
-					continue
-				}
-				ratio = s.d[j] / sa
-			case stUpper:
-				if sa >= -1e-9 {
-					continue
-				}
-				ratio = s.d[j] / sa
-			default: // free at zero
-				if sa < 1e-9 && sa > -1e-9 {
-					continue
-				}
-				ratio = math.Abs(s.d[j]) / math.Abs(sa)
-			}
-			if ratio < 0 {
-				ratio = 0 // tolerance noise in d
-			}
-			cands = append(cands, dualCand{j, ratio, math.Abs(a)})
-		}
-		s.cands = cands
-		// Bound-flip ratio test (long-step dual): walk the breakpoints
-		// in ratio order. A boxed candidate whose flip to its opposite
-		// bound leaves the dual slope positive is flipped rather than
-		// entered — θ passes its breakpoint — and the entering variable
-		// is the first breakpoint the slope cannot pass. On 0-1 models
-		// this repairs a bound change in one basis update where the
-		// textbook test pays one pivot per breakpoint. Flipping an
-		// at-lower j to at-upper keeps dual feasibility because the
-		// final θ is at least j's own breakpoint, so j's updated
-		// reduced cost has crossed to the at-upper sign (symmetrically
-		// for at-upper).
-		slices.SortFunc(cands, cmpDualCand)
-		enter := -1
-		var chosenRatio float64
-		slope := math.Abs(delta)
-		flips := s.flips[:0]
-		for _, c := range cands {
-			rng := s.hib(c.j) - s.lob(c.j)
-			if gain := c.abs * rng; !math.IsInf(rng, 1) && slope-gain > 1e-9 {
-				flips = append(flips, c.j)
-				slope -= gain
-				continue
-			}
-			enter, chosenRatio = c.j, c.ratio
-			break
-		}
-		s.flips = flips
+		// Bound-flip ratio test (long-step dual, dualRatio). A boxed
+		// candidate whose flip to its opposite bound leaves the dual
+		// slope positive is flipped rather than entered — θ passes its
+		// breakpoint — and the entering variable is the first
+		// breakpoint the slope cannot pass. On 0-1 models this repairs
+		// a bound change in one basis update where the textbook test
+		// pays one pivot per breakpoint. Flipping an at-lower j to
+		// at-upper keeps dual feasibility because the final θ is at
+		// least j's own breakpoint, so j's updated reduced cost has
+		// crossed to the at-upper sign (symmetrically for at-upper).
+		enter, chosenRatio := s.dualRatio(sgn, math.Abs(delta))
+		flips := s.flips
 		if enter < 0 {
 			// Dual ray: no nonbasic move (or flipping all of them) can
 			// repair the violated row — the problem is primal

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -307,4 +308,140 @@ func TestColdDualMatchesPrimal(t *testing.T) {
 		t.Fatalf("instance mix %v: want at least 200 optimal and 40 infeasible", counts)
 	}
 	t.Logf("statuses: %v", counts)
+}
+
+// refRatioTest is ratioTest over a full sort of the candidates under
+// cmpDualCand, the walk that the heap's partial one must reproduce.
+func refRatioTest(cands []dualCand, slope float64, rng func(int) float64) (enter int, ratio float64, flips []int) {
+	sorted := slices.Clone(cands)
+	slices.SortFunc(sorted, cmpDualCand)
+	for _, c := range sorted {
+		r := rng(c.j)
+		if gain := c.abs * r; !math.IsInf(r, 1) && slope-gain > 1e-9 {
+			flips = append(flips, c.j)
+			slope -= gain
+			continue
+		}
+		return c.j, c.ratio, flips
+	}
+	return -1, 0, flips
+}
+
+// checkRatioTest runs ratioTest on a copy of cands and checks its
+// entering column, ratio and flip list against refRatioTest's.
+func checkRatioTest(t *testing.T, cands []dualCand, slope float64, rng func(int) float64, flips []int) []int {
+	t.Helper()
+	wantEnter, wantRatio, wantFlips := refRatioTest(cands, slope, rng)
+	enter, ratio, flips := ratioTest(slices.Clone(cands), slope, rng, flips)
+	if enter != wantEnter || math.Float64bits(ratio) != math.Float64bits(wantRatio) || !slices.Equal(flips, wantFlips) {
+		t.Fatalf("candidates %v, slope %v: heap gives enter %d at %v flipping %v, a full sort enter %d at %v flipping %v",
+			cands, slope, enter, ratio, flips, wantEnter, wantRatio, wantFlips)
+	}
+	return flips
+}
+
+// permute calls f with every ordering of c (Heap's algorithm).
+func permute(c []dualCand, k int, f func()) {
+	if k <= 1 {
+		f()
+		return
+	}
+	for i := 0; i < k-1; i++ {
+		permute(c, k-1, f)
+		if k%2 == 0 {
+			c[i], c[k-1] = c[k-1], c[i]
+		} else {
+			c[0], c[k-1] = c[k-1], c[0]
+		}
+	}
+	permute(c, k-1, f)
+}
+
+// TestPartialRatioTestMatchesSort checks the heap's partial
+// bound-flipping ratio test against a walk over a full sort under
+// cmpDualCand, on random candidate sets drawn from few ratios, |α|
+// values and ranges, so that exact ties in ratio and in |α|, infinite
+// ranges, fixed (zero-range) columns and dual rays (every candidate
+// flips) all occur. Every ordering of a set up to 6 candidates, and 30
+// random orderings of a larger one, must give the same entering
+// column, ratio and flip list. It also lists mark words against
+// slices.Sort around ascend's switch from sorting to reading the words.
+func TestPartialRatioTestMatchesSort(t *testing.T) {
+	rnd := rand.New(rand.NewSource(7))
+	ratios := []float64{0, 0, 0.25, 1, 1, 3}
+	abss := []float64{0.5, 1, 1, 2}
+	ranges := []float64{math.Inf(1), 0, 1, 1, 2.5}
+	var ties, infs, fixed, rays, entered int
+	var flips []int
+	for trial := 0; trial < 3000; trial++ {
+		k := 1 + rnd.Intn(12)
+		rng := map[int]float64{}
+		cands := make([]dualCand, k)
+		total := 0.0
+		for i, j := range rnd.Perm(3 * k)[:k] {
+			cands[i] = dualCand{j, ratios[rnd.Intn(len(ratios))], abss[rnd.Intn(len(abss))]}
+			rng[j] = ranges[rnd.Intn(len(ranges))]
+			switch r := rng[j]; {
+			case math.IsInf(r, 1):
+				infs++
+			case r == 0:
+				fixed++
+			default:
+				total += cands[i].abs * r
+			}
+		}
+		for a := range cands {
+			for b := a + 1; b < len(cands); b++ {
+				if cands[a].ratio == cands[b].ratio && cands[a].abs == cands[b].abs {
+					ties++
+				}
+			}
+		}
+		slope := rnd.Float64() * 1.2 * (total + 1)
+		rangeOf := func(j int) float64 { return rng[j] }
+		enter, _, _ := refRatioTest(cands, slope, rangeOf)
+		if enter < 0 {
+			rays++
+		} else {
+			entered++
+		}
+		if k <= 6 {
+			permute(cands, k, func() { flips = checkRatioTest(t, cands, slope, rangeOf, flips) })
+			continue
+		}
+		for i := 0; i < 30; i++ {
+			rnd.Shuffle(k, func(a, b int) { cands[a], cands[b] = cands[b], cands[a] })
+			flips = checkRatioTest(t, cands, slope, rangeOf, flips)
+		}
+	}
+	if ties == 0 || infs == 0 || fixed == 0 || rays == 0 || entered == 0 {
+		t.Fatalf("cases: %d exact ties, %d infinite ranges, %d fixed columns, %d dual rays, %d entered; want each",
+			ties, infs, fixed, rays, entered)
+	}
+
+	for _, m := range []int{1, 64, 1000, 20000} {
+		b := newMarks(m)
+		most := 0
+		for b.sorts(most + 1) {
+			most++
+		}
+		for _, k := range []int{0, 1, most, most + 1, m} {
+			if k > m {
+				continue
+			}
+			list := rnd.Perm(m)[:k]
+			for _, i := range list {
+				b.set(i)
+			}
+			want := slices.Clone(list)
+			slices.Sort(want)
+			ascend(b, list)
+			if !slices.Equal(list, want) {
+				t.Fatalf("m %d, %d members: ascend lists %v, want %v", m, k, list, want)
+			}
+			for _, i := range list {
+				b.unset(i)
+			}
+		}
+	}
 }

@@ -73,7 +73,8 @@ type warmFactor struct {
 // reach closes s.steps, seeded by the caller through markStep, under
 // the step graph whose step k leads to ind[ptr[k]:ptr[k+1]] (row
 // indices mapped through rowStep when it is non-nil, unpivoted rows
-// skipped), and lists the reached steps ascending.
+// skipped), and lists the reached steps ascending (ascend: a short
+// list is sorted, a long one read back from the mark words).
 func (s *simplex) reach(ptr, ind, rowStep []int32) {
 	for h := 0; h < len(s.steps); h++ {
 		k := s.steps[h]
@@ -87,24 +88,13 @@ func (s *simplex) reach(ptr, ind, rowStep []int32) {
 			s.markStep(j)
 		}
 	}
-	if len(s.steps) > len(s.stepMark)/32 {
-		// A large reach comes out in step order from a scan of the m
-		// marks sooner than from a sort (k log k compares for k steps).
-		s.steps = s.steps[:0]
-		for k, on := range s.stepMark {
-			if on {
-				s.steps = append(s.steps, int32(k))
-			}
-		}
-		return
-	}
-	slices.Sort(s.steps)
+	ascend(s.stepMark, s.steps)
 }
 
 // markStep adds elimination step k to the reach.
 func (s *simplex) markStep(k int32) {
-	if !s.stepMark[k] {
-		s.stepMark[k] = true
+	if !s.stepMark.has(int(k)) {
+		s.stepMark.set(int(k))
 		s.steps = append(s.steps, k)
 	}
 }
@@ -112,7 +102,7 @@ func (s *simplex) markStep(k int32) {
 // clearSteps empties the reach.
 func (s *simplex) clearSteps() {
 	for _, k := range s.steps {
-		s.stepMark[k] = false
+		s.stepMark.unset(int(k))
 	}
 	s.steps = s.steps[:0]
 }

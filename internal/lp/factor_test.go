@@ -253,9 +253,9 @@ func checkSparseSolves(t testing.TB, s *simplex, rng *rand.Rand) {
 		s.column(j, func(r int, v float64) { dense[r] = v })
 		s.ftran(dense)
 		for i, v := range dense {
-			if !sameFloat(s.w.x[i], v) || (v != 0 && !s.w.in[i]) {
+			if !sameFloat(s.w.x[i], v) || (v != 0 && !s.w.in.has(i)) {
 				t.Fatalf("ftran of column %d, row %d: sparse %v (in support: %v), dense %v",
-					j, i, s.w.x[i], s.w.in[i], v)
+					j, i, s.w.x[i], s.w.in.has(i), v)
 			}
 		}
 	}
@@ -277,9 +277,9 @@ func checkSparseSolves(t testing.TB, s *simplex, rng *rand.Rand) {
 		s.btranRho()
 		s.btran(dense)
 		for i, v := range dense {
-			if !sameFloat(s.rho.x[i], v) || (v != 0 && !s.rho.in[i]) {
+			if !sameFloat(s.rho.x[i], v) || (v != 0 && !s.rho.in.has(i)) {
 				t.Fatalf("btran of rhs %d, row %d: sparse %v (in support: %v), dense %v",
-					r, i, s.rho.x[i], s.rho.in[i], v)
+					r, i, s.rho.x[i], s.rho.in.has(i), v)
 			}
 		}
 		s.priceRow()
@@ -292,9 +292,9 @@ func checkSparseSolves(t testing.TB, s *simplex, rng *rand.Rand) {
 			} else {
 				a = -dense[j-s.n]
 			}
-			if !sameFloat(s.alpha.x[j], a) || (a != 0 && !s.alpha.in[j]) {
+			if !sameFloat(s.alpha.x[j], a) || (a != 0 && !s.alpha.in.has(j)) {
 				t.Fatalf("pivot row of rhs %d, column %d: row-wise %v (touched: %v), column loop %v",
-					r, j, s.alpha.x[j], s.alpha.in[j], a)
+					r, j, s.alpha.x[j], s.alpha.in.has(j), a)
 			}
 		}
 	}
@@ -427,8 +427,10 @@ func TestSparseSolvesMatchDense(t *testing.T) {
 // the pricing update (unit BTRAN through the eta row index, row-wise
 // pivot row, reduced cost, weight and candidate update), the devex
 // pick over the candidate list, a dual pick after a step of the basic
-// values (re-scoring the moved rows into the leaving-row heap) and an
-// update eta carved from an arena chunk allocate nothing.
+// values (re-scoring the moved rows into the leaving-row heap), the
+// dual's pivot row and heap ratio test, a listing of every row from
+// the mark words and an update eta carved from an arena chunk
+// allocate nothing.
 func TestPivotKernelsDoNotAllocate(t *testing.T) {
 	p := buildAssignment(12, 4)
 	var o Options
@@ -488,11 +490,22 @@ func TestPivotKernelsDoNotAllocate(t *testing.T) {
 		s.stepXB(0)
 		s.rescoreW()
 		s.dualLeaving()
+		s.pivotRow(r)
+		s.dualRatio(1, 1)
+		for k := s.m - 1; k >= 0; k-- {
+			s.markStep(int32(k))
+		}
+		ascend(s.stepMark, s.steps)
+		s.clearSteps()
 		e.clearUpdates()
 		e.pushEtaW(er)
 	})
 	if allocs != 0 {
 		t.Fatalf("a pivot's kernels allocate %v times, want 0", allocs)
+	}
+	if len(s.cands) < 2 || s.stepMark.sorts(s.m) {
+		t.Fatalf("the pin saw %d ratio-test candidates and %d rows listed by a sort, want a heap and the mark words",
+			len(s.cands), s.m)
 	}
 	if len(e.etaIdx) < 100 || cap(e.etaIdx) != etaChunk {
 		t.Fatalf("the etas filled %d of a %d-entry chunk, want one chunk", len(e.etaIdx), cap(e.etaIdx))

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -231,5 +232,41 @@ func FuzzSolve(f *testing.F) {
 				t.Fatalf("primal/dual objective mismatch: %v vs %v", cold.Obj, warm.Obj)
 			}
 		}
+	})
+}
+
+// FuzzDualRatioTest checks the heap's partial bound-flipping ratio
+// test against a walk over a full sort under cmpDualCand (refRatioTest)
+// on fuzzed candidate sets, in the decoded order and reversed. One
+// header byte picks the slope; then each candidate takes three bytes:
+// its ratio and |α| from few values, so exact ties are common, and its
+// bound range (infinite, zero or finite).
+func FuzzDualRatioTest(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{40, 0, 1, 2, 0, 1, 2, 4, 3, 0})
+	f.Add([]byte{255, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
+	f.Add([]byte{3, 7, 0, 3, 7, 0, 3, 2, 2, 1, 9, 9, 9, 5, 4, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		slope := float64(data[0]) / 16
+		data = data[1:]
+		var cands []dualCand
+		var rng []float64
+		for j := 0; len(data) >= 3 && j < 64; j++ {
+			cands = append(cands, dualCand{j, float64(data[0]%8) / 4, float64(1 + data[1]%4)})
+			switch r := data[2] % 4; r {
+			case 0:
+				rng = append(rng, math.Inf(1))
+			default:
+				rng = append(rng, float64(r-1)/2)
+			}
+			data = data[3:]
+		}
+		rangeOf := func(j int) float64 { return rng[j] }
+		checkRatioTest(t, cands, slope, rangeOf, nil)
+		slices.Reverse(cands)
+		checkRatioTest(t, cands, slope, rangeOf, nil)
 	})
 }

@@ -2,7 +2,6 @@ package lp
 
 import (
 	"math"
-	"slices"
 	"time"
 )
 
@@ -24,7 +23,7 @@ import (
 //
 //   - The infeasible set (simplex.infeas) holds every basic row
 //     strictly outside its bounds. recomputeXB rebuilds it; stepXB adds
-//     each row it moves. Phase 1 prunes it and sorts it ascending, so
+//     each row it moves. Phase 1 prunes it and lists it ascending, so
 //     its infeasibility sum and its c_B are infeasibility()'s and the
 //     old scan's, term for term.
 //   - The dual's leaving-row heap (simplex.chuzr, dual.go) holds each
@@ -107,7 +106,7 @@ func (s *simplex) priceDevex(tol float64) (int, float64) {
 		d := s.d[j]
 		_, dir := dantzigScore(s.state[j], d, tol)
 		if dir == 0 {
-			s.cand.in[j] = false
+			s.cand.in.unset(j)
 			continue
 		}
 		kept = append(kept, j)
@@ -123,15 +122,16 @@ func (s *simplex) priceDevex(tol float64) (int, float64) {
 // slacks included, whose column has a nonzero in the support of the
 // BTRAN accumulator ρ, and lists those variables in s.alpha.nz (in
 // touch order, not ascending); every other α_j is zero. It visits the
-// support's rows in ascending order, so each α_j adds its terms in the
-// order of a loop down column j and gets that loop's bits. The rows
-// are the frozen matrix's, whose columns ascend.
+// support's rows in ascending order, listed by ascend from ρ's mark
+// words, so each α_j adds its terms in the order of a loop down column
+// j and gets that loop's bits. The rows are the frozen matrix's, whose
+// columns ascend.
 func (s *simplex) priceRow() {
 	if s.alpha.x == nil {
 		s.alpha = newSparseVec(s.n + s.m)
 	}
 	s.alpha.clear()
-	slices.Sort(s.rho.nz)
+	ascend(s.rho.in, s.rho.nz)
 	a, alpha := s.a, s.alpha.x
 	for _, i := range s.rho.nz {
 		yi := s.rho.x[i]

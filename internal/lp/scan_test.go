@@ -65,8 +65,8 @@ func checkInfeasibleSet(t testing.TB, s *simplex) {
 			got, math.Float64bits(got), want, math.Float64bits(want))
 	}
 	for r := 0; r < s.m; r++ {
-		if violated := s.violation(r) != 0; violated != s.infeas.in[r] {
-			t.Fatalf("row %d: violated %v, in the pruned infeasible set %v", r, violated, s.infeas.in[r])
+		if violated := s.violation(r) != 0; violated != s.infeas.in.has(r) {
+			t.Fatalf("row %d: violated %v, in the pruned infeasible set %v", r, violated, s.infeas.in.has(r))
 		}
 	}
 }
@@ -83,8 +83,8 @@ func checkDevexCandidates(t testing.TB, s *simplex) {
 	}
 	for j := 0; j < s.n+s.m; j++ {
 		_, dir := dantzigScore(s.state[j], s.d[j], tol)
-		if eligible := dir != 0; eligible != s.cand.in[j] {
-			t.Fatalf("variable %d: eligible %v, in the pruned candidate list %v", j, eligible, s.cand.in[j])
+		if eligible := dir != 0; eligible != s.cand.in.has(j) {
+			t.Fatalf("variable %d: eligible %v, in the pruned candidate list %v", j, eligible, s.cand.in.has(j))
 		}
 	}
 }

@@ -31,6 +31,12 @@ type Model struct {
 	conCount map[string]int // constraint template -> count
 	integer  []bool
 	preInfo  atomic.Pointer[PresolveInfo] // reductions of the last presolved Solve
+
+	// compact's scratch: the merged row, and each column's place in it
+	// plus one (zero outside a compact call).
+	rowCols []int
+	rowVals []float64
+	colPos  []int32
 }
 
 // New returns an empty model.
@@ -142,40 +148,47 @@ func (e *Expr) Add(coef float64, col int) *Expr {
 // Len returns the number of terms.
 func (e *Expr) Len() int { return len(e.cols) }
 
-// compact merges duplicate columns.
-func (e *Expr) compact() ([]int, []float64) {
-	seen := map[int]int{}
-	var cols []int
-	var coefs []float64
+// compact merges e's duplicate columns into one row: each column at
+// its first place, its coefficients added in term order. The row is
+// the model's scratch, valid until the next call.
+func (m *Model) compact(e *Expr) ([]int, []float64) {
+	if n := m.lp.NumCols(); len(m.colPos) < n {
+		m.colPos = append(m.colPos, make([]int32, n-len(m.colPos))...)
+	}
+	cols, vals := m.rowCols[:0], m.rowVals[:0]
 	for i, c := range e.cols {
-		if at, ok := seen[c]; ok {
-			coefs[at] += e.coefs[i]
+		if at := m.colPos[c]; at > 0 {
+			vals[at-1] += e.coefs[i]
 			continue
 		}
-		seen[c] = len(cols)
 		cols = append(cols, c)
-		coefs = append(coefs, e.coefs[i])
+		vals = append(vals, e.coefs[i])
+		m.colPos[c] = int32(len(cols))
 	}
-	return cols, coefs
+	for _, c := range cols {
+		m.colPos[c] = 0
+	}
+	m.rowCols, m.rowVals = cols, vals
+	return cols, vals
 }
 
 // Le adds expr <= rhs under the named constraint template.
 func (m *Model) Le(template string, e *Expr, rhs float64) {
-	cols, coefs := e.compact()
+	cols, coefs := m.compact(e)
 	m.lp.AddRow(-lp.Inf, rhs, cols, coefs)
 	m.conCount[template]++
 }
 
 // Ge adds expr >= rhs.
 func (m *Model) Ge(template string, e *Expr, rhs float64) {
-	cols, coefs := e.compact()
+	cols, coefs := m.compact(e)
 	m.lp.AddRow(rhs, lp.Inf, cols, coefs)
 	m.conCount[template]++
 }
 
 // Eq adds expr = rhs.
 func (m *Model) Eq(template string, e *Expr, rhs float64) {
-	cols, coefs := e.compact()
+	cols, coefs := m.compact(e)
 	m.lp.AddRow(rhs, rhs, cols, coefs)
 	m.conCount[template]++
 }
