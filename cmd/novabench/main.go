@@ -2,16 +2,19 @@
 // program statistics of Figure 5, the AMPL coloring statistics of
 // Figure 6, the solver statistics of Figure 7, and the throughput,
 // chip-scaling and latency-hiding measurements, using this
-// reproduction's compiler, solver, and simulator.
+// reproduction's compiler, solver, and simulator. Below Figure 7 it
+// prints the same statistics with one model option changed: the
+// §7-§9 ablation, the paper's per-point model, and §11's
+// "are spills required at all?" objective.
 //
 // Usage:
 //
 //	novabench [-table fig5|fig6|fig7|throughput|all]
 //
-// The programs compile through fleet.Compile with one ILP search
-// worker, so every counter printed is deterministic; TestPaperTables
-// pins them. The simulations are fleet.Solo batches: one packet per
-// thread slot, staged by the workload's fleet adapter.
+// The programs compile with one ILP search worker, so every counter
+// printed is deterministic; TestPaperTables and TestFig7Ablation pin
+// them. The simulations are fleet.Solo batches: one packet per thread
+// slot, staged by the workload's fleet adapter.
 package main
 
 import (
@@ -55,16 +58,41 @@ var (
 	hidingThreads  = []int{1, 2, 4}
 )
 
+// ablation is one model option changed from nova.DefaultOptions.
+type ablation struct {
+	name string // as printed after the program name
+	set  func(*nova.Options)
+}
+
+// ablations are the rows of the block below Figure 7, each run on
+// every program: the paper's per-point model, the §7-§9 model options
+// turned off, §12's constant bank C turned on, and §11's alternative
+// objective, where the first spill-free incumbent answers "are spills
+// required at all?".
+var ablations = []ablation{
+	{"Coarsen off", func(o *nova.Options) { o.Alloc.Coarsen = false }},
+	{"Prune off", func(o *nova.Options) { o.Alloc.Prune = false }},
+	{"RedundantAggregate off", func(o *nova.Options) { o.Alloc.RedundantAggregate = false }},
+	{"BiasAB off", func(o *nova.Options) { o.Alloc.BiasAB = false }},
+	{"Remat on", func(o *nova.Options) { o.Alloc.Remat = true }},
+	{"NoSpill Gap 0.99", func(o *nova.Options) { o.Alloc.NoSpill = true; o.MIP.Gap = 0.99 }},
+}
+
+// mipOptions is the search every novabench compile runs: one worker,
+// so node and iteration counts are deterministic.
+func mipOptions() *mip.Options {
+	return &mip.Options{Time: 4 * time.Minute, Workers: 1}
+}
+
 var compiled = map[string]*fleet.Workload{}
 
-// compile builds p's fleet adapter once per process, at one search
-// worker.
+// compile builds p's fleet adapter once per process.
 func compile(p program) (*fleet.Workload, error) {
 	if w, ok := compiled[p.name]; ok {
 		return w, nil
 	}
 	fmt.Fprintf(os.Stderr, "compiling %s.nova ...\n", p.name)
-	w, err := fleet.Compile(strings.ToLower(p.name), &mip.Options{Time: 4 * time.Minute, Workers: 1})
+	w, err := fleet.Compile(strings.ToLower(p.name), mipOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -98,9 +126,10 @@ func fig6Rows() ([]core.AggStats, error) {
 	return rows, nil
 }
 
-// fig7Row is one program's solver statistics. Root and Total are wall
-// times; every other field is a deterministic count.
+// fig7Row is one compile's solver statistics. Root and Total are wall
+// times; every other field but Name is a deterministic count.
 type fig7Row struct {
+	Name                         string // program, then any option changed
 	Root, Total                  time.Duration
 	Vars, Constraints, ObjTerms  int
 	PresolvedVars, PresolvedRows int // left after presolve
@@ -115,21 +144,47 @@ func fig7Rows() ([]fig7Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		a, st := w.Comp.Alloc, w.Comp.Alloc.ModelStats
-		r := fig7Row{
-			Vars: st.Vars, Constraints: st.Constraints, ObjTerms: st.ObjTerms,
-			PresolvedVars: st.Vars, PresolvedRows: st.Constraints,
-			LPIters: a.MIP.LPIters, Nodes: a.MIP.Nodes,
-			Moves: a.NumMoves(), Spills: a.Spills, CodeWords: w.Comp.Asm.CodeWords(),
-		}
-		r.Root, r.Total = a.SolveTimes()
-		if pre := st.Presolve; pre != nil {
-			r.PresolvedVars -= pre.FixedVars
-			r.PresolvedRows -= pre.DroppedRows
-		}
-		rows = append(rows, r)
+		rows = append(rows, fig7RowOf(p.name, w.Comp))
 	}
 	return rows, nil
+}
+
+// ablationRows returns the block below Figure 7: for each of
+// ablations, one row per program.
+func ablationRows() ([]fig7Row, error) {
+	var rows []fig7Row
+	for _, ab := range ablations {
+		for _, p := range programs {
+			fmt.Fprintf(os.Stderr, "compiling %s.nova with %s ...\n", p.name, ab.name)
+			opts := nova.DefaultOptions()
+			opts.MIP = mipOptions()
+			ab.set(&opts)
+			c, err := nova.Compile(strings.ToLower(p.name)+".nova", p.src, opts)
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, fig7RowOf(p.name+" "+ab.name, c))
+		}
+	}
+	return rows, nil
+}
+
+// fig7RowOf reads c's solver statistics into a row labelled name.
+func fig7RowOf(name string, c *nova.Compilation) fig7Row {
+	a, st := c.Alloc, c.Alloc.ModelStats
+	r := fig7Row{
+		Name: name,
+		Vars: st.Vars, Constraints: st.Constraints, ObjTerms: st.ObjTerms,
+		PresolvedVars: st.Vars, PresolvedRows: st.Constraints,
+		LPIters: a.MIP.LPIters, Nodes: a.MIP.Nodes,
+		Moves: a.NumMoves(), Spills: a.Spills, CodeWords: c.Asm.CodeWords(),
+	}
+	r.Root, r.Total = a.SolveTimes()
+	if pre := st.Presolve; pre != nil {
+		r.PresolvedVars -= pre.FixedVars
+		r.PresolvedRows -= pre.DroppedRows
+	}
+	return r
 }
 
 // throughputRow is the cycles of one batch of threads packets per
@@ -201,7 +256,8 @@ func main() {
 		printFig6(must(fig6Rows()))
 	}
 	if all || *which == "fig7" {
-		printFig7(must(fig7Rows()))
+		printFig7("Figure 7 — solver statistics (one search worker; vars'/rows' after presolve)", must(fig7Rows()))
+		printFig7("Figure 7 with one model option changed", must(ablationRows()))
 	}
 	if all || *which == "throughput" {
 		printThroughput(must(throughputRows()))
@@ -239,14 +295,18 @@ func printFig6(rows []core.AggStats) {
 	fmt.Println()
 }
 
-func printFig7(rows []fig7Row) {
-	fmt.Println("Figure 7 — solver statistics (one search worker; vars'/rows' after presolve)")
-	fmt.Printf("%-8s %9s %11s %9s %12s %10s %6s %7s %6s %6s %8s %6s %6s\n",
-		"", "root(s)", "integer(s)", "vars", "constraints", "obj-terms", "moves", "spills",
+func printFig7(title string, rows []fig7Row) {
+	w := 8
+	for _, r := range rows {
+		w = max(w, len(r.Name))
+	}
+	fmt.Println(title)
+	fmt.Printf("%-*s %9s %11s %9s %12s %10s %6s %7s %6s %6s %8s %6s %6s\n",
+		w, "", "root(s)", "integer(s)", "vars", "constraints", "obj-terms", "moves", "spills",
 		"vars'", "rows'", "lp-iters", "nodes", "code")
-	for i, r := range rows {
-		fmt.Printf("%-8s %9.2f %11.2f %9d %12d %10d %6d %7d %6d %6d %8d %6d %6d\n",
-			programs[i].name, r.Root.Seconds(), r.Total.Seconds(),
+	for _, r := range rows {
+		fmt.Printf("%-*s %9.2f %11.2f %9d %12d %10d %6d %7d %6d %6d %8d %6d %6d\n",
+			w, r.Name, r.Root.Seconds(), r.Total.Seconds(),
 			r.Vars, r.Constraints, r.ObjTerms, r.Moves, r.Spills,
 			r.PresolvedVars, r.PresolvedRows, r.LPIters, r.Nodes, r.CodeWords)
 	}

@@ -52,19 +52,14 @@ func TestPaperTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	want7 := []fig7Row{
-		{Vars: 7684, Constraints: 10208, ObjTerms: 3627, PresolvedVars: 7544, PresolvedRows: 8762,
+		{Name: "AES", Vars: 7684, Constraints: 10204, ObjTerms: 3627, PresolvedVars: 7544, PresolvedRows: 8758,
 			LPIters: 3645, Nodes: 1, Moves: 13, Spills: 0, CodeWords: 393},
-		{Vars: 8631, Constraints: 7557, ObjTerms: 4025, PresolvedVars: 8555, PresolvedRows: 7243,
+		{Name: "Kasumi", Vars: 8631, Constraints: 7557, ObjTerms: 4025, PresolvedVars: 8555, PresolvedRows: 7243,
 			LPIters: 3946, Nodes: 3, Moves: 5, Spills: 0, CodeWords: 364},
-		{Vars: 3619, Constraints: 5472, ObjTerms: 2035, PresolvedVars: 3495, PresolvedRows: 2634,
+		{Name: "NAT", Vars: 3619, Constraints: 5472, ObjTerms: 2035, PresolvedVars: 3495, PresolvedRows: 2634,
 			LPIters: 1859, Nodes: 63, Moves: 8, Spills: 0, CodeWords: 133},
 	}
-	for i := range f7 {
-		f7[i].Root, f7[i].Total = 0, 0 // wall times
-	}
-	if !reflect.DeepEqual(f7, want7) {
-		t.Errorf("Figure 7:\n got %+v\nwant %+v", f7, want7)
-	}
+	checkFig7(t, "Figure 7", f7, want7)
 
 	tp, err := throughputRows()
 	if err != nil {
@@ -86,5 +81,70 @@ func TestPaperTables(t *testing.T) {
 	}
 	if !reflect.DeepEqual(tp, wantTP) {
 		t.Errorf("throughput:\n got %+v\nwant %+v", tp, wantTP)
+	}
+}
+
+// TestFig7Ablation is the golden for the block below Figure 7: the
+// same statistics with one model option changed, per program. The
+// first three rows are the paper's per-point model; its moves, spills
+// and code words equal the coarsened model's. It is kept apart from
+// TestPaperTables because its compiles take about half a minute.
+func TestFig7Ablation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("per-point and unpruned ILP compiles take about 30 s")
+	}
+	rows, err := ablationRows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []fig7Row{
+		{Name: "AES Coarsen off", Vars: 78518, Constraints: 67295, ObjTerms: 42746, PresolvedVars: 78378, PresolvedRows: 60490,
+			LPIters: 32892, Nodes: 1, Moves: 13, Spills: 0, CodeWords: 393},
+		{Name: "Kasumi Coarsen off", Vars: 64409, Constraints: 41736, ObjTerms: 37969, PresolvedVars: 64333, PresolvedRows: 40725,
+			LPIters: 20964, Nodes: 1, Moves: 5, Spills: 0, CodeWords: 364},
+		{Name: "NAT Coarsen off", Vars: 21700, Constraints: 27191, ObjTerms: 10495, PresolvedVars: 21576, PresolvedRows: 19393,
+			LPIters: 11715, Nodes: 79, Moves: 8, Spills: 0, CodeWords: 133},
+		{Name: "AES Prune off", Vars: 37520, Constraints: 293241, ObjTerms: 16377, PresolvedVars: 37380, PresolvedRows: 285728,
+			LPIters: 8522, Nodes: 1, Moves: 13, Spills: 0, CodeWords: 393},
+		{Name: "Kasumi Prune off", Vars: 38924, Constraints: 262314, ObjTerms: 17832, PresolvedVars: 38848, PresolvedRows: 259940,
+			LPIters: 7598, Nodes: 1, Moves: 5, Spills: 0, CodeWords: 364},
+		{Name: "NAT Prune off", Vars: 16115, Constraints: 79527, ObjTerms: 8338, PresolvedVars: 15991, PresolvedRows: 72095,
+			LPIters: 17512, Nodes: 932, Moves: 8, Spills: 0, CodeWords: 133},
+		{Name: "AES RedundantAggregate off", Vars: 7684, Constraints: 10126, ObjTerms: 3627, PresolvedVars: 7583, PresolvedRows: 9320,
+			LPIters: 3720, Nodes: 1, Moves: 13, Spills: 0, CodeWords: 393},
+		{Name: "Kasumi RedundantAggregate off", Vars: 8631, Constraints: 7523, ObjTerms: 4025, PresolvedVars: 8572, PresolvedRows: 7355,
+			LPIters: 3972, Nodes: 3, Moves: 5, Spills: 0, CodeWords: 364},
+		{Name: "NAT RedundantAggregate off", Vars: 3619, Constraints: 5380, ObjTerms: 2035, PresolvedVars: 3513, PresolvedRows: 2845,
+			LPIters: 1619, Nodes: 36, Moves: 8, Spills: 0, CodeWords: 133},
+		{Name: "AES BiasAB off", Vars: 7684, Constraints: 10204, ObjTerms: 2688, PresolvedVars: 7544, PresolvedRows: 8758,
+			LPIters: 4129, Nodes: 1, Moves: 13, Spills: 0, CodeWords: 393},
+		{Name: "Kasumi BiasAB off", Vars: 8631, Constraints: 7557, ObjTerms: 3053, PresolvedVars: 8555, PresolvedRows: 7243,
+			LPIters: 4555, Nodes: 0, Moves: 5, Spills: 0, CodeWords: 364},
+		{Name: "NAT BiasAB off", Vars: 3619, Constraints: 5472, ObjTerms: 1666, PresolvedVars: 3495, PresolvedRows: 2634,
+			LPIters: 1828, Nodes: 123, Moves: 8, Spills: 0, CodeWords: 133},
+		{Name: "AES Remat on", Vars: 7188, Constraints: 9801, ObjTerms: 3427, PresolvedVars: 6950, PresolvedRows: 8257,
+			LPIters: 3073, Nodes: 1, Moves: 13, Spills: 0, CodeWords: 393},
+		{Name: "Kasumi Remat on", Vars: 8220, Constraints: 7216, ObjTerms: 3859, PresolvedVars: 8063, PresolvedRows: 6821,
+			LPIters: 3512, Nodes: 0, Moves: 5, Spills: 0, CodeWords: 364},
+		{Name: "NAT Remat on", Vars: 3426, Constraints: 5250, ObjTerms: 1949, PresolvedVars: 3266, PresolvedRows: 2440,
+			LPIters: 1301, Nodes: 17, Moves: 8, Spills: 0, CodeWords: 133},
+		{Name: "AES NoSpill Gap 0.99", Vars: 6188, Constraints: 9407, ObjTerms: 2511, PresolvedVars: 6048, PresolvedRows: 8045,
+			LPIters: 3188, Nodes: 1, Moves: 13, Spills: 0, CodeWords: 393},
+		{Name: "Kasumi NoSpill Gap 0.99", Vars: 6852, Constraints: 6913, ObjTerms: 2710, PresolvedVars: 6776, PresolvedRows: 6599,
+			LPIters: 3558, Nodes: 0, Moves: 5, Spills: 0, CodeWords: 364},
+		{Name: "NAT NoSpill Gap 0.99", Vars: 2622, Constraints: 5161, ObjTerms: 1277, PresolvedVars: 2498, PresolvedRows: 2323,
+			LPIters: 1182, Nodes: 8, Moves: 9, Spills: 0, CodeWords: 134},
+	}
+	checkFig7(t, "ablation", rows, want)
+}
+
+// checkFig7 compares rows with want, wall times aside.
+func checkFig7(t *testing.T, what string, rows, want []fig7Row) {
+	t.Helper()
+	for i := range rows {
+		rows[i].Root, rows[i].Total = 0, 0
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("%s:\n got %+v\nwant %+v", what, rows, want)
 	}
 }

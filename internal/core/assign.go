@@ -101,14 +101,15 @@ func (r *Result) AssignRegisters() (*Assignment, error) {
 			a.union(arc.from, arc.to)
 		}
 	}
-	byTempRoot := map[[2]int][]locID{}
+	//    The unions run in location order, so the final roots, and with
+	//    them the coloring order, do not depend on map iteration.
+	first := map[[2]int]locID{}
 	for l := range g.locTemp {
 		key := [2]int{int(g.locTemp[l]), int(g.find(locID(l)))}
-		byTempRoot[key] = append(byTempRoot[key], locID(l))
-	}
-	for _, locs := range byTempRoot {
-		for i := 1; i < len(locs); i++ {
-			a.union(locs[0], locs[i])
+		if f, ok := first[key]; ok {
+			a.union(f, locID(l))
+		} else {
+			first[key] = locID(l)
 		}
 	}
 

@@ -689,13 +689,6 @@ func (il *ilp) spillRegs() {
 				il.m.Ge("spill_need", model.NewExpr().Add(1, ns).Add(-1, col), 0)
 			}
 			il.maxCols = append(il.maxCols, maxCol{col: ns, of: append([]int(nil), tb.cols...)})
-			if g.opts.TightenSpill {
-				e := model.NewExpr().Add(-1, ns)
-				for _, col := range tb.cols {
-					e.Add(1, col)
-				}
-				il.m.Ge("spill_tight", e, 0)
-			}
 			// Occupancy of the bank at p: occupied[r] >= pos + color - 1.
 			occ := make([]int, XRegs)
 			occPairs := make([][][2]int, XRegs)

@@ -24,18 +24,19 @@ import (
 
 // Options configures a compilation.
 type Options struct {
-	Entry     string // entry function; default "main"
-	Alloc     core.Options
-	MIP       *mip.Options
-	Workers   int    // ILP tree-search workers; 0 = mip default (GOMAXPROCS)
-	SpillBase uint32 // scratch address of spill slot 0; default 0x300
-	SkipAsm   bool   // stop after allocation (model experiments)
+	Entry   string // entry function; default "main"
+	Alloc   core.Options
+	MIP     *mip.Options
+	Workers int // ILP tree-search workers; 0 = mip default (GOMAXPROCS)
 }
 
 // DefaultOptions compiles like the paper's evaluation.
 func DefaultOptions() Options {
-	return Options{Entry: "main", Alloc: core.DefaultOptions(), SpillBase: 0x300}
+	return Options{Entry: "main", Alloc: core.DefaultOptions()}
 }
+
+// spillBase is the scratch word address of spill slot 0.
+const spillBase = 0x300
 
 // StaticStats are the Figure 5 program statistics.
 type StaticStats struct {
@@ -68,9 +69,6 @@ type Compilation struct {
 func Compile(name, src string, opts Options) (*Compilation, error) {
 	if opts.Entry == "" {
 		opts.Entry = "main"
-	}
-	if opts.SpillBase == 0 {
-		opts.SpillBase = 0x300
 	}
 	if opts.Workers != 0 {
 		// Copy before overriding so a caller-shared mip.Options value is
@@ -135,9 +133,6 @@ func Compile(name, src string, opts Options) (*Compilation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	if opts.SkipAsm {
-		return c, nil
-	}
 	sp = obs.StartSpan("phase/assign")
 	asn, err := alloc.AssignRegisters()
 	sp.End()
@@ -146,7 +141,7 @@ func Compile(name, src string, opts Options) (*Compilation, error) {
 	}
 	c.Assign = asn
 	sp = obs.StartSpan("phase/emit")
-	prog, err := asm.Emit(c.MIR, alloc, asn, opts.SpillBase)
+	prog, err := asm.Emit(c.MIR, alloc, asn, spillBase)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
@@ -285,7 +280,7 @@ func staticStats(src string, prog *ast.Program) StaticStats {
 // function's parameters at program start, in parameter order.
 func (c *Compilation) EntryRegs() ([]asm.Reg, error) {
 	if c.Assign == nil {
-		return nil, fmt.Errorf("nova: compilation stopped before register assignment")
+		return nil, fmt.Errorf("nova: compilation has no register assignment")
 	}
 	entry := c.MIR.Blocks[0]
 	regs := make([]asm.Reg, len(entry.Params))

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mip"
+	"repro/internal/workloads"
 )
 
 func TestCompileSmoke(t *testing.T) {
@@ -74,20 +76,6 @@ fun main(p: word) -> word {
 	}
 }
 
-func TestSkipAsm(t *testing.T) {
-	comp, err := Compile("t.nova", `fun main(a: word) -> word { a + 1 }`,
-		func() Options { o := DefaultOptions(); o.SkipAsm = true; return o }())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp.Asm != nil {
-		t.Fatal("SkipAsm produced assembly")
-	}
-	if comp.Alloc == nil {
-		t.Fatal("SkipAsm must still allocate")
-	}
-}
-
 func TestCustomEntry(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Entry = "fastpath"
@@ -99,5 +87,28 @@ fun fastpath(a: word) -> word { helper(a) + 1 }`, opts)
 	}
 	if comp.Asm.CodeWords() == 0 {
 		t.Fatal("no code")
+	}
+}
+
+// TestAsmDeterministic compiles AES repeatedly in one process at one
+// search worker: the listing must be byte-identical every time, so
+// register assignment may not follow map iteration order.
+func TestAsmDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full ILP compiles")
+	}
+	var first string
+	for i := 0; i < 8; i++ {
+		opts := DefaultOptions()
+		opts.MIP = &mip.Options{Workers: 1}
+		comp, err := Compile("aes.nova", workloads.AESSource, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = comp.Asm.String()
+		} else if got := comp.Asm.String(); got != first {
+			t.Fatalf("compile %d's listing differs from the first", i+1)
+		}
 	}
 }

@@ -54,7 +54,7 @@ func TestMPSRoundTripWorkloads(t *testing.T) {
 	// changes the model itself or the hash, and every cached entry with
 	// it.
 	wantExact := map[string]string{
-		"aes":           "d39f242fe5e4f7f7614a41a2a6c935ec",
+		"aes":           "1d4c430c43a3c7c6f984caa43d0827a1",
 		"kasumi":        "16e09c5f385f215698513bfd22bb92ef",
 		"nat":           "c6c96f1e55e839ddfbc22a9676603817",
 		"multiknapsack": "b9cee36a28046dcc42bff65deb791c05",
