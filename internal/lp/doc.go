@@ -1,9 +1,10 @@
 // Package lp implements a linear-programming solver: a bounded-variable
 // simplex over a frozen sparse matrix with a sparse LU basis
-// factorization (threshold-Markowitz pivoting, Forrest–Tomlin-style
-// update etas between refactorizations, hypersparse triangular
-// solves), pivot rows priced from the matrix's rows, devex pricing on
-// the primal side, a Bland fallback against cycling, and a
+// factorization (threshold-Markowitz pivoting, product-form column
+// etas between refactorizations that a work clock schedules,
+// hypersparse triangular solves), pivot rows priced from the matrix's
+// rows, devex pricing on the primal side, a Bland fallback against
+// cycling, and a
 // bound-flipping dual simplex for cold solves whose crash basis is
 // dual feasible (on perturbed costs) and for warm-started re-solves
 // after bound changes. It is the substrate under the branch-and-bound
@@ -52,5 +53,10 @@
 // The lp/ observability counters (lp/solves, lp/iterations,
 // lp/dual_iterations, lp/degenerate_pivots, lp/bland_activations,
 // lp/refactorizations, lp/ft_updates, lp/refactor_cadence) are always
-// on and are read via obs.TakeSnapshot — see DESIGN.md §8.
+// on and are read via obs.TakeSnapshot — see DESIGN.md §8. The
+// factorization is rebuilt once the passes through its update etas
+// have cost as much work as building it did (a count of entries and
+// steps visited, so it repeats exactly); Options.RefactorGap fixes a
+// count of etas instead. lp/ft_updates counts those product-form
+// etas, one per basis change (the name is historical).
 package lp

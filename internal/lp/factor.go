@@ -10,11 +10,18 @@ import (
 // The basis matrix B is factorized as P B = L U with a Markowitz-style
 // ordering (columns a priori by ascending count, pivot rows by fewest
 // original nonzeros among numerically acceptable candidates), and the
-// factorization is then kept frozen while pivots stack Forrest–Tomlin
-// style product-form updates on top of it (simplex.updates). The
-// frozen luFactor is immutable and shareable: a Basis snapshot carries
-// it (warmFactor) so warm-started re-solves of the same matrix adopt
-// it instead of refactorizing.
+// factorization is then kept frozen while pivots stack product-form
+// (PFI) column etas on top of it (simplex.updates). The frozen
+// luFactor is immutable and shareable: a Basis snapshot carries it
+// (warmFactor) so warm-started re-solves of the same matrix adopt it
+// instead of refactorizing.
+//
+// factorize and recomputeXB tally the work they do on s.work, one unit
+// per visit of one entry, step, row or variable by one loop (entries
+// scattered, steps reached and visited, L and U entries written,
+// passes over the variables); refactor keeps the total as the
+// factorization's buildWork, the budget of the refactorization clock
+// (simplex.refactorDue). The update side counts in the same unit.
 //
 // The triangular solves are hypersparse (Gilbert & Peierls 1988; Hall
 // & McKinnon 2005): a solve first collects the elimination steps
@@ -63,11 +70,13 @@ type luFactor struct {
 
 // warmFactor is the factorization payload a Basis snapshot carries: a
 // shared frozen LU plus a private copy of the update file that was
-// stacked on it when the snapshot was taken.
+// stacked on it when the snapshot was taken, and the refactorization
+// clock at that moment, so an adopting solve resumes it.
 type warmFactor struct {
-	lu      *luFactor
-	updates []eta
-	nnz     int // nonzeros in the update file
+	lu                    *luFactor
+	updates               []eta
+	nnz                   int // nonzeros in the update file
+	buildWork, updateWork int
 }
 
 // reach closes s.steps, seeded by the caller through markStep, under
@@ -110,7 +119,11 @@ func (s *simplex) clearSteps() {
 // lsolve applies L⁻¹ to the FTRAN accumulator, visiting in ascending
 // order the steps reachable from its pivoted rows (also used
 // mid-factorize, when L is still growing and some rows are unpivoted).
+// Its passes go on s.work: the seeding pass over the support, three
+// visits of each reached step (marked, solved, cleared), and each L
+// entry once walked by the reach and once more if applied.
 func (f *luFactor) lsolve(s *simplex) {
+	work := len(s.w.nz)
 	for _, i := range s.w.nz {
 		if k := f.pos[i]; k >= 0 {
 			s.markStep(k)
@@ -118,7 +131,10 @@ func (f *luFactor) lsolve(s *simplex) {
 	}
 	s.reach(f.lptr, f.lind, f.pos)
 	w := s.w.x
+	work += 3 * len(s.steps)
 	for _, k := range s.steps {
+		n := int(f.lptr[k+1] - f.lptr[k])
+		work += n
 		v := w[f.prow[k]]
 		if v == 0 {
 			continue
@@ -128,7 +144,9 @@ func (f *luFactor) lsolve(s *simplex) {
 			s.w.touch(int(i))
 			w[i] -= f.lval[t] * v
 		}
+		work += n
 	}
+	s.work += work
 	s.clearSteps()
 }
 
@@ -198,8 +216,10 @@ func (f *luFactor) btranReach(s *simplex) {
 	s.clearSteps()
 }
 
-// ftranDense solves B z = w in place on a dense vector.
-func (f *luFactor) ftranDense(w []float64) {
+// ftranDense solves B z = w in place on a dense vector and returns its
+// work: both passes over the steps and the L and U entries applied.
+func (f *luFactor) ftranDense(w []float64) int {
+	work := 2 * f.m
 	for k := 0; k < len(f.prow); k++ {
 		v := w[f.prow[k]]
 		if v == 0 {
@@ -208,6 +228,7 @@ func (f *luFactor) ftranDense(w []float64) {
 		for t := f.lptr[k]; t < f.lptr[k+1]; t++ {
 			w[f.lind[t]] -= f.lval[t] * v
 		}
+		work += int(f.lptr[k+1] - f.lptr[k])
 	}
 	for k := f.m - 1; k >= 0; k-- {
 		r := f.prow[k]
@@ -220,7 +241,9 @@ func (f *luFactor) ftranDense(w []float64) {
 		for t := f.uptr[k]; t < f.uptr[k+1]; t++ {
 			w[f.prow[f.uind[t]]] -= f.uval[t] * x
 		}
+		work += int(f.uptr[k+1] - f.uptr[k])
 	}
+	return work
 }
 
 // btranDense solves Bᵀ y = y in place: transposed U forward in
@@ -247,8 +270,11 @@ func (f *luFactor) btranDense(y []float64) {
 
 // addColumn records one elimination step from the accumulator:
 // entries at already-pivoted rows become U column entries, entries at
-// unpivoted rows divided by the pivot become L multipliers.
+// unpivoted rows divided by the pivot become L multipliers. The scan
+// of the accumulator, the entries written and the step's own four
+// appends go on s.work.
 func (f *luFactor) addColumn(s *simplex, prow int) {
+	l0, u0 := len(f.lind), len(f.uind)
 	piv := s.w.x[prow]
 	for _, i := range s.w.nz {
 		if i == prow {
@@ -266,6 +292,7 @@ func (f *luFactor) addColumn(s *simplex, prow int) {
 			f.lval = append(f.lval, v/piv)
 		}
 	}
+	s.work += len(s.w.nz) + len(f.lind) - l0 + len(f.uind) - u0 + 4
 	f.uptr = append(f.uptr, int32(len(f.uind)))
 	f.lptr = append(f.lptr, int32(len(f.lind)))
 	f.udiag = append(f.udiag, piv)
@@ -338,6 +365,7 @@ func (s *simplex) newFactor() *luFactor {
 	for i := range f.pos {
 		f.pos[i] = -1
 	}
+	s.work += m
 	if s.newBasis == nil {
 		s.newBasis = make([]int, m)
 	}
@@ -350,11 +378,16 @@ func (s *simplex) newFactor() *luFactor {
 // pivoting — any row within 10x of the largest magnitude is
 // acceptable; among those, fewest original nonzeros wins (Markowitz,
 // from the static row counts of orderBasis), magnitude breaks ties. A
-// column with no usable entry goes to s.failed.
+// column with no usable entry goes to s.failed. Clearing the last
+// column, scattering this one (a call and a write per entry) and the
+// pivot search's two passes go on s.work (lsolve and addColumn count
+// their own).
 func (s *simplex) eliminate(f *luFactor, j int) {
+	s.work += len(s.w.nz) + 2*s.colNnz(j)
 	s.w.clear()
 	s.scatterColumn(j)
 	f.lsolve(s)
+	s.work += 2 * len(s.w.nz)
 	maxAbs := 0.0
 	for _, i := range s.w.nz {
 		if f.pos[i] >= 0 {
@@ -387,7 +420,8 @@ func (s *simplex) eliminate(f *luFactor, j int) {
 }
 
 // finishFactor repairs the basis around the steps taken and installs
-// the factorization.
+// the factorization. Its passes over the rows and the two transposes
+// go on s.work.
 func (s *simplex) finishFactor(f *luFactor) error {
 	newBasis := s.newBasis
 	// Repair: failed columns leave the basis; unpivoted rows get their
@@ -431,8 +465,8 @@ func (s *simplex) finishFactor(f *luFactor) error {
 	s.lnnz, s.unnz = len(f.lval), len(f.uval)
 	f.utptr, f.utind = transpose(s.m, f.uptr, f.uind, nil)
 	f.ltptr, f.ltind = transpose(s.m, f.lptr, f.lind, f.pos)
+	s.work += 2*s.m + 2*(len(f.uind)+s.m) + 2*(len(f.lind)+s.m)
 	s.lu = f
-	s.fillBudget = 2*f.nnz + 16*s.m
 	return nil
 }
 
@@ -442,7 +476,9 @@ func (s *simplex) finishFactor(f *luFactor) error {
 // count with the column id breaking ties. One counting pass over the
 // variables in ascending id places each basic column after every
 // column with fewer nonzeros, or with as many and a lower id, so the
-// order is the one a sort by (count, id) gives.
+// order is the one a sort by (count, id) gives. The basic columns'
+// entries and the passes over the rows and the variables go on
+// s.work.
 func (s *simplex) orderBasis() []int {
 	if s.rowCount == nil {
 		s.rowCount = make([]int, s.m)
@@ -458,10 +494,12 @@ func (s *simplex) orderBasis() []int {
 				rowCount[nz.Row]++
 			}
 			most = max(most, len(c))
+			s.work += len(c)
 		} else {
 			rowCount[j-s.n]++
 		}
 	}
+	s.work += s.n + 3*s.m
 	// bucket[c] is where the next basic column with c nonzeros goes.
 	s.bucket = slices.Grow(s.bucket[:0], most+1)[:most+1]
 	next := s.bucket
@@ -493,18 +531,20 @@ func (s *simplex) colNnz(j int) int {
 }
 
 // adoptFactor installs the factorization carried by a warm basis
-// snapshot, skipping the refactorization a cold start would pay. It
-// refuses (reporting false, not an error) when the payload was built
-// on a different matrix, or when its update file is already at the
-// refactorization cadence — adopting it would buy nothing. The
-// lp/refactor_fail fault fires here too, so injected factorization
-// failures reach warm re-solves that would otherwise never refactor.
+// snapshot, skipping the refactorization a cold start would pay, and
+// resumes the snapshot's refactorization clock; re-linking the update
+// file goes on it. It refuses (reporting false, not an error) when the
+// payload was built on a different matrix, or when its update file is
+// already due for a rebuild (refactorDue) — adopting it would buy
+// nothing. The lp/refactor_fail fault fires here too, so injected
+// factorization failures reach warm re-solves that would otherwise
+// never refactor.
 func (s *simplex) adoptFactor(b *Basis) (bool, error) {
 	f := b.factor
 	if f == nil || f.lu == nil || f.lu.a != s.a {
 		return false, nil
 	}
-	if len(f.updates) >= s.opts.RefactorGap || f.nnz > 2*f.lu.nnz+16*s.m {
+	if s.refactorDue(len(f.updates), f.updateWork, f.buildWork) {
 		return false, nil
 	}
 	if fpRefactorFail.Fire() {
@@ -515,19 +555,22 @@ func (s *simplex) adoptFactor(b *Basis) (bool, error) {
 	s.clearUpdates()
 	s.updates = append(s.updates, f.updates...)
 	s.etaLinks = slices.Grow(s.etaLinks, f.nnz) // one entry per stored nonzero
+	s.buildWork, s.updateWork = f.buildWork, f.updateWork
 	for k := range s.updates {
 		s.linkEta(k)
 	}
 	s.updateNnz = f.nnz
-	s.fillBudget = 2*f.lu.nnz + 16*s.m
 	return true, nil
 }
 
 // recomputeXB recomputes the basic values from the nonbasic point:
-// x_B = ftran(-(N x_N)).
+// x_B = ftran(-(N x_N)). The pass over the variables, the entries
+// scattered, the LU solve and the pass over the rows go on s.work;
+// ftran puts the update file's share on the update clock.
 func (s *simplex) recomputeXB() {
 	rhs := s.xB
 	clear(rhs)
+	work := s.n + 2*s.m
 	for j := 0; j < s.n+s.m; j++ {
 		if s.state[j] == stBasic {
 			continue
@@ -537,13 +580,16 @@ func (s *simplex) recomputeXB() {
 			continue
 		}
 		if j < s.n {
-			for _, nz := range s.a.col(j) {
+			c := s.a.col(j)
+			for _, nz := range c {
 				rhs[nz.Row] -= nz.Val * v
 			}
+			work += len(c)
 		} else {
 			rhs[j-s.n] += v
 		}
 	}
+	s.work += work
 	s.ftran(rhs)
 	s.rebuildInfeasible()
 }

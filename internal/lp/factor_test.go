@@ -94,7 +94,7 @@ func TestLUFactorSolvesAgainstBasis(t *testing.T) {
 }
 
 // TestFTUpdatesKeepSolvesExact forces a tiny problem to stack many
-// Forrest–Tomlin updates without refactorizing (huge RefactorGap) and
+// product-form update etas without refactorizing (huge RefactorGap) and
 // checks the basis solves stay exact through the update file.
 func TestFTUpdatesKeepSolvesExact(t *testing.T) {
 	p := buildAssignment(8, 3)
@@ -352,7 +352,7 @@ func randomSparseLP(rng *rand.Rand, m, n int) *Problem {
 // TestSparseSolvesMatchDense pins the hypersparse kernels to the dense
 // ones bit for bit on random sparse bases: fresh factorizations,
 // factorizations whose singular columns the repair swapped for slacks,
-// and Forrest–Tomlin updates stacked on both.
+// and product-form update etas stacked on both.
 func TestSparseSolvesMatchDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	repaired := 0

@@ -96,8 +96,10 @@ func checkRecycledResolve(t *testing.T, p *Problem, k int) {
 // solve must never panic, any claimed Optimal point must actually
 // satisfy every bound and row of the problem it was asked about, the
 // default solve (the cold dual, when the crash basis is dual feasible)
-// must agree with the two-phase primal, and a re-solve on a recycled
-// workspace must match one on a fresh workspace (checkRecycledResolve).
+// must agree with the two-phase primal and with a solve whose
+// refactorizations come every 8 etas instead of by the work clock,
+// and a re-solve on a recycled workspace must match one on a fresh
+// workspace (checkRecycledResolve).
 func FuzzSolve(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 2, 200, 0, 8, 0, 100, 4, 4, 0, 50, 0, 12, 1})
@@ -134,6 +136,17 @@ func FuzzSolve(f *testing.F) {
 		}
 		decided := func(st Status) bool {
 			return st == Optimal || st == Infeasible || st == Unbounded
+		}
+		// The work clock only decides when to refactorize: a fixed
+		// cadence must reach the same verdict and optimum.
+		gap, gerr := solveChecked(t, p, Options{MaxIters: 5000, RefactorGap: 8})
+		if gerr == nil && decided(sol.Status) && decided(gap.Status) {
+			if sol.Status != gap.Status {
+				t.Fatalf("work clock %v, RefactorGap 8 %v", sol.Status, gap.Status)
+			}
+			if sol.Status == Optimal && math.Abs(sol.Obj-gap.Obj) > 1e-5*(1+math.Abs(gap.Obj)) {
+				t.Fatalf("work clock objective %v, RefactorGap 8 %v", sol.Obj, gap.Obj)
+			}
 		}
 		// Whenever the crash basis is dual feasible, the default solve ran
 		// the cold dual on perturbed costs: the two-phase primal must

@@ -149,6 +149,23 @@ func (p *Problem) AddRow(lo, hi float64, cols []int, vals []float64) int {
 	return len(a.rowLo) - 1
 }
 
+// Grow reserves room for cols more columns, rows more rows and
+// nonzeros more matrix coefficients, so that many AddCol and AddRow
+// calls do not reallocate. It panics once the matrix is frozen.
+func (p *Problem) Grow(cols, rows, nonzeros int) {
+	a := p.a
+	if a.frozen {
+		panic("lp: Grow on a frozen matrix")
+	}
+	p.obj = slices.Grow(p.obj, cols)
+	p.lo = slices.Grow(p.lo, cols)
+	p.hi = slices.Grow(p.hi, cols)
+	a.rptr = slices.Grow(a.rptr, rows)
+	a.rowLo = slices.Grow(a.rowLo, rows)
+	a.rowHi = slices.Grow(a.rowHi, rows)
+	a.rnz = slices.Grow(a.rnz, nonzeros)
+}
+
 // SetObj changes a variable's objective coefficient.
 func (p *Problem) SetObj(col int, obj float64) { p.obj[col] = obj }
 
@@ -224,13 +241,14 @@ type Basis struct {
 	State []int8 // varState values, length NumCols()+NumRows()
 	Order []int  // Order[r] = variable occupying basis row slot r
 
-	// factor optionally carries the LU factorization and its
-	// Forrest–Tomlin update file from the solve that produced the
-	// snapshot. A warm-started re-solve on the same frozen matrix (the
-	// Problem's or a clone's) adopts it instead of refactorizing, so
-	// a branch-and-bound node pays for a factorization only when the
-	// update file has grown past the refactorization cadence. The
-	// payload is frozen and shared; it is never mutated in place.
+	// factor optionally carries the LU factorization, its file of
+	// product-form update etas and its refactorization clock from the
+	// solve that produced the snapshot. A warm-started re-solve on the
+	// same frozen matrix (the Problem's or a clone's) adopts it instead
+	// of refactorizing and resumes the clock, so a branch-and-bound
+	// node pays for a factorization only once the passes through the
+	// update file have cost as much as building it. The payload is
+	// frozen and shared; it is never mutated in place.
 	factor *warmFactor
 }
 
@@ -302,9 +320,14 @@ const (
 
 // Options tunes the solver.
 type Options struct {
-	MaxIters    int     // 0 means automatic (scaled with problem size)
-	Tol         float64 // feasibility/optimality tolerance (default 1e-7)
-	RefactorGap int     // eta count between refactorizations (default 128)
+	MaxIters int     // 0 means automatic (scaled with problem size)
+	Tol      float64 // feasibility/optimality tolerance (default 1e-7)
+	// RefactorGap, when positive, fixes the refactorization cadence: the
+	// factorization is rebuilt once this many update etas are stacked
+	// on it. Zero (the default) rebuilds by the work clock instead: once
+	// the passes through the update etas have cost as much work as
+	// building the factorization did.
+	RefactorGap int
 
 	// Deadline, when nonzero, is a hard wall-clock bound: the pivot
 	// loop checks it every 256 iterations and the solve returns with
@@ -328,9 +351,6 @@ func (o *Options) fill(p *Problem) {
 	}
 	if o.Tol == 0 {
 		o.Tol = 1e-7
-	}
-	if o.RefactorGap == 0 {
-		o.RefactorGap = 128
 	}
 }
 

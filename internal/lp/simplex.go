@@ -18,10 +18,12 @@ import (
 // steps (DESIGN.md §10): crash-basis restarts after a repair conflict,
 // and fresh-basis re-solves after residual drift was detected at an
 // optimum. dual_iterations counts the subset of lp/iterations spent in
-// the dual simplex, ft_updates the Forrest–Tomlin update etas stacked
-// on factorizations, and refactor_cadence the update depth collapsed
-// at each refactorization (cadence / refactorizations = average
-// updates a factorization served before being rebuilt).
+// the dual simplex, ft_updates the product-form update etas stacked
+// on factorizations (one per basis change; the name is historical,
+// the etas are column etas, not Forrest–Tomlin row updates), and
+// refactor_cadence the update depth collapsed at each refactorization
+// (cadence / refactorizations = average updates a factorization served
+// before being rebuilt).
 var (
 	cSolves          = obs.NewCounter("lp/solves")
 	cIters           = obs.NewCounter("lp/iterations")
@@ -68,8 +70,8 @@ const (
 	dualBail    Status = -2 // dual simplex defers to the primal phases
 )
 
-// eta is one Forrest–Tomlin-style product-form update stacked on the
-// LU factorization: the basis changed by pivoting the column with
+// eta is one product-form (PFI) column eta stacked on the LU
+// factorization: the basis changed by pivoting the column with
 // (pre-pivot) ftran image v at row r. The pivot value v[r] is stored
 // separately; idx/val hold only the off-pivot entries. mark is
 // btranRho's scratch, false whenever no BTRAN is running.
@@ -102,13 +104,19 @@ type simplex struct {
 	xB    []float64 // value of basis[r]
 
 	// Basis representation: a frozen sparse LU factorization plus the
-	// update etas stacked on it since. fillBudget bounds the update
-	// file's nonzeros (set from the factorization's own fill) so the
-	// refactorization cadence tracks fill-in, not just a fixed count.
+	// update etas stacked on it since. The refactorization clock
+	// (maybeRefactor) compares buildWork, the work factorize and
+	// recomputeXB spent building lu, with updateWork, the work every
+	// pass through the update file has spent since. Both count entries
+	// and steps, not time, so the clock is deterministic. work is the
+	// build side's running tally (factor.go): refactor zeroes it before
+	// a build and keeps what the build added.
 	lu         *luFactor
 	updates    []eta
 	updateNnz  int
-	fillBudget int
+	buildWork  int
+	updateWork int
+	work       int
 
 	// The eta arena: pushEtaW carves each eta's idx/val from the free
 	// tail of these chunks. A full chunk is replaced, never reset, so
@@ -327,10 +335,12 @@ func (s *simplex) scatterColumn(j int) {
 
 // ftranW solves B z = w in place on the sparse accumulator: through
 // the reach-restricted LU solves (factor.go), then through the update
-// etas in stacking order.
+// etas in stacking order. Every eta checked and every entry applied
+// goes on the update clock.
 func (s *simplex) ftranW() {
 	s.lu.lsolve(s)
 	s.lu.usolve(s)
+	work := len(s.updates)
 	for k := range s.updates {
 		e := &s.updates[k]
 		wr := s.w.x[e.r]
@@ -343,12 +353,16 @@ func (s *simplex) ftranW() {
 			s.w.touch(int(ix))
 			s.w.x[ix] -= e.val[i] * zr
 		}
+		work += len(e.idx)
 	}
+	s.updateWork += work
 }
 
-// ftran solves B z = w in place (w dense).
+// ftran solves B z = w in place (w dense). The LU solve's work goes on
+// s.work, the update file's on the update clock.
 func (s *simplex) ftran(w []float64) {
-	s.lu.ftranDense(w)
+	s.work += s.lu.ftranDense(w)
+	work := len(s.updates)
 	for k := range s.updates {
 		e := &s.updates[k]
 		wr := w[e.r]
@@ -360,12 +374,15 @@ func (s *simplex) ftran(w []float64) {
 		for i, ix := range e.idx {
 			w[ix] -= e.val[i] * zr
 		}
+		work += len(e.idx)
 	}
+	s.updateWork += work
 }
 
 // btran solves Bᵀ z = y in place (y dense): transposed update etas in
 // reverse stacking order, then the transposed LU factors.
 func (s *simplex) btran(y []float64) {
+	work := len(s.updates)
 	for k := len(s.updates) - 1; k >= 0; k-- {
 		e := &s.updates[k]
 		var sum float64
@@ -373,7 +390,9 @@ func (s *simplex) btran(y []float64) {
 			sum += e.val[i] * y[ix]
 		}
 		y[e.r] = (y[e.r] - sum) / e.piv
+		work += len(e.idx)
 	}
+	s.updateWork += work
 	s.lu.btranDense(y)
 }
 
@@ -386,10 +405,12 @@ func (s *simplex) btran(y []float64) {
 // eta reads only +0 entries, so btran's dot product is +0 there and it
 // skips the eta as well. marked counts the etas flagged and not yet
 // visited; once it reaches k, every eta below k is flagged and the
-// index walks stop.
+// index walks stop. The etas checked, the entries applied and the
+// index links walked go on the update clock.
 func (s *simplex) btranRho() {
 	x := s.rho.x
 	marked := 0
+	work := len(s.updates)
 	for _, i := range s.rho.nz {
 		if marked == len(s.updates) {
 			break
@@ -403,6 +424,7 @@ func (s *simplex) btranRho() {
 		}
 		e.mark = false
 		marked--
+		work += len(e.idx)
 		var sum float64
 		for i, ix := range e.idx {
 			sum += e.val[i] * x[ix]
@@ -418,30 +440,35 @@ func (s *simplex) btranRho() {
 			}
 		}
 	}
+	s.updateWork += work
 	s.lu.btranReach(s)
 }
 
 // markEtas flags for btranRho the etas below k that read row i or
-// pivot on it, and returns how many were not flagged already.
+// pivot on it, and returns how many were not flagged already. The
+// links it walks go on the update clock.
 func (s *simplex) markEtas(i, k int) int {
-	n := 0
+	n, walked := 0, 0
 	for t := s.etaHead[i]; t >= 0; t = s.etaLinks[t].next {
+		walked++
 		if e := &s.updates[s.etaLinks[t].eta]; s.etaLinks[t].eta < int32(k) && !e.mark {
 			e.mark = true
 			n++
 		}
 	}
+	s.updateWork += walked
 	return n
 }
 
 // linkEta adds update eta k to the index lists of its pivot row and
-// of every row it reads.
+// of every row it reads, one link each on the update clock.
 func (s *simplex) linkEta(k int) {
 	e := &s.updates[k]
 	s.linkRow(e.r, k)
 	for _, i := range e.idx {
 		s.linkRow(int(i), k)
 	}
+	s.updateWork += len(e.idx) + 1
 }
 
 func (s *simplex) linkRow(i, k int) {
@@ -449,7 +476,8 @@ func (s *simplex) linkRow(i, k int) {
 	s.etaHead[i] = int32(len(s.etaLinks) - 1)
 }
 
-// clearUpdates empties the update file and its row index.
+// clearUpdates empties the update file and its row index and zeroes
+// the update clock.
 func (s *simplex) clearUpdates() {
 	for k := range s.updates {
 		e := &s.updates[k]
@@ -461,13 +489,15 @@ func (s *simplex) clearUpdates() {
 	s.updates = s.updates[:0]
 	s.etaLinks = s.etaLinks[:0]
 	s.updateNnz = 0
+	s.updateWork = 0
 }
 
 // etaChunk is the size, in entries, of an eta arena chunk.
 const etaChunk = 4096
 
-// pushEtaW records the accumulator as a Forrest–Tomlin update eta
-// with pivot row r, its off-pivot entries carved from the eta arena.
+// pushEtaW records the accumulator as a product-form column eta with
+// pivot row r, its off-pivot entries carved from the eta arena. The
+// scan of the accumulator and the links go on the update clock.
 func (s *simplex) pushEtaW(r int) {
 	if cap(s.etaIdx)-len(s.etaIdx) < len(s.w.nz) {
 		c := max(etaChunk, len(s.w.nz))
@@ -490,6 +520,7 @@ func (s *simplex) pushEtaW(r int) {
 	s.updates = append(s.updates, eta{r: r, piv: piv, idx: idx, val: val})
 	s.linkEta(len(s.updates) - 1)
 	s.updateNnz += len(idx) + 1
+	s.updateWork += len(s.w.nz)
 	s.ftUpdates++
 }
 
@@ -695,7 +726,6 @@ func (s *simplex) solveOnce(warm *Basis) (*Solution, error) {
 func (s *simplex) reset() {
 	s.lu = nil
 	s.clearUpdates()
-	s.fillBudget = 0
 	s.degenerate = 0
 	s.bland = false
 	for i := range s.xB {
@@ -858,9 +888,11 @@ func (s *simplex) snapshot() *Basis {
 	copy(b.Order, s.basis)
 	if s.lu != nil && s.lu.m == s.m {
 		b.factor = &warmFactor{
-			lu:      s.lu,
-			updates: append([]eta(nil), s.updates...),
-			nnz:     s.updateNnz,
+			lu:         s.lu,
+			updates:    append([]eta(nil), s.updates...),
+			nnz:        s.updateNnz,
+			buildWork:  s.buildWork,
+			updateWork: s.updateWork,
 		}
 	}
 	return b
@@ -1230,7 +1262,8 @@ func dantzigScore(st varState, d, tol float64) (score, dir float64) {
 }
 
 // refactor collapses the update file into a fresh LU factorization of
-// the current basis and recomputes the basic values. Singular bases
+// the current basis, recomputes the basic values and restarts the
+// refactorization clock from the work both took. Singular bases
 // are repaired by swapping in slacks; a repair conflict (a slack
 // needed for an unpivoted row while basic elsewhere) returns a
 // *StabilityError instead of guessing, and solve restarts once from
@@ -1244,6 +1277,7 @@ func (s *simplex) refactor() error {
 		return &StabilityError{Stage: "refactor", Detail: "injected repair conflict", FTDepth: depth}
 	}
 	s.clearUpdates()
+	s.work = 0
 	if err := s.factorize(); err != nil {
 		var se *StabilityError
 		if errors.As(err, &se) {
@@ -1252,18 +1286,32 @@ func (s *simplex) refactor() error {
 		return err
 	}
 	s.recomputeXB()
+	s.buildWork = s.work
 	return nil
 }
 
-// maybeRefactor applies the refactorization cadence: rebuild when the
-// update file reached Options.RefactorGap etas, when its fill passed
-// the budget set from the factorization's own nonzeros, or when the
-// caller saw a pivot bad enough to distrust the arithmetic (force).
-// It reports whether a refactorization happened so callers can
-// refresh state derived from the old factors.
+// maybeRefactor rebuilds the factorization when its update file is
+// due (refactorDue) or when the caller saw a pivot bad enough to
+// distrust the arithmetic (force). It reports whether a
+// refactorization happened so callers can refresh state derived from
+// the old factors.
 func (s *simplex) maybeRefactor(force bool) (bool, error) {
-	if !force && len(s.updates) < s.opts.RefactorGap && s.updateNnz <= s.fillBudget {
+	if !force && !s.refactorDue(len(s.updates), s.updateWork, s.buildWork) {
 		return false, nil
 	}
 	return true, s.refactor()
+}
+
+// refactorDue reports whether an update file of depth etas, which has
+// cost updateWork on a factorization that cost buildWork, should be
+// collapsed. With Options.RefactorGap set the depth alone decides.
+// Otherwise the work clock does (Huangfu & Hall 2018): every pass
+// through the file costs more as it grows, so once the passes since
+// the build have cost as much as the build, a rebuild is cheaper than
+// carrying on.
+func (s *simplex) refactorDue(depth, updateWork, buildWork int) bool {
+	if g := s.opts.RefactorGap; g > 0 {
+		return depth >= g
+	}
+	return updateWork >= buildWork
 }

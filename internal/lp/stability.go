@@ -13,11 +13,12 @@ type StabilityError struct {
 	Stage  string // "refactor" (basis repair conflict) or "residual" (drift re-solve failed)
 	Detail string
 
-	// FTDepth is the number of Forrest–Tomlin updates stacked on the
-	// factorization when the failure was detected — the depth of the
-	// update file the refactorization was trying to collapse. A large
-	// depth points at the update cadence; zero means even a fresh
-	// factorization of the basis failed.
+	// FTDepth is the number of product-form update etas stacked on
+	// the factorization when the failure was detected — the depth of
+	// the update file the refactorization was trying to collapse (the
+	// name is historical, like lp/ft_updates). A large depth points at
+	// the update cadence; zero means even a fresh factorization of the
+	// basis failed.
 	FTDepth int
 }
 

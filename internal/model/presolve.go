@@ -181,8 +181,11 @@ func presolve(p *lp.Problem, integer []bool, maxRounds int) *presolved {
 		return pre
 	}
 
-	// Rebuild: substitute fixed columns out, remap the rest.
+	// Rebuild: substitute fixed columns out, remap the rest. The
+	// original's sizes bound the reduced problem's, so its stores are
+	// reserved once.
 	q := lp.NewProblem()
+	q.Grow(n, m, p.NumNonzeros())
 	for j := 0; j < n; j++ {
 		if lob[j] >= hib[j]-preTol {
 			pre.colMap[j] = -1

@@ -1,6 +1,8 @@
 package nova
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -109,6 +111,33 @@ func TestAsmDeterministic(t *testing.T) {
 			first = comp.Asm.String()
 		} else if got := comp.Asm.String(); got != first {
 			t.Fatalf("compile %d's listing differs from the first", i+1)
+		}
+	}
+}
+
+// TestAsmPinned pins the one-worker listings of AES, Kasumi and NAT by
+// their SHA-256. The LP kernel may change the path to the ILP optimum
+// (iterations, nodes) but not the optimum chosen: a cost-equal
+// alternative optimum (other A/B or transfer registers, the same moves
+// and spills) would pass every figure golden and show only here. A
+// change that means to move the allocation re-pins these.
+func TestAsmPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full ILP compiles")
+	}
+	for _, w := range []struct{ name, src, sha string }{
+		{"aes", workloads.AESSource, "638ce643901c82ca38f2b361d9ee39cabca4fa0b205a3ee8cdf2fd645b31a5b8"},
+		{"kasumi", workloads.KasumiSource, "e176e85796f9570c3ef133ed071e97f21e0ab050be40c07d150b8ef54ea9a4c6"},
+		{"nat", workloads.NATSource, "73e625194d6cd55fee06f0e12f3df45dcb69ab13449cdf78f85f81821728b6ab"},
+	} {
+		opts := DefaultOptions()
+		opts.MIP = &mip.Options{Workers: 1}
+		comp, err := Compile(w.name+".nova", w.src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(comp.Asm.String()))); got != w.sha {
+			t.Errorf("%s listing sha256 %s, pinned %s", w.name, got, w.sha)
 		}
 	}
 }
