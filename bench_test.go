@@ -25,15 +25,23 @@ func BenchmarkFig2ModelInstantiation(b *testing.B) {
 	cost := map[string]float64{"t1": 3, "t2": 3}
 	for i := 0; i < b.N; i++ {
 		m := model.New()
-		for _, t := range T {
+		for ti, t := range T {
 			e := model.NewExpr()
-			for _, r := range R {
-				e.Add(1, m.Binary("x", t, r))
+			for range R {
+				e.Add(1, m.Binary()) // x[t,r]
 			}
-			m.Eq("row", e, cost[t])
+			m.Eq(e, cost[t]) // row ti: sum_r x[t,r] = cost[t]
+			if lo, _ := m.LP().RowBounds(ti); lo != cost[t] {
+				b.Fatalf("row %d has rhs %g, want %g", ti, lo, cost[t])
+			}
 		}
-		if st := m.Stats(); st.Vars != 6 || st.Constraints != 2 {
+		if st := m.Stats(); st.Vars != 6 || st.Constraints != 2 || st.Nonzeros != 6 {
 			b.Fatalf("bad instantiation: %+v", st)
+		}
+		for j := 0; j < 6; j++ {
+			if col := m.LP().Col(j); len(col) != 1 || col[0].Row != j/len(R) {
+				b.Fatalf("x column %d = %+v, want one entry in row %d", j, col, j/len(R))
+			}
 		}
 	}
 }

@@ -162,7 +162,7 @@ func (il *ilp) positions() error {
 		}
 		e := model.NewExpr()
 		for _, b := range allow.banks() {
-			col := il.m.Binary("Pos", int(r), b)
+			col := il.m.Binary()
 			il.posCol[posKey{r, b}] = col
 			e.Add(1, col)
 			// Symmetry breaking in the spirit of the paper's §7 bias:
@@ -173,7 +173,7 @@ func (il *ilp) positions() error {
 				il.m.ObjAdd(col, 1e-6)
 			}
 		}
-		il.m.Eq("one_place", e, 1)
+		il.m.Eq(e, 1) // one place only
 	}
 	return nil
 }
@@ -273,7 +273,7 @@ func (il *ilp) moves() {
 				if c < 0 {
 					continue // no physical path
 				}
-				col := il.m.Continuous("Move", 0, 1, i, b1, b2)
+				col := il.m.Continuous(0, 1)
 				if il.moveCols[i] == nil {
 					il.moveCols[i] = map[[2]Bank]int{}
 				}
@@ -294,12 +294,12 @@ func (il *ilp) moves() {
 				}
 				cm, ok := groupCost[gk][[2]Bank{b1, b2}]
 				if !ok {
-					cm = il.m.Continuous("CloneMove", 0, 1, gk.p, gk.set, b1, b2)
+					cm = il.m.Continuous(0, 1)
 					groupCost[gk][[2]Bank{b1, b2}] = cm
 					il.m.ObjAdd(cm, cost)
 				}
-				// cm >= move member
-				il.m.Ge("clone_move", model.NewExpr().Add(1, cm).Add(-1, col), 0)
+				// clone move: cm >= move member
+				il.m.Ge(model.NewExpr().Add(1, cm).Add(-1, col), 0)
 				cmMembers[cm] = append(cmMembers[cm], col)
 			}
 		}
@@ -312,7 +312,7 @@ func (il *ilp) moves() {
 				}
 			}
 			e.Add(-1, il.pos(from, b1))
-			il.m.Eq("move_out", e, 0)
+			il.m.Eq(e, 0) // moves out of b1 = pos[from, b1]
 		}
 		for _, b2 := range ta.banks() {
 			e := model.NewExpr()
@@ -322,7 +322,7 @@ func (il *ilp) moves() {
 				}
 			}
 			e.Add(-1, il.pos(to, b2))
-			il.m.Eq("move_in", e, 0)
+			il.m.Eq(e, 0) // moves into b2 = pos[to, b2]
 		}
 	}
 	for cm, members := range cmMembers {
@@ -334,7 +334,7 @@ func (il *ilp) moves() {
 		for _, b := range []Bank{A, B} {
 			x, y := il.pos(pr.x, b), il.pos(pr.y, b)
 			if x >= 0 && y >= 0 {
-				il.m.Le("arith_bank", model.NewExpr().Add(1, x).Add(1, y), 1)
+				il.m.Le(model.NewExpr().Add(1, x).Add(1, y), 1)
 			}
 		}
 		e := model.NewExpr()
@@ -350,7 +350,7 @@ func (il *ilp) moves() {
 			}
 		}
 		if n > 1 {
-			il.m.Le("arith_xfer", e, 1)
+			il.m.Le(e, 1)
 		}
 	}
 }
@@ -404,7 +404,7 @@ func (il *ilp) arcCost(v mir.Temp, b1, b2 Bank) float64 {
 func (il *ilp) capacity() {
 	g := il.g
 	for p := 0; p < g.npoints; p++ {
-		for side, list := range [][]locEntry{g.beforeLocs[p], g.afterLocs[p]} {
+		for _, list := range [][]locEntry{g.beforeLocs[p], g.afterLocs[p]} {
 			for _, bank := range []Bank{A, B} {
 				k := KA
 				if bank == B {
@@ -425,13 +425,13 @@ func (il *ilp) capacity() {
 					if set := g.cloneSet[le.v]; set >= 0 {
 						rep, ok := cloneRep[set]
 						if !ok {
-							rep = il.m.Continuous("CloneBefore", 0, 1, p, side, set, bank)
+							rep = il.m.Continuous(0, 1)
 							cloneRep[set] = rep
 							e.Add(1, rep)
 							terms++
 						}
-						// rep >= pos of each member
-						il.m.Ge("clone_count", model.NewExpr().Add(1, rep).Add(-1, col), 0)
+						// clone count: rep >= pos of each member
+						il.m.Ge(model.NewExpr().Add(1, rep).Add(-1, col), 0)
 						repMembers[rep] = append(repMembers[rep], col)
 						continue
 					}
@@ -442,7 +442,7 @@ func (il *ilp) capacity() {
 					il.maxCols = append(il.maxCols, maxCol{col: rep, of: members})
 				}
 				if terms > k {
-					il.m.Le("K_"+bank.String(), e, float64(k))
+					il.m.Le(e, float64(k)) // K_A or K_B
 				}
 			}
 		}
@@ -473,11 +473,11 @@ func (il *ilp) colors() {
 		for _, b := range il.mayColor[v].banks() {
 			e := model.NewExpr()
 			for r := 0; r < XRegs; r++ {
-				col := il.m.Binary("Color", int(v), b, r)
+				col := il.m.Binary()
 				il.colorCol[colorKey{v, b, r}] = col
 				e.Add(1, col)
 			}
-			il.m.Eq("one_color", e, 1)
+			il.m.Eq(e, 1) // one color per (temp, bank)
 		}
 	}
 	// Interference: temps simultaneously live in the same transfer bank
@@ -512,7 +512,7 @@ func (il *ilp) colors() {
 						for r := 0; r < XRegs; r++ {
 							c1 := il.colorCol[colorKey{v1, b, r}]
 							c2 := il.colorCol[colorKey{v2, b, r}]
-							il.m.Le("interfere", model.NewExpr().
+							il.m.Le(model.NewExpr().
 								Add(1, p1).Add(1, p2).Add(1, c1).Add(1, c2), 3)
 						}
 					}
@@ -534,10 +534,10 @@ func (il *ilp) colors() {
 				e := model.NewExpr().
 					Add(1, il.colorCol[colorKey{vk, b, r}]).
 					Add(-1, il.colorCol[colorKey{vk1, b, r + 1}])
-				il.m.Eq("adjacent", e, 0)
+				il.m.Eq(e, 0)
 			}
 			// Boundary: a later member cannot sit in register 0.
-			il.m.Eq("adjacent_lo", model.NewExpr().
+			il.m.Eq(model.NewExpr().
 				Add(1, il.colorCol[colorKey{vk1, b, 0}]), 0)
 		}
 		if g.opts.RedundantAggregate {
@@ -549,7 +549,7 @@ func (il *ilp) colors() {
 					if r >= j && r <= j+(XRegs-n) {
 						continue
 					}
-					il.m.Eq("agg_cut", model.NewExpr().
+					il.m.Eq(model.NewExpr().
 						Add(1, il.colorCol[colorKey{v, b, r}]), 0)
 				}
 			}
@@ -563,7 +563,7 @@ func (il *ilp) colors() {
 			if !ok1 || !ok2 {
 				continue
 			}
-			il.m.Eq("same_reg", model.NewExpr().Add(1, d).Add(-1, s), 0)
+			il.m.Eq(model.NewExpr().Add(1, d).Add(-1, s), 0)
 		}
 	}
 	// Rename color links: a jump argument and the block parameter it
@@ -587,9 +587,9 @@ func (il *ilp) colors() {
 				if !ok1 || !ok2 {
 					continue
 				}
-				il.m.Le("rename_color", model.NewExpr().
+				il.m.Le(model.NewExpr().
 					Add(1, ca).Add(-1, cp).Add(1, pcol), 1)
-				il.m.Le("rename_color", model.NewExpr().
+				il.m.Le(model.NewExpr().
 					Add(-1, ca).Add(1, cp).Add(1, pcol), 1)
 			}
 		}
@@ -615,9 +615,9 @@ func (il *ilp) colors() {
 				}
 				// pos[b] = 1 -> Color[d,b,r] = Color[s,b,r]:
 				// |cd - cs| <= 1 - pos[b].
-				il.m.Le("clone_color", model.NewExpr().
+				il.m.Le(model.NewExpr().
 					Add(1, cd).Add(-1, cs).Add(1, pcol), 1)
-				il.m.Le("clone_color", model.NewExpr().
+				il.m.Le(model.NewExpr().
 					Add(-1, cd).Add(1, cs).Add(1, pcol), 1)
 			}
 		}
@@ -684,16 +684,16 @@ func (il *ilp) spillRegs() {
 			if len(tb.cols) == 0 || !full[tb.bank] {
 				continue
 			}
-			ns := il.m.Continuous("needsSpill", 0, 1, p, tb.bank)
-			for _, col := range tb.cols {
-				il.m.Ge("spill_need", model.NewExpr().Add(1, ns).Add(-1, col), 0)
+			ns := il.m.Continuous(0, 1)
+			for _, col := range tb.cols { // needsSpill >= every spill move
+				il.m.Ge(model.NewExpr().Add(1, ns).Add(-1, col), 0)
 			}
 			il.maxCols = append(il.maxCols, maxCol{col: ns, of: append([]int(nil), tb.cols...)})
 			// Occupancy of the bank at p: occupied[r] >= pos + color - 1.
 			occ := make([]int, XRegs)
 			occPairs := make([][][2]int, XRegs)
 			for r := range occ {
-				occ[r] = il.m.Continuous("occupied", 0, 1, p, tb.bank, r)
+				occ[r] = il.m.Continuous(0, 1)
 			}
 			seen := map[locID]bool{}
 			for _, list := range [][]locEntry{g.beforeLocs[p], g.afterLocs[p]} {
@@ -712,7 +712,7 @@ func (il *ilp) spillRegs() {
 						if !ok {
 							continue
 						}
-						il.m.Ge("occupied_ge", model.NewExpr().
+						il.m.Ge(model.NewExpr().
 							Add(1, occ[r]).Add(-1, pcol).Add(-1, ccol), -1)
 						occPairs[r] = append(occPairs[r], [2]int{pcol, ccol})
 					}
@@ -725,7 +725,7 @@ func (il *ilp) spillRegs() {
 			for r := 0; r < XRegs; r++ {
 				e.Add(1, occ[r])
 			}
-			il.m.Le("K_xfer", e, float64(XRegs))
+			il.m.Le(e, float64(XRegs)) // K for the transfer bank
 		}
 	}
 }

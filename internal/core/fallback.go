@@ -56,8 +56,7 @@ func (il *ilp) fallback() (*mip.Result, error) {
 	sp := obs.StartSpan("phase/alloc/fallback")
 	defer sp.End()
 	g := il.g
-	prob := il.m.LP()
-	n := prob.NumCols()
+	n := il.m.LP().NumCols()
 	var bestX []float64
 	bestObj := math.Inf(1)
 	for _, order := range fallbackOrders {
@@ -81,14 +80,10 @@ func (il *ilp) fallback() (*mip.Result, error) {
 			continue
 		}
 		cand, ok := il.heuristic(x)
-		if !ok || !mip.Feasible(prob, cand, 1e-6) {
+		if !ok || il.m.CheckFeasible(cand, 1e-6) != nil {
 			continue
 		}
-		obj := 0.0
-		for j := 0; j < n; j++ {
-			obj += prob.Obj(j) * cand[j]
-		}
-		if obj < bestObj {
+		if obj := il.m.Objective(cand); obj < bestObj {
 			bestX, bestObj = cand, obj
 		}
 	}

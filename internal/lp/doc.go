@@ -52,11 +52,11 @@
 //
 // The lp/ observability counters (lp/solves, lp/iterations,
 // lp/dual_iterations, lp/degenerate_pivots, lp/bland_activations,
-// lp/refactorizations, lp/ft_updates, lp/refactor_cadence) are always
+// lp/refactorizations, lp/eta_updates, lp/refactor_cadence) are always
 // on and are read via obs.TakeSnapshot — see DESIGN.md §8. The
 // factorization is rebuilt once the passes through its update etas
 // have cost as much work as building it did (a count of entries and
 // steps visited, so it repeats exactly); Options.RefactorGap fixes a
-// count of etas instead. lp/ft_updates counts those product-form
-// etas, one per basis change (the name is historical).
+// count of etas instead. lp/eta_updates counts those product-form
+// etas, one per basis change.
 package lp

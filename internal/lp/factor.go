@@ -549,7 +549,7 @@ func (s *simplex) adoptFactor(b *Basis) (bool, error) {
 	}
 	if fpRefactorFail.Fire() {
 		return false, &StabilityError{Stage: "refactor",
-			Detail: "injected repair conflict (carried factorization)", FTDepth: len(f.updates)}
+			Detail: "injected repair conflict (carried factorization)", EtaDepth: len(f.updates)}
 	}
 	s.lu = f.lu
 	s.clearUpdates()

@@ -203,7 +203,7 @@ func TestMatrixSignatureGuardsAdoption(t *testing.T) {
 }
 
 // TestRefactorCadenceCounters drives a long solve and sanity-checks
-// the new cadence counters: ft_updates tracks pivots, and the
+// the new cadence counters: eta_updates tracks pivots, and the
 // cadence accumulator divided by refactorizations is the average
 // update depth a factorization served.
 func TestRefactorCadenceCounters(t *testing.T) {
@@ -214,8 +214,8 @@ func TestRefactorCadenceCounters(t *testing.T) {
 		t.Fatalf("solve: %v %v", sol, err)
 	}
 	d := obs.Since(base)
-	if d["lp/ft_updates"] == 0 {
-		t.Fatal("lp/ft_updates = 0, want > 0")
+	if d["lp/eta_updates"] == 0 {
+		t.Fatal("lp/eta_updates = 0, want > 0")
 	}
 	if d["lp/refactorizations"] == 0 {
 		t.Fatal("lp/refactorizations = 0")

@@ -65,16 +65,16 @@ func TestRefactorFailurePersistentIsTypedError(t *testing.T) {
 	if se.Stage != "refactor" {
 		t.Fatalf("stage = %q, want refactor", se.Stage)
 	}
-	if !strings.Contains(se.Error(), "ft-update depth") {
+	if !strings.Contains(se.Error(), "eta depth") {
 		t.Fatalf("error %q does not report the FT-update depth", se.Error())
 	}
 }
 
-// TestStabilityErrorReportsFTDepth stacks update etas on a
+// TestStabilityErrorReportsEtaDepth stacks update etas on a
 // factorization (huge RefactorGap, so nothing collapses them), then
 // makes the next refactorization fail and checks the error reports
 // exactly the update depth it was trying to collapse.
-func TestStabilityErrorReportsFTDepth(t *testing.T) {
+func TestStabilityErrorReportsEtaDepth(t *testing.T) {
 	p := buildAssignment(8, 3)
 	var o Options
 	o.fill(p)
@@ -104,8 +104,8 @@ func TestStabilityErrorReportsFTDepth(t *testing.T) {
 	if rerr := s.refactor(); !errors.As(rerr, &se) {
 		t.Fatalf("got %v, want *StabilityError", rerr)
 	}
-	if se.FTDepth != depth {
-		t.Fatalf("FTDepth = %d, want %d (the depth being collapsed)", se.FTDepth, depth)
+	if se.EtaDepth != depth {
+		t.Fatalf("EtaDepth = %d, want %d (the depth being collapsed)", se.EtaDepth, depth)
 	}
 }
 

@@ -18,9 +18,8 @@ import (
 // steps (DESIGN.md §10): crash-basis restarts after a repair conflict,
 // and fresh-basis re-solves after residual drift was detected at an
 // optimum. dual_iterations counts the subset of lp/iterations spent in
-// the dual simplex, ft_updates the product-form update etas stacked
-// on factorizations (one per basis change; the name is historical,
-// the etas are column etas, not Forrest–Tomlin row updates), and
+// the dual simplex, eta_updates the product-form column etas stacked
+// on factorizations (one per basis change), and
 // refactor_cadence the update depth collapsed at each refactorization
 // (cadence / refactorizations = average updates a factorization served
 // before being rebuilt).
@@ -32,7 +31,7 @@ var (
 	cDegen           = obs.NewCounter("lp/degenerate_pivots")
 	cBland           = obs.NewCounter("lp/bland_activations")
 	cRefactors       = obs.NewCounter("lp/refactorizations")
-	cFTUpdates       = obs.NewCounter("lp/ft_updates")
+	cEtaUpdates      = obs.NewCounter("lp/eta_updates")
 	cCadence         = obs.NewCounter("lp/refactor_cadence")
 	cRefactorRetries = obs.NewCounter("lp/refactor_retries")
 	cDriftResolves   = obs.NewCounter("lp/drift_resolves")
@@ -186,7 +185,7 @@ type simplex struct {
 	degenTotal int
 	dualIters  int
 	boundFlips int
-	ftUpdates  int
+	etaUpdates int
 	cadence    int
 	refactors  int
 	// recovery-ladder state (DESIGN.md §10): each kind of restart is
@@ -230,7 +229,7 @@ func (s *simplex) recycle(opts *Options) {
 	s.cost = s.p.obj
 	s.iter = 0
 	s.degenTotal, s.dualIters, s.boundFlips = 0, 0, 0
-	s.ftUpdates, s.cadence, s.refactors = 0, 0, 0
+	s.etaUpdates, s.cadence, s.refactors = 0, 0, 0
 	s.retries, s.driftRetries = 0, 0
 	s.clearUpdates()
 	s.w.clear()
@@ -521,7 +520,7 @@ func (s *simplex) pushEtaW(r int) {
 	s.linkEta(len(s.updates) - 1)
 	s.updateNnz += len(idx) + 1
 	s.updateWork += len(s.w.nz)
-	s.ftUpdates++
+	s.etaUpdates++
 }
 
 // lob/hib return the bounds of any variable (structural or slack).
@@ -578,7 +577,7 @@ func (s *simplex) flushStats() {
 	cBoundFlips.Add(int64(s.boundFlips))
 	cDegen.Add(int64(s.degenTotal))
 	cRefactors.Add(int64(s.refactors))
-	cFTUpdates.Add(int64(s.ftUpdates))
+	cEtaUpdates.Add(int64(s.etaUpdates))
 	cCadence.Add(int64(s.cadence))
 	cRefactorRetries.Add(int64(s.retries))
 	cDriftResolves.Add(int64(s.driftRetries))
@@ -1274,14 +1273,14 @@ func (s *simplex) refactor() error {
 	depth := len(s.updates)
 	s.cadence += depth
 	if fpRefactorFail.Fire() {
-		return &StabilityError{Stage: "refactor", Detail: "injected repair conflict", FTDepth: depth}
+		return &StabilityError{Stage: "refactor", Detail: "injected repair conflict", EtaDepth: depth}
 	}
 	s.clearUpdates()
 	s.work = 0
 	if err := s.factorize(); err != nil {
 		var se *StabilityError
 		if errors.As(err, &se) {
-			se.FTDepth = depth
+			se.EtaDepth = depth
 		}
 		return err
 	}

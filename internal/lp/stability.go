@@ -13,17 +13,16 @@ type StabilityError struct {
 	Stage  string // "refactor" (basis repair conflict) or "residual" (drift re-solve failed)
 	Detail string
 
-	// FTDepth is the number of product-form update etas stacked on
+	// EtaDepth is the number of product-form update etas stacked on
 	// the factorization when the failure was detected — the depth of
-	// the update file the refactorization was trying to collapse (the
-	// name is historical, like lp/ft_updates). A large depth points at
-	// the update cadence; zero means even a fresh factorization of the
-	// basis failed.
-	FTDepth int
+	// the update file the refactorization was trying to collapse. A
+	// large depth points at the update cadence; zero means even a
+	// fresh factorization of the basis failed.
+	EtaDepth int
 }
 
 // Error names the failing stage, the update depth and the detail.
 func (e *StabilityError) Error() string {
-	return fmt.Sprintf("lp: numerical instability in %s (ft-update depth %d): %s",
-		e.Stage, e.FTDepth, e.Detail)
+	return fmt.Sprintf("lp: numerical instability in %s (eta depth %d): %s",
+		e.Stage, e.EtaDepth, e.Detail)
 }

@@ -49,8 +49,8 @@ func TestLPKernelSmoke(t *testing.T) {
 	if d["lp/dual_iterations"] == 0 {
 		t.Error("lp/dual_iterations = 0: node re-solves never took the dual path")
 	}
-	if d["lp/ft_updates"] == 0 {
-		t.Error("lp/ft_updates = 0: no update etas were stacked")
+	if d["lp/eta_updates"] == 0 {
+		t.Error("lp/eta_updates = 0: no update etas were stacked")
 	}
 	// The kernel must not change what is found, only how fast: the
 	// instance's integer optimum is pinned by the benchmark history.

@@ -262,7 +262,7 @@ func salvageRoot(p *lp.Problem, integer []bool, o *Options, rootSol *lp.Solution
 			res.X, res.Obj = x, obj
 		}
 		if o.Heuristic != nil {
-			if cand, ok := callHeuristic(o.Heuristic, rootSol.X); ok && Feasible(p, cand, 1e-6) {
+			if cand, ok := callHeuristic(o.Heuristic, rootSol.X); ok && feasible(p, integer, cand, 1e-6, nil) {
 				if obj := objOf(p, cand); obj < res.Obj {
 					res.X, res.Obj = append([]float64(nil), cand...), obj
 				}
@@ -314,24 +314,19 @@ func roundFeasible(p *lp.Problem, integer []bool, x []float64) ([]float64, float
 			}
 		}
 	}
-	if !Feasible(p, cand, 1e-6) {
+	if !feasible(p, integer, cand, 1e-6, nil) {
 		return nil, 0, false
 	}
-	obj := 0.0
-	for j := 0; j < n; j++ {
-		obj += p.Obj(j) * cand[j]
-	}
-	return cand, obj, true
+	return cand, objOf(p, cand), true
 }
 
-// Feasible checks a point against all rows and bounds of p.
-func Feasible(p *lp.Problem, x []float64, tol float64) bool {
-	return feasibleScratch(p, x, tol, nil)
-}
-
-// feasibleScratch is Feasible with a caller-owned row-activity scratch
-// slice, so hot callers (the search workers) do not allocate per check.
-func feasibleScratch(p *lp.Problem, x []float64, tol float64, act []float64) bool {
+// feasible reports whether x is a feasible point of p: within every
+// column bound and row range, and integral on every integer column,
+// all within tol. Every comparison is written so that NaN fails it —
+// this is the gate every incumbent candidate passes. act is an
+// optional row-activity scratch slice, so hot callers (the search
+// workers) do not allocate per check.
+func feasible(p *lp.Problem, integer []bool, x []float64, tol float64, act []float64) bool {
 	n := p.NumCols()
 	m := p.NumRows()
 	if cap(act) < m {
@@ -343,17 +338,21 @@ func feasibleScratch(p *lp.Problem, x []float64, tol float64, act []float64) boo
 		}
 	}
 	for j := 0; j < n; j++ {
+		v := x[j]
+		if integer[j] && !(math.Abs(v-math.Round(v)) <= tol) {
+			return false
+		}
 		lo, hi := p.Bounds(j)
-		if x[j] < lo-tol || x[j] > hi+tol {
+		if !(v >= lo-tol && v <= hi+tol) {
 			return false
 		}
 		for _, nz := range p.Col(j) {
-			act[nz.Row] += nz.Val * x[j]
+			act[nz.Row] += nz.Val * v
 		}
 	}
 	for r := 0; r < m; r++ {
 		lo, hi := p.RowBounds(r)
-		if act[r] < lo-tol || act[r] > hi+tol {
+		if !(act[r] >= lo-tol && act[r] <= hi+tol) {
 			return false
 		}
 	}

@@ -30,6 +30,63 @@ func TestKnapsack(t *testing.T) {
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-5 }
 
+// allInteger is the integrality mask Solve assumes for a nil mask.
+func allInteger(p *lp.Problem) []bool {
+	mask := make([]bool, p.NumCols())
+	for j := range mask {
+		mask[j] = true
+	}
+	return mask
+}
+
+// halfPacking is min -x-y over binaries with x+y <= 1.5: the root LP
+// vertex (1, 0.5) is fractional and rounds to the infeasible (1, 1),
+// so the search consults the heuristic before it finds the optimum -1.
+func halfPacking() *lp.Problem {
+	p := lp.NewProblem()
+	x := p.AddCol(-1, 0, 1)
+	y := p.AddCol(-1, 0, 1)
+	p.AddRow(-lp.Inf, 1.5, []int{x, y}, []float64{1, 1})
+	return p
+}
+
+// TestFractionalHeuristicRejected: a heuristic point that satisfies
+// every row and bound but is fractional on integer columns must not
+// become the incumbent.
+func TestFractionalHeuristicRejected(t *testing.T) {
+	heur := func([]float64) ([]float64, bool) { return []float64{0.75, 0.75}, true }
+	res, err := Solve(halfPacking(), nil, &Options{Workers: 1, Heuristic: heur})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != Optimal || !approx(res.Obj, -1) {
+		t.Fatalf("status %v obj %v X %v, want optimal -1", res.Status, res.Obj, res.X)
+	}
+	for j, v := range res.X {
+		if v != math.Round(v) {
+			t.Fatalf("X[%d] = %v is fractional", j, v)
+		}
+	}
+}
+
+// TestNaNHeuristicRejected: a heuristic point of NaNs fails every
+// comparison, so the gate must reject it rather than let it through.
+// One node leaves the search no time to replace a bad incumbent.
+func TestNaNHeuristicRejected(t *testing.T) {
+	nan := math.NaN()
+	heur := func([]float64) ([]float64, bool) { return []float64{nan, nan}, true }
+	res, err := Solve(halfPacking(), nil, &Options{Workers: 1, MaxNodes: 1, Heuristic: heur})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.X != nil || math.IsNaN(res.Obj) {
+		t.Fatalf("status %v obj %v X %v, want no incumbent", res.Status, res.Obj, res.X)
+	}
+	if feasible(halfPacking(), allInteger(halfPacking()), []float64{nan, nan}, 1e-6, nil) {
+		t.Fatal("the gate accepted a NaN point")
+	}
+}
+
 func TestInfeasibleMIP(t *testing.T) {
 	// x + y = 1.5 with binary x, y has no integer solution.
 	p := lp.NewProblem()
@@ -159,7 +216,7 @@ func TestRandomVsExhaustive(t *testing.T) {
 		if math.Abs(res.Obj-best) > 1e-4*math.Max(1, math.Abs(best)) {
 			t.Fatalf("trial %d: solver obj %v, brute force %v", trial, res.Obj, best)
 		}
-		if !Feasible(p, res.X, 1e-5) {
+		if !feasible(p, allInteger(p), res.X, 1e-5, nil) {
 			t.Fatalf("trial %d: reported solution infeasible", trial)
 		}
 	}

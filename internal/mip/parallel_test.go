@@ -66,7 +66,7 @@ func TestWorkersEquivalence(t *testing.T) {
 		if math.Abs(serial.Obj-par.Obj) > tol {
 			t.Fatalf("trial %d: serial obj %v vs parallel obj %v (tol %v)", trial, serial.Obj, par.Obj, tol)
 		}
-		if !Feasible(p, par.X, 1e-5) {
+		if !feasible(p, allInteger(p), par.X, 1e-5, nil) {
 			t.Fatalf("trial %d: parallel incumbent infeasible", trial)
 		}
 	}

@@ -141,7 +141,7 @@ func TestRootIterLimitReturnsStatusNotError(t *testing.T) {
 	if res.Status != TimeLimit {
 		t.Fatalf("status = %v, want time-limit", res.Status)
 	}
-	if res.X != nil && !Feasible(p, res.X, 1e-6) {
+	if res.X != nil && !feasible(p, allInteger(p), res.X, 1e-6, nil) {
 		t.Fatalf("salvaged incumbent is infeasible: %v", res.X)
 	}
 }

@@ -511,12 +511,8 @@ func (e *engine) tryHeuristic(w *workerCtx, xLP []float64) bool {
 	e.heurMu.Lock()
 	cand, ok := callHeuristic(e.opts.Heuristic, xLP)
 	e.heurMu.Unlock()
-	if !ok || !feasibleScratch(w.prob, cand, 1e-6, w.act) {
+	if !ok || !feasible(w.prob, e.integer, cand, 1e-6, w.act) {
 		return false
 	}
-	obj := 0.0
-	for j := 0; j < len(cand); j++ {
-		obj += w.prob.Obj(j) * cand[j]
-	}
-	return e.offerIncumbent(obj, append([]float64(nil), cand...))
+	return e.offerIncumbent(objOf(w.prob, cand), append([]float64(nil), cand...))
 }

@@ -202,7 +202,7 @@ func (m *Model) Canonicalize() *Canon {
 // inside every row range (all within tol). It is the validation gate
 // every cache-served solution passes before it is trusted — a corrupted
 // or colliding cache entry fails here and the caller falls back to a
-// full solve.
+// full solve. Every comparison is written so that NaN fails it.
 func (m *Model) CheckFeasible(x []float64, tol float64) error {
 	p := m.lp
 	n := p.NumCols()
@@ -212,12 +212,12 @@ func (m *Model) CheckFeasible(x []float64, tol float64) error {
 	act := make([]float64, p.NumRows())
 	for j := 0; j < n; j++ {
 		v := x[j]
-		if m.integer[j] && math.Abs(v-math.Round(v)) > tol {
-			return fmt.Errorf("model: %s = %g is not integral", m.colNames[j], v)
+		if m.integer[j] && !(math.Abs(v-math.Round(v)) <= tol) {
+			return fmt.Errorf("model: column %d = %g is not integral", j, v)
 		}
 		lo, hi := p.Bounds(j)
-		if v < lo-tol || v > hi+tol {
-			return fmt.Errorf("model: %s = %g outside bounds [%g, %g]", m.colNames[j], v, lo, hi)
+		if !(v >= lo-tol && v <= hi+tol) {
+			return fmt.Errorf("model: column %d = %g outside bounds [%g, %g]", j, v, lo, hi)
 		}
 		for _, nz := range p.Col(j) {
 			act[nz.Row] += nz.Val * v
@@ -231,7 +231,7 @@ func (m *Model) CheckFeasible(x []float64, tol float64) error {
 	}
 	for r := range act {
 		lo, hi := p.RowBounds(r)
-		if act[r] < lo-tol*scale || act[r] > hi+tol*scale {
+		if !(act[r] >= lo-tol*scale && act[r] <= hi+tol*scale) {
 			return fmt.Errorf("model: row %d activity %g outside [%g, %g]", r, act[r], lo, hi)
 		}
 	}

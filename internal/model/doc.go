@@ -1,31 +1,31 @@
-// Package model is a small AMPL-like modeling layer over the LP/MIP
-// solvers (the paper, §5, uses AMPL to describe, generate, and solve
-// its integer linear programs). It provides what the paper's models
-// need: families of 0-1 variables indexed by tuples drawn from sets,
-// linear expression building, named constraint templates, and model
-// statistics (variable, constraint, and objective-term counts as
-// reported in Figures 6 and 7).
+// Package model is the ILP builder over the LP/MIP solvers. The paper
+// (§5) writes its integer linear programs in AMPL; only the generated
+// constraint system matters (DESIGN.md §1), so this layer builds that
+// system directly. It provides what the paper's models need: 0-1 and
+// continuous columns, linear expressions, rows, and model statistics
+// (variable, constraint, and objective-term counts as reported in
+// Figures 6 and 7).
 //
 // # Usage
 //
-// Variables are created on first reference, keyed by family name plus
-// an index tuple, exactly like AMPL's indexed declarations:
+// Binary and Continuous append a fresh column and return its index;
+// the caller keeps the index under whatever typed key it needs, in
+// place of AMPL's indexed declarations:
 //
 //	m := model.New()
+//	pos := map[[2]int]int{}
 //	for _, v := range temps {
-//		for _, b := range banks {
-//			m.Binary("pos", v, b)          // pos[v,b] ∈ {0,1}
-//		}
 //		e := model.NewExpr()
 //		for _, b := range banks {
-//			e.Add(1, m.Binary("pos", v, b))
+//			pos[[2]int{v, b}] = m.Binary() // pos[v,b] ∈ {0,1}
+//			e.Add(1, pos[[2]int{v, b}])
 //		}
-//		m.Eq("one_bank", e, 1)                 // sum_b pos[v,b] = 1
+//		m.Eq(e, 1) // sum_b pos[v,b] = 1
 //	}
-//	m.ObjAdd(m.Binary("pos", t0, bankA), 2.5)      // objective term
-//	res, err := m.Solve(nil)                       // presolve + B&B
+//	m.ObjAdd(pos[[2]int{t0, bankA}], 2.5) // objective term
+//	res, err := m.Solve(nil)              // presolve + B&B
 //	if err == nil {
-//		_ = m.Value(res, "pos", t0, bankA)     // 0 or 1
+//		_ = res.X[pos[[2]int{t0, bankA}]] // 0 or 1
 //	}
 //
 // Solve runs the presolve reductions (bound propagation, fixing,

@@ -1,10 +1,7 @@
 package model
 
 import (
-	"fmt"
 	"math"
-	"sort"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/lp"
@@ -22,15 +19,12 @@ var (
 	cPreRounds  = obs.NewCounter("mip/presolve/rounds")
 )
 
-// Model is an ILP under construction.
+// Model is an ILP under construction. Columns and rows are addressed
+// by index only: the caller keeps whatever typed keys it needs.
 type Model struct {
-	lp       *lp.Problem
-	cols     map[string]int
-	colNames []string
-	families map[string]int // family -> variable count
-	conCount map[string]int // constraint template -> count
-	integer  []bool
-	preInfo  atomic.Pointer[PresolveInfo] // reductions of the last presolved Solve
+	lp      *lp.Problem
+	integer []bool
+	preInfo atomic.Pointer[PresolveInfo] // reductions of the last presolved Solve
 
 	// compact's scratch: the merged row, and each column's place in it
 	// plus one (zero outside a compact call).
@@ -41,88 +35,38 @@ type Model struct {
 
 // New returns an empty model.
 func New() *Model {
-	return &Model{
-		lp:       lp.NewProblem(),
-		cols:     map[string]int{},
-		families: map[string]int{},
-		conCount: map[string]int{},
-	}
+	return &Model{lp: lp.NewProblem()}
 }
 
-// FromILP wraps an existing problem and integrality mask as a Model
-// with synthetic column names ("x0", "x1", ...), giving problems not
-// built through the Binary/Continuous API — the server's raw-ILP
-// endpoint, solver-kernel benchmarks — access to the model-layer
-// services (Canonicalize, CheckFeasible, presolved Solve). The problem
-// is adopted directly, not cloned.
+// FromILP wraps an existing problem and integrality mask as a Model,
+// giving problems built directly on an lp.Problem (the generated
+// instances of the solver, cache and MPS tests) the model-layer
+// services: Canonicalize, CheckFeasible, WriteMPS and presolved Solve.
+// The problem is adopted directly, not cloned.
 func FromILP(p *lp.Problem, integer []bool) *Model {
-	m := &Model{
-		lp:       p,
-		cols:     map[string]int{},
-		families: map[string]int{},
-		conCount: map[string]int{},
-	}
+	m := &Model{lp: p}
 	m.integer = append([]bool(nil), integer...)
 	for len(m.integer) < p.NumCols() {
 		m.integer = append(m.integer, false)
 	}
-	m.colNames = make([]string, p.NumCols())
-	for j := range m.colNames {
-		m.colNames[j] = fmt.Sprintf("x%d", j)
-		m.cols[m.colNames[j]] = j
-	}
 	return m
 }
 
-// key canonicalizes a family + index tuple, e.g. Move[p3,v1,A,B].
-func key(family string, index []any) string {
-	if len(index) == 0 {
-		return family
-	}
-	parts := make([]string, len(index))
-	for i, x := range index {
-		parts[i] = fmt.Sprint(x)
-	}
-	return family + "[" + strings.Join(parts, ",") + "]"
-}
-
-// Binary returns the column of the named 0-1 variable, creating it on
-// first use with objective coefficient 0.
-func (m *Model) Binary(family string, index ...any) int {
-	k := key(family, index)
-	if c, ok := m.cols[k]; ok {
-		return c
-	}
+// Binary appends a fresh 0-1 column with objective coefficient 0 and
+// returns its index.
+func (m *Model) Binary() int {
 	c := m.lp.AddCol(0, 0, 1)
-	m.cols[k] = c
-	m.colNames = append(m.colNames, k)
-	m.families[family]++
 	m.integer = append(m.integer, true)
 	return c
 }
 
-// Continuous returns the column of a named continuous variable.
-func (m *Model) Continuous(family string, lo, hi float64, index ...any) int {
-	k := key(family, index)
-	if c, ok := m.cols[k]; ok {
-		return c
-	}
+// Continuous appends a fresh continuous column on [lo, hi] with
+// objective coefficient 0 and returns its index.
+func (m *Model) Continuous(lo, hi float64) int {
 	c := m.lp.AddCol(0, lo, hi)
-	m.cols[k] = c
-	m.colNames = append(m.colNames, k)
-	m.families[family]++
 	m.integer = append(m.integer, false)
 	return c
 }
-
-// Lookup finds an existing variable without creating it.
-func (m *Model) Lookup(family string, index ...any) (int, bool) {
-	c, ok := m.cols[key(family, index)]
-	return c, ok
-}
-
-// Name returns the canonical name of a column.
-func (m *Model) Name(col int) string { return m.colNames[col] }
 
 // ObjAdd adds coef to a variable's objective coefficient.
 func (m *Model) ObjAdd(col int, coef float64) {
@@ -172,25 +116,22 @@ func (m *Model) compact(e *Expr) ([]int, []float64) {
 	return cols, vals
 }
 
-// Le adds expr <= rhs under the named constraint template.
-func (m *Model) Le(template string, e *Expr, rhs float64) {
+// Le adds the row expr <= rhs.
+func (m *Model) Le(e *Expr, rhs float64) {
 	cols, coefs := m.compact(e)
 	m.lp.AddRow(-lp.Inf, rhs, cols, coefs)
-	m.conCount[template]++
 }
 
-// Ge adds expr >= rhs.
-func (m *Model) Ge(template string, e *Expr, rhs float64) {
+// Ge adds the row expr >= rhs.
+func (m *Model) Ge(e *Expr, rhs float64) {
 	cols, coefs := m.compact(e)
 	m.lp.AddRow(rhs, lp.Inf, cols, coefs)
-	m.conCount[template]++
 }
 
-// Eq adds expr = rhs.
-func (m *Model) Eq(template string, e *Expr, rhs float64) {
+// Eq adds the row expr = rhs.
+func (m *Model) Eq(e *Expr, rhs float64) {
 	cols, coefs := m.compact(e)
 	m.lp.AddRow(rhs, rhs, cols, coefs)
-	m.conCount[template]++
 }
 
 // Stats are the model-size numbers Figure 7 reports.
@@ -199,8 +140,6 @@ type Stats struct {
 	Constraints int
 	ObjTerms    int
 	Nonzeros    int
-	Families    map[string]int
-	Templates   map[string]int
 
 	// Presolve reports the reductions applied by the most recent
 	// presolved Solve call; nil before the first solve or when
@@ -215,14 +154,9 @@ func (m *Model) Stats() Stats {
 		Constraints: m.lp.NumRows(),
 		ObjTerms:    m.lp.ObjTerms(),
 		Nonzeros:    m.lp.NumNonzeros(),
-		Families:    m.families,
-		Templates:   m.conCount,
 		Presolve:    m.preInfo.Load(),
 	}
 }
-
-// FamilyCount returns how many variables a family has.
-func (m *Model) FamilyCount(family string) int { return m.families[family] }
 
 // LP exposes the underlying problem (for bounds fixing in tests).
 func (m *Model) LP() *lp.Problem { return m.lp }
@@ -234,11 +168,11 @@ func (m *Model) IntegerMask() []bool { return m.integer }
 // Solve presolves the model (unless opts.Presolve < 0) and runs branch
 // and bound on the reduction. Solutions are reported in the model's
 // own coordinates — presolve's column remap is applied on the way out,
-// so Value and index-based lookups are unaffected by which columns
-// were substituted away. Parallelism is controlled by opts.Workers
-// (default: all cores); the solver searches on clones of the reduced
-// problem, so the model itself stays readable (Stats, Value lookups)
-// while a solve runs elsewhere.
+// so res.X[col] is unaffected by which columns were substituted away.
+// Parallelism is controlled by opts.Workers (default: all cores); the
+// solver searches on clones of the reduced problem, so the model
+// itself stays readable (Stats, Canonicalize) while a solve runs
+// elsewhere.
 func (m *Model) Solve(opts *mip.Options) (*mip.Result, error) {
 	var o mip.Options
 	if opts != nil {
@@ -307,39 +241,4 @@ func (m *Model) Solve(opts *mip.Options) (*mip.Result, error) {
 	res.Obj += pre.objConst
 	res.RootObj += pre.objConst
 	return res, nil
-}
-
-// Value reads a variable's value out of a solution, defaulting to 0
-// for variables that were never created.
-func (m *Model) Value(res *mip.Result, family string, index ...any) float64 {
-	c, ok := m.Lookup(family, index...)
-	if !ok || res.X == nil {
-		return 0
-	}
-	return res.X[c]
-}
-
-// String renders a compact summary, families sorted by name.
-func (m *Model) String() string {
-	st := m.Stats()
-	var fams []string
-	for f := range st.Families {
-		fams = append(fams, f)
-	}
-	sort.Strings(fams)
-	var b strings.Builder
-	fmt.Fprintf(&b, "model: %d vars, %d constraints, %d objective terms\n",
-		st.Vars, st.Constraints, st.ObjTerms)
-	for _, f := range fams {
-		fmt.Fprintf(&b, "  var %s: %d\n", f, st.Families[f])
-	}
-	var cons []string
-	for c := range st.Templates {
-		cons = append(cons, c)
-	}
-	sort.Strings(cons)
-	for _, c := range cons {
-		fmt.Fprintf(&b, "  s.t. %s: %d\n", c, st.Templates[c])
-	}
-	return b.String()
 }

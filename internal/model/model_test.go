@@ -8,40 +8,47 @@ import (
 // TestFig2Example reproduces the modeling example of Figure 2: sets
 // T = {t1 t2}, R = {r1 r2 r3}, var x{T,R}, costs {t1: 3, t2: 4}, and
 // the generated equations sum_r x[t,r] = cost[t] (here as an
-// illustrative instantiation of a model template with data).
+// illustrative instantiation of a model template with data). The
+// generated rows are checked column by column.
 func TestFig2Example(t *testing.T) {
 	T := []string{"t1", "t2"}
 	R := []string{"r1", "r2", "r3"}
 	cost := map[string]float64{"t1": 3, "t2": 4}
 
-	m := New()
-	for _, tt := range T {
-		e := NewExpr()
-		for _, r := range R {
-			e.Add(1, m.Binary("x", tt, r))
+	// build instantiates the template, capping each cost at limit;
+	// x[ti][ri] is the column of x[T[ti], R[ri]].
+	build := func(limit float64) (*Model, [][]int) {
+		m := New()
+		x := make([][]int, len(T))
+		for ti, tt := range T {
+			e := NewExpr()
+			for range R {
+				x[ti] = append(x[ti], m.Binary())
+				e.Add(1, x[ti][len(x[ti])-1])
+			}
+			m.Eq(e, math.Min(cost[tt], limit))
 		}
-		m.Eq("row_sum", e, cost[tt])
+		return m, x
 	}
+	m, x := build(math.Inf(1))
 	st := m.Stats()
-	if st.Vars != 6 {
-		t.Fatalf("vars = %d, want 6 (x{T,R})", st.Vars)
+	if st.Vars != 6 || st.Constraints != 2 || st.Nonzeros != 6 {
+		t.Fatalf("stats = %+v, want 6 vars (x{T,R}), 2 rows, 6 nonzeros", st)
 	}
-	if st.Constraints != 2 || st.Templates["row_sum"] != 2 {
-		t.Fatalf("constraints = %+v", st)
+	for ti, tt := range T {
+		lo, hi := m.LP().RowBounds(ti)
+		if lo != cost[tt] || hi != cost[tt] {
+			t.Fatalf("row %d bounds [%g, %g], want = %g", ti, lo, hi, cost[tt])
+		}
+		for ri := range R {
+			col := m.LP().Col(x[ti][ri])
+			if len(col) != 1 || col[0].Row != ti || col[0].Val != 1 {
+				t.Fatalf("x[%s,%s] (column %d) = %+v, want 1 in row %d only", tt, R[ri], x[ti][ri], col, ti)
+			}
+		}
 	}
 	// cost[t2] = 4 > |R| = 3: infeasible in binaries — relax t2 to 3.
-	m2 := New()
-	for _, tt := range T {
-		e := NewExpr()
-		for _, r := range R {
-			e.Add(1, m2.Binary("x", tt, r))
-		}
-		rhs := cost[tt]
-		if rhs > 3 {
-			rhs = 3
-		}
-		m2.Eq("row_sum", e, rhs)
-	}
+	m2, x2 := build(3)
 	res, err := m2.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -51,58 +58,61 @@ func TestFig2Example(t *testing.T) {
 	}
 	// t1 uses exactly 3 of its 3 slots.
 	sum := 0.0
-	for _, r := range R {
-		sum += m2.Value(res, "x", "t1", r)
+	for _, c := range x2[0] {
+		sum += res.X[c]
 	}
 	if math.Abs(sum-3) > 1e-6 {
 		t.Fatalf("t1 row sum = %v", sum)
 	}
 }
 
-func TestGetOrCreateIdempotent(t *testing.T) {
+// TestColumnsAppendFresh: every Binary and Continuous call appends a
+// new column, in call order, with its own bounds and integrality.
+func TestColumnsAppendFresh(t *testing.T) {
 	m := New()
-	a := m.Binary("Move", "p1", "v1", "A", "B")
-	b := m.Binary("Move", "p1", "v1", "A", "B")
-	if a != b {
-		t.Fatal("same index created two columns")
+	a := m.Binary()
+	b := m.Binary()
+	c := m.Continuous(-1, 2.5)
+	if a != 0 || b != 1 || c != 2 || m.Stats().Vars != 3 {
+		t.Fatalf("columns %d, %d, %d of %d, want 0, 1, 2 of 3", a, b, c, m.Stats().Vars)
 	}
-	if m.FamilyCount("Move") != 1 {
-		t.Fatalf("family count = %d", m.FamilyCount("Move"))
+	if lo, hi := m.LP().Bounds(c); lo != -1 || hi != 2.5 {
+		t.Fatalf("continuous bounds [%g, %g]", lo, hi)
 	}
-	if m.Name(a) != "Move[p1,v1,A,B]" {
-		t.Fatalf("name = %q", m.Name(a))
+	if mask := m.IntegerMask(); !mask[a] || !mask[b] || mask[c] {
+		t.Fatalf("integer mask = %v", mask)
 	}
 }
 
 func TestExprCompaction(t *testing.T) {
 	m := New()
-	x := m.Binary("x")
-	y := m.Binary("y")
+	x := m.Binary()
+	y := m.Binary()
 	e := NewExpr().Add(1, x).Add(2, x).Add(1, y)
-	m.Eq("c", e, 3)
+	m.Eq(e, 3)
 	// 3x + y = 3 with binaries: x=1, y=0.
 	res, err := m.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Value(res, "x") != 1 || m.Value(res, "y") != 0 {
-		t.Fatalf("x=%v y=%v", m.Value(res, "x"), m.Value(res, "y"))
+	if res.X[x] != 1 || res.X[y] != 0 {
+		t.Fatalf("x=%v y=%v", res.X[x], res.X[y])
 	}
 }
 
 func TestObjective(t *testing.T) {
 	m := New()
-	a := m.Binary("a")
-	b := m.Binary("b")
+	a := m.Binary()
+	b := m.Binary()
 	m.ObjAdd(a, 5)
 	m.ObjAdd(b, 2)
 	e := NewExpr().Add(1, a).Add(1, b)
-	m.Ge("pick", e, 1)
+	m.Ge(e, 1)
 	res, err := m.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res.Obj-2) > 1e-6 || m.Value(res, "b") != 1 {
+	if math.Abs(res.Obj-2) > 1e-6 || res.X[b] != 1 {
 		t.Fatalf("res = %+v", res)
 	}
 	if st := m.Stats(); st.ObjTerms != 2 {
@@ -112,27 +122,17 @@ func TestObjective(t *testing.T) {
 
 func TestContinuousMix(t *testing.T) {
 	m := New()
-	x := m.Binary("x")
-	s := m.Continuous("s", 0, 10)
+	x := m.Binary()
+	s := m.Continuous(0, 10)
 	m.ObjAdd(s, 1)
 	m.ObjAdd(x, 1)
 	// s + 2x >= 1.5 → either x=1 (cost 1), or s=1.5 (cost 1.5). Pick x.
-	m.Ge("cover", NewExpr().Add(1, s).Add(2, x), 1.5)
+	m.Ge(NewExpr().Add(1, s).Add(2, x), 1.5)
 	res, err := m.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res.Obj-1) > 1e-6 || m.Value(res, "x") != 1 {
-		t.Fatalf("res = %+v, x = %v", res, m.Value(res, "x"))
-	}
-}
-
-func TestStringSummary(t *testing.T) {
-	m := New()
-	m.Binary("Color", "v1", "L", 0)
-	m.Eq("one_color", NewExpr().Add(1, m.Binary("Color", "v1", "L", 0)), 1)
-	s := m.String()
-	if s == "" {
-		t.Fatal("empty summary")
+	if math.Abs(res.Obj-1) > 1e-6 || res.X[x] != 1 {
+		t.Fatalf("res = %+v, x = %v", res, res.X[x])
 	}
 }

@@ -145,7 +145,7 @@ func (m *Model) WriteMPS(w io.Writer) error {
 		entries := 0
 		if c := p.Obj(j); c != 0 {
 			if math.IsNaN(c) || math.IsInf(c, 0) {
-				return fmt.Errorf("mps: column %s has non-finite objective %g", m.colNames[j], c)
+				return fmt.Errorf("mps: column %s has non-finite objective %g", colName[j], c)
 			}
 			writeMPSLine(bw, "", colName[j], mpsObjRow, mpsFloat(c))
 			entries++
@@ -154,7 +154,7 @@ func (m *Model) WriteMPS(w io.Writer) error {
 		sort.Slice(nzs, func(a, b int) bool { return rowPos[nzs[a].Row] < rowPos[nzs[b].Row] })
 		for _, nz := range nzs {
 			if math.IsNaN(nz.Val) || math.IsInf(nz.Val, 0) {
-				return fmt.Errorf("mps: column %s has non-finite coefficient %g", m.colNames[j], nz.Val)
+				return fmt.Errorf("mps: column %s has non-finite coefficient %g", colName[j], nz.Val)
 			}
 			writeMPSLine(bw, "", colName[j], rowName[nz.Row], mpsFloat(nz.Val))
 			entries++
@@ -196,7 +196,7 @@ func (m *Model) WriteMPS(w io.Writer) error {
 	for _, j := range canon.ColOrder {
 		lo, hi := p.Bounds(j)
 		if math.IsNaN(lo) || math.IsNaN(hi) || lo > hi {
-			return fmt.Errorf("mps: column %s has empty or NaN bounds [%g, %g]", m.colNames[j], lo, hi)
+			return fmt.Errorf("mps: column %s has empty or NaN bounds [%g, %g]", colName[j], lo, hi)
 		}
 		name := colName[j]
 		loInf, hiInf := math.IsInf(lo, -1), math.IsInf(hi, 1)
@@ -578,29 +578,10 @@ func (st *mpsReader) applyBound(fields []string, ln int) error {
 	return nil
 }
 
-// familyOf derives a variable-family label from a column name: the
-// prefix up to the first digit or '['.
-func familyOf(name string) string {
-	for i := 0; i < len(name); i++ {
-		if c := name[i]; c == '[' || (c >= '0' && c <= '9') {
-			if i == 0 {
-				return name
-			}
-			return name[:i]
-		}
-	}
-	return name
-}
-
 // build assembles the parsed sections into a Model.
 func (st *mpsReader) build() (*Model, error) {
 	p := lp.NewProblem()
-	m := &Model{
-		lp:       p,
-		cols:     map[string]int{},
-		families: map[string]int{},
-		conCount: map[string]int{},
-	}
+	m := &Model{lp: p}
 	for _, name := range st.colOrder {
 		c := st.cols[name]
 		lo, hi := 0.0, math.Inf(1)
@@ -613,11 +594,8 @@ func (st *mpsReader) build() (*Model, error) {
 		if lo > hi {
 			return nil, fmt.Errorf("mps: column %q has empty bound interval [%g, %g]", name, lo, hi)
 		}
-		j := p.AddCol(c.obj, lo, hi)
-		m.cols[name] = j
-		m.colNames = append(m.colNames, name)
+		p.AddCol(c.obj, lo, hi)
 		m.integer = append(m.integer, c.integer)
-		m.families[familyOf(name)]++
 	}
 	// Rows in declaration order; entries per row in COLUMNS order.
 	type entry struct {
@@ -625,9 +603,8 @@ func (st *mpsReader) build() (*Model, error) {
 		val float64
 	}
 	rows := make([][]entry, len(st.rowOrder))
-	for _, name := range st.colOrder {
+	for j, name := range st.colOrder {
 		c := st.cols[name]
-		j := m.cols[name]
 		for i, r := range c.rows {
 			rows[r] = append(rows[r], entry{j, c.vals[i]})
 		}
@@ -664,7 +641,6 @@ func (st *mpsReader) build() (*Model, error) {
 			cols[i], vals[i] = e.col, e.val
 		}
 		p.AddRow(lo, hi, cols, vals)
-		m.conCount[string(st.rowKind[name])]++
 	}
 	return m, nil
 }

@@ -63,21 +63,21 @@ func TestMPSRoundTripKnapsack(t *testing.T) {
 // columns, and a column that appears in no row.
 func TestMPSRoundTripAwkward(t *testing.T) {
 	m := New()
-	x := m.Binary("x")
-	y := m.Continuous("y", -lp.Inf, lp.Inf)
-	z := m.Continuous("z", 1.0/3.0, 12345678901234567.0)
-	w := m.Continuous("w", -5.25, -5.25) // fixed
-	u := m.Binary("u")
-	v := m.Continuous("v", 2, 5) // in no row: declaration-only
+	x := m.Binary()
+	y := m.Continuous(-lp.Inf, lp.Inf)
+	z := m.Continuous(1.0/3.0, 12345678901234567.0)
+	w := m.Continuous(-5.25, -5.25) // fixed
+	u := m.Binary()
+	v := m.Continuous(2, 5) // in no row: declaration-only
 	_ = v
-	neg := m.Continuous("neg", -lp.Inf, -0.1)
+	neg := m.Continuous(-lp.Inf, -0.1)
 	m.ObjAdd(x, 0.1)
 	m.ObjAdd(y, -1.0/7.0)
 	m.ObjAdd(z, 1e-17)
 	m.ObjAdd(neg, 3)
-	m.Le("cap", NewExpr().Add(1, x).Add(0.3, y).Add(1e17, z), 1e17)
-	m.Ge("floor", NewExpr().Add(2, y).Add(-1, w), -100)
-	m.Eq("tie", NewExpr().Add(1, u).Add(1, x), 1)
+	m.Le(NewExpr().Add(1, x).Add(0.3, y).Add(1e17, z), 1e17)
+	m.Ge(NewExpr().Add(2, y).Add(-1, w), -100)
+	m.Eq(NewExpr().Add(1, u).Add(1, x), 1)
 	// Ranged and free rows are not expressible through Le/Ge/Eq.
 	m.LP().AddRow(1.25, 7.5, []int{y, z}, []float64{1, 1})
 	m.LP().AddRow(math.Inf(-1), math.Inf(1), []int{x, y}, []float64{1, 1})
@@ -98,15 +98,15 @@ func TestMPSDeterministic(t *testing.T) {
 		m := New()
 		var a, b int
 		if flip {
-			b = m.Binary("bee")
-			a = m.Binary("ay")
+			b = m.Binary()
+			a = m.Binary()
 		} else {
-			a = m.Binary("ay")
-			b = m.Binary("bee")
+			a = m.Binary()
+			b = m.Binary()
 		}
 		m.ObjAdd(a, 2)
 		m.ObjAdd(b, 3)
-		m.Le("cap", NewExpr().Add(1, a).Add(2, b), 2)
+		m.Le(NewExpr().Add(1, a).Add(2, b), 2)
 		return m
 	}
 	var f1, f2 bytes.Buffer
@@ -123,7 +123,7 @@ func TestMPSDeterministic(t *testing.T) {
 
 func TestMPSWriteRejectsBadModels(t *testing.T) {
 	m := New()
-	x := m.Binary("x")
+	x := m.Binary()
 	m.ObjAdd(x, math.Inf(1))
 	var buf bytes.Buffer
 	if err := m.WriteMPS(&buf); err == nil {

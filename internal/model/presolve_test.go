@@ -9,19 +9,19 @@ import (
 )
 
 // TestPresolveSingletonFix: a singleton equality row pins a binary;
-// presolve must fix it, drop the row, and still answer Value in
-// original coordinates.
+// presolve must fix it, drop the row, and still report the solution
+// in original coordinates.
 func TestPresolveSingletonFix(t *testing.T) {
 	m := New()
-	x := m.Binary("x")
-	y := m.Binary("y")
-	z := m.Binary("z")
+	x := m.Binary()
+	y := m.Binary()
+	z := m.Binary()
 	m.ObjAdd(x, 5)
 	m.ObjAdd(y, -3)
 	m.ObjAdd(z, -2)
-	m.Eq("pin", NewExpr().Add(1, x), 1)             // x = 1
-	m.Le("link", NewExpr().Add(1, y).Add(-1, z), 0) // y <= z
-	m.Le("cap", NewExpr().Add(1, y).Add(1, z), 2)   // slack
+	m.Eq(NewExpr().Add(1, x), 1)            // x = 1
+	m.Le(NewExpr().Add(1, y).Add(-1, z), 0) // y <= z
+	m.Le(NewExpr().Add(1, y).Add(1, z), 2)  // slack
 	res, err := m.Solve(&mip.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -33,19 +33,15 @@ func TestPresolveSingletonFix(t *testing.T) {
 	if math.Abs(res.Obj-0) > 1e-6 {
 		t.Fatalf("obj = %v, want 0", res.Obj)
 	}
-	if got := m.Value(res, "x"); got != 1 {
-		t.Fatalf("Value(x) = %v after presolve, want 1", got)
+	if got := res.X[x]; got != 1 {
+		t.Fatalf("x = %v after presolve, want 1", got)
 	}
-	if got := m.Value(res, "y"); got != 1 {
-		t.Fatalf("Value(y) = %v, want 1", got)
+	if got := res.X[y]; got != 1 {
+		t.Fatalf("y = %v, want 1", got)
 	}
 	st := m.Stats()
 	if st.Presolve == nil || st.Presolve.FixedVars < 1 || st.Presolve.DroppedRows < 1 {
 		t.Fatalf("Stats().Presolve = %+v, want reductions reported", st.Presolve)
-	}
-	// Lookup still resolves original columns.
-	if c, ok := m.Lookup("x"); !ok || c != x {
-		t.Fatalf("Lookup(x) = %v %v", c, ok)
 	}
 }
 
@@ -53,15 +49,15 @@ func TestPresolveSingletonFix(t *testing.T) {
 // through implication rows and fix the chain.
 func TestPresolveImplicationChain(t *testing.T) {
 	m := New()
-	a := m.Binary("a")
-	b := m.Binary("b")
-	c := m.Binary("c")
+	a := m.Binary()
+	b := m.Binary()
+	c := m.Binary()
 	m.ObjAdd(a, -1)
 	m.ObjAdd(b, -1)
 	m.ObjAdd(c, -1)
-	m.Eq("pin", NewExpr().Add(1, a), 0)             // a = 0
-	m.Le("imp1", NewExpr().Add(1, b).Add(-1, a), 0) // b <= a
-	m.Le("imp2", NewExpr().Add(1, c).Add(-1, b), 0) // c <= b
+	m.Eq(NewExpr().Add(1, a), 0)            // a = 0
+	m.Le(NewExpr().Add(1, b).Add(-1, a), 0) // b <= a
+	m.Le(NewExpr().Add(1, c).Add(-1, b), 0) // c <= b
 	res, err := m.Solve(&mip.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -69,9 +65,9 @@ func TestPresolveImplicationChain(t *testing.T) {
 	if res.Status != mip.Optimal || math.Abs(res.Obj) > 1e-9 {
 		t.Fatalf("res = %+v, want optimal 0", res)
 	}
-	for _, v := range []string{"a", "b", "c"} {
-		if got := m.Value(res, v); got != 0 {
-			t.Fatalf("Value(%s) = %v, want 0", v, got)
+	for _, v := range []int{a, b, c} {
+		if got := res.X[v]; got != 0 {
+			t.Fatalf("column %d = %v, want 0", v, got)
 		}
 	}
 	st := m.Stats()
@@ -84,9 +80,9 @@ func TestPresolveImplicationChain(t *testing.T) {
 // before the solver ever runs.
 func TestPresolveInfeasible(t *testing.T) {
 	m := New()
-	x := m.Binary("x")
-	m.Eq("pin1", NewExpr().Add(1, x), 1)
-	m.Eq("pin0", NewExpr().Add(1, x), 0)
+	x := m.Binary()
+	m.Eq(NewExpr().Add(1, x), 1)
+	m.Eq(NewExpr().Add(1, x), 0)
 	res, err := m.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -100,12 +96,12 @@ func TestPresolveInfeasible(t *testing.T) {
 // return the complete solution without searching.
 func TestPresolveFullySolved(t *testing.T) {
 	m := New()
-	x := m.Binary("x")
-	y := m.Binary("y")
+	x := m.Binary()
+	y := m.Binary()
 	m.ObjAdd(x, 2)
 	m.ObjAdd(y, 7)
-	m.Eq("px", NewExpr().Add(1, x), 1)
-	m.Eq("py", NewExpr().Add(1, y), 1)
+	m.Eq(NewExpr().Add(1, x), 1)
+	m.Eq(NewExpr().Add(1, y), 1)
 	res, err := m.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -113,8 +109,8 @@ func TestPresolveFullySolved(t *testing.T) {
 	if res.Status != mip.Optimal || math.Abs(res.Obj-9) > 1e-9 {
 		t.Fatalf("res = %+v, want optimal 9", res)
 	}
-	if m.Value(res, "x") != 1 || m.Value(res, "y") != 1 {
-		t.Fatalf("values not expanded: x=%v y=%v", m.Value(res, "x"), m.Value(res, "y"))
+	if res.X[x] != 1 || res.X[y] != 1 {
+		t.Fatalf("values not expanded: x=%v y=%v", res.X[x], res.X[y])
 	}
 }
 
@@ -130,19 +126,19 @@ func TestPresolveMatchesNoPresolve(t *testing.T) {
 			n := 6 + rng.Intn(8)
 			cols := make([]int, n)
 			for j := 0; j < n; j++ {
-				cols[j] = m.Binary("v", j)
+				cols[j] = m.Binary()
 				m.ObjAdd(cols[j], float64(rng.Intn(21)-10))
 			}
 			// A few pins.
 			for k := 0; k < 1+rng.Intn(2); k++ {
 				j := rng.Intn(n)
-				m.Eq("pin", NewExpr().Add(1, cols[j]), float64(rng.Intn(2)))
+				m.Eq(NewExpr().Add(1, cols[j]), float64(rng.Intn(2)))
 			}
 			// Implications x <= y.
 			for k := 0; k < rng.Intn(4); k++ {
 				a, b := rng.Intn(n), rng.Intn(n)
 				if a != b {
-					m.Le("imp", NewExpr().Add(1, cols[a]).Add(-1, cols[b]), 0)
+					m.Le(NewExpr().Add(1, cols[a]).Add(-1, cols[b]), 0)
 				}
 			}
 			// A capacity row.
@@ -150,7 +146,7 @@ func TestPresolveMatchesNoPresolve(t *testing.T) {
 			for j := 0; j < n; j++ {
 				e.Add(float64(1+rng.Intn(5)), cols[j])
 			}
-			m.Le("cap", e, float64(n))
+			m.Le(e, float64(n))
 			return m, cols
 		}
 		mOn, _ := build()
@@ -171,31 +167,30 @@ func TestPresolveMatchesNoPresolve(t *testing.T) {
 		if math.Abs(on.Obj-off.Obj) > 1e-4*math.Max(1, math.Abs(off.Obj)) {
 			t.Fatalf("trial %d: obj on=%v off=%v", trial, on.Obj, off.Obj)
 		}
-		if !mip.Feasible(mOn.LP(), on.X, 1e-6) {
-			t.Fatalf("trial %d: presolved solution infeasible on original rows", trial)
+		if err := mOn.CheckFeasible(on.X, 1e-6); err != nil {
+			t.Fatalf("trial %d: presolved solution infeasible on original rows: %v", trial, err)
 		}
 	}
 }
 
 // TestPresolveValueRoundTrip solves the same model with and without
-// presolve and checks Value agreement on every variable the two
-// optima share by objective; at minimum the fixed variables must read
-// back identically.
+// presolve and checks that the two optima agree on the objective and
+// that a presolve-fixed variable reads back in original coordinates.
 func TestPresolveValueRoundTrip(t *testing.T) {
 	m := New()
 	n := 8
 	cols := make([]int, n)
 	for j := 0; j < n; j++ {
-		cols[j] = m.Binary("v", j)
+		cols[j] = m.Binary()
 		m.ObjAdd(cols[j], float64(-(j + 1)))
 	}
-	m.Eq("pin", NewExpr().Add(1, cols[2]), 1)
-	m.Le("imp", NewExpr().Add(1, cols[5]).Add(-1, cols[2]), 0)
+	m.Eq(NewExpr().Add(1, cols[2]), 1)
+	m.Le(NewExpr().Add(1, cols[5]).Add(-1, cols[2]), 0)
 	e := NewExpr()
 	for j := 0; j < n; j++ {
 		e.Add(2, cols[j])
 	}
-	m.Le("cap", e, 9) // at most 4 ones
+	m.Le(e, 9) // at most 4 ones
 	on, err := m.Solve(&mip.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -207,8 +202,8 @@ func TestPresolveValueRoundTrip(t *testing.T) {
 	if math.Abs(on.Obj-off.Obj) > 1e-6 {
 		t.Fatalf("obj on=%v off=%v", on.Obj, off.Obj)
 	}
-	if got := m.Value(on, "v", 2); got != 1 {
-		t.Fatalf("Value(v[2]) = %v through presolve remap, want 1", got)
+	if got := on.X[cols[2]]; got != 1 {
+		t.Fatalf("v[2] = %v through presolve remap, want 1", got)
 	}
 	if len(on.X) != n {
 		t.Fatalf("solution length %d, want original dimension %d", len(on.X), n)
