@@ -44,9 +44,9 @@ func TestChaosSoak(t *testing.T) {
 	}
 	violations := make(chan *fleetd.AuditReport, 8)
 	d, err := fleetd.New(fleetd.Config{
-		Workload:   w,
-		Fleet:      fleet.Options{Chips: chips, Engines: 2, Threads: 2},
-		Heal:       &fleet.HealPolicy{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond, Probation: 500 * time.Millisecond, Seed: 7},
+		Workload: w,
+		Fleet: fleet.Options{Chips: chips, Engines: 2, Threads: 2,
+			Heal: &fleet.HealPolicy{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond, Probation: 500 * time.Millisecond, Seed: 7}},
 		Rate:       rate,
 		IngestCap:  ingest,
 		AuditEvery: 50 * time.Millisecond,

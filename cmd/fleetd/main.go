@@ -70,9 +70,9 @@ func main() {
 	fmt.Printf("fleetd: compiled in %v\n", time.Since(start).Round(time.Millisecond))
 
 	d, err := fleetd.New(fleetd.Config{
-		Workload:   w,
-		Fleet:      fleet.Options{Chips: *chips, Engines: *engines, Threads: *threads},
-		Heal:       &fleet.HealPolicy{Base: *healBase, Max: *healMax, Probation: *probation, Seed: *seed},
+		Workload: w,
+		Fleet: fleet.Options{Chips: *chips, Engines: *engines, Threads: *threads,
+			Heal: &fleet.HealPolicy{Base: *healBase, Max: *healMax, Probation: *probation, Seed: *seed}},
 		Flows:      *flows,
 		Payload:    *payload,
 		Seed:       *seed,

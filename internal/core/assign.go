@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/mir"
 )
@@ -25,13 +25,13 @@ type Assignment struct {
 	// that provably stay in one register (same-bank arcs, same-web
 	// carries) are pre-merged; cross-temp links are coalesced
 	// optimistically.
-	parent map[locID]locID
+	parent []locID
 
-	// reg[group root] = register index within its bank (A/B only).
-	reg map[locID]int
+	// reg[node] = register index within its bank (A/B only), or -1.
+	reg []int
 
-	// spillSlot[web root] = scratch word offset of a spilled value.
-	spillSlot map[locID]int
+	// spillSlot[node] = scratch word offset of a spilled value, or -1.
+	spillSlot []int
 	// NumSpillSlots is the number of scratch words used for spills.
 	NumSpillSlots int
 	// transitSlot, lazily allocated, stages composite moves that pass
@@ -79,16 +79,19 @@ func (a *Assignment) union(x, y locID) {
 // numbers spill slots, and computes the residual copies.
 func (r *Result) AssignRegisters() (*Assignment, error) {
 	g := r.graph
+	n := len(g.locTemp)
 	a := &Assignment{
 		res:       r,
-		parent:    map[locID]locID{},
-		reg:       map[locID]int{},
-		spillSlot: map[locID]int{},
+		parent:    make([]locID, n),
+		reg:       make([]int, n),
+		spillSlot: make([]int, n),
 		edgeCopy:  map[[2]mir.BlockID][]EdgeCopy{},
 		cloneCopy: map[cloneCopyKey]bool{},
 	}
-	for l := range g.locTemp {
-		a.parent[locID(l)] = locID(l)
+	for l := range a.parent {
+		a.parent[l] = locID(l)
+		a.reg[l] = -1
+		a.spillSlot[l] = -1
 	}
 	bankOfLoc := func(l locID) Bank { return r.bankOf[g.find(l)] }
 
@@ -116,19 +119,12 @@ func (r *Result) AssignRegisters() (*Assignment, error) {
 	// 2. Interference between A/B nodes: distinct nodes co-live in the
 	//    same bank at some point, except when they provably hold the
 	//    same value (same web, or clones of each other).
-	adj := map[locID]map[locID]bool{}
-	nodesOf := map[Bank]map[locID]bool{}
-	nodesOf[A] = map[locID]bool{}
-	nodesOf[B] = map[locID]bool{}
+	//    adj[x] is x's sorted neighbor list; isNode marks the nodes.
+	adj := make([][]locID, n)
+	isNode := make([]bool, n)
 	addInterf := func(x, y locID) {
-		if adj[x] == nil {
-			adj[x] = map[locID]bool{}
-		}
-		if adj[y] == nil {
-			adj[y] = map[locID]bool{}
-		}
-		adj[x][y] = true
-		adj[y][x] = true
+		adj[x] = insertSorted(adj[x], y)
+		adj[y] = insertSorted(adj[y], x)
 	}
 	type occ struct {
 		node locID
@@ -145,7 +141,7 @@ func (r *Result) AssignRegisters() (*Assignment, error) {
 					continue
 				}
 				node := a.find(le.loc)
-				nodesOf[bk][node] = true
+				isNode[node] = true
 				ab = append(ab, occ{node: node, v: le.v, root: root})
 			}
 			for i := 0; i < len(ab); i++ {
@@ -179,24 +175,24 @@ func (r *Result) AssignRegisters() (*Assignment, error) {
 			links = append(links, link{cl.dLoc, cl.sLoc})
 		}
 	}
-	interferes := func(x, y locID) bool { return adj[x] != nil && adj[x][y] }
 	for _, lk := range links {
 		x, y := a.find(lk.x), a.find(lk.y)
 		if x == y {
 			a.Coalesced++
 			continue
 		}
-		if interferes(x, y) {
+		if _, found := slices.BinarySearch(adj[x], y); found {
 			continue // a real copy will be emitted
 		}
 		// Merge y into x, folding adjacency.
-		for n := range adj[y] {
-			delete(adj[n], y)
-			addInterf(x, n)
+		for _, m := range adj[y] {
+			if i, found := slices.BinarySearch(adj[m], y); found {
+				adj[m] = slices.Delete(adj[m], i, i+1)
+			}
+			addInterf(x, m)
 		}
-		delete(adj, y)
-		bk := bankOfLoc(x)
-		delete(nodesOf[bk], y)
+		adj[y] = nil
+		isNode[y] = false
 		a.parent[y] = x
 		a.Coalesced++
 	}
@@ -208,21 +204,22 @@ func (r *Result) AssignRegisters() (*Assignment, error) {
 			limit = ReservedA // register 15 stays reserved
 		}
 		var nodes []locID
-		for n := range nodesOf[b] {
-			nodes = append(nodes, a.find(n))
+		for l, ok := range isNode {
+			if ok && bankOfLoc(locID(l)) == b {
+				nodes = append(nodes, a.find(locID(l)))
+			}
 		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-		nodes = dedupe(nodes)
-		order := smallestLast(nodes, adj)
-		for _, n := range order {
-			used := map[int]bool{}
-			for m := range adj[n] {
-				if c, ok := a.reg[a.find(m)]; ok {
+		slices.Sort(nodes)
+		nodes = slices.Compact(nodes)
+		for _, n := range smallestLast(nodes, adj) {
+			var used [16]bool
+			for _, m := range adj[n] {
+				if c := a.reg[a.find(m)]; c >= 0 {
 					used[c] = true
 				}
 			}
 			c := 0
-			for used[c] {
+			for c < limit && used[c] {
 				c++
 			}
 			if c >= limit {
@@ -242,7 +239,7 @@ func (r *Result) AssignRegisters() (*Assignment, error) {
 			continue
 		}
 		node := a.find(g.activeLocAt(m.V, pointID(m.Point)))
-		if _, ok := a.spillSlot[node]; !ok {
+		if a.spillSlot[node] < 0 {
 			a.spillSlot[node] = a.NumSpillSlots
 			a.NumSpillSlots++
 		}
@@ -274,14 +271,13 @@ func (r *Result) AssignRegisters() (*Assignment, error) {
 	return a, nil
 }
 
-func dedupe(in []locID) []locID {
-	out := in[:0]
-	for i, x := range in {
-		if i == 0 || x != in[i-1] {
-			out = append(out, x)
-		}
+// insertSorted adds x to the sorted set s.
+func insertSorted(s []locID, x locID) []locID {
+	i, found := slices.BinarySearch(s, x)
+	if found {
+		return s
 	}
-	return out
+	return slices.Insert(s, i, x)
 }
 
 // TransitSlot returns a scratch slot reserved for composite moves that
@@ -307,28 +303,19 @@ func (a *Assignment) CloneNeedsCopy(d, s mir.Temp) bool {
 	return a.cloneCopy[cloneCopyKey{d: d, s: s}]
 }
 
-// NumEdgeCopies counts residual parameter-passing copies.
-func (a *Assignment) NumEdgeCopies() int {
-	n := 0
-	for _, cs := range a.edgeCopy {
-		n += len(cs)
-	}
-	return n
-}
-
 // FreeXferReg finds a transfer-bank register unoccupied at point p —
 // the spare register the §9 needsSpill constraint guaranteed for spill
 // traffic through L or S.
 func (a *Assignment) FreeXferReg(p int, bank Bank) (int, bool) {
 	g := a.res.graph
-	used := map[int]bool{}
+	var used [XRegs]bool
 	for _, list := range [][]locEntry{g.beforeLocs[p], g.afterLocs[p]} {
 		for _, le := range list {
 			root := g.find(le.loc)
 			if a.res.bankOf[root] != bank {
 				continue
 			}
-			if c, ok := a.res.ColorOf[le.v][bank]; ok {
+			if c, ok := a.res.ColorOf(le.v, bank); ok {
 				used[c] = true
 			}
 		}
@@ -343,35 +330,34 @@ func (a *Assignment) FreeXferReg(p int, bank Bank) (int, bool) {
 
 // smallestLast orders nodes by repeatedly removing a minimum-degree
 // node; reversing gives a good greedy coloring order.
-func smallestLast(nodes []locID, adj map[locID]map[locID]bool) []locID {
-	inSet := map[locID]bool{}
+func smallestLast(nodes []locID, adj [][]locID) []locID {
+	// left[n] marks the nodes not yet removed; deg[n] counts their
+	// neighbors among them.
+	left := make([]bool, len(adj))
 	for _, n := range nodes {
-		inSet[n] = true
+		left[n] = true
 	}
-	deg := map[locID]int{}
-	removed := map[locID]bool{}
+	deg := make([]int, len(adj))
 	for _, n := range nodes {
-		d := 0
-		for m := range adj[n] {
-			if inSet[m] {
-				d++
+		for _, m := range adj[n] {
+			if left[m] {
+				deg[n]++
 			}
 		}
-		deg[n] = d
 	}
 	var order []locID
 	for len(order) < len(nodes) {
 		best := locID(-1)
 		bestDeg := 1 << 30
 		for _, n := range nodes {
-			if !removed[n] && deg[n] < bestDeg {
+			if left[n] && deg[n] < bestDeg {
 				best, bestDeg = n, deg[n]
 			}
 		}
-		removed[best] = true
+		left[best] = false
 		order = append(order, best)
-		for m := range adj[best] {
-			if inSet[m] && !removed[m] {
+		for _, m := range adj[best] {
+			if left[m] {
 				deg[m]--
 			}
 		}
@@ -415,17 +401,18 @@ func (a *Assignment) locOf(v mir.Temp, l locID) (Loc, bool) {
 	b := a.res.bankOf[root]
 	switch {
 	case b == A || b == B:
-		return Loc{Bank: b, Reg: a.reg[a.find(l)]}, true
+		// A web no point lists is never live; it reads register 0.
+		return Loc{Bank: b, Reg: max(a.reg[a.find(l)], 0)}, true
 	case b.IsXfer():
-		c, ok := a.res.ColorOf[v][b]
+		c, ok := a.res.ColorOf(v, b)
 		if !ok {
 			return Loc{}, false
 		}
 		return Loc{Bank: b, Reg: c}, true
 	case b == M:
 		node := a.find(l)
-		slot, ok := a.spillSlot[node]
-		if !ok {
+		slot := a.spillSlot[node]
+		if slot < 0 {
 			// A value that starts life spilled (rare); allocate lazily.
 			slot = a.NumSpillSlots
 			a.NumSpillSlots++

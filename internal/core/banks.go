@@ -4,7 +4,12 @@
 // linear program (§5-§10 of the paper).
 package core
 
-import "repro/internal/isel"
+import (
+	"math/bits"
+	"slices"
+
+	"repro/internal/isel"
+)
 
 // Bank is one of the IXP register banks visible to the model (§5.2),
 // plus the virtual constant bank C of the paper's §12 re-materialization
@@ -190,25 +195,24 @@ func (s bankSet) has(b Bank) bool    { return s&(1<<uint(b)) != 0 }
 func (s bankSet) add(b Bank) bankSet { return s | 1<<uint(b) }
 func (s bankSet) del(b Bank) bankSet { return s &^ (1 << uint(b)) }
 
-func (s bankSet) banks() []Bank {
-	var out []Bank
-	for b := Bank(0); b < NumBanks; b++ {
-		if s.has(b) {
-			out = append(out, b)
-		}
-	}
-	return out
-}
+// banks lists the members of s in ascending order. The lists are
+// shared and precomputed, so callers must not modify them.
+func (s bankSet) banks() []Bank { return bankLists[s] }
 
-func (s bankSet) count() int {
-	n := 0
-	for b := Bank(0); b < NumBanks; b++ {
-		if s.has(b) {
-			n++
+// bankLists[s] is s.banks() for every set of the NumBanks banks.
+var bankLists = func() (lists [1 << NumBanks][]Bank) {
+	for s := range lists {
+		for b := Bank(0); b < NumBanks; b++ {
+			if bankSet(s).has(b) {
+				lists[s] = append(lists[s], b)
+			}
 		}
+		lists[s] = slices.Clip(lists[s])
 	}
-	return n
-}
+	return lists
+}()
+
+func (s bankSet) count() int { return bits.OnesCount16(uint16(s)) }
 
 func (s bankSet) intersect(t bankSet) bankSet { return s & t }
 
@@ -220,4 +224,8 @@ func setOf(banks ...Bank) bankSet {
 	return s
 }
 
-var allBanksNoC = setOf(A, B, M, L, LD, S, SD)
+var (
+	allBanksNoC = setOf(A, B, M, L, LD, S, SD)
+	xferBanks   = setOf(XBanks...)
+	anyBank     = bankSet(1<<NumBanks - 1)
+)

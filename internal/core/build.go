@@ -2,39 +2,60 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/mir"
 	"repro/internal/model"
 )
 
-// ilp holds the model under construction together with the column maps
-// needed to read the solution back.
+// ilp holds the model under construction together with the column
+// tables needed to read the solution back.
 type ilp struct {
 	g *graph
 	m *model.Model
 
-	roots    []locID
-	rootSeen map[locID]bool
-	posCol   map[posKey]int
-	colorCol map[colorKey]int
+	// roots lists the location webs in the order their columns were
+	// made. posCol[r][b] is the column of pos[r, b] for web root r, or
+	// -1 when b is not allowed there.
+	roots  []locID
+	posCol [][NumBanks]int
 
-	// mayColor[v] = transfer banks v may occupy (colors exist there).
-	mayColor map[mir.Temp]bankSet
+	// colorVars lists the (temp, transfer bank) color variables, temps
+	// ascending, then banks; colorVarOf[v][b] is the id of v's variable
+	// in bank b, or -1 when v may not occupy b.
+	colorVars  []colorVar
+	colorVarOf [][NumBanks]int
 
-	// arcsAt groups move arcs by point for the spill machinery.
-	arcsAt map[pointID][]int
+	// arcsAt[p] lists the move arcs at point p for the spill machinery.
+	arcsAt [][]int
 
 	// Auxiliary-column bookkeeping for the completion heuristic: every
 	// derived column together with the columns that determine it.
-	moveCols map[int]map[[2]Bank]int // arc index -> (b1,b2) -> column
-	maxCols  []maxCol                // col = max(of) for clone/spill vars
-	occCols  []occCol                // col = max over pairs of pos+color-1
+	moveCols [][]moveCol // per arc: its transition columns, if any
+	maxCols  []maxCol    // col = max(of) for clone/spill vars
+	occCols  []occCol    // col = max over pairs of pos+color-1
 
 	// objConst is the cost of moves fixed by pinned-bank arcs; it is
 	// not part of the LP objective but is added back when reporting.
 	objConst float64
 }
+
+// colorVar is the register number of temp v in transfer bank bank:
+// the 0-1 columns col+r, one per register r < XRegs.
+type colorVar struct {
+	v    mir.Temp
+	bank Bank
+	col  int
+}
+
+// moveCol is an arc's continuous transition column from b1 to b2.
+type moveCol struct {
+	b1, b2 Bank
+	col    int
+}
+
+// noBanks is a bank-indexed table row with no entries.
+var noBanks = [NumBanks]int{-1, -1, -1, -1, -1, -1, -1, -1}
 
 // maxCol records a derived 0-1 column whose value is the maximum of
 // other columns (cloneMove, cloneBefore, needsSpill).
@@ -50,29 +71,9 @@ type occCol struct {
 	pairs [][2]int
 }
 
-type posKey struct {
-	root locID
-	bank Bank
-}
-
-type colorKey struct {
-	v    mir.Temp
-	bank Bank
-	reg  int
-}
-
 // buildModel translates the program graph into the 0-1 ILP of §5-§10.
 func buildModel(g *graph) (*ilp, error) {
-	il := &ilp{
-		g:        g,
-		m:        model.New(),
-		rootSeen: map[locID]bool{},
-		posCol:   map[posKey]int{},
-		colorCol: map[colorKey]int{},
-		mayColor: map[mir.Temp]bankSet{},
-		arcsAt:   map[pointID][]int{},
-		moveCols: map[int]map[[2]Bank]int{},
-	}
+	il := &ilp{g: g, m: model.New()}
 	if err := il.propagatePaths(); err != nil {
 		return nil, err
 	}
@@ -148,12 +149,15 @@ func (il *ilp) propagatePaths() error {
 // constraint.
 func (il *ilp) positions() error {
 	g := il.g
+	il.posCol = make([][NumBanks]int, len(g.locTemp))
+	for l := range il.posCol {
+		il.posCol[l] = noBanks
+	}
 	for l := range g.locTemp {
 		r := g.find(locID(l))
-		if il.rootSeen[r] {
-			continue
+		if il.posCol[r] != noBanks {
+			continue // the web's columns exist
 		}
-		il.rootSeen[r] = true
 		il.roots = append(il.roots, r)
 		allow := g.locAllow[r]
 		if allow == 0 {
@@ -163,7 +167,7 @@ func (il *ilp) positions() error {
 		e := model.NewExpr()
 		for _, b := range allow.banks() {
 			col := il.m.Binary()
-			il.posCol[posKey{r, b}] = col
+			il.posCol[r][b] = col
 			e.Add(1, col)
 			// Symmetry breaking in the spirit of the paper's §7 bias:
 			// an epsilon preference of A over B keeps the LP vertices
@@ -181,9 +185,14 @@ func (il *ilp) positions() error {
 // pos returns the column of pos[root(l), b], or -1 when b is not
 // allowed there.
 func (il *ilp) pos(l locID, b Bank) int {
-	r := il.g.find(l)
-	if col, ok := il.posCol[posKey{r, b}]; ok {
-		return col
+	return il.posCol[il.g.find(l)][b]
+}
+
+// colorCol returns the column of Color[v, b, 0], or -1 when v has no
+// color variable in b. Color[v, b, r] is that column plus r.
+func (il *ilp) colorCol(v mir.Temp, b Bank) int {
+	if id := il.colorVarOf[v][b]; id >= 0 {
+		return il.colorVars[id].col
 	}
 	return -1
 }
@@ -194,28 +203,40 @@ func (il *ilp) pos(l locID, b Bank) int {
 // Clone-set moves at the same point are counted once (§10).
 func (il *ilp) moves() {
 	g := il.g
-	type cloneGroupKey struct {
-		p   pointID
-		set int
-	}
-	cloneGroups := map[cloneGroupKey][]int{} // -> arc indices
+	il.arcsAt = make([][]int, g.npoints)
+	il.moveCols = make([][]moveCol, len(g.arcs))
 	for i, a := range g.arcs {
 		il.arcsAt[a.point] = append(il.arcsAt[a.point], i)
-		if set := g.cloneSet[a.v]; set >= 0 {
-			k := cloneGroupKey{a.point, set}
-			cloneGroups[k] = append(cloneGroups[k], i)
-		}
 	}
-	grouped := map[int]cloneGroupKey{} // arc index -> group (when size > 1)
-	for k, idxs := range cloneGroups {
-		if len(idxs) > 1 {
-			for _, i := range idxs {
-				grouped[i] = k
+	// The arcs of one clone set at one point form a group, named by
+	// its first arc: group[i] is that arc, or -1 when i is alone.
+	group := make([]int, len(g.arcs))
+	for i, a := range g.arcs {
+		group[i] = -1
+		set := g.cloneSet[a.v]
+		if set < 0 {
+			continue
+		}
+		n := 0
+		for _, j := range il.arcsAt[a.point] {
+			if g.cloneSet[g.arcs[j].v] == set {
+				if n == 0 {
+					group[i] = j
+				}
+				n++
 			}
 		}
+		if n == 1 {
+			group[i] = -1
+		}
 	}
-	groupCost := map[cloneGroupKey]map[[2]Bank]int{} // group -> pair -> cloneMove col
-	cmMembers := map[int][]int{}                     // cloneMove col -> member move cols
+	// groupMoves[first arc] lists the group's cloneMove columns, one
+	// per bank pair, each an index into il.maxCols.
+	type cloneMove struct {
+		b1, b2 Bank
+		max    int
+	}
+	groupMoves := make([][]cloneMove, len(g.arcs))
 
 	biased := func(c float64, b1 Bank) float64 {
 		if il.g.opts.BiasAB && b1 == B {
@@ -230,12 +251,12 @@ func (il *ilp) moves() {
 		}
 		fa, ta := g.locAllow[from], g.locAllow[to]
 		w := g.weight[a.point]
-		_, isGrouped := grouped[i]
+		gi := group[i]
 		// Substituted forms: when either side is pinned to one bank,
 		// the move cost is a linear function of the other side's
 		// position variables — no Move columns or flow rows needed.
 		// (propagatePaths guarantees every remaining pair has a path.)
-		if !isGrouped {
+		if gi < 0 {
 			switch {
 			case fa.count() == 1 && ta.count() == 1:
 				b1, b2 := fa.banks()[0], ta.banks()[0]
@@ -262,11 +283,7 @@ func (il *ilp) moves() {
 		// Full flow formulation. The transition variables are
 		// continuous: integrality follows from the endpoint positions
 		// being 0-1.
-		type pv struct {
-			b1, b2 Bank
-			col    int
-		}
-		var pvs []pv
+		var pvs []moveCol
 		for _, b1 := range fa.banks() {
 			for _, b2 := range ta.banks() {
 				c := il.arcCost(a.v, b1, b2)
@@ -274,35 +291,33 @@ func (il *ilp) moves() {
 					continue // no physical path
 				}
 				col := il.m.Continuous(0, 1)
-				if il.moveCols[i] == nil {
-					il.moveCols[i] = map[[2]Bank]int{}
-				}
-				il.moveCols[i][[2]Bank{b1, b2}] = col
-				pvs = append(pvs, pv{b1, b2, col})
+				pvs = append(pvs, moveCol{b1, b2, col})
 				if c == 0 {
 					continue
 				}
 				cost := w * biased(c, b1)
-				gk, ok := grouped[i]
-				if !ok {
+				if gi < 0 {
 					il.m.ObjAdd(col, cost)
 					continue
 				}
 				// Clone counting: charge the group variable instead.
-				if groupCost[gk] == nil {
-					groupCost[gk] = map[[2]Bank]int{}
-				}
-				cm, ok := groupCost[gk][[2]Bank{b1, b2}]
-				if !ok {
-					cm = il.m.Continuous(0, 1)
-					groupCost[gk][[2]Bank{b1, b2}] = cm
+				k := slices.IndexFunc(groupMoves[gi], func(cm cloneMove) bool {
+					return cm.b1 == b1 && cm.b2 == b2
+				})
+				if k < 0 {
+					cm := il.m.Continuous(0, 1)
 					il.m.ObjAdd(cm, cost)
+					k = len(groupMoves[gi])
+					groupMoves[gi] = append(groupMoves[gi], cloneMove{b1, b2, len(il.maxCols)})
+					il.maxCols = append(il.maxCols, maxCol{col: cm})
 				}
 				// clone move: cm >= move member
-				il.m.Ge(model.NewExpr().Add(1, cm).Add(-1, col), 0)
-				cmMembers[cm] = append(cmMembers[cm], col)
+				mc := &il.maxCols[groupMoves[gi][k].max]
+				il.m.Ge(model.NewExpr().Add(1, mc.col).Add(-1, col), 0)
+				mc.of = append(mc.of, col)
 			}
 		}
+		il.moveCols[i] = pvs
 		// Flow conservation.
 		for _, b1 := range fa.banks() {
 			e := model.NewExpr()
@@ -324,9 +339,6 @@ func (il *ilp) moves() {
 			e.Add(-1, il.pos(to, b2))
 			il.m.Eq(e, 0) // moves into b2 = pos[to, b2]
 		}
-	}
-	for cm, members := range cmMembers {
-		il.maxCols = append(il.maxCols, maxCol{col: cm, of: members})
 	}
 	// Arith operand pairing (§6): two sources cannot share A, B, and at
 	// most one may come from the transfer banks L ∪ LD.
@@ -362,8 +374,12 @@ func (il *ilp) moves() {
 // needsSpill machinery is conservative either way).
 func (il *ilp) moveIndicator(ai int, b1, b2 Bank) (int, bool) {
 	if cols := il.moveCols[ai]; cols != nil {
-		col, ok := cols[[2]Bank{b1, b2}]
-		return col, ok
+		for _, mc := range cols {
+			if mc.b1 == b1 && mc.b2 == b2 {
+				return mc.col, true
+			}
+		}
+		return 0, false
 	}
 	g := il.g
 	a := g.arcs[ai]
@@ -403,6 +419,10 @@ func (il *ilp) arcCost(v mir.Temp, b1, b2 Bank) float64 {
 // (§10).
 func (il *ilp) capacity() {
 	g := il.g
+	// reps lists the clone sets met in the current row, each with its
+	// representative column's index into il.maxCols.
+	type setRep struct{ set, max int }
+	var reps []setRep
 	for p := 0; p < g.npoints; p++ {
 		for _, list := range [][]locEntry{g.beforeLocs[p], g.afterLocs[p]} {
 			for _, bank := range []Bank{A, B} {
@@ -415,31 +435,30 @@ func (il *ilp) capacity() {
 				}
 				e := model.NewExpr()
 				terms := 0
-				cloneRep := map[int]int{}     // clone set -> representative col
-				repMembers := map[int][]int{} // representative col -> member pos cols
+				reps = reps[:0]
 				for _, le := range list {
 					col := il.pos(le.loc, bank)
 					if col < 0 {
 						continue
 					}
 					if set := g.cloneSet[le.v]; set >= 0 {
-						rep, ok := cloneRep[set]
-						if !ok {
-							rep = il.m.Continuous(0, 1)
-							cloneRep[set] = rep
+						i := slices.IndexFunc(reps, func(r setRep) bool { return r.set == set })
+						if i < 0 {
+							rep := il.m.Continuous(0, 1)
 							e.Add(1, rep)
 							terms++
+							i = len(reps)
+							reps = append(reps, setRep{set, len(il.maxCols)})
+							il.maxCols = append(il.maxCols, maxCol{col: rep})
 						}
 						// clone count: rep >= pos of each member
-						il.m.Ge(model.NewExpr().Add(1, rep).Add(-1, col), 0)
-						repMembers[rep] = append(repMembers[rep], col)
+						mc := &il.maxCols[reps[i].max]
+						il.m.Ge(model.NewExpr().Add(1, mc.col).Add(-1, col), 0)
+						mc.of = append(mc.of, col)
 						continue
 					}
 					e.Add(1, col)
 					terms++
-				}
-				for rep, members := range repMembers {
-					il.maxCols = append(il.maxCols, maxCol{col: rep, of: members})
 				}
 				if terms > k {
 					il.m.Le(e, float64(k)) // K_A or K_B
@@ -454,30 +473,24 @@ func (il *ilp) capacity() {
 // boundary cuts, same-register couplings, and clone color links (§10).
 func (il *ilp) colors() {
 	g := il.g
-	// Which temps may occupy which transfer banks.
+	// mayColor[v] = transfer banks v may occupy (colors exist there).
+	mayColor := make([]bankSet, g.mp.NumTemps())
 	for l, v := range g.locTemp {
-		r := g.find(locID(l))
-		for _, b := range g.locAllow[r].banks() {
-			if b.IsXfer() {
-				il.mayColor[v] = il.mayColor[v].add(b)
-			}
-		}
+		mayColor[v] |= g.locAllow[g.find(locID(l))].intersect(xferBanks)
 	}
-	// One color per (temp, bank).
-	var temps []mir.Temp
-	for v := range il.mayColor {
-		temps = append(temps, v)
-	}
-	sort.Slice(temps, func(i, j int) bool { return temps[i] < temps[j] })
-	for _, v := range temps {
-		for _, b := range il.mayColor[v].banks() {
-			e := model.NewExpr()
-			for r := 0; r < XRegs; r++ {
-				col := il.m.Binary()
-				il.colorCol[colorKey{v, b, r}] = col
-				e.Add(1, col)
+	// One color per (temp, bank), numbered temps ascending, then banks.
+	il.colorVarOf = make([][NumBanks]int, len(mayColor))
+	for v, banks := range mayColor {
+		il.colorVarOf[v] = noBanks
+		for _, b := range banks.banks() {
+			il.colorVarOf[v][b] = len(il.colorVars)
+			cv := colorVar{v: mir.Temp(v), bank: b, col: il.m.Binary()}
+			e := model.NewExpr().Add(1, cv.col)
+			for r := 1; r < XRegs; r++ {
+				e.Add(1, il.m.Binary()) // column cv.col+r
 			}
 			il.m.Eq(e, 1) // one color per (temp, bank)
+			il.colorVars = append(il.colorVars, cv)
 		}
 	}
 	// Interference: temps simultaneously live in the same transfer bank
@@ -499,7 +512,7 @@ func (il *ilp) colors() {
 					if l1 == l2 {
 						continue // same web: same register, same value
 					}
-					for _, b := range (il.mayColor[v1].intersect(il.mayColor[v2])).banks() {
+					for _, b := range mayColor[v1].intersect(mayColor[v2]).banks() {
 						p1, p2 := il.pos(l1, b), il.pos(l2, b)
 						if p1 < 0 || p2 < 0 {
 							continue
@@ -509,11 +522,10 @@ func (il *ilp) colors() {
 							continue
 						}
 						seenPair[key] = true
+						c1, c2 := il.colorCol(v1, b), il.colorCol(v2, b)
 						for r := 0; r < XRegs; r++ {
-							c1 := il.colorCol[colorKey{v1, b, r}]
-							c2 := il.colorCol[colorKey{v2, b, r}]
 							il.m.Le(model.NewExpr().
-								Add(1, p1).Add(1, p2).Add(1, c1).Add(1, c2), 3)
+								Add(1, p1).Add(1, p2).Add(1, c1+r).Add(1, c2+r), 3)
 						}
 					}
 				}
@@ -529,41 +541,36 @@ func (il *ilp) colors() {
 		}
 		b := agg.bank
 		for k := 0; k+1 < n; k++ {
-			vk, vk1 := agg.temps[k], agg.temps[k+1]
+			ck, ck1 := il.colorCol(agg.temps[k], b), il.colorCol(agg.temps[k+1], b)
 			for r := 0; r+1 < XRegs; r++ {
-				e := model.NewExpr().
-					Add(1, il.colorCol[colorKey{vk, b, r}]).
-					Add(-1, il.colorCol[colorKey{vk1, b, r + 1}])
-				il.m.Eq(e, 0)
+				il.m.Eq(model.NewExpr().Add(1, ck+r).Add(-1, ck1+r+1), 0)
 			}
 			// Boundary: a later member cannot sit in register 0.
-			il.m.Eq(model.NewExpr().
-				Add(1, il.colorCol[colorKey{vk1, b, 0}]), 0)
+			il.m.Eq(model.NewExpr().Add(1, ck1), 0)
 		}
 		if g.opts.RedundantAggregate {
 			// §9: "the first temporary in an aggregate of three cannot
 			// possibly have colors 6 or 7" — and in general member j of
 			// an aggregate of n is confined to j .. j+(8-n).
 			for j, v := range agg.temps {
+				c := il.colorCol(v, b)
 				for r := 0; r < XRegs; r++ {
 					if r >= j && r <= j+(XRegs-n) {
 						continue
 					}
-					il.m.Eq(model.NewExpr().
-						Add(1, il.colorCol[colorKey{v, b, r}]), 0)
+					il.m.Eq(model.NewExpr().Add(1, c+r), 0)
 				}
 			}
 		}
 	}
 	// Same-register couplings (hash, bit-test-set; §9).
 	for _, sr := range g.sameRegs {
+		d, s := il.colorCol(sr.dst, sr.dstBank), il.colorCol(sr.src, sr.srcBank)
+		if d < 0 || s < 0 {
+			continue
+		}
 		for r := 0; r < XRegs; r++ {
-			d, ok1 := il.colorCol[colorKey{sr.dst, sr.dstBank, r}]
-			s, ok2 := il.colorCol[colorKey{sr.src, sr.srcBank, r}]
-			if !ok1 || !ok2 {
-				continue
-			}
-			il.m.Eq(model.NewExpr().Add(1, d).Add(-1, s), 0)
+			il.m.Eq(model.NewExpr().Add(1, d+r).Add(-1, s+r), 0)
 		}
 	}
 	// Rename color links: a jump argument and the block parameter it
@@ -581,16 +588,15 @@ func (il *ilp) colors() {
 			if pcol < 0 {
 				continue
 			}
+			ca, cp := il.colorCol(rn.arg, b), il.colorCol(rn.param, b)
+			if ca < 0 || cp < 0 {
+				continue
+			}
 			for r := 0; r < XRegs; r++ {
-				ca, ok1 := il.colorCol[colorKey{rn.arg, b, r}]
-				cp, ok2 := il.colorCol[colorKey{rn.param, b, r}]
-				if !ok1 || !ok2 {
-					continue
-				}
 				il.m.Le(model.NewExpr().
-					Add(1, ca).Add(-1, cp).Add(1, pcol), 1)
+					Add(1, ca+r).Add(-1, cp+r).Add(1, pcol), 1)
 				il.m.Le(model.NewExpr().
-					Add(-1, ca).Add(1, cp).Add(1, pcol), 1)
+					Add(-1, ca+r).Add(1, cp+r).Add(1, pcol), 1)
 			}
 		}
 	}
@@ -607,18 +613,17 @@ func (il *ilp) colors() {
 			if pcol < 0 {
 				continue
 			}
+			cd, cs := il.colorCol(cl.d, b), il.colorCol(cl.s, b)
+			if cd < 0 || cs < 0 {
+				continue
+			}
 			for r := 0; r < XRegs; r++ {
-				cd, ok1 := il.colorCol[colorKey{cl.d, b, r}]
-				cs, ok2 := il.colorCol[colorKey{cl.s, b, r}]
-				if !ok1 || !ok2 {
-					continue
-				}
 				// pos[b] = 1 -> Color[d,b,r] = Color[s,b,r]:
 				// |cd - cs| <= 1 - pos[b].
 				il.m.Le(model.NewExpr().
-					Add(1, cd).Add(-1, cs).Add(1, pcol), 1)
+					Add(1, cd+r).Add(-1, cs+r).Add(1, pcol), 1)
 				il.m.Le(model.NewExpr().
-					Add(-1, cd).Add(1, cs).Add(1, pcol), 1)
+					Add(-1, cd+r).Add(1, cs+r).Add(1, pcol), 1)
 			}
 		}
 	}
@@ -630,25 +635,30 @@ func (il *ilp) colors() {
 // a spare register must exist there.
 func (il *ilp) spillRegs() {
 	g := il.g
+	// A web root r is marked in the current pass when mark[r] == pass.
+	mark := make([]int, len(g.locTemp))
+	pass := 0
 	for p := 0; p < g.npoints; p++ {
-		arcIdxs := il.arcsAt[pointID(p)]
+		arcIdxs := il.arcsAt[p]
 		if len(arcIdxs) == 0 {
 			continue
 		}
 		// A spare register can only be missing when the bank may
 		// actually fill: count the webs that could occupy it here.
-		full := map[Bank]bool{}
+		var full [NumBanks]bool
 		for _, bank := range []Bank{L, S} {
-			occ := map[locID]bool{}
+			pass++
+			webs := 0
 			for _, list := range [][]locEntry{g.beforeLocs[p], g.afterLocs[p]} {
 				for _, le := range list {
 					root := g.find(le.loc)
-					if g.locAllow[root].has(bank) {
-						occ[root] = true
+					if g.locAllow[root].has(bank) && mark[root] != pass {
+						mark[root] = pass
+						webs++
 					}
 				}
 			}
-			full[bank] = len(occ) >= XRegs
+			full[bank] = webs >= XRegs
 		}
 		if !full[L] && !full[S] {
 			continue
@@ -695,26 +705,26 @@ func (il *ilp) spillRegs() {
 			for r := range occ {
 				occ[r] = il.m.Continuous(0, 1)
 			}
-			seen := map[locID]bool{}
+			pass++
 			for _, list := range [][]locEntry{g.beforeLocs[p], g.afterLocs[p]} {
 				for _, le := range list {
 					root := g.find(le.loc)
-					if seen[root] {
+					if mark[root] == pass {
 						continue
 					}
-					seen[root] = true
+					mark[root] = pass
 					pcol := il.pos(le.loc, tb.bank)
 					if pcol < 0 {
 						continue
 					}
+					ccol := il.colorCol(le.v, tb.bank)
+					if ccol < 0 {
+						continue
+					}
 					for r := 0; r < XRegs; r++ {
-						ccol, ok := il.colorCol[colorKey{le.v, tb.bank, r}]
-						if !ok {
-							continue
-						}
 						il.m.Ge(model.NewExpr().
-							Add(1, occ[r]).Add(-1, pcol).Add(-1, ccol), -1)
-						occPairs[r] = append(occPairs[r], [2]int{pcol, ccol})
+							Add(1, occ[r]).Add(-1, pcol).Add(-1, ccol+r), -1)
+						occPairs[r] = append(occPairs[r], [2]int{pcol, ccol + r})
 					}
 				}
 			}

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cps"
 	"repro/internal/mir"
@@ -113,45 +114,52 @@ func writeBank(s cps.Space) Bank {
 	return S
 }
 
-// blockEvents gathers, per temp, the sorted event points inside one
-// block: places where a move opportunity exists.
+// chainBuilder builds the location chains of one block.
 type chainBuilder struct {
 	g       *graph
 	b       *mir.Block
 	base    pointID
 	allowed []bankSet
-	// narrowings per (temp, point): operand classes to intersect into
-	// the post-move location at that point.
-	narrow map[mir.Temp]map[int]bankSet
-	events map[mir.Temp]map[int]bool
+	// events lists the block's move opportunities, one entry per
+	// (temp, instruction index) occurrence.
+	events []event
+}
+
+// event is a move opportunity of v before instruction idx, with the
+// operand class to intersect into the post-move location there
+// (anyBank when the operand class does not narrow it).
+type event struct {
+	v      mir.Temp
+	idx    int
+	narrow bankSet
 }
 
 func (g *graph) buildBlock(b *mir.Block, lv *mir.Liveness, base pointID, allowed []bankSet) error {
-	cb := &chainBuilder{
-		g: g, b: b, base: base, allowed: allowed,
-		narrow: map[mir.Temp]map[int]bankSet{},
-		events: map[mir.Temp]map[int]bool{},
-	}
+	cb := &chainBuilder{g: g, b: b, base: base, allowed: allowed}
 	return cb.run(lv)
 }
 
-func (cb *chainBuilder) event(v mir.Temp, idx int) {
-	if cb.events[v] == nil {
-		cb.events[v] = map[int]bool{}
-	}
-	cb.events[v][idx] = true
-}
+func (cb *chainBuilder) event(v mir.Temp, idx int) { cb.narrowAt(v, idx, anyBank) }
 
 func (cb *chainBuilder) narrowAt(v mir.Temp, idx int, s bankSet) {
-	cb.event(v, idx)
-	if cb.narrow[v] == nil {
-		cb.narrow[v] = map[int]bankSet{}
+	cb.events = append(cb.events, event{v, idx, s})
+}
+
+// sortedEvents sorts the events by temp and index and folds repeats:
+// the narrowings of one temp at one index intersect.
+func (cb *chainBuilder) sortedEvents() []event {
+	slices.SortFunc(cb.events, func(a, b event) int {
+		return cmp.Or(cmp.Compare(a.v, b.v), cmp.Compare(a.idx, b.idx))
+	})
+	out := cb.events[:0]
+	for _, e := range cb.events {
+		if n := len(out); n > 0 && out[n-1].v == e.v && out[n-1].idx == e.idx {
+			out[n-1].narrow = out[n-1].narrow.intersect(e.narrow)
+		} else {
+			out = append(out, e)
+		}
 	}
-	if cur, ok := cb.narrow[v][idx]; ok {
-		cb.narrow[v][idx] = cur.intersect(s)
-	} else {
-		cb.narrow[v][idx] = s
-	}
+	return out
 }
 
 var readableSet = setOf(A, B, L, LD)
@@ -175,13 +183,18 @@ func (cb *chainBuilder) run(lv *mir.Liveness) error {
 		liveAt[exitIdx] = lv.Out[b.ID]
 	}
 
-	// Definition records: temp -> (instr index, arrival bank set,
-	// whether part of an aggregate).
+	// def[v] is v's definition in this block, if any (arrive is then
+	// nonempty; temps are SSA, each defined once). A definition opens
+	// a move opportunity right after it.
 	type defRec struct {
 		idx    int
 		arrive bankSet
 	}
-	defs := map[mir.Temp]defRec{}
+	def := make([]defRec, len(cb.allowed))
+	define := func(v mir.Temp, idx int, arrive bankSet) {
+		def[v] = defRec{idx: idx, arrive: arrive}
+		cb.event(v, idx+1)
+	}
 	type pendingPair struct {
 		x, y mir.Temp
 		idx  int
@@ -213,18 +226,18 @@ func (cb *chainBuilder) run(lv *mir.Liveness) error {
 				}
 				pendingPairs = append(pendingPairs, pendingPair{ops[0], ops[1], i})
 			}
-			defs[in.Dsts[0]] = defRec{idx: i, arrive: abwSet}
+			define(in.Dsts[0], i, abwSet)
 		case mir.KImm:
 			arrive := abwSet
 			if g.opts.Remat && g.isConst[in.Dsts[0]] {
 				arrive = setOf(C)
 			}
-			defs[in.Dsts[0]] = defRec{idx: i, arrive: arrive}
+			define(in.Dsts[0], i, arrive)
 		case mir.KMemRead:
 			cb.narrowAt(in.Srcs[0].Temp, i, readableSet)
 			bank := readBank(in.Space)
 			for _, d := range in.Dsts {
-				defs[d] = defRec{idx: i, arrive: setOf(bank)}
+				define(d, i, setOf(bank))
 			}
 			kind := fmt.Sprintf("DefL%d", len(in.Dsts))
 			if bank == LD {
@@ -251,16 +264,16 @@ func (cb *chainBuilder) run(lv *mir.Liveness) error {
 			switch in.Special {
 			case cps.SpecHash:
 				cb.narrowAt(in.Srcs[0].Temp, i, setOf(S))
-				defs[in.Dsts[0]] = defRec{idx: i, arrive: setOf(L)}
+				define(in.Dsts[0], i, setOf(L))
 				g.sameRegs = append(g.sameRegs, sameRegCon{dst: in.Dsts[0], src: in.Srcs[0].Temp, dstBank: L, srcBank: S})
 			case cps.SpecBTS:
 				cb.narrowAt(in.Srcs[0].Temp, i, readableSet)
 				cb.narrowAt(in.Srcs[1].Temp, i, setOf(S))
-				defs[in.Dsts[0]] = defRec{idx: i, arrive: setOf(L)}
+				define(in.Dsts[0], i, setOf(L))
 				g.sameRegs = append(g.sameRegs, sameRegCon{dst: in.Dsts[0], src: in.Srcs[1].Temp, dstBank: L, srcBank: S})
 			case cps.SpecCSRRead:
 				cb.narrowAt(in.Srcs[0].Temp, i, readableSet)
-				defs[in.Dsts[0]] = defRec{idx: i, arrive: setOf(L)}
+				define(in.Dsts[0], i, setOf(L))
 			case cps.SpecCSRWrite:
 				cb.narrowAt(in.Srcs[0].Temp, i, readableSet)
 				cb.narrowAt(in.Srcs[1].Temp, i, setOf(S))
@@ -269,6 +282,7 @@ func (cb *chainBuilder) run(lv *mir.Liveness) error {
 			}
 		case mir.KClone:
 			clones = append(clones, clonePending{d: in.Dsts[0], s: in.Srcs[0].Temp, idx: i})
+			cb.event(in.Dsts[0], i+1)
 			// The clone's chain starts at i+1 via a unified arrival;
 			// recorded after chains are built.
 		case mir.KMove:
@@ -325,26 +339,21 @@ func (cb *chainBuilder) run(lv *mir.Liveness) error {
 		}
 	}
 
-	// Build chains per temp that has a definition or events here.
-	temps := map[mir.Temp]bool{}
-	for v := range cb.events {
-		temps[v] = true
-	}
-	for v := range defs {
-		temps[v] = true
-	}
-	cloneDst := map[mir.Temp]clonePending{}
-	for _, c := range clones {
-		cloneDst[c.d] = c
-		temps[c.d] = true
-	}
-	postLoc := map[mir.Temp]map[int]locID{} // for pair constraints
-
-	for _, v := range sortedTemps(temps) {
+	// Build chains per temp that has events here (every defined temp
+	// does), in temp order.
+	evs := cb.sortedEvents()
+	for len(evs) > 0 {
+		v := evs[0].v
+		n := 1
+		for n < len(evs) && evs[n].v == v {
+			n++
+		}
+		vEvs := evs[:n]
+		evs = evs[n:]
 		var runs []activeRun
 		var cur locID = -1
 		startIdx := 0
-		if d, isDef := defs[v]; isDef {
+		if d := def[v]; d.arrive != 0 {
 			arrive := d.arrive.intersect(cb.allowed[v])
 			if g.opts.Remat && g.isConst[v] && d.arrive.has(C) {
 				arrive = setOf(C)
@@ -355,14 +364,13 @@ func (cb *chainBuilder) run(lv *mir.Liveness) error {
 			cur = g.newLoc(v, arrive)
 			runs = append(runs, activeRun{from: pt(d.idx + 1), loc: cur, arrival: true})
 			startIdx = d.idx + 1
-			cb.event(v, d.idx+1) // post-definition move opportunity
-		} else if cp, isClone := cloneDst[v]; isClone {
+		} else if ci := slices.IndexFunc(clones, func(c clonePending) bool { return c.d == v }); ci >= 0 {
+			cp := clones[ci]
 			// Arrival location unified with the source's location at
 			// the clone point (After[p1], §10).
 			cur = g.newLoc(v, cb.allowed[v])
 			runs = append(runs, activeRun{from: pt(cp.idx + 1), loc: cur, arrival: true})
 			startIdx = cp.idx + 1
-			cb.event(v, cp.idx+1)
 			g.cloneLinks = append(g.cloneLinks, cloneLink{
 				dLoc: cur, d: v, s: cp.s, sLoc: -1, point: pt(cp.idx),
 			})
@@ -382,18 +390,14 @@ func (cb *chainBuilder) run(lv *mir.Liveness) error {
 			runs = append(runs, activeRun{from: pt(0), loc: cur, arrival: true})
 			startIdx = 0
 		}
-		// Event points in order.
-		var evs []int
-		for idx := range cb.events[v] {
-			if idx >= startIdx {
-				evs = append(evs, idx)
+		for _, e := range vEvs {
+			if e.idx < startIdx {
+				continue
 			}
-		}
-		sort.Ints(evs)
-		for _, idx := range evs {
+			idx := e.idx
 			allow := cb.allowed[v]
-			if n, ok := cb.narrow[v][idx]; ok {
-				allow = allow.intersect(n)
+			if e.narrow != anyBank {
+				allow = allow.intersect(e.narrow)
 				if g.opts.Remat && g.isConst[v] {
 					// Constants can always re-materialize into the
 					// required class; C itself is excluded at uses.
@@ -410,10 +414,6 @@ func (cb *chainBuilder) run(lv *mir.Liveness) error {
 			g.arcs = append(g.arcs, arc{v: v, from: cur, to: post, point: pt(idx)})
 			runs = append(runs, activeRun{from: pt(idx), loc: post})
 			cur = post
-			if postLoc[v] == nil {
-				postLoc[v] = map[int]locID{}
-			}
-			postLoc[v][idx] = post
 		}
 		g.active[v] = append(g.active[v], runs...)
 	}
@@ -431,31 +431,29 @@ func (cb *chainBuilder) run(lv *mir.Liveness) error {
 		cl.sLoc = s
 		g.union(cl.dLoc, s)
 	}
-	// Pair constraints on the post-move locations at the use point.
+	// Pair constraints on the post-move locations at the use point:
+	// each operand has an event there, so its post-move run is the
+	// last one starting at or before the point.
 	for _, pp := range pendingPairs {
-		g.pairs = append(g.pairs, pair{x: postLoc[pp.x][pp.idx], y: postLoc[pp.y][pp.idx]})
+		p := pt(pp.idx)
+		g.pairs = append(g.pairs, pair{x: g.activeLocAt(pp.x, p), y: g.activeLocAt(pp.y, p)})
 	}
 	// Per-point occupancy lists (the Exists set with before/after
 	// sides, §6 K constraints).
+	var counted []mir.Temp
 	for k := 0; k <= exitIdx; k++ {
 		p := pt(k)
-		counted := map[mir.Temp]bool{}
+		counted = counted[:0]
 		for v := range liveAt[k] {
-			counted[v] = true
+			counted = append(counted, v)
 		}
-		// Defs arriving at this point also exist here even if dead
-		// (the paper's Exists ⊇ live distinction).
-		for v, d := range defs {
-			if d.idx+1 == k {
-				counted[v] = true
-			}
+		// Defs and clones arriving at this point also exist here even
+		// if dead (the paper's Exists ⊇ live distinction).
+		if k > 0 && k <= nInstr {
+			counted = append(counted, b.Instrs[k-1].Dsts...)
 		}
-		for _, c := range clones {
-			if c.idx+1 == k {
-				counted[c.d] = true
-			}
-		}
-		for _, v := range sortedTemps(counted) {
+		slices.Sort(counted)
+		for _, v := range slices.Compact(counted) {
 			before := g.beforeLocAtLinear(v, p)
 			after := g.activeLocAt(v, p)
 			if before >= 0 {

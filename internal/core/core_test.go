@@ -128,7 +128,7 @@ fun main() -> word {
 	// Verify() already checks adjacency; double-check the colors here.
 	var cols []int
 	for v := mir.Temp(0); int(v) < 64; v++ {
-		if c, ok := res.ColorOf[v][L]; ok {
+		if c, ok := res.ColorOf(v, L); ok {
 			cols = append(cols, c)
 		}
 	}

@@ -74,7 +74,7 @@ func (il *ilp) fallback() (*mip.Result, error) {
 				placed = false
 				break
 			}
-			x[il.posCol[posKey{r, chosen}]] = 1
+			x[il.posCol[r][chosen]] = 1
 		}
 		if !placed {
 			continue

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"sort"
-
-	"repro/internal/mir"
+	"cmp"
+	"slices"
 )
 
 // heuristic attempts to complete a node LP solution into a feasible
@@ -14,12 +13,12 @@ import (
 func (il *ilp) heuristic(x []float64) ([]float64, bool) {
 	g := il.g
 	// 1. Round positions: pick the maximum-weight bank per web.
-	bankChosen := map[locID]Bank{}
+	bankChosen := make([]Bank, len(g.locTemp)) // by web root
 	for _, r := range il.roots {
 		var best Bank = -1
 		bestV := -1.0
 		for _, b := range g.locAllow[r].banks() {
-			v := x[il.posCol[posKey{r, b}]]
+			v := x[il.posCol[r][b]]
 			if v > bestV {
 				best, bestV = b, v
 			}
@@ -87,39 +86,41 @@ func (il *ilp) heuristic(x []float64) ([]float64, bool) {
 		return nil, false
 	}
 	// 3. Fill the solution vector.
-	x2 := append([]float64(nil), x...)
+	x2 := slices.Clone(x)
 	for _, r := range il.roots {
 		for _, b := range g.locAllow[r].banks() {
 			v := 0.0
 			if b == bankChosen[r] {
 				v = 1
 			}
-			x2[il.posCol[posKey{r, b}]] = v
+			x2[il.posCol[r][b]] = v
 		}
 	}
-	for key, col := range il.colorCol {
-		v := 0.0
-		if colors[colorVarKey{key.v, key.bank}] == key.reg {
-			v = 1
+	for id, cv := range il.colorVars {
+		for r := 0; r < XRegs; r++ {
+			v := 0.0
+			if colors[id] == r {
+				v = 1
+			}
+			x2[cv.col+r] = v
 		}
-		x2[col] = v
 	}
-	for i, a := range g.arcs {
-		pairs := il.moveCols[i]
-		if pairs == nil {
+	for i, cols := range il.moveCols {
+		if cols == nil {
 			continue
 		}
-		from, to := g.find(a.from), g.find(a.to)
-		want := [2]Bank{bankChosen[from], bankChosen[to]}
-		if _, ok := pairs[want]; !ok {
-			return nil, false // no physical path for the rounded banks
-		}
-		for pair, col := range pairs {
-			if pair == want {
-				x2[col] = 1
-			} else {
-				x2[col] = 0
+		a := g.arcs[i]
+		b1, b2 := bankChosen[g.find(a.from)], bankChosen[g.find(a.to)]
+		found := false
+		for _, mc := range cols {
+			v := 0.0
+			if mc.b1 == b1 && mc.b2 == b2 {
+				v, found = 1, true
 			}
+			x2[mc.col] = v
+		}
+		if !found {
+			return nil, false // no physical path for the rounded banks
 		}
 	}
 	for _, mc := range il.maxCols {
@@ -143,27 +144,21 @@ func (il *ilp) heuristic(x []float64) ([]float64, bool) {
 	return x2, true
 }
 
-type colorVarKey struct {
-	v    mir.Temp
-	bank Bank
-}
-
-// solveColors assigns a register 0..7 to every (temp, transfer bank)
-// color variable, honoring aggregate adjacency, same-register
-// couplings, clone co-location, and interference, via offset
-// union-find plus backtracking.
-func (il *ilp) solveColors(bankChosen map[locID]Bank) (map[colorVarKey]int, bool) {
+// solveColors assigns a register 0..7 to every color variable,
+// honoring aggregate adjacency, same-register couplings, clone
+// co-location, and interference, via offset union-find plus
+// backtracking. It returns the registers by color variable id.
+func (il *ilp) solveColors(bankChosen []Bank) ([]int, bool) {
 	g := il.g
-	// Collect the color variables.
-	vars := map[colorVarKey]bool{}
-	for key := range il.colorCol {
-		vars[colorVarKey{key.v, key.bank}] = true
+	n := len(il.colorVars)
+	// Offset union-find: value(k) = value(root(k)) + offset[k].
+	parent := make([]int, n)
+	offset := make([]int, n)
+	for k := range parent {
+		parent[k] = k
 	}
-	// Offset union-find: value(k) = value(root(k)) + offset(k).
-	parent := map[colorVarKey]colorVarKey{}
-	offset := map[colorVarKey]int{}
-	var find func(k colorVarKey) (colorVarKey, int)
-	find = func(k colorVarKey) (colorVarKey, int) {
+	var find func(k int) (int, int)
+	find = func(k int) (int, int) {
 		if parent[k] == k {
 			return k, 0
 		}
@@ -172,13 +167,12 @@ func (il *ilp) solveColors(bankChosen map[locID]Bank) (map[colorVarKey]int, bool
 		offset[k] += o
 		return r, offset[k]
 	}
-	for k := range vars {
-		parent[k] = k
-		offset[k] = 0
-	}
 	okAll := true
 	// merge enforces value(a) = value(b) + d.
-	merge := func(a, b colorVarKey, d int) {
+	merge := func(a, b, d int) {
+		if a < 0 || b < 0 {
+			return // no such color variable
+		}
 		ra, oa := find(a)
 		rb, ob := find(b)
 		if ra == rb {
@@ -193,45 +187,40 @@ func (il *ilp) solveColors(bankChosen map[locID]Bank) (map[colorVarKey]int, bool
 	}
 	for _, agg := range g.aggs {
 		for k := 0; k+1 < len(agg.temps); k++ {
-			merge(colorVarKey{agg.temps[k+1], agg.bank}, colorVarKey{agg.temps[k], agg.bank}, 1)
+			merge(il.colorVarOf[agg.temps[k+1]][agg.bank], il.colorVarOf[agg.temps[k]][agg.bank], 1)
 		}
 	}
 	for _, sr := range g.sameRegs {
-		merge(colorVarKey{sr.dst, sr.dstBank}, colorVarKey{sr.src, sr.srcBank}, 0)
+		merge(il.colorVarOf[sr.dst][sr.dstBank], il.colorVarOf[sr.src][sr.srcBank], 0)
 	}
 	for _, cl := range g.cloneLinks {
-		root := g.find(cl.dLoc)
-		b := bankChosen[root]
-		if b.IsXfer() && vars[colorVarKey{cl.d, b}] && vars[colorVarKey{cl.s, b}] {
-			merge(colorVarKey{cl.d, b}, colorVarKey{cl.s, b}, 0)
+		if b := bankChosen[g.find(cl.dLoc)]; b.IsXfer() {
+			merge(il.colorVarOf[cl.d][b], il.colorVarOf[cl.s][b], 0)
 		}
 	}
 	for _, rn := range g.renames {
-		root := g.find(rn.paramLoc)
-		b := bankChosen[root]
-		if b.IsXfer() && vars[colorVarKey{rn.arg, b}] && vars[colorVarKey{rn.param, b}] {
-			merge(colorVarKey{rn.arg, b}, colorVarKey{rn.param, b}, 0)
+		if b := bankChosen[g.find(rn.paramLoc)]; b.IsXfer() {
+			merge(il.colorVarOf[rn.arg][b], il.colorVarOf[rn.param][b], 0)
 		}
 	}
 	if !okAll {
 		return nil, false
 	}
-	// Class domains: the root value must keep every member in 0..7.
-	lo := map[colorVarKey]int{}
-	hi := map[colorVarKey]int{}
-	var classes []colorVarKey
-	for k := range vars {
+	// Class domains: the root value must keep every member in 0..7
+	// (the root is its own member at offset 0).
+	lo := make([]int, n)
+	hi := make([]int, n)
+	var classes []int
+	for k := range lo {
+		lo[k], hi[k] = 0, XRegs-1
+	}
+	for k := range lo {
 		r, o := find(k)
-		if _, seen := lo[r]; !seen {
-			lo[r], hi[r] = -100, 100
-			classes = append(classes, r)
+		if r == k {
+			classes = append(classes, k)
 		}
-		if l := 0 - o; l > lo[r] {
-			lo[r] = l
-		}
-		if h := XRegs - 1 - o; h < hi[r] {
-			hi[r] = h
-		}
+		lo[r] = max(lo[r], -o)
+		hi[r] = min(hi[r], XRegs-1-o)
 	}
 	for _, r := range classes {
 		if lo[r] > hi[r] {
@@ -241,11 +230,10 @@ func (il *ilp) solveColors(bankChosen map[locID]Bank) (map[colorVarKey]int, bool
 	// Disequalities from interference: temps co-resident in one
 	// transfer bank need distinct registers (clones excluded).
 	type diseq struct {
-		a, b colorVarKey
+		a, b int
 		d    int // value(a) != value(b) + d
 	}
 	var diseqs []diseq
-	seen := map[diseq]bool{}
 	for p := 0; p < g.npoints; p++ {
 		for _, list := range [][]locEntry{g.beforeLocs[p], g.afterLocs[p]} {
 			for i := 0; i < len(list); i++ {
@@ -266,44 +254,40 @@ func (il *ilp) solveColors(bankChosen map[locID]Bank) (map[colorVarKey]int, bool
 					if g.cloneSet[v1] >= 0 && g.cloneSet[v1] == g.cloneSet[v2] {
 						continue
 					}
-					k1 := colorVarKey{v1, bi}
-					k2 := colorVarKey{v2, bi}
-					ra, oa := find(k1)
-					rb, ob := find(k2)
+					ra, oa := find(il.colorVarOf[v1][bi])
+					rb, ob := find(il.colorVarOf[v2][bi])
 					if ra == rb {
 						if oa == ob {
 							return nil, false // forced equal but must differ
 						}
 						continue
 					}
-					key := diseq{a: ra, b: rb, d: ob - oa}
-					if seen[key] {
-						continue
-					}
-					seen[key] = true
-					diseqs = append(diseqs, key)
+					diseqs = append(diseqs, diseq{a: ra, b: rb, d: ob - oa})
 				}
 			}
 		}
 	}
+	slices.SortFunc(diseqs, func(x, y diseq) int {
+		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b), cmp.Compare(x.d, y.d))
+	})
+	diseqs = slices.Compact(diseqs)
 	// Backtracking over class roots: most-constrained first.
-	adj := map[colorVarKey][]diseq{}
+	adj := make([][]diseq, n)
 	for _, d := range diseqs {
 		adj[d.a] = append(adj[d.a], d)
 		adj[d.b] = append(adj[d.b], diseq{a: d.b, b: d.a, d: -d.d})
 	}
-	sort.Slice(classes, func(i, j int) bool {
-		di := hi[classes[i]] - lo[classes[i]]
-		dj := hi[classes[j]] - lo[classes[j]]
-		if di != dj {
-			return di < dj
-		}
-		if len(adj[classes[i]]) != len(adj[classes[j]]) {
-			return len(adj[classes[i]]) > len(adj[classes[j]])
-		}
-		return less(classes[i], classes[j])
+	slices.SortFunc(classes, func(x, y int) int {
+		return cmp.Or(
+			cmp.Compare(hi[x]-lo[x], hi[y]-lo[y]),
+			cmp.Compare(len(adj[y]), len(adj[x])),
+			cmp.Compare(x, y))
 	})
-	val := map[colorVarKey]int{}
+	// val[r] is class root r's register, -1 while unassigned.
+	val := make([]int, n)
+	for r := range val {
+		val[r] = -1
+	}
 	steps := 0
 	var assign func(i int) bool
 	assign = func(i int) bool {
@@ -318,7 +302,7 @@ func (il *ilp) solveColors(bankChosen map[locID]Bank) (map[colorVarKey]int, bool
 			}
 			ok := true
 			for _, d := range adj[r] {
-				if w, has := val[d.b]; has && v == w+d.d {
+				if w := val[d.b]; w >= 0 && v == w+d.d {
 					ok = false
 					break
 				}
@@ -330,24 +314,17 @@ func (il *ilp) solveColors(bankChosen map[locID]Bank) (map[colorVarKey]int, bool
 			if assign(i + 1) {
 				return true
 			}
-			delete(val, r)
+			val[r] = -1
 		}
 		return false
 	}
 	if !assign(0) {
 		return nil, false
 	}
-	out := map[colorVarKey]int{}
-	for k := range vars {
+	out := make([]int, n)
+	for k := range out {
 		r, o := find(k)
 		out[k] = val[r] + o
 	}
 	return out, true
-}
-
-func less(a, b colorVarKey) bool {
-	if a.v != b.v {
-		return a.v < b.v
-	}
-	return a.bank < b.bank
 }

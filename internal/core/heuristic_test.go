@@ -1,0 +1,50 @@
+package core
+
+import (
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/lp"
+)
+
+// TestHeuristicAllocations pins the objects one completion-heuristic
+// call allocates at the paper programs' root LP point (the model
+// before presolve), and whether the call completes that point (NAT's
+// coloring fails there). The heuristic runs at every branch-and-bound
+// node with fractional columns, so its per-call cost is search cost.
+func TestHeuristicAllocations(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		ok     bool
+		allocs float64
+	}{
+		{"aes", true, 115},
+		{"kasumi", true, 16},
+		{"nat", false, 35},
+	} {
+		src, err := os.ReadFile(filepath.Join("..", "workloads", c.name+".nova"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := buildGraph(lower(t, string(src)), DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		il, err := buildModel(g)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		sol, err := il.m.LP().Solve(nil)
+		if err != nil || sol.Status != lp.Optimal {
+			t.Fatalf("%s: root LP: %v %v", c.name, sol.Status, err)
+		}
+		if _, ok := il.heuristic(sol.X); ok != c.ok {
+			t.Errorf("%s: heuristic completes the root point: %v, want %v", c.name, ok, c.ok)
+		}
+		got := testing.AllocsPerRun(5, func() { il.heuristic(sol.X) })
+		if got != c.allocs {
+			t.Errorf("%s: heuristic allocates %v objects per call, want %v", c.name, got, c.allocs)
+		}
+	}
+}

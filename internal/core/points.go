@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/freq"
 	"repro/internal/mir"
@@ -110,10 +110,7 @@ type graph struct {
 	afterLocs  [][]locEntry
 
 	// active[v] = sorted list of (fromPoint, loc) runs for lookups.
-	active map[mir.Temp][]activeRun
-
-	// xferable temps that may occupy each transfer bank (for coloring).
-	mayBank map[mir.Temp]bankSet
+	active [][]activeRun
 }
 
 type arc struct {
@@ -194,13 +191,8 @@ func (g *graph) newLoc(v mir.Temp, allow bankSet) locID {
 // buildGraph runs the full analysis for a MIR program.
 func buildGraph(mp *mir.Program, opts Options) (*graph, error) {
 	normalize(mp)
-	g := &graph{
-		mp:      mp,
-		opts:    opts,
-		active:  map[mir.Temp][]activeRun{},
-		mayBank: map[mir.Temp]bankSet{},
-	}
 	nt := mp.NumTemps()
+	g := &graph{mp: mp, opts: opts, active: make([][]activeRun, nt)}
 	g.isConst = make([]bool, nt)
 	g.constVal = make([]uint32, nt)
 	g.cloneSet = make([]int, nt)
@@ -209,20 +201,16 @@ func buildGraph(mp *mir.Program, opts Options) (*graph, error) {
 	}
 
 	// Points: per block, len(instrs)+1 boundary points, plus one after
-	// a branch comparison.
+	// a branch comparison. Block b's point i is firstPoint[b]+i.
 	blockFreq := freq.Estimate(mp)
-	type pkey struct {
-		b   mir.BlockID
-		idx int
-	}
-	pointOf := map[pkey]pointID{}
+	firstPoint := make([]pointID, len(mp.Blocks))
 	for _, b := range mp.Blocks {
 		n := len(b.Instrs) + 1
 		if _, isBr := b.Term.(*mir.Branch); isBr {
 			n++
 		}
+		firstPoint[b.ID] = pointID(g.npoints)
 		for i := 0; i < n; i++ {
-			pointOf[pkey{b.ID, i}] = pointID(g.npoints)
 			g.weight = append(g.weight, blockFreq[b.ID])
 			g.pointTag = append(g.pointTag, fmt.Sprintf("b%d.%d", b.ID, i))
 			g.npoints++
@@ -251,21 +239,19 @@ func buildGraph(mp *mir.Program, opts Options) (*graph, error) {
 			}
 		}
 	}
+	// Sets of two or more temps are numbered in the order of their
+	// smallest member.
 	nextSet := 0
-	setIDs := map[int]int{}
 	for t := 0; t < nt; t++ {
 		r := cloneUF.find(t)
-		if r != t || cloneUF.size(t) > 1 {
-			id, ok := setIDs[cloneUF.find(t)]
-			if !ok {
-				id = nextSet
-				nextSet++
-				setIDs[cloneUF.find(t)] = id
-			}
-			if cloneUF.size(cloneUF.find(t)) > 1 {
-				g.cloneSet[t] = id
-			}
+		if cloneUF.size(r) == 1 {
+			continue
 		}
+		if g.cloneSet[r] < 0 {
+			g.cloneSet[r] = nextSet
+			nextSet++
+		}
+		g.cloneSet[t] = g.cloneSet[r]
 	}
 
 	// Allowed banks per temp (§8 pruning).
@@ -274,7 +260,7 @@ func buildGraph(mp *mir.Program, opts Options) (*graph, error) {
 	lv := mir.ComputeLiveness(mp)
 	// Build per-block, per-var chains.
 	for _, b := range mp.Blocks {
-		if err := g.buildBlock(b, lv, pointOf[pkey{b.ID, 0}], allowed); err != nil {
+		if err := g.buildBlock(b, lv, firstPoint[b.ID], allowed); err != nil {
 			return nil, err
 		}
 	}
@@ -284,10 +270,10 @@ func buildGraph(mp *mir.Program, opts Options) (*graph, error) {
 		if _, isBr := b.Term.(*mir.Branch); isBr {
 			exitIdx++
 		}
-		exitPt := pointOf[pkey{b.ID, exitIdx}]
+		exitPt := firstPoint[b.ID] + pointID(exitIdx)
 		for _, e := range b.Succs() {
 			target := mp.Blocks[e.To]
-			entryPt := pointOf[pkey{e.To, 0}]
+			entryPt := firstPoint[e.To]
 			// Arguments feed parameters.
 			for i, a := range e.Args {
 				if a.IsImm {
@@ -326,8 +312,9 @@ func buildGraph(mp *mir.Program, opts Options) (*graph, error) {
 					}
 				}
 			}
-			// Live-through variables carry unchanged.
-			for v := range lv.In[e.To] {
+			// Live-through variables carry unchanged. The unions run in
+			// temp order, so the web roots do not depend on map order.
+			for _, v := range sortedTemps(lv.In[e.To]) {
 				if isParam(target, v) {
 					continue
 				}
@@ -446,12 +433,12 @@ func normalize(mp *mir.Program) {
 	}
 }
 
-// sortedTemps returns map keys in deterministic order.
-func sortedTemps(s map[mir.Temp]bool) []mir.Temp {
-	out := make([]mir.Temp, 0, len(s))
-	for v := range s {
+// sortedTemps returns the members of a liveness set in ascending order.
+func sortedTemps(set map[mir.Temp]bool) []mir.Temp {
+	out := make([]mir.Temp, 0, len(set))
+	for v := range set {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -43,10 +43,10 @@ type Result struct {
 	// allocator instead of the ILP (correct but unproven quality).
 	Fallback bool
 
-	// BankOf assigns a bank to every location web root.
-	bankOf map[locID]Bank
-	// ColorOf[v][b] is v's register number in transfer bank b.
-	ColorOf map[mir.Temp]map[Bank]int
+	// bankOf[r] is the bank of location web root r.
+	bankOf []Bank
+	// colors[v][b] is v's register number in transfer bank b, or -1.
+	colors [][NumBanks]int
 
 	Moves  []MoveRec
 	Remats int // materializations from the constant bank C
@@ -130,11 +130,15 @@ func Allocate(mp *mir.Program, opts Options, mipOpts *mip.Options) (*Result, err
 		// completed combinatorially by the heuristic once banks are
 		// integral.
 		prio := make([]int, il.m.LP().NumCols())
-		for _, col := range il.posCol {
-			prio[col] = 2
+		for _, r := range il.roots {
+			for _, b := range g.locAllow[r].banks() {
+				prio[il.posCol[r][b]] = 2
+			}
 		}
-		for _, col := range il.colorCol {
-			prio[col] = 1
+		for _, cv := range il.colorVars {
+			for r := 0; r < XRegs; r++ {
+				prio[cv.col+r] = 1
+			}
 		}
 		mipOpts.Priority = prio
 	}
@@ -229,15 +233,15 @@ func (il *ilp) extract(res *mip.Result) (*Result, error) {
 		ModelStats: il.m.Stats(),
 		MIP:        res,
 		ObjConst:   il.objConst,
-		bankOf:     map[locID]Bank{},
-		ColorOf:    map[mir.Temp]map[Bank]int{},
+		bankOf:     make([]Bank, len(g.locTemp)),
+		colors:     make([][NumBanks]int, len(il.colorVarOf)),
 		graph:      g,
 		model:      il.m,
 	}
 	for _, r := range il.roots {
 		var chosen Bank = -1
 		for _, b := range g.locAllow[r].banks() {
-			if res.X[il.posCol[posKey{r, b}]] > 0.5 {
+			if res.X[il.posCol[r][b]] > 0.5 {
 				chosen = b
 				break
 			}
@@ -247,18 +251,20 @@ func (il *ilp) extract(res *mip.Result) (*Result, error) {
 		}
 		out.bankOf[r] = chosen
 	}
-	for key, col := range il.colorCol {
-		if res.X[col] > 0.5 {
-			if out.ColorOf[key.v] == nil {
-				out.ColorOf[key.v] = map[Bank]int{}
+	for v := range out.colors {
+		out.colors[v] = noBanks
+	}
+	for _, cv := range il.colorVars {
+		for r := 0; r < XRegs; r++ {
+			if res.X[cv.col+r] > 0.5 {
+				out.colors[cv.v][cv.bank] = r
 			}
-			out.ColorOf[key.v][key.bank] = key.reg
 		}
 	}
 	// Moves: arcs whose endpoint webs landed in different banks.
 	// Clone-group moves with identical endpoints at one point count
 	// once (§10).
-	seenClone := map[string]bool{}
+	seenClone := map[[4]int]bool{}
 	pointBlock, pointIndex := g.pointPlacement()
 	for _, a := range g.arcs {
 		from, to := g.find(a.from), g.find(a.to)
@@ -271,7 +277,7 @@ func (il *ilp) extract(res *mip.Result) (*Result, error) {
 		}
 		dup := false
 		if set := g.cloneSet[a.v]; set >= 0 {
-			key := fmt.Sprintf("%d|%d|%d|%d", a.point, set, b1, b2)
+			key := [4]int{int(a.point), set, int(b1), int(b2)}
 			dup = seenClone[key]
 			seenClone[key] = true
 		}
@@ -295,22 +301,30 @@ func (il *ilp) extract(res *mip.Result) (*Result, error) {
 }
 
 // pointPlacement maps each point back to (block, instruction index).
-func (g *graph) pointPlacement() (map[pointID]mir.BlockID, map[pointID]int) {
-	blocks := map[pointID]mir.BlockID{}
-	idxs := map[pointID]int{}
-	p := pointID(0)
+func (g *graph) pointPlacement() ([]mir.BlockID, []int) {
+	blocks := make([]mir.BlockID, 0, g.npoints)
+	idxs := make([]int, 0, g.npoints)
 	for _, b := range g.mp.Blocks {
 		n := len(b.Instrs) + 1
 		if _, isBr := b.Term.(*mir.Branch); isBr {
 			n++
 		}
 		for i := 0; i < n; i++ {
-			blocks[p] = b.ID
-			idxs[p] = i
-			p++
+			blocks = append(blocks, b.ID)
+			idxs = append(idxs, i)
 		}
 	}
 	return blocks, idxs
+}
+
+// ColorOf returns v's register number in transfer bank b, or false
+// when v has no register there.
+func (r *Result) ColorOf(v mir.Temp, b Bank) (int, bool) {
+	if int(v) >= len(r.colors) {
+		return 0, false
+	}
+	c := r.colors[v][b]
+	return c, c >= 0
 }
 
 // BankAt returns the bank of temp v immediately after any move at

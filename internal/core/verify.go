@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cps"
 	"repro/internal/mir"
@@ -37,7 +38,7 @@ func Verify(res *Result) error {
 		return false
 	}
 	colorOf := func(v mir.Temp, b Bank) int {
-		if c, ok := res.ColorOf[v][b]; ok {
+		if c, ok := res.ColorOf(v, b); ok {
 			return c
 		}
 		bad("temp %s has no color in %v", mp.TempName(v), b)
@@ -188,40 +189,40 @@ func Verify(res *Result) error {
 	}
 
 	// Capacity and color-conflict checks per point.
+	var count [NumBanks][]int
+	var colorUse [NumBanks][XRegs][]mir.Temp
 	for pp := 0; pp < g.npoints; pp++ {
 		for _, list := range [][]locEntry{g.beforeLocs[pp], g.afterLocs[pp]} {
-			count := map[Bank]map[int]bool{}
-			colorUse := map[Bank]map[int][]mir.Temp{}
+			for bk := range count {
+				count[bk] = count[bk][:0]
+				for c := range colorUse[bk] {
+					colorUse[bk][c] = colorUse[bk][c][:0]
+				}
+			}
 			for _, le := range list {
 				root := g.find(le.loc)
 				bk := res.bankOf[root]
-				if count[bk] == nil {
-					count[bk] = map[int]bool{}
-				}
 				// Clone sets share a register when co-resident, so they
 				// count once (§10); every other live temp needs its own.
 				key := int(le.v)
 				if set := g.cloneSet[le.v]; set >= 0 {
 					key = -(set + 1)
 				}
-				count[bk][key] = true
+				count[bk] = append(count[bk], key)
 				if bk.IsXfer() {
-					c, ok := res.ColorOf[le.v][bk]
+					c, ok := res.ColorOf(le.v, bk)
 					if !ok {
 						bad("%s: %s in %v without color", g.pointTag[pp], mp.TempName(le.v), bk)
 						continue
 					}
-					if colorUse[bk] == nil {
-						colorUse[bk] = map[int][]mir.Temp{}
-					}
 					colorUse[bk][c] = append(colorUse[bk][c], le.v)
 				}
 			}
-			if len(count[A]) > KA {
-				bad("%s: %d webs in A exceeds capacity", g.pointTag[pp], len(count[A]))
+			if n := distinct(count[A]); n > KA {
+				bad("%s: %d webs in A exceeds capacity", g.pointTag[pp], n)
 			}
-			if len(count[B]) > KB {
-				bad("%s: %d webs in B exceeds capacity", g.pointTag[pp], len(count[B]))
+			if n := distinct(count[B]); n > KB {
+				bad("%s: %d webs in B exceeds capacity", g.pointTag[pp], n)
 			}
 			for bk, regs := range colorUse {
 				for c, temps := range regs {
@@ -237,7 +238,7 @@ func Verify(res *Result) error {
 								continue
 							}
 							bad("%s: %s and %s share %v register %d", g.pointTag[pp],
-								mp.TempName(v1), mp.TempName(v2), bk, c)
+								mp.TempName(v1), mp.TempName(v2), Bank(bk), c)
 						}
 					}
 				}
@@ -273,4 +274,10 @@ func Verify(res *Result) error {
 		return fmt.Errorf("core verify: %d violations:\n%s", len(errs), msg)
 	}
 	return nil
+}
+
+// distinct counts the distinct values in keys, sorting keys.
+func distinct(keys []int) int {
+	slices.Sort(keys)
+	return len(slices.Compact(keys))
 }

@@ -196,9 +196,6 @@ func (p *Program) NewLabel() Label {
 	return l
 }
 
-// NumVars returns the number of allocated temporaries.
-func (p *Program) NumVars() int { return int(p.nextVar) }
-
 // VarName returns the debug name of v.
 func (p *Program) VarName(v Var) string {
 	if n := p.names[v]; n != "" {
@@ -308,34 +305,6 @@ func (p *Program) writeTerm(b *strings.Builder, t Term, depth int) {
 	default:
 		fmt.Fprintf(b, "?%T\n", t)
 	}
-}
-
-// Successors returns the labels a term can transfer control to.
-func Successors(t Term) []Label {
-	var out []Label
-	var walk func(Term)
-	walk = func(t Term) {
-		switch t := t.(type) {
-		case *Arith:
-			walk(t.K)
-		case *MemRead:
-			walk(t.K)
-		case *MemWrite:
-			walk(t.K)
-		case *Special:
-			walk(t.K)
-		case *Clone:
-			walk(t.K)
-		case *If:
-			walk(t.Then)
-			walk(t.Else)
-		case *App:
-			out = append(out, t.F)
-		case *Halt:
-		}
-	}
-	walk(t)
-	return out
 }
 
 // Cont returns the linear continuation of a binding term, or nil for

@@ -34,12 +34,10 @@ type Config struct {
 	// Workload is the packet program the fleet serves (fleet.Compile or
 	// a hand-built adapter). Required.
 	Workload *fleet.Workload
-	// Fleet sizes the chip fleet. The daemon owns Heal/Idle/Live on
-	// this struct; set chips/engines/threads/rings here.
+	// Fleet sizes the chip fleet: chips, engines, threads and the
+	// re-admission policy Fleet.Heal (nil = fleet defaults — healing
+	// is always on in a daemon). The daemon owns Idle and Live.
 	Fleet fleet.Options
-	// Heal overrides the re-admission policy (nil = fleet defaults —
-	// healing is always on in a daemon).
-	Heal *fleet.HealPolicy
 	// Flows is the number of distinct flows generated (default 64).
 	Flows int
 	// Payload is the per-packet payload size in bytes (default 8).
@@ -92,8 +90,8 @@ func (c Config) withDefaults() Config {
 	if c.StallTicks <= 0 {
 		c.StallTicks = 100
 	}
-	if c.Heal == nil {
-		c.Heal = &fleet.HealPolicy{}
+	if c.Fleet.Heal == nil {
+		c.Fleet.Heal = &fleet.HealPolicy{}
 	}
 	return c
 }
@@ -276,7 +274,6 @@ func (d *Daemon) Run() (*Report, error) {
 	baseline := runtime.NumGoroutine()
 
 	opts := d.cfg.Fleet
-	opts.Heal = d.cfg.Heal
 	opts.Live = d.live
 	opts.Idle = d.idle
 

@@ -31,9 +31,9 @@ func soakWorkload(t *testing.T) *fleet.Workload {
 
 func testConfig(t *testing.T, chips int) Config {
 	return Config{
-		Workload:   soakWorkload(t),
-		Fleet:      fleet.Options{Chips: chips, Engines: 2, Threads: 2},
-		Heal:       &fleet.HealPolicy{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond, Probation: 50 * time.Millisecond, Seed: 7},
+		Workload: soakWorkload(t),
+		Fleet: fleet.Options{Chips: chips, Engines: 2, Threads: 2,
+			Heal: &fleet.HealPolicy{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond, Probation: 50 * time.Millisecond, Seed: 7}},
 		AuditEvery: 20 * time.Millisecond,
 		OnViolation: func(r *AuditReport) {
 			t.Errorf("auditor violation: [%s] %s", r.Rule, r.Detail)

@@ -44,7 +44,7 @@
 // handful of pivots instead of a full solve.
 // A cold solve whose crash basis is dual feasible (every column at
 // the bound its cost prefers, as in the register allocator's models)
-// runs the same dual on costs perturbed by about Tol, then drops the
+// runs the same dual on costs perturbed by about feasTol, then drops the
 // perturbation and lets primal phase 2 reprice from the true costs;
 // it needs no phase 1 (DESIGN.md §11). Options.Method MethodPrimal
 // pins the two-phase primal for experiments and as the reference the

@@ -179,7 +179,7 @@ func (s *simplex) dualFeasible(dtol float64) bool {
 }
 
 // The dual's leaving row (CHUZR) is the basic with the largest
-// dual-devex weighted violation v²/rowW of a bound by more than Tol,
+// dual-devex weighted violation v²/rowW of a bound by more than feasTol,
 // ties to the lowest row. A max-heap keeps every such row under that
 // order, so a pick reads the top instead of scanning the infeasible
 // set. A row's score depends only on its x_B, its weight and its basic
@@ -281,11 +281,11 @@ func (q *chuzrHeap) compact() {
 }
 
 // pushRow adds row i's entry at its current stamp when the row is
-// violated by more than Tol with a positive score — the rows an
+// violated by more than feasTol with a positive score — the rows an
 // ascending scan from a best score of zero can pick. It reports
 // whether it added one.
 func (s *simplex) pushRow(i int) bool {
-	tol := s.opts.Tol
+	tol := feasTol
 	x := s.xB[i]
 	j := s.basis[i]
 	var v float64
@@ -345,7 +345,7 @@ func (s *simplex) rescoreW() {
 }
 
 // dualLeaving returns the dual simplex's leaving row and its signed
-// violation, or -1 when no row is violated by more than Tol: the top
+// violation, or -1 when no row is violated by more than feasTol: the top
 // of the heap once its stale entries are gone.
 func (s *simplex) dualLeaving() (r int, delta float64) {
 	q := &s.chuzr
@@ -363,7 +363,7 @@ func (s *simplex) dualLeaving() (r int, delta float64) {
 // provably primal infeasible (Infeasible), out of budget (IterLimit),
 // or the loop wants the primal to take over (dualBail).
 func (s *simplex) runDual() (Status, error) {
-	tol := s.opts.Tol
+	tol := feasTol
 	s.computeReducedCosts()
 	if !s.dualFeasible(10 * tol) {
 		return dualBail, nil

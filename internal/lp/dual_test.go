@@ -187,7 +187,7 @@ func allocatorLP(rng *rand.Rand, m, n int, infeasible bool) *Problem {
 		c := 0.0
 		if rng.Intn(4) != 0 {
 			// Six distinct magnitudes, so columns of one equation often
-			// tie, split by near ties a few µ apart: above Tol, below
+			// tie, split by near ties a few µ apart: above feasTol, below
 			// the perturbation of costs in the tens and hundreds.
 			c = float64(1+rng.Intn(3))*math.Pow(10, float64(1+rng.Intn(2))) + 1e-6*float64(rng.Intn(4))
 		}
@@ -271,7 +271,7 @@ func TestColdDualMatchesPrimal(t *testing.T) {
 		}
 		act := make([]float64, p.NumRows())
 		for j, x := range got.X {
-			if x < p.lo[j]-o.Tol || x > p.hi[j]+o.Tol {
+			if x < p.lo[j]-feasTol || x > p.hi[j]+feasTol {
 				t.Fatalf("trial %d: x[%d] = %v outside [%v, %v]", trial, j, x, p.lo[j], p.hi[j])
 			}
 			for _, nz := range p.Col(j) {
@@ -279,7 +279,7 @@ func TestColdDualMatchesPrimal(t *testing.T) {
 			}
 		}
 		for r, a := range act {
-			if a < p.a.rowLo[r]-o.Tol || a > p.a.rowHi[r]+o.Tol {
+			if a < p.a.rowLo[r]-feasTol || a > p.a.rowHi[r]+feasTol {
 				t.Fatalf("trial %d: row %d activity %v outside [%v, %v]", trial, r, a, p.a.rowLo[r], p.a.rowHi[r])
 			}
 		}
@@ -291,7 +291,7 @@ func TestColdDualMatchesPrimal(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.computeReducedCosts()
-		if !f.dualFeasible(o.Tol) {
+		if !f.dualFeasible(feasTol) {
 			t.Fatalf("trial %d: reduced costs from the true costs are not dual feasible", trial)
 		}
 		again, err := p.Solve(nil)

@@ -486,7 +486,7 @@ func TestPivotKernelsDoNotAllocate(t *testing.T) {
 		s.scatterColumn(q)
 		s.ftranW()
 		s.updatePricing(q, r)
-		s.priceDevex(o.Tol)
+		s.priceDevex(feasTol)
 		s.stepXB(0)
 		s.rescoreW()
 		s.dualLeaving()

@@ -27,7 +27,7 @@ import (
 //     its infeasibility sum and its c_B are infeasibility()'s and the
 //     old scan's, term for term.
 //   - The dual's leaving-row heap (simplex.chuzr, dual.go) holds each
-//     row violated by more than Tol under its weighted violation; the
+//     row violated by more than feasTol under its weighted violation; the
 //     dual re-scores the rows each step moves, and its top is the
 //     scan's pick, ties to the lowest row.
 //   - The devex candidates (simplex.cand) hold every nonbasic whose d
@@ -57,7 +57,7 @@ func (s *simplex) repriceDevex() {
 		s.cand = newIndexSet(s.n + s.m)
 	}
 	s.cand.empty()
-	tol := s.opts.Tol
+	tol := feasTol
 	for j, d := range s.d {
 		if _, dir := dantzigScore(s.state[j], d, tol); dir != 0 {
 			s.cand.touch(j)
@@ -196,7 +196,7 @@ func (s *simplex) updatePricing(q, r int) {
 // threshold; solveOnce then finishes the phase with the Bland-guarded
 // Dantzig loop.
 func (s *simplex) runDevex() (Status, error) {
-	tol := s.opts.Tol
+	tol := feasTol
 	checkClock := !s.opts.Deadline.IsZero()
 	s.initPricing()
 	exact := true // d matches an exact recompute

@@ -318,10 +318,12 @@ const (
 	MethodPrimal
 )
 
+// feasTol is the feasibility and optimality tolerance of every solve.
+const feasTol = 1e-7
+
 // Options tunes the solver.
 type Options struct {
-	MaxIters int     // 0 means automatic (scaled with problem size)
-	Tol      float64 // feasibility/optimality tolerance (default 1e-7)
+	MaxIters int // 0 means automatic (scaled with problem size)
 	// RefactorGap, when positive, fixes the refactorization cadence: the
 	// factorization is rebuilt once this many update etas are stacked
 	// on it. Zero (the default) rebuilds by the work clock instead: once
@@ -348,9 +350,6 @@ type Options struct {
 func (o *Options) fill(p *Problem) {
 	if o.MaxIters == 0 {
 		o.MaxIters = 20000 + 40*(p.NumRows()+p.NumCols())
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-7
 	}
 }
 

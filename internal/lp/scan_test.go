@@ -76,7 +76,7 @@ func checkInfeasibleSet(t testing.TB, s *simplex) {
 // eligible nonbasics.
 func checkDevexCandidates(t testing.TB, s *simplex) {
 	t.Helper()
-	tol := s.opts.Tol
+	tol := feasTol
 	wantJ, wantDir := refPriceDevex(s, tol)
 	if gotJ, gotDir := s.priceDevex(tol); gotJ != wantJ || gotDir != wantDir {
 		t.Fatalf("devex pick (%d, %v), full scan (%d, %v)", gotJ, gotDir, wantJ, wantDir)
@@ -93,7 +93,7 @@ func checkDevexCandidates(t testing.TB, s *simplex) {
 // heap is the full scan's: the row and the bits of its violation.
 func checkDualLeaving(t testing.TB, s *simplex) {
 	t.Helper()
-	tol := s.opts.Tol
+	tol := feasTol
 	wantR, wantDelta := refDualLeaving(s, tol)
 	if gotR, gotDelta := s.dualLeaving(); gotR != wantR || math.Float64bits(gotDelta) != math.Float64bits(wantDelta) {
 		t.Fatalf("dual leaving row (%d, %v), full scan (%d, %v)", gotR, gotDelta, wantR, wantDelta)
@@ -373,14 +373,14 @@ func TestPicksBreakTiesToLowestIndex(t *testing.T) {
 	}
 	s.gamma[3] = 1 // the best score, d²/γ = 4
 	s.d[4] = -1    // d²/γ = 1/4 < 1
-	if j, _ := s.priceDevex(o.Tol); j != 3 {
+	if j, _ := s.priceDevex(feasTol); j != 3 {
 		t.Fatalf("devex picked %d, want 3 (the only best score)", j)
 	}
 	s.gamma[3] = 4 // ties 2, 3 and 5 at d²/γ = 1
-	if j, _ := s.priceDevex(o.Tol); j != 2 {
+	if j, _ := s.priceDevex(feasTol); j != 2 {
 		t.Fatalf("devex picked %d among ties 3, 2, 5, want 2", j)
 	}
-	if j, _ := refPriceDevex(s, o.Tol); j != 2 {
+	if j, _ := refPriceDevex(s, feasTol); j != 2 {
 		t.Fatalf("full scan picked %d, want 2", j)
 	}
 
@@ -402,7 +402,7 @@ func TestPicksBreakTiesToLowestIndex(t *testing.T) {
 	if r, _ := s.dualLeaving(); r != 1 {
 		t.Fatalf("dual picked row %d among ties 2, 1, 3, want 1", r)
 	}
-	if r, _ := refDualLeaving(s, o.Tol); r != 1 {
+	if r, _ := refDualLeaving(s, feasTol); r != 1 {
 		t.Fatalf("full scan picked row %d, want 1", r)
 	}
 }

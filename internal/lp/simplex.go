@@ -664,7 +664,7 @@ func (s *simplex) solveOnce(warm *Basis) (*Solution, error) {
 	// allocator's root LP); a cold dual runs on perturbed costs
 	// (DESIGN.md §11). runDual defers to the primal phases at once when
 	// the start is not dual feasible.
-	if s.opts.Method != MethodPrimal && s.infeasibility() > s.opts.Tol {
+	if s.opts.Method != MethodPrimal && s.infeasibility() > feasTol {
 		if !warmLoaded {
 			s.cost = s.perturbedCosts()
 		}
@@ -683,7 +683,7 @@ func (s *simplex) solveOnce(warm *Basis) (*Solution, error) {
 		// where it stopped.
 	}
 	// Phase 1: drive out infeasibility.
-	if s.infeasibility() > s.opts.Tol {
+	if s.infeasibility() > feasTol {
 		st, err := s.run(true)
 		if err != nil {
 			return nil, err
@@ -788,7 +788,7 @@ func (s *simplex) crashBasis() {
 }
 
 // perturbedCosts returns the costs a cold dual runs on. Each
-// structural j at a bound gets δ_j = Tol·(1+|c_j|)·(1+u_j) added toward
+// structural j at a bound gets δ_j = feasTol·(1+|c_j|)·(1+u_j) added toward
 // the side that keeps its reduced cost dual feasible, u_j ∈ [0, 1) a
 // fixed hash of j. The zero-cost columns, which would otherwise tie at
 // every dual ratio test, get distinct nonzero ratios, so the dual's
@@ -804,7 +804,7 @@ func (s *simplex) perturbedCosts() []float64 {
 		h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
 		h = (h ^ h>>27) * 0x94d049bb133111eb
 		u := float64((h^h>>31)>>11) / (1 << 53)
-		delta := s.opts.Tol * (1 + math.Abs(cj)) * (1 + u)
+		delta := feasTol * (1 + math.Abs(cj)) * (1 + u)
 		switch s.state[j] {
 		case stLower:
 			c[j] = cj + delta
@@ -966,10 +966,10 @@ func (s *simplex) costOf(j int, phase1 bool) float64 {
 			return 0
 		}
 		x := s.xB[s.inRow[j]]
-		if x < s.lob(j)-s.opts.Tol {
+		if x < s.lob(j)-feasTol {
 			return -1
 		}
-		if x > s.hib(j)+s.opts.Tol {
+		if x > s.hib(j)+feasTol {
 			return 1
 		}
 		return 0
@@ -1087,7 +1087,7 @@ func (s *simplex) ratioTest(enter int, enterDir float64, phase1 bool, tol float6
 // only when the error is nil. Options.Deadline, when set, is checked
 // every 256 iterations and returns IterLimit once passed.
 func (s *simplex) run(phase1 bool) (Status, error) {
-	tol := s.opts.Tol
+	tol := feasTol
 	checkClock := !s.opts.Deadline.IsZero()
 	for ; s.iter < s.opts.MaxIters; s.iter++ {
 		if checkClock && s.iter&255 == 0 && time.Now().After(s.opts.Deadline) {

@@ -43,7 +43,6 @@ type Options struct {
 	Gap      float64       // relative optimality gap; default 1e-4 (0.01%)
 	MaxNodes int           // node budget; default 200000
 	Time     time.Duration // wall-clock budget; default 5 minutes
-	LP       *lp.Options   // per-node LP options
 	Workers  int           // parallel tree-search workers; default GOMAXPROCS
 
 	// Presolve is interpreted by the modeling layer (model.Solve runs
@@ -179,7 +178,6 @@ func Solve(p *lp.Problem, integer []bool, opts *Options) (*Result, error) {
 	if dl, ok := ctx.Deadline(); ok && dl.Before(deadline) {
 		deadline = dl
 	}
-	o.LP = withDeadline(o.LP, deadline)
 	if ctx.Err() != nil {
 		res.Status = Cancelled
 		res.Time = time.Since(start)
@@ -188,7 +186,7 @@ func Solve(p *lp.Problem, integer []bool, opts *Options) (*Result, error) {
 
 	rootStart := time.Now()
 	rootSp := obs.StartSpan("mip/root_lp")
-	rootSol, err := p.Solve(o.LP)
+	rootSol, err := p.Solve(&lp.Options{Deadline: deadline})
 	rootSp.End()
 	res.RootTime = time.Since(rootStart)
 	if err != nil {
@@ -213,6 +211,7 @@ func Solve(p *lp.Problem, integer []bool, opts *Options) (*Result, error) {
 
 	e := newEngine(p, integer, &o, start)
 	e.ctx = ctx
+	e.deadline = deadline
 	// Root incumbent: the rounded root vertex.
 	heurSp := obs.StartSpan("mip/root_heuristics")
 	if x, obj, ok := roundFeasible(p, integer, rootSol.X); ok {
@@ -226,22 +225,6 @@ func Solve(p *lp.Problem, integer []bool, opts *Options) (*Result, error) {
 	cMIPSolves.Inc()
 	cMIPNodes.Add(int64(res.Nodes))
 	return res, e.err
-}
-
-// withDeadline copies the caller's LP options with the solve's hard
-// wall-clock deadline installed (keeping an earlier caller deadline if
-// one is already set). Every LP the solve runs — the root and the tree
-// nodes — goes through the result, so no
-// single LP can blow past the MIP budget.
-func withDeadline(base *lp.Options, dl time.Time) *lp.Options {
-	var o lp.Options
-	if base != nil {
-		o = *base
-	}
-	if o.Deadline.IsZero() || dl.Before(o.Deadline) {
-		o.Deadline = dl
-	}
-	return &o
 }
 
 // salvageRoot turns a root LP that hit its iteration or wall-clock

@@ -139,8 +139,11 @@ type engine struct {
 	intCols []int // integer column indices, precomputed once
 	opts    *Options
 	start   time.Time
-	pool    *pool
-	ctx     context.Context
+	// deadline bounds every node LP (Options.Time or the context's
+	// deadline, whichever is earlier).
+	deadline time.Time
+	pool     *pool
+	ctx      context.Context
 
 	// Failure-recovery state (DESIGN.md §10): serial flips when a node
 	// panicked through its parallel retry, after which every worker but
@@ -295,9 +298,7 @@ func (e *engine) worker(id int) {
 	for j := 0; j < n; j++ {
 		w.rootLo[j], w.rootHi[j] = e.p.Bounds(j)
 	}
-	if e.opts.LP != nil {
-		w.lpOpts = *e.opts.LP
-	}
+	w.lpOpts.Deadline = e.deadline
 	for {
 		nd := e.pool.pop()
 		if nd == nil {

@@ -49,9 +49,6 @@ var active atomic.Pointer[Recorder]
 // whether spans are being collected. Counters count regardless.
 func Enabled() bool { return active.Load() != nil }
 
-// Active returns the installed Recorder, or nil when disabled.
-func Active() *Recorder { return active.Load() }
-
 // Start creates a fresh Recorder named after the calling process (the
 // name labels the trace in Perfetto), installs it as the active one,
 // and returns it. Any previously installed Recorder is replaced; its

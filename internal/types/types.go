@@ -247,12 +247,6 @@ func Equal(a, b Type) bool {
 	return false
 }
 
-// IsUnit reports whether t is the empty tuple.
-func IsUnit(t Type) bool {
-	tt, ok := Expand(t).(Tuple)
-	return ok && len(tt.Elems) == 0
-}
-
 // WordCount returns how many machine words a first-class value of type
 // t occupies when flattened (bools count as one word when stored as
 // data; functions and exceptions occupy no words — they are
