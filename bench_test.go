@@ -26,11 +26,10 @@ func BenchmarkFig2ModelInstantiation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := model.New()
 		for ti, t := range T {
-			e := model.NewExpr()
 			for range R {
-				e.Add(1, m.Binary()) // x[t,r]
+				m.Term(1, m.Binary()) // x[t,r]
 			}
-			m.Eq(e, cost[t]) // row ti: sum_r x[t,r] = cost[t]
+			m.Eq(cost[t]) // row ti: sum_r x[t,r] = cost[t]
 			if lo, _ := m.LP().RowBounds(ti); lo != cost[t] {
 				b.Fatalf("row %d has rhs %g, want %g", ti, lo, cost[t])
 			}

@@ -164,11 +164,10 @@ func (il *ilp) positions() error {
 			return fmt.Errorf("core: location web of %s has no feasible bank (conflicting operand constraints)",
 				g.mp.TempName(g.locTemp[r]))
 		}
-		e := model.NewExpr()
 		for _, b := range allow.banks() {
 			col := il.m.Binary()
 			il.posCol[r][b] = col
-			e.Add(1, col)
+			il.m.Term(1, col)
 			// Symmetry breaking in the spirit of the paper's §7 bias:
 			// an epsilon preference of A over B keeps the LP vertices
 			// integral instead of splitting ties fractionally. The
@@ -177,7 +176,7 @@ func (il *ilp) positions() error {
 				il.m.ObjAdd(col, 1e-6)
 			}
 		}
-		il.m.Eq(e, 1) // one place only
+		il.m.Eq(1) // one place only
 	}
 	return nil
 }
@@ -283,7 +282,7 @@ func (il *ilp) moves() {
 		// Full flow formulation. The transition variables are
 		// continuous: integrality follows from the endpoint positions
 		// being 0-1.
-		var pvs []moveCol
+		pvs := make([]moveCol, 0, fa.count()*ta.count())
 		for _, b1 := range fa.banks() {
 			for _, b2 := range ta.banks() {
 				c := il.arcCost(a.v, b1, b2)
@@ -313,56 +312,53 @@ func (il *ilp) moves() {
 				}
 				// clone move: cm >= move member
 				mc := &il.maxCols[groupMoves[gi][k].max]
-				il.m.Ge(model.NewExpr().Add(1, mc.col).Add(-1, col), 0)
+				il.m.Term(1, mc.col).Term(-1, col).Ge(0)
 				mc.of = append(mc.of, col)
 			}
 		}
 		il.moveCols[i] = pvs
 		// Flow conservation.
 		for _, b1 := range fa.banks() {
-			e := model.NewExpr()
 			for _, p := range pvs {
 				if p.b1 == b1 {
-					e.Add(1, p.col)
+					il.m.Term(1, p.col)
 				}
 			}
-			e.Add(-1, il.pos(from, b1))
-			il.m.Eq(e, 0) // moves out of b1 = pos[from, b1]
+			il.m.Term(-1, il.pos(from, b1)).Eq(0) // moves out of b1 = pos[from, b1]
 		}
 		for _, b2 := range ta.banks() {
-			e := model.NewExpr()
 			for _, p := range pvs {
 				if p.b2 == b2 {
-					e.Add(1, p.col)
+					il.m.Term(1, p.col)
 				}
 			}
-			e.Add(-1, il.pos(to, b2))
-			il.m.Eq(e, 0) // moves into b2 = pos[to, b2]
+			il.m.Term(-1, il.pos(to, b2)).Eq(0) // moves into b2 = pos[to, b2]
 		}
 	}
 	// Arith operand pairing (§6): two sources cannot share A, B, and at
 	// most one may come from the transfer banks L ∪ LD.
+	xfer := make([]int, 0, 4) // a pair's L and LD position columns
 	for _, pr := range il.g.pairs {
 		for _, b := range []Bank{A, B} {
 			x, y := il.pos(pr.x, b), il.pos(pr.y, b)
 			if x >= 0 && y >= 0 {
-				il.m.Le(model.NewExpr().Add(1, x).Add(1, y), 1)
+				il.m.Term(1, x).Term(1, y).Le(1)
 			}
 		}
-		e := model.NewExpr()
-		n := 0
+		xfer = xfer[:0]
 		for _, b := range []Bank{L, LD} {
 			if x := il.pos(pr.x, b); x >= 0 {
-				e.Add(1, x)
-				n++
+				xfer = append(xfer, x)
 			}
 			if y := il.pos(pr.y, b); y >= 0 {
-				e.Add(1, y)
-				n++
+				xfer = append(xfer, y)
 			}
 		}
-		if n > 1 {
-			il.m.Le(e, 1)
+		if len(xfer) > 1 {
+			for _, col := range xfer {
+				il.m.Term(1, col)
+			}
+			il.m.Le(1)
 		}
 	}
 }
@@ -423,6 +419,9 @@ func (il *ilp) capacity() {
 	// representative column's index into il.maxCols.
 	type setRep struct{ set, max int }
 	var reps []setRep
+	// The row's terms are gathered first: the clone-count rows go in
+	// while they are met, before the row itself.
+	var terms []int
 	for p := 0; p < g.npoints; p++ {
 		for _, list := range [][]locEntry{g.beforeLocs[p], g.afterLocs[p]} {
 			for _, bank := range []Bank{A, B} {
@@ -433,8 +432,7 @@ func (il *ilp) capacity() {
 				if len(list) <= k {
 					continue // cannot bind
 				}
-				e := model.NewExpr()
-				terms := 0
+				terms = terms[:0]
 				reps = reps[:0]
 				for _, le := range list {
 					col := il.pos(le.loc, bank)
@@ -445,23 +443,24 @@ func (il *ilp) capacity() {
 						i := slices.IndexFunc(reps, func(r setRep) bool { return r.set == set })
 						if i < 0 {
 							rep := il.m.Continuous(0, 1)
-							e.Add(1, rep)
-							terms++
+							terms = append(terms, rep)
 							i = len(reps)
 							reps = append(reps, setRep{set, len(il.maxCols)})
 							il.maxCols = append(il.maxCols, maxCol{col: rep})
 						}
 						// clone count: rep >= pos of each member
 						mc := &il.maxCols[reps[i].max]
-						il.m.Ge(model.NewExpr().Add(1, mc.col).Add(-1, col), 0)
+						il.m.Term(1, mc.col).Term(-1, col).Ge(0)
 						mc.of = append(mc.of, col)
 						continue
 					}
-					e.Add(1, col)
-					terms++
+					terms = append(terms, col)
 				}
-				if terms > k {
-					il.m.Le(e, float64(k)) // K_A or K_B
+				if len(terms) > k {
+					for _, col := range terms {
+						il.m.Term(1, col)
+					}
+					il.m.Le(float64(k)) // K_A or K_B
 				}
 			}
 		}
@@ -485,11 +484,11 @@ func (il *ilp) colors() {
 		for _, b := range banks.banks() {
 			il.colorVarOf[v][b] = len(il.colorVars)
 			cv := colorVar{v: mir.Temp(v), bank: b, col: il.m.Binary()}
-			e := model.NewExpr().Add(1, cv.col)
+			il.m.Term(1, cv.col)
 			for r := 1; r < XRegs; r++ {
-				e.Add(1, il.m.Binary()) // column cv.col+r
+				il.m.Term(1, il.m.Binary()) // column cv.col+r
 			}
-			il.m.Eq(e, 1) // one color per (temp, bank)
+			il.m.Eq(1) // one color per (temp, bank)
 			il.colorVars = append(il.colorVars, cv)
 		}
 	}
@@ -524,8 +523,7 @@ func (il *ilp) colors() {
 						seenPair[key] = true
 						c1, c2 := il.colorCol(v1, b), il.colorCol(v2, b)
 						for r := 0; r < XRegs; r++ {
-							il.m.Le(model.NewExpr().
-								Add(1, p1).Add(1, p2).Add(1, c1+r).Add(1, c2+r), 3)
+							il.m.Term(1, p1).Term(1, p2).Term(1, c1+r).Term(1, c2+r).Le(3)
 						}
 					}
 				}
@@ -543,10 +541,10 @@ func (il *ilp) colors() {
 		for k := 0; k+1 < n; k++ {
 			ck, ck1 := il.colorCol(agg.temps[k], b), il.colorCol(agg.temps[k+1], b)
 			for r := 0; r+1 < XRegs; r++ {
-				il.m.Eq(model.NewExpr().Add(1, ck+r).Add(-1, ck1+r+1), 0)
+				il.m.Term(1, ck+r).Term(-1, ck1+r+1).Eq(0)
 			}
 			// Boundary: a later member cannot sit in register 0.
-			il.m.Eq(model.NewExpr().Add(1, ck1), 0)
+			il.m.Term(1, ck1).Eq(0)
 		}
 		if g.opts.RedundantAggregate {
 			// §9: "the first temporary in an aggregate of three cannot
@@ -558,7 +556,7 @@ func (il *ilp) colors() {
 					if r >= j && r <= j+(XRegs-n) {
 						continue
 					}
-					il.m.Eq(model.NewExpr().Add(1, c+r), 0)
+					il.m.Term(1, c+r).Eq(0)
 				}
 			}
 		}
@@ -570,7 +568,7 @@ func (il *ilp) colors() {
 			continue
 		}
 		for r := 0; r < XRegs; r++ {
-			il.m.Eq(model.NewExpr().Add(1, d+r).Add(-1, s+r), 0)
+			il.m.Term(1, d+r).Term(-1, s+r).Eq(0)
 		}
 	}
 	// Rename color links: a jump argument and the block parameter it
@@ -593,10 +591,8 @@ func (il *ilp) colors() {
 				continue
 			}
 			for r := 0; r < XRegs; r++ {
-				il.m.Le(model.NewExpr().
-					Add(1, ca+r).Add(-1, cp+r).Add(1, pcol), 1)
-				il.m.Le(model.NewExpr().
-					Add(-1, ca+r).Add(1, cp+r).Add(1, pcol), 1)
+				il.m.Term(1, ca+r).Term(-1, cp+r).Term(1, pcol).Le(1)
+				il.m.Term(-1, ca+r).Term(1, cp+r).Term(1, pcol).Le(1)
 			}
 		}
 	}
@@ -620,10 +616,8 @@ func (il *ilp) colors() {
 			for r := 0; r < XRegs; r++ {
 				// pos[b] = 1 -> Color[d,b,r] = Color[s,b,r]:
 				// |cd - cs| <= 1 - pos[b].
-				il.m.Le(model.NewExpr().
-					Add(1, cd+r).Add(-1, cs+r).Add(1, pcol), 1)
-				il.m.Le(model.NewExpr().
-					Add(-1, cd+r).Add(1, cs+r).Add(1, pcol), 1)
+				il.m.Term(1, cd+r).Term(-1, cs+r).Term(1, pcol).Le(1)
+				il.m.Term(-1, cd+r).Term(1, cs+r).Term(1, pcol).Le(1)
 			}
 		}
 	}
@@ -696,7 +690,7 @@ func (il *ilp) spillRegs() {
 			}
 			ns := il.m.Continuous(0, 1)
 			for _, col := range tb.cols { // needsSpill >= every spill move
-				il.m.Ge(model.NewExpr().Add(1, ns).Add(-1, col), 0)
+				il.m.Term(1, ns).Term(-1, col).Ge(0)
 			}
 			il.maxCols = append(il.maxCols, maxCol{col: ns, of: append([]int(nil), tb.cols...)})
 			// Occupancy of the bank at p: occupied[r] >= pos + color - 1.
@@ -722,8 +716,7 @@ func (il *ilp) spillRegs() {
 						continue
 					}
 					for r := 0; r < XRegs; r++ {
-						il.m.Ge(model.NewExpr().
-							Add(1, occ[r]).Add(-1, pcol).Add(-1, ccol+r), -1)
+						il.m.Term(1, occ[r]).Term(-1, pcol).Term(-1, ccol+r).Ge(-1)
 						occPairs[r] = append(occPairs[r], [2]int{pcol, ccol + r})
 					}
 				}
@@ -731,11 +724,11 @@ func (il *ilp) spillRegs() {
 			for r := range occ {
 				il.occCols = append(il.occCols, occCol{col: occ[r], pairs: occPairs[r]})
 			}
-			e := model.NewExpr().Add(1, ns)
+			il.m.Term(1, ns)
 			for r := 0; r < XRegs; r++ {
-				e.Add(1, occ[r])
+				il.m.Term(1, occ[r])
 			}
-			il.m.Le(e, float64(XRegs)) // K for the transfer bank
+			il.m.Le(float64(XRegs)) // K for the transfer bank
 		}
 	}
 }

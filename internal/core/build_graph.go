@@ -175,12 +175,9 @@ func (cb *chainBuilder) run(lv *mir.Liveness) error {
 	pt := func(idx int) pointID { return cb.base + pointID(idx) }
 
 	// Live sets per point index.
-	liveAt := make([]map[mir.Temp]bool, exitIdx+1)
-	for k := 0; k <= nInstr; k++ {
-		liveAt[k] = lv.LiveBefore(g.mp, b, k)
-	}
+	liveAt := lv.Points(b)
 	if exitIdx > nInstr {
-		liveAt[exitIdx] = lv.Out[b.ID]
+		liveAt = append(liveAt, lv.Out[b.ID])
 	}
 
 	// def[v] is v's definition in this block, if any (arrive is then
@@ -323,17 +320,21 @@ func (cb *chainBuilder) run(lv *mir.Liveness) error {
 		}
 	}
 	// Entry and exit events for block-crossing variables.
-	for v := range liveAt[0] {
+	// temps lists one live set's members in ascending order.
+	temps := liveAt[0].AppendTo(nil)
+	for _, v := range temps {
 		cb.event(v, 0)
 	}
-	for v := range lv.Out[b.ID] {
+	temps = lv.Out[b.ID].AppendTo(temps[:0])
+	for _, v := range temps {
 		cb.event(v, exitIdx) // exit point: after the branch if any
 	}
 	// With coarsening off, every live point is an event (the paper's
 	// per-point move model).
 	if !cb.g.opts.Coarsen {
 		for k := 0; k <= exitIdx; k++ {
-			for v := range liveAt[k] {
+			temps = liveAt[k].AppendTo(temps[:0])
+			for _, v := range temps {
 				cb.event(v, k)
 			}
 		}
@@ -440,20 +441,19 @@ func (cb *chainBuilder) run(lv *mir.Liveness) error {
 	}
 	// Per-point occupancy lists (the Exists set with before/after
 	// sides, §6 K constraints).
-	var counted []mir.Temp
 	for k := 0; k <= exitIdx; k++ {
 		p := pt(k)
-		counted = counted[:0]
-		for v := range liveAt[k] {
-			counted = append(counted, v)
-		}
 		// Defs and clones arriving at this point also exist here even
 		// if dead (the paper's Exists ⊇ live distinction).
 		if k > 0 && k <= nInstr {
-			counted = append(counted, b.Instrs[k-1].Dsts...)
+			for _, d := range b.Instrs[k-1].Dsts {
+				liveAt[k].Add(d)
+			}
 		}
-		slices.Sort(counted)
-		for _, v := range slices.Compact(counted) {
+		temps = liveAt[k].AppendTo(temps[:0])
+		g.beforeLocs[p] = make([]locEntry, 0, len(temps))
+		g.afterLocs[p] = make([]locEntry, 0, len(temps))
+		for _, v := range temps {
 			before := g.beforeLocAtLinear(v, p)
 			after := g.activeLocAt(v, p)
 			if before >= 0 {

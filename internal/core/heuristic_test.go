@@ -48,3 +48,39 @@ func TestHeuristicAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestModelBuildAllocations bounds the objects one graph and model
+// build allocates for the paper programs: 6,630 / 6,355 / 2,165 at
+// this writing, about 3 % more under the race detector (its sync.Pool
+// drops fmt's buffers). The bounds sit above both, far below the row
+// counts (10,204 / 7,557 / 5,472), and one more object per program
+// point (382 / 359 / 129) exceeds them, so a row or a point that
+// allocates again fails here.
+func TestModelBuildAllocations(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		max  float64
+	}{
+		{"aes", 6950},
+		{"kasumi", 6650},
+		{"nat", 2270},
+	} {
+		src, err := os.ReadFile(filepath.Join("..", "workloads", c.name+".nova"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp := lower(t, string(src))
+		got := testing.AllocsPerRun(3, func() {
+			g, err := buildGraph(mp, DefaultOptions())
+			if err == nil {
+				_, err = buildModel(g)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		})
+		if got > c.max {
+			t.Errorf("%s: graph and model build allocate %v objects, want at most %v", c.name, got, c.max)
+		}
+	}
+}

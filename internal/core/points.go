@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/freq"
 	"repro/internal/mir"
@@ -265,6 +264,7 @@ func buildGraph(mp *mir.Program, opts Options) (*graph, error) {
 		}
 	}
 	// Control-edge unification.
+	var temps []mir.Temp
 	for _, b := range mp.Blocks {
 		exitIdx := len(b.Instrs)
 		if _, isBr := b.Term.(*mir.Branch); isBr {
@@ -301,7 +301,7 @@ func buildGraph(mp *mir.Program, opts Options) (*graph, error) {
 					// hold different values on other paths), so a copy is
 					// unavoidable — and a copy cannot write a transfer
 					// bank. Keep such webs out of the transfer banks.
-					if lv.In[e.To][a.Temp] {
+					if lv.In[e.To].Has(a.Temp) {
 						root := g.find(dst)
 						na := g.locAllow[root].del(L).del(LD).del(S).del(SD)
 						if na == 0 {
@@ -312,9 +312,9 @@ func buildGraph(mp *mir.Program, opts Options) (*graph, error) {
 					}
 				}
 			}
-			// Live-through variables carry unchanged. The unions run in
-			// temp order, so the web roots do not depend on map order.
-			for _, v := range sortedTemps(lv.In[e.To]) {
+			// Live-through variables carry unchanged, in temp order.
+			temps = lv.In[e.To].AppendTo(temps[:0])
+			for _, v := range temps {
 				if isParam(target, v) {
 					continue
 				}
@@ -431,14 +431,4 @@ func normalize(mp *mir.Program) {
 			}
 		}
 	}
-}
-
-// sortedTemps returns the members of a liveness set in ascending order.
-func sortedTemps(set map[mir.Temp]bool) []mir.Temp {
-	out := make([]mir.Temp, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	slices.Sort(out)
-	return out
 }

@@ -1,126 +1,116 @@
 package mir
 
+import (
+	"math/bits"
+	"slices"
+)
+
+// TempSet is a set of temps as a bit set over Program.NumTemps().
+type TempSet []uint64
+
+// Has reports whether t is in s.
+func (s TempSet) Has(t Temp) bool { return s[t>>6]&(1<<(t&63)) != 0 }
+
+// Add puts t in s.
+func (s TempSet) Add(t Temp) { s[t>>6] |= 1 << (t & 63) }
+
+func (s TempSet) del(t Temp) { s[t>>6] &^= 1 << (t & 63) }
+
+// AppendTo appends the members of s to dst in ascending order.
+func (s TempSet) AppendTo(dst []Temp) []Temp {
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, Temp(i<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	return dst
+}
+
+// step moves s from the set live after in to the set live before it.
+func (s TempSet) step(in *Instr) {
+	for _, d := range in.Dsts {
+		s.del(d)
+	}
+	s.addOperands(in.Srcs)
+}
+
+func (s TempSet) addOperands(ops []Operand) {
+	for _, o := range ops {
+		if !o.IsImm {
+			s.Add(o.Temp)
+		}
+	}
+}
+
+// newSets returns n empty sets of w words each, cut from one array.
+func newSets(n, w int) []TempSet {
+	words := make([]uint64, n*w)
+	sets := make([]TempSet, n)
+	for i := range sets {
+		sets[i] = words[i*w : (i+1)*w : (i+1)*w]
+	}
+	return sets
+}
+
 // Liveness holds per-block live-in/live-out temp sets, computed by the
 // usual backward dataflow over the flowgraph. Block parameters are the
 // only merge-point definitions (SSA block-argument form), so liveness
-// never needs phi special-casing.
+// never needs phi special-casing: In excludes the block's params.
 type Liveness struct {
-	In  []map[Temp]bool // indexed by BlockID
-	Out []map[Temp]bool
+	In  []TempSet // indexed by BlockID
+	Out []TempSet
 }
 
 // ComputeLiveness runs the fixpoint.
 func ComputeLiveness(p *Program) *Liveness {
 	n := len(p.Blocks)
-	lv := &Liveness{In: make([]map[Temp]bool, n), Out: make([]map[Temp]bool, n)}
-	for i := range p.Blocks {
-		lv.In[i] = map[Temp]bool{}
-		lv.Out[i] = map[Temp]bool{}
-	}
-	changed := true
-	for changed {
+	sets := newSets(2*n+2, (p.NumTemps()+63)/64)
+	lv := &Liveness{In: sets[:n:n], Out: sets[n : 2*n : 2*n]}
+	in, out := sets[2*n], sets[2*n+1]
+	for changed := true; changed; {
 		changed = false
 		for i := n - 1; i >= 0; i-- {
 			b := p.Blocks[i]
-			out := map[Temp]bool{}
+			// Out is the union over edges of In(succ), which has no
+			// params of succ, and the edge's args.
+			clear(out)
 			for _, e := range b.Succs() {
-				// (In(succ) \ params(succ)) ∪ edge args, per edge.
-				params := map[Temp]bool{}
-				for _, pt := range p.Blocks[e.To].Params {
-					params[pt] = true
+				for j, x := range lv.In[e.To] {
+					out[j] |= x
 				}
-				for t := range lv.In[e.To] {
-					if !params[t] {
-						out[t] = true
-					}
-				}
-				for _, a := range e.Args {
-					if !a.IsImm {
-						out[a.Temp] = true
-					}
-				}
+				out.addOperands(e.Args)
 			}
-			in := copySet(out)
-			for _, o := range b.TermUses() {
-				if !o.IsImm {
-					in[o.Temp] = true
-				}
-			}
+			copy(in, out)
+			in.addOperands(b.TermUses())
 			for k := len(b.Instrs) - 1; k >= 0; k-- {
-				instr := &b.Instrs[k]
-				for _, d := range instr.Dsts {
-					delete(in, d)
-				}
-				for _, u := range instr.Uses() {
-					in[u] = true
-				}
+				in.step(&b.Instrs[k])
 			}
 			for _, pt := range b.Params {
-				delete(in, pt)
+				in.del(pt)
 			}
-			if !sameSet(in, lv.In[i]) || !sameSet(out, lv.Out[i]) {
+			if !slices.Equal(in, lv.In[i]) || !slices.Equal(out, lv.Out[i]) {
 				changed = true
-				lv.In[i], lv.Out[i] = in, out
+				copy(lv.In[i], in)
+				copy(lv.Out[i], out)
 			}
 		}
 	}
 	return lv
 }
 
-// LiveBefore returns the set of temps live immediately before
-// instruction index k of block b (k == len(instrs) means before the
-// terminator). The block's own params count as defined at entry.
-func (lv *Liveness) LiveBefore(p *Program, b *Block, k int) map[Temp]bool {
-	live := copySet(lv.Out[b.ID])
-	for _, o := range b.TermUses() {
-		if !o.IsImm {
-			live[o.Temp] = true
-		}
+// Points returns the temps live before each point of b, from one
+// backward walk: entry k < len(b.Instrs) is the set before instruction
+// k, and entry len(b.Instrs) the set before the terminator (Out plus
+// the terminator's operands). Params used in b are live at entry 0.
+// The sets are fresh and the caller's to change.
+func (lv *Liveness) Points(b *Block) []TempSet {
+	n := len(b.Instrs)
+	sets := newSets(n+1, len(lv.Out[b.ID]))
+	copy(sets[n], lv.Out[b.ID])
+	sets[n].addOperands(b.TermUses())
+	for k := n - 1; k >= 0; k-- {
+		copy(sets[k], sets[k+1])
+		sets[k].step(&b.Instrs[k])
 	}
-	// Walk backward from the end to position k.
-	for i := len(b.Instrs) - 1; i >= k; i-- {
-		instr := &b.Instrs[i]
-		for _, d := range instr.Dsts {
-			delete(live, d)
-		}
-		for _, u := range instr.Uses() {
-			live[u] = true
-		}
-	}
-	return live
-}
-
-func copySet(s map[Temp]bool) map[Temp]bool {
-	out := make(map[Temp]bool, len(s))
-	for k := range s {
-		out[k] = true
-	}
-	return out
-}
-
-func sameSet(a, b map[Temp]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// MaxPressure returns the maximum number of simultaneously live temps
-// at any instruction boundary — a quick sanity metric for tests.
-func MaxPressure(p *Program) int {
-	lv := ComputeLiveness(p)
-	max := 0
-	for _, b := range p.Blocks {
-		for k := 0; k <= len(b.Instrs); k++ {
-			if n := len(lv.LiveBefore(p, b, k)); n > max {
-				max = n
-			}
-		}
-	}
-	return max
+	return sets
 }

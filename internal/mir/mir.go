@@ -51,6 +51,7 @@ const (
 
 var kindNames = [...]string{"alu", "imm", "read", "write", "special", "clone", "move"}
 
+// String returns the kind's short name, as "alu" or "clone".
 func (k Kind) String() string { return kindNames[k] }
 
 // Instr is one machine-level instruction.
@@ -154,17 +155,6 @@ func (b *Block) TermUses() []Operand {
 		return t.Results
 	}
 	return nil
-}
-
-// Uses returns the temp operands read by an instruction.
-func (in *Instr) Uses() []Temp {
-	var out []Temp
-	for _, s := range in.Srcs {
-		if !s.IsImm {
-			out = append(out, s.Temp)
-		}
-	}
-	return out
 }
 
 // NumInstrs counts instructions over all blocks (terminators included

@@ -1,10 +1,11 @@
-package mir
+package mir_test
 
 import (
 	"strings"
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/mir"
 )
 
 // buildDiamond constructs a small flowgraph by hand:
@@ -13,8 +14,8 @@ import (
 //	b1: z1 = x+y; jmp b3(z1)
 //	b2: z2 = x-y; jmp b3(z2)
 //	b3(p): halt(p)
-func buildDiamond() (*Program, Temp, Temp) {
-	p := &Program{}
+func buildDiamond() (*mir.Program, mir.Temp, mir.Temp) {
+	p := &mir.Program{}
 	x := p.NewTemp("x")
 	y := p.NewTemp("y")
 	z1 := p.NewTemp("z1")
@@ -26,36 +27,66 @@ func buildDiamond() (*Program, Temp, Temp) {
 	b2 := p.NewBlock("else")
 	b3 := p.NewBlock("join")
 
-	b0.Instrs = []Instr{
-		{Kind: KImm, Val: 1, Dsts: []Temp{x}},
-		{Kind: KImm, Val: 2, Dsts: []Temp{y}},
+	b0.Instrs = []mir.Instr{
+		{Kind: mir.KImm, Val: 1, Dsts: []mir.Temp{x}},
+		{Kind: mir.KImm, Val: 2, Dsts: []mir.Temp{y}},
 	}
-	b0.Term = &Branch{Cmp: ast.OpLt, L: T(x), R: T(y),
-		Then: Edge{To: b1.ID}, Else: Edge{To: b2.ID}}
-	b1.Instrs = []Instr{{Kind: KALU, Op: ast.OpAdd, Dsts: []Temp{z1}, Srcs: []Operand{T(x), T(y)}}}
-	b1.Term = &Jump{Edge: Edge{To: b3.ID, Args: []Operand{T(z1)}}}
-	b2.Instrs = []Instr{{Kind: KALU, Op: ast.OpSub, Dsts: []Temp{z2}, Srcs: []Operand{T(x), T(y)}}}
-	b2.Term = &Jump{Edge: Edge{To: b3.ID, Args: []Operand{T(z2)}}}
-	b3.Params = []Temp{phi}
-	b3.Term = &Halt{Results: []Operand{T(phi)}}
+	b0.Term = &mir.Branch{Cmp: ast.OpLt, L: mir.T(x), R: mir.T(y),
+		Then: mir.Edge{To: b1.ID}, Else: mir.Edge{To: b2.ID}}
+	b1.Instrs = []mir.Instr{{Kind: mir.KALU, Op: ast.OpAdd, Dsts: []mir.Temp{z1}, Srcs: []mir.Operand{mir.T(x), mir.T(y)}}}
+	b1.Term = &mir.Jump{Edge: mir.Edge{To: b3.ID, Args: []mir.Operand{mir.T(z1)}}}
+	b2.Instrs = []mir.Instr{{Kind: mir.KALU, Op: ast.OpSub, Dsts: []mir.Temp{z2}, Srcs: []mir.Operand{mir.T(x), mir.T(y)}}}
+	b2.Term = &mir.Jump{Edge: mir.Edge{To: b3.ID, Args: []mir.Operand{mir.T(z2)}}}
+	b3.Params = []mir.Temp{phi}
+	b3.Term = &mir.Halt{Results: []mir.Operand{mir.T(phi)}}
 	return p, x, y
+}
+
+// buildLoop constructs a counted loop whose bound n lives throughout:
+//
+//	b0(n): i0 = imm; jmp b1(i0)
+//	b1(i): br i<n -> b2 | b3
+//	b2: i2 = i+1; jmp b1(i2)
+//	b3: halt(i)
+func buildLoop() (p *mir.Program, n, i mir.Temp) {
+	p = &mir.Program{}
+	n = p.NewTemp("n")
+	i0 := p.NewTemp("i0")
+	i = p.NewTemp("i")
+	i2 := p.NewTemp("i2")
+
+	b0 := p.NewBlock("entry")
+	b1 := p.NewBlock("head")
+	b2 := p.NewBlock("body")
+	b3 := p.NewBlock("exit")
+	b0.Params = []mir.Temp{n}
+	b0.Instrs = []mir.Instr{{Kind: mir.KImm, Val: 0, Dsts: []mir.Temp{i0}}}
+	b0.Term = &mir.Jump{Edge: mir.Edge{To: b1.ID, Args: []mir.Operand{mir.T(i0)}}}
+	b1.Params = []mir.Temp{i}
+	b1.Term = &mir.Branch{Cmp: ast.OpLt, L: mir.T(i), R: mir.T(n),
+		Then: mir.Edge{To: b2.ID}, Else: mir.Edge{To: b3.ID}}
+	b2.Instrs = []mir.Instr{{Kind: mir.KALU, Op: ast.OpAdd, Dsts: []mir.Temp{i2},
+		Srcs: []mir.Operand{mir.T(i), mir.Imm(1)}}}
+	b2.Term = &mir.Jump{Edge: mir.Edge{To: b1.ID, Args: []mir.Operand{mir.T(i2)}}}
+	b3.Term = &mir.Halt{Results: []mir.Operand{mir.T(i)}}
+	return p, n, i
 }
 
 func TestLivenessDiamond(t *testing.T) {
 	p, x, y := buildDiamond()
-	lv := ComputeLiveness(p)
+	lv := mir.ComputeLiveness(p)
 	// x and y live out of the entry block (used in both arms).
-	if !lv.Out[0][x] || !lv.Out[0][y] {
-		t.Fatalf("entry live-out = %v", lv.Out[0])
+	if !lv.Out[0].Has(x) || !lv.Out[0].Has(y) {
+		t.Fatalf("entry live-out = %v", lv.Out[0].AppendTo(nil))
 	}
 	// Nothing live into the entry.
-	if len(lv.In[0]) != 0 {
-		t.Fatalf("entry live-in = %v", lv.In[0])
+	if in := lv.In[0].AppendTo(nil); len(in) != 0 {
+		t.Fatalf("entry live-in = %v", in)
 	}
 	// The join's parameter is not live into the join (it is defined
 	// there); nothing else is live-in either.
-	if len(lv.In[3]) != 0 {
-		t.Fatalf("join live-in = %v", lv.In[3])
+	if in := lv.In[3].AppendTo(nil); len(in) != 0 {
+		t.Fatalf("join live-in = %v", in)
 	}
 }
 
@@ -63,19 +94,18 @@ func TestLivenessDiamond(t *testing.T) {
 // live set immediately before it.
 func TestLivenessUsesAreLive(t *testing.T) {
 	p, _, _ := buildDiamond()
-	lv := ComputeLiveness(p)
+	lv := mir.ComputeLiveness(p)
 	for _, b := range p.Blocks {
-		for k := range b.Instrs {
-			live := lv.LiveBefore(p, b, k)
-			for _, u := range b.Instrs[k].Uses() {
-				if !live[u] {
-					t.Errorf("b%d/%d: use %s not live", b.ID, k, p.TempName(u))
+		live := lv.Points(b)
+		for k, in := range b.Instrs {
+			for _, s := range in.Srcs {
+				if !s.IsImm && !live[k].Has(s.Temp) {
+					t.Errorf("b%d/%d: use %s not live", b.ID, k, p.TempName(s.Temp))
 				}
 			}
 		}
-		live := lv.LiveBefore(p, b, len(b.Instrs))
 		for _, o := range b.TermUses() {
-			if !o.IsImm && !live[o.Temp] {
+			if !o.IsImm && !live[len(b.Instrs)].Has(o.Temp) {
 				t.Errorf("b%d terminator: use %s not live", b.ID, p.TempName(o.Temp))
 			}
 		}
@@ -95,49 +125,38 @@ func TestProgramString(t *testing.T) {
 	}
 }
 
+// maxPressure is the largest number of temps live at once at any
+// instruction boundary.
+func maxPressure(p *mir.Program) int {
+	lv := mir.ComputeLiveness(p)
+	pr := 0
+	for _, b := range p.Blocks {
+		for _, s := range lv.Points(b) {
+			pr = max(pr, len(s.AppendTo(nil)))
+		}
+	}
+	return pr
+}
+
 func TestMaxPressureDiamond(t *testing.T) {
 	p, _, _ := buildDiamond()
-	if pr := MaxPressure(p); pr != 2 {
+	if pr := maxPressure(p); pr != 2 {
 		t.Errorf("max pressure = %d, want 2 (x and y)", pr)
 	}
 }
 
 func TestLivenessLoop(t *testing.T) {
-	// b0: i0 = imm; jmp b1(i0)
-	// b1(i): br i<n? -> b2 | b3  (n is a free temp living forever)
-	// b2: i2 = i+1; jmp b1(i2)
-	// b3: halt(i)
-	p := &Program{}
-	n := p.NewTemp("n")
-	i0 := p.NewTemp("i0")
-	i := p.NewTemp("i")
-	i2 := p.NewTemp("i2")
-
-	b0 := p.NewBlock("entry")
-	b1 := p.NewBlock("head")
-	b2 := p.NewBlock("body")
-	b3 := p.NewBlock("exit")
-	b0.Params = []Temp{n}
-	b0.Instrs = []Instr{{Kind: KImm, Val: 0, Dsts: []Temp{i0}}}
-	b0.Term = &Jump{Edge: Edge{To: b1.ID, Args: []Operand{T(i0)}}}
-	b1.Params = []Temp{i}
-	b1.Term = &Branch{Cmp: ast.OpLt, L: T(i), R: T(n),
-		Then: Edge{To: b2.ID}, Else: Edge{To: b3.ID}}
-	b2.Instrs = []Instr{{Kind: KALU, Op: ast.OpAdd, Dsts: []Temp{i2},
-		Srcs: []Operand{T(i), Imm(1)}}}
-	b2.Term = &Jump{Edge: Edge{To: b1.ID, Args: []Operand{T(i2)}}}
-	b3.Term = &Halt{Results: []Operand{T(i)}}
-
-	lv := ComputeLiveness(p)
+	p, n, i := buildLoop()
+	lv := mir.ComputeLiveness(p)
 	// n must be live around the whole loop.
-	for _, id := range []BlockID{b1.ID, b2.ID} {
-		if !lv.In[id][n] {
+	for _, id := range []mir.BlockID{1, 2} {
+		if !lv.In[id].Has(n) {
 			t.Errorf("n not live into b%d", id)
 		}
 	}
 	// i is live into the loop body (used by the increment) and into
 	// the exit (halt result).
-	if !lv.In[b2.ID][i] || !lv.In[b3.ID][i] {
-		t.Errorf("i liveness wrong: body=%v exit=%v", lv.In[b2.ID], lv.In[b3.ID])
+	if !lv.In[2].Has(i) || !lv.In[3].Has(i) {
+		t.Errorf("i liveness wrong: body=%v exit=%v", lv.In[2].AppendTo(nil), lv.In[3].AppendTo(nil))
 	}
 }

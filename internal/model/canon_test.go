@@ -18,14 +18,12 @@ func buildPacking(perm []int) *Model {
 		m.ObjAdd(cols[j], float64(3+j%5))
 	}
 	for r := 0; r < n-2; r++ {
-		e := NewExpr().Add(1, cols[r]).Add(1, cols[r+1]).Add(1, cols[r+2])
-		m.Le(e, 2) // pack
+		m.Term(1, cols[r]).Term(1, cols[r+1]).Term(1, cols[r+2]).Le(2) // pack
 	}
-	e := NewExpr()
 	for _, c := range cols {
-		e.Add(1, c)
+		m.Term(1, c)
 	}
-	m.Ge(e, 2) // cover
+	m.Ge(2) // cover
 	return m
 }
 

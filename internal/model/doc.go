@@ -2,26 +2,28 @@
 // (§5) writes its integer linear programs in AMPL; only the generated
 // constraint system matters (DESIGN.md §1), so this layer builds that
 // system directly. It provides what the paper's models need: 0-1 and
-// continuous columns, linear expressions, rows, and model statistics
-// (variable, constraint, and objective-term counts as reported in
-// Figures 6 and 7).
+// continuous columns, linear rows, and model statistics (variable,
+// constraint, and objective-term counts as reported in Figures 6 and
+// 7).
 //
 // # Usage
 //
 // Binary and Continuous append a fresh column and return its index;
 // the caller keeps the index under whatever typed key it needs, in
-// place of AMPL's indexed declarations:
+// place of AMPL's indexed declarations. A row is built in the model's
+// own buffer: Term adds one term to the open row, and Le, Ge or Eq
+// closes it with its right-hand side:
 //
 //	m := model.New()
 //	pos := map[[2]int]int{}
 //	for _, v := range temps {
-//		e := model.NewExpr()
 //		for _, b := range banks {
 //			pos[[2]int{v, b}] = m.Binary() // pos[v,b] ∈ {0,1}
-//			e.Add(1, pos[[2]int{v, b}])
+//			m.Term(1, pos[[2]int{v, b}])
 //		}
-//		m.Eq(e, 1) // sum_b pos[v,b] = 1
+//		m.Eq(1) // sum_b pos[v,b] = 1
 //	}
+//	m.Term(1, pos[[2]int{t0, bankA}]).Term(1, pos[[2]int{t1, bankA}]).Le(1)
 //	m.ObjAdd(pos[[2]int{t0, bankA}], 2.5) // objective term
 //	res, err := m.Solve(nil)              // presolve + B&B
 //	if err == nil {

@@ -26,8 +26,8 @@ type Model struct {
 	integer []bool
 	preInfo atomic.Pointer[PresolveInfo] // reductions of the last presolved Solve
 
-	// compact's scratch: the merged row, and each column's place in it
-	// plus one (zero outside a compact call).
+	// The open row, its duplicate columns merged, and each column's
+	// place in it plus one (zero for columns not in it).
 	rowCols []int
 	rowVals []float64
 	colPos  []int32
@@ -73,66 +73,41 @@ func (m *Model) ObjAdd(col int, coef float64) {
 	m.lp.SetObj(col, m.lp.Obj(col)+coef)
 }
 
-// Expr is a linear expression under construction.
-type Expr struct {
-	cols  []int
-	coefs []float64
+// Term adds coef*col to the open row and returns m for chaining. A
+// column already in the row has coef added to its coefficient, so
+// each column keeps its first place and its terms sum in call order.
+// Le, Ge or Eq closes the row; columns may be added while it is open.
+func (m *Model) Term(coef float64, col int) *Model {
+	for len(m.colPos) < m.lp.NumCols() {
+		m.colPos = append(m.colPos, 0)
+	}
+	if at := m.colPos[col]; at > 0 {
+		m.rowVals[at-1] += coef
+		return m
+	}
+	m.rowCols = append(m.rowCols, col)
+	m.rowVals = append(m.rowVals, coef)
+	m.colPos[col] = int32(len(m.rowCols))
+	return m
 }
 
-// NewExpr returns an empty expression.
-func NewExpr() *Expr { return &Expr{} }
-
-// Add appends coef*col and returns the expression for chaining.
-func (e *Expr) Add(coef float64, col int) *Expr {
-	e.cols = append(e.cols, col)
-	e.coefs = append(e.coefs, coef)
-	return e
-}
-
-// Len returns the number of terms.
-func (e *Expr) Len() int { return len(e.cols) }
-
-// compact merges e's duplicate columns into one row: each column at
-// its first place, its coefficients added in term order. The row is
-// the model's scratch, valid until the next call.
-func (m *Model) compact(e *Expr) ([]int, []float64) {
-	if n := m.lp.NumCols(); len(m.colPos) < n {
-		m.colPos = append(m.colPos, make([]int32, n-len(m.colPos))...)
-	}
-	cols, vals := m.rowCols[:0], m.rowVals[:0]
-	for i, c := range e.cols {
-		if at := m.colPos[c]; at > 0 {
-			vals[at-1] += e.coefs[i]
-			continue
-		}
-		cols = append(cols, c)
-		vals = append(vals, e.coefs[i])
-		m.colPos[c] = int32(len(cols))
-	}
-	for _, c := range cols {
+// addRow adds the open row on [lo, hi] and empties the buffer.
+func (m *Model) addRow(lo, hi float64) {
+	m.lp.AddRow(lo, hi, m.rowCols, m.rowVals)
+	for _, c := range m.rowCols {
 		m.colPos[c] = 0
 	}
-	m.rowCols, m.rowVals = cols, vals
-	return cols, vals
+	m.rowCols, m.rowVals = m.rowCols[:0], m.rowVals[:0]
 }
 
-// Le adds the row expr <= rhs.
-func (m *Model) Le(e *Expr, rhs float64) {
-	cols, coefs := m.compact(e)
-	m.lp.AddRow(-lp.Inf, rhs, cols, coefs)
-}
+// Le adds the open row as row <= rhs.
+func (m *Model) Le(rhs float64) { m.addRow(-lp.Inf, rhs) }
 
-// Ge adds the row expr >= rhs.
-func (m *Model) Ge(e *Expr, rhs float64) {
-	cols, coefs := m.compact(e)
-	m.lp.AddRow(rhs, lp.Inf, cols, coefs)
-}
+// Ge adds the open row as row >= rhs.
+func (m *Model) Ge(rhs float64) { m.addRow(rhs, lp.Inf) }
 
-// Eq adds the row expr = rhs.
-func (m *Model) Eq(e *Expr, rhs float64) {
-	cols, coefs := m.compact(e)
-	m.lp.AddRow(rhs, rhs, cols, coefs)
-}
+// Eq adds the open row as row = rhs.
+func (m *Model) Eq(rhs float64) { m.addRow(rhs, rhs) }
 
 // Stats are the model-size numbers Figure 7 reports.
 type Stats struct {

@@ -21,12 +21,11 @@ func TestFig2Example(t *testing.T) {
 		m := New()
 		x := make([][]int, len(T))
 		for ti, tt := range T {
-			e := NewExpr()
 			for range R {
 				x[ti] = append(x[ti], m.Binary())
-				e.Add(1, x[ti][len(x[ti])-1])
+				m.Term(1, x[ti][len(x[ti])-1])
 			}
-			m.Eq(e, math.Min(cost[tt], limit))
+			m.Eq(math.Min(cost[tt], limit))
 		}
 		return m, x
 	}
@@ -84,12 +83,21 @@ func TestColumnsAppendFresh(t *testing.T) {
 	}
 }
 
+// TestExprCompaction: a row's repeated column is merged into one
+// coefficient, the next row starts empty, and a column made while a
+// row is open can join it.
 func TestExprCompaction(t *testing.T) {
 	m := New()
 	x := m.Binary()
 	y := m.Binary()
-	e := NewExpr().Add(1, x).Add(2, x).Add(1, y)
-	m.Eq(e, 3)
+	m.Term(1, x).Term(2, x).Term(1, y).Eq(3)
+	m.Term(1, y)
+	z := m.Binary()
+	m.Term(1, z).Term(-1, y).Le(1) // y cancels: z <= 1
+	if r0, r1 := m.LP().Row(0), m.LP().Row(1); len(r0) != 2 || r0[0].Val != 3 || r0[1].Val != 1 ||
+		len(r1) != 1 || r1[0].Col != z {
+		t.Fatalf("rows %+v and %+v, want 3x + y and z", r0, r1)
+	}
 	// 3x + y = 3 with binaries: x=1, y=0.
 	res, err := m.Solve(nil)
 	if err != nil {
@@ -106,8 +114,7 @@ func TestObjective(t *testing.T) {
 	b := m.Binary()
 	m.ObjAdd(a, 5)
 	m.ObjAdd(b, 2)
-	e := NewExpr().Add(1, a).Add(1, b)
-	m.Ge(e, 1)
+	m.Term(1, a).Term(1, b).Ge(1)
 	res, err := m.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +134,7 @@ func TestContinuousMix(t *testing.T) {
 	m.ObjAdd(s, 1)
 	m.ObjAdd(x, 1)
 	// s + 2x >= 1.5 → either x=1 (cost 1), or s=1.5 (cost 1.5). Pick x.
-	m.Ge(NewExpr().Add(1, s).Add(2, x), 1.5)
+	m.Term(1, s).Term(2, x).Ge(1.5)
 	res, err := m.Solve(nil)
 	if err != nil {
 		t.Fatal(err)

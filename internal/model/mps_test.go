@@ -75,9 +75,9 @@ func TestMPSRoundTripAwkward(t *testing.T) {
 	m.ObjAdd(y, -1.0/7.0)
 	m.ObjAdd(z, 1e-17)
 	m.ObjAdd(neg, 3)
-	m.Le(NewExpr().Add(1, x).Add(0.3, y).Add(1e17, z), 1e17)
-	m.Ge(NewExpr().Add(2, y).Add(-1, w), -100)
-	m.Eq(NewExpr().Add(1, u).Add(1, x), 1)
+	m.Term(1, x).Term(0.3, y).Term(1e17, z).Le(1e17)
+	m.Term(2, y).Term(-1, w).Ge(-100)
+	m.Term(1, u).Term(1, x).Eq(1)
 	// Ranged and free rows are not expressible through Le/Ge/Eq.
 	m.LP().AddRow(1.25, 7.5, []int{y, z}, []float64{1, 1})
 	m.LP().AddRow(math.Inf(-1), math.Inf(1), []int{x, y}, []float64{1, 1})
@@ -106,7 +106,7 @@ func TestMPSDeterministic(t *testing.T) {
 		}
 		m.ObjAdd(a, 2)
 		m.ObjAdd(b, 3)
-		m.Le(NewExpr().Add(1, a).Add(2, b), 2)
+		m.Term(1, a).Term(2, b).Le(2)
 		return m
 	}
 	var f1, f2 bytes.Buffer

@@ -19,9 +19,9 @@ func TestPresolveSingletonFix(t *testing.T) {
 	m.ObjAdd(x, 5)
 	m.ObjAdd(y, -3)
 	m.ObjAdd(z, -2)
-	m.Eq(NewExpr().Add(1, x), 1)            // x = 1
-	m.Le(NewExpr().Add(1, y).Add(-1, z), 0) // y <= z
-	m.Le(NewExpr().Add(1, y).Add(1, z), 2)  // slack
+	m.Term(1, x).Eq(1)             // x = 1
+	m.Term(1, y).Term(-1, z).Le(0) // y <= z
+	m.Term(1, y).Term(1, z).Le(2)  // slack
 	res, err := m.Solve(&mip.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -55,9 +55,9 @@ func TestPresolveImplicationChain(t *testing.T) {
 	m.ObjAdd(a, -1)
 	m.ObjAdd(b, -1)
 	m.ObjAdd(c, -1)
-	m.Eq(NewExpr().Add(1, a), 0)            // a = 0
-	m.Le(NewExpr().Add(1, b).Add(-1, a), 0) // b <= a
-	m.Le(NewExpr().Add(1, c).Add(-1, b), 0) // c <= b
+	m.Term(1, a).Eq(0)             // a = 0
+	m.Term(1, b).Term(-1, a).Le(0) // b <= a
+	m.Term(1, c).Term(-1, b).Le(0) // c <= b
 	res, err := m.Solve(&mip.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -81,8 +81,8 @@ func TestPresolveImplicationChain(t *testing.T) {
 func TestPresolveInfeasible(t *testing.T) {
 	m := New()
 	x := m.Binary()
-	m.Eq(NewExpr().Add(1, x), 1)
-	m.Eq(NewExpr().Add(1, x), 0)
+	m.Term(1, x).Eq(1)
+	m.Term(1, x).Eq(0)
 	res, err := m.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +100,8 @@ func TestPresolveFullySolved(t *testing.T) {
 	y := m.Binary()
 	m.ObjAdd(x, 2)
 	m.ObjAdd(y, 7)
-	m.Eq(NewExpr().Add(1, x), 1)
-	m.Eq(NewExpr().Add(1, y), 1)
+	m.Term(1, x).Eq(1)
+	m.Term(1, y).Eq(1)
 	res, err := m.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -132,21 +132,20 @@ func TestPresolveMatchesNoPresolve(t *testing.T) {
 			// A few pins.
 			for k := 0; k < 1+rng.Intn(2); k++ {
 				j := rng.Intn(n)
-				m.Eq(NewExpr().Add(1, cols[j]), float64(rng.Intn(2)))
+				m.Term(1, cols[j]).Eq(float64(rng.Intn(2)))
 			}
 			// Implications x <= y.
 			for k := 0; k < rng.Intn(4); k++ {
 				a, b := rng.Intn(n), rng.Intn(n)
 				if a != b {
-					m.Le(NewExpr().Add(1, cols[a]).Add(-1, cols[b]), 0)
+					m.Term(1, cols[a]).Term(-1, cols[b]).Le(0)
 				}
 			}
 			// A capacity row.
-			e := NewExpr()
 			for j := 0; j < n; j++ {
-				e.Add(float64(1+rng.Intn(5)), cols[j])
+				m.Term(float64(1+rng.Intn(5)), cols[j])
 			}
-			m.Le(e, float64(n))
+			m.Le(float64(n))
 			return m, cols
 		}
 		mOn, _ := build()
@@ -184,13 +183,12 @@ func TestPresolveValueRoundTrip(t *testing.T) {
 		cols[j] = m.Binary()
 		m.ObjAdd(cols[j], float64(-(j + 1)))
 	}
-	m.Eq(NewExpr().Add(1, cols[2]), 1)
-	m.Le(NewExpr().Add(1, cols[5]).Add(-1, cols[2]), 0)
-	e := NewExpr()
+	m.Term(1, cols[2]).Eq(1)
+	m.Term(1, cols[5]).Term(-1, cols[2]).Le(0)
 	for j := 0; j < n; j++ {
-		e.Add(2, cols[j])
+		m.Term(2, cols[j])
 	}
-	m.Le(e, 9) // at most 4 ones
+	m.Le(9) // at most 4 ones
 	on, err := m.Solve(&mip.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
