@@ -54,8 +54,8 @@ func TestPaperTables(t *testing.T) {
 	want7 := []fig7Row{
 		{Name: "AES", Vars: 7684, Constraints: 10204, ObjTerms: 3627, PresolvedVars: 7544, PresolvedRows: 8758,
 			LPIters: 3639, Nodes: 1, Moves: 13, Spills: 0, CodeWords: 393},
-		{Name: "Kasumi", Vars: 8631, Constraints: 7557, ObjTerms: 4025, PresolvedVars: 8555, PresolvedRows: 7243,
-			LPIters: 3921, Nodes: 3, Moves: 5, Spills: 0, CodeWords: 364},
+		{Name: "Kasumi", Vars: 8631, Constraints: 7533, ObjTerms: 4025, PresolvedVars: 8555, PresolvedRows: 7223,
+			LPIters: 3914, Nodes: 3, Moves: 5, Spills: 0, CodeWords: 364},
 		{Name: "NAT", Vars: 3619, Constraints: 5472, ObjTerms: 2035, PresolvedVars: 3495, PresolvedRows: 2634,
 			LPIters: 1854, Nodes: 63, Moves: 8, Spills: 0, CodeWords: 133},
 	}
@@ -100,37 +100,37 @@ func TestFig7Ablation(t *testing.T) {
 	want := []fig7Row{
 		{Name: "AES Coarsen off", Vars: 78518, Constraints: 67295, ObjTerms: 42746, PresolvedVars: 78378, PresolvedRows: 60490,
 			LPIters: 33097, Nodes: 1, Moves: 13, Spills: 0, CodeWords: 393},
-		{Name: "Kasumi Coarsen off", Vars: 64409, Constraints: 41736, ObjTerms: 37969, PresolvedVars: 64333, PresolvedRows: 40725,
-			LPIters: 21431, Nodes: 1, Moves: 5, Spills: 0, CodeWords: 364},
+		{Name: "Kasumi Coarsen off", Vars: 64409, Constraints: 41712, ObjTerms: 37969, PresolvedVars: 64333, PresolvedRows: 40705,
+			LPIters: 21329, Nodes: 1, Moves: 5, Spills: 0, CodeWords: 364},
 		{Name: "NAT Coarsen off", Vars: 21700, Constraints: 27191, ObjTerms: 10495, PresolvedVars: 21576, PresolvedRows: 19393,
 			LPIters: 11043, Nodes: 79, Moves: 8, Spills: 0, CodeWords: 133},
-		{Name: "AES Prune off", Vars: 37520, Constraints: 293241, ObjTerms: 16377, PresolvedVars: 37380, PresolvedRows: 285728,
-			LPIters: 8545, Nodes: 1, Moves: 13, Spills: 0, CodeWords: 393},
-		{Name: "Kasumi Prune off", Vars: 38924, Constraints: 262314, ObjTerms: 17832, PresolvedVars: 38848, PresolvedRows: 259940,
-			LPIters: 7606, Nodes: 1, Moves: 5, Spills: 0, CodeWords: 364},
+		{Name: "AES Prune off", Vars: 37520, Constraints: 292537, ObjTerms: 16377, PresolvedVars: 37380, PresolvedRows: 285024,
+			LPIters: 8514, Nodes: 1, Moves: 13, Spills: 0, CodeWords: 393},
+		{Name: "Kasumi Prune off", Vars: 38924, Constraints: 257986, ObjTerms: 17832, PresolvedVars: 38848, PresolvedRows: 255682,
+			LPIters: 7667, Nodes: 1, Moves: 5, Spills: 0, CodeWords: 364},
 		{Name: "NAT Prune off", Vars: 16115, Constraints: 79527, ObjTerms: 8338, PresolvedVars: 15991, PresolvedRows: 72095,
 			LPIters: 16269, Nodes: 889, Moves: 8, Spills: 0, CodeWords: 133},
 		{Name: "AES RedundantAggregate off", Vars: 7684, Constraints: 10126, ObjTerms: 3627, PresolvedVars: 7583, PresolvedRows: 9320,
 			LPIters: 3706, Nodes: 1, Moves: 13, Spills: 0, CodeWords: 393},
-		{Name: "Kasumi RedundantAggregate off", Vars: 8631, Constraints: 7523, ObjTerms: 4025, PresolvedVars: 8572, PresolvedRows: 7355,
-			LPIters: 3966, Nodes: 3, Moves: 5, Spills: 0, CodeWords: 364},
+		{Name: "Kasumi RedundantAggregate off", Vars: 8631, Constraints: 7499, ObjTerms: 4025, PresolvedVars: 8572, PresolvedRows: 7333,
+			LPIters: 3961, Nodes: 3, Moves: 5, Spills: 0, CodeWords: 364},
 		{Name: "NAT RedundantAggregate off", Vars: 3619, Constraints: 5380, ObjTerms: 2035, PresolvedVars: 3513, PresolvedRows: 2845,
 			LPIters: 1716, Nodes: 47, Moves: 8, Spills: 0, CodeWords: 133},
 		{Name: "AES BiasAB off", Vars: 7684, Constraints: 10204, ObjTerms: 2688, PresolvedVars: 7544, PresolvedRows: 8758,
 			LPIters: 4128, Nodes: 1, Moves: 13, Spills: 0, CodeWords: 393},
-		{Name: "Kasumi BiasAB off", Vars: 8631, Constraints: 7557, ObjTerms: 3053, PresolvedVars: 8555, PresolvedRows: 7243,
-			LPIters: 4574, Nodes: 0, Moves: 5, Spills: 0, CodeWords: 364},
+		{Name: "Kasumi BiasAB off", Vars: 8631, Constraints: 7533, ObjTerms: 3053, PresolvedVars: 8555, PresolvedRows: 7223,
+			LPIters: 4590, Nodes: 0, Moves: 5, Spills: 0, CodeWords: 364},
 		{Name: "NAT BiasAB off", Vars: 3619, Constraints: 5472, ObjTerms: 1666, PresolvedVars: 3495, PresolvedRows: 2634,
 			LPIters: 1824, Nodes: 123, Moves: 8, Spills: 0, CodeWords: 133},
 		{Name: "AES Remat on", Vars: 7188, Constraints: 9801, ObjTerms: 3427, PresolvedVars: 6950, PresolvedRows: 8257,
 			LPIters: 3067, Nodes: 1, Moves: 13, Spills: 0, CodeWords: 393},
-		{Name: "Kasumi Remat on", Vars: 8220, Constraints: 7216, ObjTerms: 3859, PresolvedVars: 8063, PresolvedRows: 6821,
+		{Name: "Kasumi Remat on", Vars: 8220, Constraints: 7192, ObjTerms: 3859, PresolvedVars: 8063, PresolvedRows: 6801,
 			LPIters: 3510, Nodes: 0, Moves: 5, Spills: 0, CodeWords: 364},
 		{Name: "NAT Remat on", Vars: 3426, Constraints: 5250, ObjTerms: 1949, PresolvedVars: 3266, PresolvedRows: 2440,
 			LPIters: 1441, Nodes: 53, Moves: 8, Spills: 0, CodeWords: 133},
 		{Name: "AES NoSpill Gap 0.99", Vars: 6188, Constraints: 9407, ObjTerms: 2511, PresolvedVars: 6048, PresolvedRows: 8045,
 			LPIters: 3197, Nodes: 1, Moves: 13, Spills: 0, CodeWords: 393},
-		{Name: "Kasumi NoSpill Gap 0.99", Vars: 6852, Constraints: 6913, ObjTerms: 2710, PresolvedVars: 6776, PresolvedRows: 6599,
+		{Name: "Kasumi NoSpill Gap 0.99", Vars: 6852, Constraints: 6889, ObjTerms: 2710, PresolvedVars: 6776, PresolvedRows: 6579,
 			LPIters: 3555, Nodes: 0, Moves: 5, Spills: 0, CodeWords: 364},
 		{Name: "NAT NoSpill Gap 0.99", Vars: 2622, Constraints: 5161, ObjTerms: 1277, PresolvedVars: 2498, PresolvedRows: 2323,
 			LPIters: 1182, Nodes: 8, Moves: 9, Spills: 0, CodeWords: 134},

@@ -21,6 +21,7 @@ type Reg struct {
 	Idx  int
 }
 
+// String returns the register's bank and index, as "A3" or "L0".
 func (r Reg) String() string { return fmt.Sprintf("%v%d", r.Bank, r.Idx) }
 
 // Operand is a register or an immediate.
@@ -36,6 +37,7 @@ func R(r Reg) Operand { return Operand{Reg: r} }
 // Imm makes an immediate operand.
 func Imm(v uint32) Operand { return Operand{IsImm: true, Imm: v} }
 
+// String returns the register's name, or a hex immediate as "#0x1f".
 func (o Operand) String() string {
 	if o.IsImm {
 		return fmt.Sprintf("#0x%x", o.Imm)
@@ -65,6 +67,7 @@ const (
 var opNames = [...]string{"alu", "imm", "read", "write", "hash", "bts",
 	"csr_rd", "csr_wr", "ctx_swap", "br", "jmp", "halt"}
 
+// String returns the opcode's mnemonic, as "alu" or "csr_rd".
 func (o Op) String() string { return opNames[o] }
 
 // Instr is one machine instruction.
@@ -105,6 +108,8 @@ func (p *Program) CodeWords() int {
 	return n
 }
 
+// String returns the listing: one numbered instruction per line, in
+// the Format of each.
 func (p *Program) String() string {
 	var b strings.Builder
 	for i := range p.Instrs {

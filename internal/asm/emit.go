@@ -16,22 +16,21 @@ func Emit(mp *mir.Program, res *core.Result, asn *core.Assignment, spillBase uin
 		mp: mp, res: res, asn: asn,
 		prog:      &Program{SpillBase: spillBase},
 		labelAt:   map[mir.BlockID]int{},
-		movesAt:   map[[2]int][]core.MoveRec{},
+		movesAt:   map[int][]core.MoveRec{},
 		inherited: map[mir.BlockID][]core.MoveRec{},
 	}
 	for _, m := range res.Moves {
-		e.movesAt[[2]int{int(m.Block), m.Index}] = append(e.movesAt[[2]int{int(m.Block), m.Index}], m)
+		e.movesAt[m.Point] = append(e.movesAt[m.Point], m)
 	}
-	// Moves scheduled at a point after a branch comparison are emitted
-	// at the head of each successor (isel gives branch targets a single
-	// predecessor).
+	// Moves scheduled at a point after a branch comparison (the
+	// branch's exit point) are emitted at the head of each successor
+	// (isel gives branch targets a single predecessor).
 	for _, b := range mp.Blocks {
 		if br, ok := b.Term.(*mir.Branch); ok {
-			after := len(b.Instrs) + 1
-			if ms := e.movesAt[[2]int{int(b.ID), after}]; len(ms) > 0 {
+			_, exit := res.BlockPoints(b.ID)
+			if ms := e.movesAt[exit]; len(ms) > 0 {
 				e.inherited[br.Then.To] = append(e.inherited[br.Then.To], ms...)
 				e.inherited[br.Else.To] = append(e.inherited[br.Else.To], ms...)
-				delete(e.movesAt, [2]int{int(b.ID), after})
 			}
 		}
 	}
@@ -57,7 +56,7 @@ type emitter struct {
 	asn       *core.Assignment
 	prog      *Program
 	labelAt   map[mir.BlockID]int
-	movesAt   map[[2]int][]core.MoveRec
+	movesAt   map[int][]core.MoveRec // by point
 	inherited map[mir.BlockID][]core.MoveRec
 	fixups    []fixup
 }
@@ -101,8 +100,8 @@ func (e *emitter) regOperand(o mir.Operand, p int) (Operand, error) {
 
 func (e *emitter) block(b *mir.Block) error {
 	e.labelAt[b.ID] = len(e.prog.Instrs)
-	basePoint := e.basePoint(b)
-	pt := func(idx int) int { return basePoint + idx }
+	entry, _ := e.res.BlockPoints(b.ID)
+	pt := func(idx int) int { return entry + idx }
 
 	if ms := e.inherited[b.ID]; len(ms) > 0 {
 		if err := e.moves(ms); err != nil {
@@ -111,7 +110,7 @@ func (e *emitter) block(b *mir.Block) error {
 	}
 	nInstr := len(b.Instrs)
 	for i := 0; i <= nInstr; i++ {
-		if ms := e.movesAt[[2]int{int(b.ID), i}]; len(ms) > 0 {
+		if ms := e.movesAt[pt(i)]; len(ms) > 0 {
 			if err := e.moves(ms); err != nil {
 				return err
 			}
@@ -124,22 +123,6 @@ func (e *emitter) block(b *mir.Block) error {
 		}
 	}
 	return e.terminator(b, pt(nInstr))
-}
-
-// basePoint recomputes the global point index of a block's first point
-// (the same numbering the core package uses).
-func (e *emitter) basePoint(b *mir.Block) int {
-	p := 0
-	for _, bb := range e.mp.Blocks {
-		if bb.ID == b.ID {
-			return p
-		}
-		p += len(bb.Instrs) + 1
-		if _, isBr := bb.Term.(*mir.Branch); isBr {
-			p++
-		}
-	}
-	return p
 }
 
 func (e *emitter) instr(in *mir.Instr, at, after int) error {

@@ -131,9 +131,10 @@ func (r *Result) AssignRegisters() (*Assignment, error) {
 		v    mir.Temp
 		root locID
 	}
+	var ab []occ // one point side's A/B occupants, reused
 	for p := 0; p < g.npoints; p++ {
 		for _, list := range [][]locEntry{g.beforeLocs[p], g.afterLocs[p]} {
-			var ab []occ
+			ab = ab[:0]
 			for _, le := range list {
 				root := g.find(le.loc)
 				bk := r.bankOf[root]
@@ -271,11 +272,15 @@ func (r *Result) AssignRegisters() (*Assignment, error) {
 	return a, nil
 }
 
-// insertSorted adds x to the sorted set s.
+// insertSorted adds x to the sorted set s. A new set starts with room
+// for a bank's worth of neighbors, so most never grow again.
 func insertSorted(s []locID, x locID) []locID {
 	i, found := slices.BinarySearch(s, x)
 	if found {
 		return s
+	}
+	if s == nil {
+		s = make([]locID, 0, 16)
 	}
 	return slices.Insert(s, i, x)
 }

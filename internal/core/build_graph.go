@@ -134,8 +134,8 @@ type event struct {
 	narrow bankSet
 }
 
-func (g *graph) buildBlock(b *mir.Block, lv *mir.Liveness, base pointID, allowed []bankSet) error {
-	cb := &chainBuilder{g: g, b: b, base: base, allowed: allowed}
+func (g *graph) buildBlock(b *mir.Block, lv *mir.Liveness, allowed []bankSet) error {
+	cb := &chainBuilder{g: g, b: b, base: g.entry[b.ID], allowed: allowed}
 	return cb.run(lv)
 }
 
@@ -168,10 +168,7 @@ var abwSet = setOf(A, B, S, SD)
 func (cb *chainBuilder) run(lv *mir.Liveness) error {
 	g, b := cb.g, cb.b
 	nInstr := len(b.Instrs)
-	exitIdx := nInstr
-	if _, isBr := b.Term.(*mir.Branch); isBr {
-		exitIdx++
-	}
+	exitIdx := int(g.exit(b.ID) - cb.base)
 	pt := func(idx int) pointID { return cb.base + pointID(idx) }
 
 	// Live sets per point index.
@@ -209,14 +206,16 @@ func (cb *chainBuilder) run(lv *mir.Liveness) error {
 		in := &b.Instrs[i]
 		switch in.Kind {
 		case mir.KALU:
-			var ops []mir.Temp
+			var ops [2]mir.Temp
+			n := 0
 			for _, s := range in.Srcs {
 				if !s.IsImm {
-					ops = append(ops, s.Temp)
+					ops[n] = s.Temp
+					n++
 					cb.narrowAt(s.Temp, i, readableSet)
 				}
 			}
-			if len(ops) == 2 {
+			if n == 2 {
 				if ops[0] == ops[1] {
 					return fmt.Errorf("core: instruction %q uses %s twice; SSU should have cloned it",
 						g.mp.FormatInstr(in), g.mp.TempName(ops[0]))
@@ -236,11 +235,7 @@ func (cb *chainBuilder) run(lv *mir.Liveness) error {
 			for _, d := range in.Dsts {
 				define(d, i, setOf(bank))
 			}
-			kind := fmt.Sprintf("DefL%d", len(in.Dsts))
-			if bank == LD {
-				kind = fmt.Sprintf("DefLD%d", len(in.Dsts))
-			}
-			g.aggs = append(g.aggs, aggregate{bank: bank, temps: append([]mir.Temp(nil), in.Dsts...), kind: kind})
+			g.aggs = append(g.aggs, aggregate{bank: bank, temps: append([]mir.Temp(nil), in.Dsts...)})
 		case mir.KMemWrite:
 			cb.narrowAt(in.Srcs[0].Temp, i, readableSet)
 			bank := writeBank(in.Space)
@@ -252,11 +247,7 @@ func (cb *chainBuilder) run(lv *mir.Liveness) error {
 				cb.narrowAt(s.Temp, i, setOf(bank))
 				temps = append(temps, s.Temp)
 			}
-			kind := fmt.Sprintf("UseS%d", len(temps))
-			if bank == SD {
-				kind = fmt.Sprintf("UseSD%d", len(temps))
-			}
-			g.aggs = append(g.aggs, aggregate{bank: bank, temps: temps, kind: kind})
+			g.aggs = append(g.aggs, aggregate{bank: bank, temps: temps})
 		case mir.KSpecial:
 			switch in.Special {
 			case cps.SpecHash:
@@ -351,7 +342,9 @@ func (cb *chainBuilder) run(lv *mir.Liveness) error {
 		}
 		vEvs := evs[:n]
 		evs = evs[n:]
-		var runs []activeRun
+		// v's runs in this block (an arrival and one per event)
+		// follow those of earlier blocks.
+		runs := slices.Grow(g.active[v], 1+len(vEvs))
 		var cur locID = -1
 		startIdx := 0
 		if d := def[v]; d.arrive != 0 {
@@ -376,7 +369,8 @@ func (cb *chainBuilder) run(lv *mir.Liveness) error {
 				dLoc: cur, d: v, s: cp.s, sLoc: -1, point: pt(cp.idx),
 			})
 		} else {
-			// Live-in (parameter or live-through): arrival at entry.
+			// Live-in (parameter or live-through): arrival at entry,
+			// so beforeLocAt finds this run at a block entry.
 			allow := cb.allowed[v]
 			if b.ID == 0 {
 				// Program entry: the host ABI delivers arguments in
@@ -408,15 +402,15 @@ func (cb *chainBuilder) run(lv *mir.Liveness) error {
 				allow = allow.add(C)
 			}
 			if allow == 0 {
-				return fmt.Errorf("core: temp %s has no feasible bank at %s (instr %d)",
-					g.mp.TempName(v), g.pointTag[pt(idx)], idx)
+				return fmt.Errorf("core: temp %s has no feasible bank at %s",
+					g.mp.TempName(v), g.pointName(pt(idx)))
 			}
 			post := g.newLoc(v, allow)
 			g.arcs = append(g.arcs, arc{v: v, from: cur, to: post, point: pt(idx)})
 			runs = append(runs, activeRun{from: pt(idx), loc: post})
 			cur = post
 		}
-		g.active[v] = append(g.active[v], runs...)
+		g.active[v] = runs
 	}
 	// Clone arrival unification (source location now known).
 	for i := range g.cloneLinks {
@@ -427,7 +421,7 @@ func (cb *chainBuilder) run(lv *mir.Liveness) error {
 		s := g.activeLocAt(cl.s, cl.point)
 		if s < 0 {
 			return fmt.Errorf("core: clone source %s has no location at %s",
-				g.mp.TempName(cl.s), g.pointTag[cl.point])
+				g.mp.TempName(cl.s), g.pointName(cl.point))
 		}
 		cl.sLoc = s
 		g.union(cl.dLoc, s)
@@ -454,7 +448,7 @@ func (cb *chainBuilder) run(lv *mir.Liveness) error {
 		g.beforeLocs[p] = make([]locEntry, 0, len(temps))
 		g.afterLocs[p] = make([]locEntry, 0, len(temps))
 		for _, v := range temps {
-			before := g.beforeLocAtLinear(v, p)
+			before := g.beforeLocAt(v, p)
 			after := g.activeLocAt(v, p)
 			if before >= 0 {
 				g.beforeLocs[p] = append(g.beforeLocs[p], locEntry{v: v, loc: before})
@@ -469,10 +463,11 @@ func (cb *chainBuilder) run(lv *mir.Liveness) error {
 
 // beforeLocAt returns v's location just before any move at p: the
 // arrival run starting exactly at p if one exists, else the last run
-// starting strictly before p. Extraction and emission must use this
-// (not the Linear variant): resolving a block-entry point to an
-// earlier block's chain follows layout order, not control flow, and
-// miscompiles when a move in one branch arm changes the bank.
+// starting strictly before p. The occupancy lists, extraction and
+// emission all use it. At a block entry it is the entry's arrival web,
+// which edge unification joins to each predecessor's exit web; the
+// last location of the previous block in layout order may belong to
+// another branch arm.
 func (g *graph) beforeLocAt(v mir.Temp, p pointID) locID {
 	runs := g.active[v]
 	best := locID(-1)
@@ -486,33 +481,6 @@ func (g *graph) beforeLocAt(v mir.Temp, p pointID) locID {
 			// layout order — a different control-flow path, not this
 			// point's past. Post-move runs at p are never "before".
 			if r.arrival || best < 0 {
-				best = r.loc
-			}
-			break
-		} else {
-			break
-		}
-	}
-	return best
-}
-
-// beforeLocAtLinear is the layout-linear lookup the Exists lists
-// (capacity, interference, occupancy rows) are built with: at a block
-// entry it yields the previous layout block's last location rather
-// than the entry arrival. The model has constrained that web since the
-// first version of this allocator; switching the lists to the arrival
-// webs adds one web per live-in temp per block to every such row and
-// sends the root relaxation's solve time up by orders of magnitude, so
-// the model keeps the historical lists and only the solution queries
-// (beforeLocAt above) use the control-flow-correct rule.
-func (g *graph) beforeLocAtLinear(v mir.Temp, p pointID) locID {
-	runs := g.active[v]
-	best := locID(-1)
-	for _, r := range runs {
-		if r.from < p {
-			best = r.loc
-		} else if r.from == p {
-			if best < 0 {
 				best = r.loc
 			}
 			break

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/freq"
 	"repro/internal/mir"
@@ -65,9 +66,13 @@ type graph struct {
 	mp   *mir.Program
 	opts Options
 
-	npoints  int
-	weight   []float64 // per point (execution frequency estimate)
-	pointTag []string  // debug
+	// The point layout: block b's points are entry[b] through
+	// entry[b+1]-1, one per instruction boundary plus one after a
+	// branch comparison; the last is b's exit. Every point-numbering
+	// site reads it.
+	npoints int
+	entry   []pointID
+	weight  []float64 // per point (execution frequency estimate)
 
 	// Per-temp data.
 	isConst  []bool
@@ -123,7 +128,6 @@ type pair struct{ x, y locID }
 type aggregate struct {
 	bank  Bank
 	temps []mir.Temp
-	kind  string // DefL/DefLD/UseS/UseSD with size, for Figure 6 stats
 }
 
 type sameRegCon struct {
@@ -200,21 +204,21 @@ func buildGraph(mp *mir.Program, opts Options) (*graph, error) {
 	}
 
 	// Points: per block, len(instrs)+1 boundary points, plus one after
-	// a branch comparison. Block b's point i is firstPoint[b]+i.
+	// a branch comparison. Blocks are numbered in layout order.
 	blockFreq := freq.Estimate(mp)
-	firstPoint := make([]pointID, len(mp.Blocks))
+	g.entry = make([]pointID, len(mp.Blocks)+1)
 	for _, b := range mp.Blocks {
 		n := len(b.Instrs) + 1
 		if _, isBr := b.Term.(*mir.Branch); isBr {
 			n++
 		}
-		firstPoint[b.ID] = pointID(g.npoints)
+		g.entry[b.ID] = pointID(g.npoints)
 		for i := 0; i < n; i++ {
 			g.weight = append(g.weight, blockFreq[b.ID])
-			g.pointTag = append(g.pointTag, fmt.Sprintf("b%d.%d", b.ID, i))
-			g.npoints++
 		}
+		g.npoints += n
 	}
+	g.entry[len(mp.Blocks)] = pointID(g.npoints)
 	g.beforeLocs = make([][]locEntry, g.npoints)
 	g.afterLocs = make([][]locEntry, g.npoints)
 
@@ -259,28 +263,24 @@ func buildGraph(mp *mir.Program, opts Options) (*graph, error) {
 	lv := mir.ComputeLiveness(mp)
 	// Build per-block, per-var chains.
 	for _, b := range mp.Blocks {
-		if err := g.buildBlock(b, lv, firstPoint[b.ID], allowed); err != nil {
+		if err := g.buildBlock(b, lv, allowed); err != nil {
 			return nil, err
 		}
 	}
 	// Control-edge unification.
 	var temps []mir.Temp
 	for _, b := range mp.Blocks {
-		exitIdx := len(b.Instrs)
-		if _, isBr := b.Term.(*mir.Branch); isBr {
-			exitIdx++
-		}
-		exitPt := firstPoint[b.ID] + pointID(exitIdx)
+		exitPt := g.exit(b.ID)
 		for _, e := range b.Succs() {
 			target := mp.Blocks[e.To]
-			entryPt := firstPoint[e.To]
+			entryPt := g.entry[e.To]
 			// Arguments feed parameters.
 			for i, a := range e.Args {
 				if a.IsImm {
 					return nil, fmt.Errorf("core: immediate edge argument survived normalization")
 				}
 				src := g.activeLocAt(a.Temp, exitPt)
-				dst := g.entryLoc(target.Params[i], entryPt)
+				dst := g.beforeLocAt(target.Params[i], entryPt)
 				if dst < 0 {
 					// The parameter is dead in the target; the argument
 					// needs no location agreement.
@@ -319,7 +319,7 @@ func buildGraph(mp *mir.Program, opts Options) (*graph, error) {
 					continue
 				}
 				src := g.activeLocAt(v, exitPt)
-				dst := g.entryLoc(v, entryPt)
+				dst := g.beforeLocAt(v, entryPt)
 				if src < 0 || dst < 0 {
 					return nil, fmt.Errorf("core: missing loc for live-through %s on b%d->b%d",
 						mp.TempName(v), b.ID, e.To)
@@ -340,18 +340,19 @@ func isParam(b *mir.Block, v mir.Temp) bool {
 	return false
 }
 
-// entryLoc returns the Before-location of v at a block entry point.
-func (g *graph) entryLoc(v mir.Temp, entry pointID) locID {
-	runs := g.active[v]
-	for _, r := range runs {
-		if r.from == entry && r.loc >= 0 {
-			// The first run at the entry point is the arrival loc only
-			// if it was registered as such; entry locs are recorded
-			// with a marker run at `from == entry` first.
-			return r.loc
-		}
-	}
-	return -1
+// exit returns block b's exit point, after its branch comparison if
+// it has one.
+func (g *graph) exit(b mir.BlockID) pointID { return g.entry[b+1] - 1 }
+
+// blockOf returns the block that holds point p.
+func (g *graph) blockOf(p pointID) mir.BlockID {
+	return mir.BlockID(sort.Search(len(g.mp.Blocks), func(b int) bool { return g.entry[b+1] > p }))
+}
+
+// pointName formats p as block.index, for error messages.
+func (g *graph) pointName(p pointID) string {
+	b := g.blockOf(p)
+	return fmt.Sprintf("b%d.%d", b, p-g.entry[b])
 }
 
 // activeLocAt returns v's post-move location at point p.

@@ -15,9 +15,8 @@ import (
 
 // MoveRec is one physical relocation chosen by the solver.
 type MoveRec struct {
-	Point    int
+	Point    int // see Result.BlockPoints for the point layout
 	Block    mir.BlockID
-	Index    int // instruction index within the block the move precedes
 	V        mir.Temp
 	From, To Bank
 	Weight   float64
@@ -265,7 +264,6 @@ func (il *ilp) extract(res *mip.Result) (*Result, error) {
 	// Clone-group moves with identical endpoints at one point count
 	// once (§10).
 	seenClone := map[[4]int]bool{}
-	pointBlock, pointIndex := g.pointPlacement()
 	for _, a := range g.arcs {
 		from, to := g.find(a.from), g.find(a.to)
 		if from == to {
@@ -282,7 +280,7 @@ func (il *ilp) extract(res *mip.Result) (*Result, error) {
 			seenClone[key] = true
 		}
 		rec := MoveRec{
-			Point: int(a.point), Block: pointBlock[a.point], Index: pointIndex[a.point],
+			Point: int(a.point), Block: g.blockOf(a.point),
 			V: a.v, From: b1, To: b2, Weight: g.weight[a.point], CloneDup: dup,
 		}
 		out.Moves = append(out.Moves, rec)
@@ -300,21 +298,12 @@ func (il *ilp) extract(res *mip.Result) (*Result, error) {
 	return out, nil
 }
 
-// pointPlacement maps each point back to (block, instruction index).
-func (g *graph) pointPlacement() ([]mir.BlockID, []int) {
-	blocks := make([]mir.BlockID, 0, g.npoints)
-	idxs := make([]int, 0, g.npoints)
-	for _, b := range g.mp.Blocks {
-		n := len(b.Instrs) + 1
-		if _, isBr := b.Term.(*mir.Branch); isBr {
-			n++
-		}
-		for i := 0; i < n; i++ {
-			blocks = append(blocks, b.ID)
-			idxs = append(idxs, i)
-		}
-	}
-	return blocks, idxs
+// BlockPoints returns the first and exit points of block b. Its
+// points are entry through exit, one per instruction boundary (entry+i
+// is before instruction i) plus, after a branch, the exit point past
+// the comparison.
+func (r *Result) BlockPoints(b mir.BlockID) (entry, exit int) {
+	return int(r.graph.entry[b]), int(r.graph.exit(b))
 }
 
 // ColorOf returns v's register number in transfer bank b, or false

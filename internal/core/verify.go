@@ -24,7 +24,7 @@ func Verify(res *Result) error {
 	bankAt := func(v mir.Temp, p pointID) Bank {
 		b, ok := res.BankAt(v, int(p))
 		if !ok {
-			bad("temp %s has no bank at %s", mp.TempName(v), g.pointTag[p])
+			bad("temp %s has no bank at %s", mp.TempName(v), g.pointName(p))
 			return -1
 		}
 		return b
@@ -45,49 +45,45 @@ func Verify(res *Result) error {
 		return -1
 	}
 
-	p := pointID(0)
-	for _, b := range mp.Blocks {
-		base := p
-		n := len(b.Instrs) + 1
-		if _, isBr := b.Term.(*mir.Branch); isBr {
+	// checkPair checks the one or two operands an instruction or
+	// branch compare reads at point at.
+	checkPair := func(ops []mir.Operand, at pointID, what string) {
+		var regs [2]Bank
+		var temps [2]mir.Temp
+		n := 0
+		for _, o := range ops {
+			if o.IsImm {
+				continue
+			}
+			bk := bankAt(o.Temp, at)
+			if bk < 0 {
+				continue
+			}
+			if !in(bk, Readable) {
+				bad("%s %s: operand %s in unreadable bank %v", g.pointName(at), what, mp.TempName(o.Temp), bk)
+			}
+			regs[n], temps[n] = bk, o.Temp
 			n++
 		}
-		p += pointID(n)
-		pt := func(idx int) pointID { return base + pointID(idx) }
-
-		checkPair := func(ops []mir.Operand, at pointID, what string) {
-			var regs []Bank
-			var temps []mir.Temp
-			for _, o := range ops {
-				if o.IsImm {
-					continue
-				}
-				bk := bankAt(o.Temp, at)
-				if bk < 0 {
-					continue
-				}
-				if !in(bk, Readable) {
-					bad("%s: operand %s in unreadable bank %v", what, mp.TempName(o.Temp), bk)
-				}
-				regs = append(regs, bk)
-				temps = append(temps, o.Temp)
+		if n == 2 {
+			if regs[0] == regs[1] && (regs[0] == A || regs[0] == B) {
+				bad("%s %s: both operands (%s, %s) in bank %v", g.pointName(at), what,
+					mp.TempName(temps[0]), mp.TempName(temps[1]), regs[0])
 			}
-			if len(regs) == 2 {
-				if regs[0] == regs[1] && (regs[0] == A || regs[0] == B) {
-					bad("%s: both operands (%s, %s) in bank %v", what,
-						mp.TempName(temps[0]), mp.TempName(temps[1]), regs[0])
+			xfer := 0
+			for _, r := range regs {
+				if r == L || r == LD {
+					xfer++
 				}
-				xfer := 0
-				for _, r := range regs {
-					if r == L || r == LD {
-						xfer++
-					}
-				}
-				if xfer > 1 {
-					bad("%s: both operands from transfer banks (%v, %v)", what, regs[0], regs[1])
-				}
+			}
+			if xfer > 1 {
+				bad("%s %s: both operands from transfer banks (%v, %v)", g.pointName(at), what, regs[0], regs[1])
 			}
 		}
+	}
+
+	for _, b := range mp.Blocks {
+		pt := func(idx int) pointID { return g.entry[b.ID] + pointID(idx) }
 
 		for i := range b.Instrs {
 			in2 := &b.Instrs[i]
@@ -95,7 +91,7 @@ func Verify(res *Result) error {
 			after := pt(i + 1)
 			switch in2.Kind {
 			case mir.KALU:
-				checkPair(in2.Srcs, at, fmt.Sprintf("b%d/%d alu", b.ID, i))
+				checkPair(in2.Srcs, at, "alu")
 				if db, ok := res.BankBefore(in2.Dsts[0], int(after)); ok {
 					if !in(db, Writable) {
 						bad("b%d/%d alu result %s arrives in %v", b.ID, i, mp.TempName(in2.Dsts[0]), db)
@@ -109,7 +105,7 @@ func Verify(res *Result) error {
 					}
 				}
 			case mir.KMemRead:
-				checkPair(in2.Srcs[:1], at, fmt.Sprintf("b%d/%d read addr", b.ID, i))
+				checkPair(in2.Srcs[:1], at, "read addr")
 				want := readBank(in2.Space)
 				prev := -1
 				for k, d := range in2.Dsts {
@@ -124,7 +120,7 @@ func Verify(res *Result) error {
 					prev = c
 				}
 			case mir.KMemWrite:
-				checkPair(in2.Srcs[:1], at, fmt.Sprintf("b%d/%d write addr", b.ID, i))
+				checkPair(in2.Srcs[:1], at, "write addr")
 				want := writeBank(in2.Space)
 				prev := -1
 				for k, s := range in2.Srcs[1:] {
@@ -175,7 +171,7 @@ func Verify(res *Result) error {
 		}
 		switch t := b.Term.(type) {
 		case *mir.Branch:
-			checkPair([]mir.Operand{t.L, t.R}, pt(len(b.Instrs)), fmt.Sprintf("b%d branch", b.ID))
+			checkPair([]mir.Operand{t.L, t.R}, pt(len(b.Instrs)), "branch")
 		case *mir.Halt:
 			for _, r := range t.Results {
 				if r.IsImm {
@@ -191,7 +187,7 @@ func Verify(res *Result) error {
 	// Capacity and color-conflict checks per point.
 	var count [NumBanks][]int
 	var colorUse [NumBanks][XRegs][]mir.Temp
-	for pp := 0; pp < g.npoints; pp++ {
+	for pp := range pointID(g.npoints) {
 		for _, list := range [][]locEntry{g.beforeLocs[pp], g.afterLocs[pp]} {
 			for bk := range count {
 				count[bk] = count[bk][:0]
@@ -212,17 +208,17 @@ func Verify(res *Result) error {
 				if bk.IsXfer() {
 					c, ok := res.ColorOf(le.v, bk)
 					if !ok {
-						bad("%s: %s in %v without color", g.pointTag[pp], mp.TempName(le.v), bk)
+						bad("%s: %s in %v without color", g.pointName(pp), mp.TempName(le.v), bk)
 						continue
 					}
 					colorUse[bk][c] = append(colorUse[bk][c], le.v)
 				}
 			}
 			if n := distinct(count[A]); n > KA {
-				bad("%s: %d webs in A exceeds capacity", g.pointTag[pp], n)
+				bad("%s: %d webs in A exceeds capacity", g.pointName(pp), n)
 			}
 			if n := distinct(count[B]); n > KB {
-				bad("%s: %d webs in B exceeds capacity", g.pointTag[pp], n)
+				bad("%s: %d webs in B exceeds capacity", g.pointName(pp), n)
 			}
 			for bk, regs := range colorUse {
 				for c, temps := range regs {
@@ -237,7 +233,7 @@ func Verify(res *Result) error {
 							if g.cloneSet[v1] >= 0 && g.cloneSet[v1] == g.cloneSet[v2] {
 								continue
 							}
-							bad("%s: %s and %s share %v register %d", g.pointTag[pp],
+							bad("%s: %s and %s share %v register %d", g.pointName(pp),
 								mp.TempName(v1), mp.TempName(v2), Bank(bk), c)
 						}
 					}
