@@ -8,6 +8,7 @@ package opt
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/ast"
@@ -253,8 +254,7 @@ func (o *optimizer) rewriteAll() {
 		if o.labUses[l] == 0 && l != o.p.Entry {
 			continue
 		}
-		cse := map[string]cps.Var{}
-		f.Body = o.rewrite(f.Body, cse)
+		f.Body = o.rewrite(f.Body, map[cseKey]cps.Var{})
 	}
 }
 
@@ -300,7 +300,15 @@ func (o *optimizer) anyUsed(vs []cps.Var) bool {
 	return false
 }
 
-func (o *optimizer) rewrite(t cps.Term, cse map[string]cps.Var) cps.Term {
+// cseKey names one arithmetic expression for local CSE. Its operands
+// compare as interfaces, so a variable and a constant with the same
+// number are different keys.
+type cseKey struct {
+	op   ast.BinOp
+	l, r cps.Value
+}
+
+func (o *optimizer) rewrite(t cps.Term, cse map[cseKey]cps.Var) cps.Term {
 	switch t := t.(type) {
 	case *cps.Arith:
 		l, r := o.val(t.L), o.val(t.R)
@@ -339,7 +347,7 @@ func (o *optimizer) rewrite(t cps.Term, cse map[string]cps.Var) cps.Term {
 			return t
 		}
 		// Local CSE.
-		key := fmt.Sprintf("%v|%v|%v", t.Op, l, r)
+		key := cseKey{t.Op, l, r}
 		if prev, ok := cse[key]; ok && prev != t.Dst {
 			if _, had := o.subst[t.Dst]; !had {
 				o.subst[t.Dst] = prev
@@ -408,8 +416,8 @@ func (o *optimizer) rewrite(t cps.Term, cse map[string]cps.Var) cps.Term {
 			}
 		}
 		// Branches get private CSE scopes seeded from the current one.
-		t.Then = o.rewrite(t.Then, copyCSE(cse))
-		t.Else = o.rewrite(t.Else, copyCSE(cse))
+		t.Then = o.rewrite(t.Then, maps.Clone(cse))
+		t.Else = o.rewrite(t.Else, maps.Clone(cse))
 		return t
 	case *cps.App:
 		t.Args = o.vals(t.Args)
@@ -499,14 +507,6 @@ func (o *optimizer) trimRead(t *cps.MemRead) (cps.Term, bool) {
 		return add, true
 	}
 	return nil, false
-}
-
-func copyCSE(m map[string]cps.Var) map[string]cps.Var {
-	out := make(map[string]cps.Var, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // removeUnreachable deletes functions no longer reachable from entry.

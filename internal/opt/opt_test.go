@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -95,7 +96,7 @@ func sameBehavior(t *testing.T, src string, argsets [][]uint32, init func(*cps.M
 		}
 		for i := range r1.Results {
 			if r1.Results[i] != r2.Results[i] {
-				t.Fatalf("args %v: result[%d] = %d, optimized %d", args, i, r1.Results[i], r2.Results[i])
+				t.Fatalf("args %v: result[%d] = %d, optimized %d\n%s", args, i, r1.Results[i], r2.Results[i], src)
 			}
 		}
 		for i := range m1.SRAM {
@@ -271,6 +272,49 @@ func TestCSE(t *testing.T) {
 	}
 	if c := count(p); c.arith != 2 {
 		t.Fatalf("arith = %d, want 2 (one add, one mul)\n%s", c.arith, p)
+	}
+}
+
+func TestCSEKeepsVarAndConstApart(t *testing.T) {
+	// x + y and x + 1 are different expressions even though the
+	// variable y and the constant 1 share the number 1.
+	src := `fun main(x: word, y: word) -> word { let a = x + y; let b = x + 1; a ^ b }`
+	sameBehavior(t, src, [][]uint32{{10, 5}}, nil)
+	p := compile(t, src)
+	Optimize(p)
+	res, err := p.Eval(cps.NewMachine(16, 16, 16), []uint32{10, 5}, 1000)
+	if err != nil || res.Results[0] != 4 {
+		t.Fatalf("res=%v err=%v, want 4\n%s", res, err, p)
+	}
+}
+
+// TestOptimizeRandomPrograms compares seeded straight-line programs
+// over two parameters with their optimized form. Each let applies a
+// word operator to an earlier value and a right operand that is either
+// a variable or a small constant, so variables and constants with the
+// same number meet in the CSE table.
+func TestOptimizeRandomPrograms(t *testing.T) {
+	ops := []string{"+", "-", "^", "&", "|"}
+	seeds := 2000
+	if testing.Short() {
+		seeds = 200
+	}
+	for seed := 0; seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		names := []string{"x", "y"}
+		var b strings.Builder
+		b.WriteString("fun main(x: word, y: word) -> word {\n")
+		for i := 0; i < 8; i++ {
+			r := fmt.Sprint(rng.Intn(12))
+			if rng.Intn(2) == 0 {
+				r = names[rng.Intn(len(names))]
+			}
+			name := fmt.Sprintf("v%d", i)
+			fmt.Fprintf(&b, "  let %s = %s %s %s;\n", name, names[rng.Intn(len(names))], ops[rng.Intn(len(ops))], r)
+			names = append(names, name)
+		}
+		b.WriteString("  " + strings.Join(names[2:], " + ") + "\n}")
+		sameBehavior(t, b.String(), [][]uint32{{10, 5}, {0, 1}, {0xffffffff, 7}}, nil)
 	}
 }
 
