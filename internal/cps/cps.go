@@ -15,7 +15,6 @@ package cps
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/ast"
@@ -52,6 +51,7 @@ const (
 
 var spaceNames = [...]string{"sram", "sdram", "scratch", "rfifo", "tfifo"}
 
+// String returns the space's name as the printer writes it.
 func (s Space) String() string { return spaceNames[s] }
 
 // SpecialKind identifies a non-memory hardware operation.
@@ -68,6 +68,7 @@ const (
 
 var specialNames = [...]string{"hash", "bts", "csr_rd", "csr_wr", "ctx_swap"}
 
+// String returns the operation's name as the printer writes it.
 func (k SpecialKind) String() string { return specialNames[k] }
 
 // Term is the body of a CPS function: a tree of bindings ending in a
@@ -167,39 +168,52 @@ type Fun struct {
 	Body   Term
 }
 
-// Program is a whole CPS program.
+// Program is a whole CPS program. Vars and labels are dense: passes
+// index per-variable and per-label tables by them, sized from NumVars
+// and NumLabels.
 type Program struct {
-	Funs    map[Label]*Fun
-	Entry   Label
-	names   map[Var]string
-	nextVar Var
-	nextLab Label
+	// Funs is indexed by Label; the entry is nil for a label with no
+	// function, or whose function was deleted.
+	Funs  []*Fun
+	Entry Label
+	names []string // debug names, indexed by Var
 }
 
 // NewProgram returns an empty program.
-func NewProgram() *Program {
-	return &Program{Funs: map[Label]*Fun{}, names: map[Var]string{}}
-}
+func NewProgram() *Program { return &Program{} }
 
 // NewVar allocates a fresh temporary with a debug name.
 func (p *Program) NewVar(name string) Var {
-	v := p.nextVar
-	p.nextVar++
-	p.names[v] = name
-	return v
+	p.names = append(p.names, name)
+	return Var(len(p.names) - 1)
 }
 
-// NewLabel allocates a fresh label.
+// NewLabel allocates a fresh label with no function yet.
 func (p *Program) NewLabel() Label {
-	l := p.nextLab
-	p.nextLab++
-	return l
+	p.Funs = append(p.Funs, nil)
+	return Label(len(p.Funs) - 1)
+}
+
+// NumVars returns the number of variables allocated so far; every Var
+// is below it.
+func (p *Program) NumVars() int { return len(p.names) }
+
+// NumLabels returns the number of labels allocated so far; every Label
+// is below it.
+func (p *Program) NumLabels() int { return len(p.Funs) }
+
+// EntryFun returns the entry function, or nil when there is none.
+func (p *Program) EntryFun() *Fun {
+	if int(p.Entry) < len(p.Funs) {
+		return p.Funs[p.Entry]
+	}
+	return nil
 }
 
 // VarName returns the debug name of v.
 func (p *Program) VarName(v Var) string {
-	if n := p.names[v]; n != "" {
-		return fmt.Sprintf("%s.%d", n, v)
+	if int(v) < len(p.names) && p.names[v] != "" {
+		return fmt.Sprintf("%s.%d", p.names[v], v)
 	}
 	return fmt.Sprintf("t%d", v)
 }
@@ -240,19 +254,14 @@ func (p *Program) formatVars(vs []Var) string {
 // String renders the whole program in a readable form, entry first,
 // then remaining functions in label order.
 func (p *Program) String() string {
-	var labels []Label
-	for l := range p.Funs {
-		if l != p.Entry {
-			labels = append(labels, l)
-		}
-	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
 	var b strings.Builder
-	if f, ok := p.Funs[p.Entry]; ok {
+	if f := p.EntryFun(); f != nil {
 		p.writeFun(&b, f)
 	}
-	for _, l := range labels {
-		p.writeFun(&b, p.Funs[l])
+	for l, f := range p.Funs {
+		if f != nil && Label(l) != p.Entry {
+			p.writeFun(&b, f)
+		}
 	}
 	return b.String()
 }
@@ -304,6 +313,33 @@ func (p *Program) writeTerm(b *strings.Builder, t Term, depth int) {
 		fmt.Fprintf(b, "halt(%s)\n", p.formatValues(t.Results))
 	default:
 		fmt.Fprintf(b, "?%T\n", t)
+	}
+}
+
+// Walk calls f on slot and then on every term slot below it, in
+// pre-order: a binding before its continuation, an If before its Then
+// arm and the Then arm before the Else arm. f may replace *slot; Walk
+// then descends into the replacement's children.
+func Walk(slot *Term, f func(*Term)) {
+	for {
+		f(slot)
+		switch t := (*slot).(type) {
+		case *Arith:
+			slot = &t.K
+		case *MemRead:
+			slot = &t.K
+		case *MemWrite:
+			slot = &t.K
+		case *Special:
+			slot = &t.K
+		case *Clone:
+			slot = &t.K
+		case *If:
+			Walk(&t.Then, f)
+			slot = &t.Else
+		default:
+			return
+		}
 	}
 }
 

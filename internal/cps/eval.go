@@ -65,8 +65,8 @@ type EvalResult struct {
 // the Halt results. It fails on unbound variables, bad addresses, or
 // step-budget exhaustion (runaway loops).
 func (p *Program) Eval(m *Machine, args []uint32, maxSteps int) (*EvalResult, error) {
-	entry, ok := p.Funs[p.Entry]
-	if !ok {
+	entry := p.EntryFun()
+	if entry == nil {
 		return nil, fmt.Errorf("cps eval: no entry function")
 	}
 	if len(args) != len(entry.Params) {
@@ -233,14 +233,14 @@ func (p *Program) Eval(m *Machine, args []uint32, maxSteps int) (*EvalResult, er
 			if err != nil {
 				return nil, err
 			}
-			if evalCmp(tt.Cmp, l, r) {
+			if types.EvalCmp(tt.Cmp, l, r) {
 				t = tt.Then
 			} else {
 				t = tt.Else
 			}
 		case *App:
-			f, ok := p.Funs[tt.F]
-			if !ok {
+			f := p.Funs[tt.F]
+			if f == nil {
 				return nil, fmt.Errorf("cps eval: undefined label L%d", tt.F)
 			}
 			if len(tt.Args) != len(f.Params) {
@@ -297,22 +297,4 @@ func evalArith(op ast.BinOp, l, r uint32) (uint32, error) {
 		return v, nil
 	}
 	return 0, fmt.Errorf("cps eval: bad arithmetic %v (division by zero or non-word op)", op)
-}
-
-func evalCmp(op ast.BinOp, l, r uint32) bool {
-	switch op {
-	case ast.OpEq:
-		return l == r
-	case ast.OpNe:
-		return l != r
-	case ast.OpLt:
-		return l < r
-	case ast.OpGt:
-		return l > r
-	case ast.OpLe:
-		return l <= r
-	case ast.OpGe:
-		return l >= r
-	}
-	return false
 }

@@ -18,8 +18,14 @@ func Select(p *cps.Program) *mir.Program {
 	s := &selector{
 		cp:     p,
 		mp:     &mir.Program{},
-		temps:  map[cps.Var]mir.Temp{},
-		blocks: map[cps.Label]mir.BlockID{},
+		temps:  make([]mir.Temp, p.NumVars()),
+		blocks: make([]mir.BlockID, p.NumLabels()),
+	}
+	for i := range s.temps {
+		s.temps[i] = -1
+	}
+	for i := range s.blocks {
+		s.blocks[i] = -1
 	}
 	// Create the entry block first so it gets ID 0.
 	s.blockFor(p.Entry)
@@ -34,13 +40,14 @@ func Select(p *cps.Program) *mir.Program {
 type selector struct {
 	cp     *cps.Program
 	mp     *mir.Program
-	temps  map[cps.Var]mir.Temp
-	blocks map[cps.Label]mir.BlockID
-	work   []cps.Label
+	temps  []mir.Temp    // by cps.Var; -1 until first use
+	blocks []mir.BlockID // by cps.Label; -1 until first jump
+
+	work []cps.Label
 }
 
 func (s *selector) temp(v cps.Var) mir.Temp {
-	if t, ok := s.temps[v]; ok {
+	if t := s.temps[v]; t >= 0 {
 		return t
 	}
 	t := s.mp.NewTemp(s.cp.VarName(v))
@@ -49,7 +56,7 @@ func (s *selector) temp(v cps.Var) mir.Temp {
 }
 
 func (s *selector) blockFor(l cps.Label) mir.BlockID {
-	if id, ok := s.blocks[l]; ok {
+	if id := s.blocks[l]; id >= 0 {
 		return id
 	}
 	f := s.cp.Funs[l]

@@ -234,7 +234,9 @@ func TestSSUProperty(t *testing.T) {
 			walk(cps.Cont(t))
 		}
 		for _, f := range cp.Funs {
-			walk(f.Body)
+			if f != nil {
+				walk(f.Body)
+			}
 		}
 		for v, n := range writes {
 			if n > 0 && uses[v] != 1 {

@@ -1,8 +1,6 @@
 package opt
 
 import (
-	"sort"
-
 	"repro/internal/ast"
 	"repro/internal/cps"
 )
@@ -18,167 +16,93 @@ import (
 // pure.
 func hoistLoopInvariants(p *cps.Program) int {
 	hoisted := 0
-	var labels []cps.Label
-	for l := range p.Funs {
-		labels = append(labels, l)
-	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-	for _, l := range labels {
-		f, ok := p.Funs[l]
-		if !ok || !callsLabel(f.Body, l) {
+	for l, f := range p.Funs {
+		if f == nil || !callsLabel(f, cps.Label(l)) {
 			continue
 		}
 		// The loop must have exactly one external entry point.
-		entry := externalApp(p, l)
-		if entry == nil {
+		site := externalApp(p, cps.Label(l))
+		if site == nil {
 			continue
 		}
 		for {
-			bound := boundVars(f)
-			ar := extractInvariantArith(f, bound)
+			ar := extractInvariantArith(f, boundVars(p, f))
 			if ar == nil {
 				break
 			}
 			// Splice the binding in front of the external App.
-			holder, site := entry()
-			ar.K = site
-			replaceApp(holder, site, ar)
+			ar.K = *site
+			*site = ar
+			site = &ar.K
 			hoisted++
 		}
 	}
 	return hoisted
 }
 
-// callsLabel reports whether t contains an App to l.
-func callsLabel(t cps.Term, l cps.Label) bool {
-	switch t := t.(type) {
-	case *cps.If:
-		return callsLabel(t.Then, l) || callsLabel(t.Else, l)
-	case *cps.App:
-		return t.F == l
-	case *cps.Halt:
-		return false
-	default:
-		return callsLabel(cps.Cont(t), l)
-	}
+// callsLabel reports whether f's body contains an App to l.
+func callsLabel(f *cps.Fun, l cps.Label) bool {
+	calls := false
+	cps.Walk(&f.Body, func(slot *cps.Term) {
+		if app, ok := (*slot).(*cps.App); ok && app.F == l {
+			calls = true
+		}
+	})
+	return calls
 }
 
-// externalApp finds the unique App to l outside l's own body, as a
-// closure returning (holder fun, the App term). It returns nil when
-// there is not exactly one such site.
-func externalApp(p *cps.Program, l cps.Label) func() (*cps.Fun, cps.Term) {
-	var holder *cps.Fun
-	var site *cps.App
+// externalApp returns the slot holding the unique App to l outside l's
+// own body, or nil when there is not exactly one such site.
+func externalApp(p *cps.Program, l cps.Label) *cps.Term {
+	var site *cps.Term
 	count := 0
-	var walk func(t cps.Term, f *cps.Fun)
-	walk = func(t cps.Term, f *cps.Fun) {
-		switch t := t.(type) {
-		case *cps.If:
-			walk(t.Then, f)
-			walk(t.Else, f)
-		case *cps.App:
-			if t.F == l {
-				count++
-				holder, site = f, t
-			}
-		case *cps.Halt:
-		default:
-			walk(cps.Cont(t), f)
-		}
-	}
 	for fl, f := range p.Funs {
-		if fl == l {
+		if f == nil || cps.Label(fl) == l {
 			continue
 		}
-		walk(f.Body, f)
+		cps.Walk(&f.Body, func(slot *cps.Term) {
+			if app, ok := (*slot).(*cps.App); ok && app.F == l {
+				count++
+				site = slot
+			}
+		})
 	}
 	if count != 1 {
 		return nil
 	}
-	return func() (*cps.Fun, cps.Term) { return holder, site }
+	return site
 }
 
-// boundVars collects the parameters and every variable defined inside
-// f's body.
-func boundVars(f *cps.Fun) map[cps.Var]bool {
-	bound := map[cps.Var]bool{}
+// boundVars marks the parameters of f and every variable defined
+// inside its body.
+func boundVars(p *cps.Program, f *cps.Fun) []bool {
+	bound := make([]bool, p.NumVars())
 	for _, pv := range f.Params {
 		bound[pv] = true
 	}
-	var walk func(t cps.Term)
-	walk = func(t cps.Term) {
-		for _, d := range cps.Defs(t) {
+	cps.Walk(&f.Body, func(slot *cps.Term) {
+		for _, d := range cps.Defs(*slot) {
 			bound[d] = true
 		}
-		if iff, ok := t.(*cps.If); ok {
-			walk(iff.Then)
-			walk(iff.Else)
-			return
-		}
-		if k := cps.Cont(t); k != nil {
-			walk(k)
-		}
-	}
-	walk(f.Body)
+	})
 	return bound
 }
 
 // extractInvariantArith removes and returns the first pure arithmetic
 // binding in f whose operands are all free (loop-invariant), or nil.
-func extractInvariantArith(f *cps.Fun, bound map[cps.Var]bool) *cps.Arith {
+func extractInvariantArith(f *cps.Fun, bound []bool) *cps.Arith {
 	invariant := func(v cps.Value) bool {
 		vv, isVar := v.(cps.Var)
 		return !isVar || !bound[vv]
 	}
 	var found *cps.Arith
-	var walk func(t cps.Term) cps.Term
-	walk = func(t cps.Term) cps.Term {
-		if found != nil {
-			return t
+	cps.Walk(&f.Body, func(slot *cps.Term) {
+		ar, ok := (*slot).(*cps.Arith)
+		if ok && found == nil && ar.Op != ast.OpDiv && ar.Op != ast.OpMod &&
+			invariant(ar.L) && invariant(ar.R) {
+			found = ar
+			*slot = ar.K // splice the binding out
 		}
-		switch tt := t.(type) {
-		case *cps.Arith:
-			if tt.Op != ast.OpDiv && tt.Op != ast.OpMod &&
-				invariant(tt.L) && invariant(tt.R) {
-				found = tt
-				return walk(tt.K) // splice the binding out
-			}
-			tt.K = walk(tt.K)
-			return tt
-		case *cps.If:
-			tt.Then = walk(tt.Then)
-			tt.Else = walk(tt.Else)
-			return tt
-		case *cps.App, *cps.Halt:
-			return t
-		default:
-			cps.SetCont(tt, walk(cps.Cont(tt)))
-			return tt
-		}
-	}
-	f.Body = walk(f.Body)
+	})
 	return found
-}
-
-// replaceApp substitutes the term `from` (an App node) with `to`
-// inside the holder's body.
-func replaceApp(holder *cps.Fun, from, to cps.Term) {
-	var walk func(t cps.Term) cps.Term
-	walk = func(t cps.Term) cps.Term {
-		if t == from {
-			return to
-		}
-		switch tt := t.(type) {
-		case *cps.If:
-			tt.Then = walk(tt.Then)
-			tt.Else = walk(tt.Else)
-			return tt
-		case *cps.App, *cps.Halt:
-			return t
-		default:
-			cps.SetCont(tt, walk(cps.Cont(tt)))
-			return tt
-		}
-	}
-	holder.Body = walk(holder.Body)
 }

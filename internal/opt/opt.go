@@ -7,9 +7,8 @@
 package opt
 
 import (
-	"fmt"
 	"maps"
-	"sort"
+	"strconv"
 
 	"repro/internal/ast"
 	"repro/internal/cps"
@@ -30,9 +29,26 @@ type Stats struct {
 	Hoisted      int // loop-invariant operations hoisted
 }
 
+// String renders the counters as one line of name=count pairs.
 func (s *Stats) String() string {
-	return fmt.Sprintf("rounds=%d folded=%d copies=%d inlined=%d eta=%d dead=%d deadfuns=%d trimmed=%d cse=%d hoisted=%d",
-		s.Rounds, s.Folded, s.Copies, s.Inlined, s.Eta, s.DeadBindings, s.DeadFuns, s.TrimmedReads, s.CSE, s.Hoisted)
+	var b []byte
+	for i, c := range []struct {
+		name string
+		n    int
+	}{
+		{"rounds", s.Rounds}, {"folded", s.Folded}, {"copies", s.Copies},
+		{"inlined", s.Inlined}, {"eta", s.Eta}, {"dead", s.DeadBindings},
+		{"deadfuns", s.DeadFuns}, {"trimmed", s.TrimmedReads}, {"cse", s.CSE},
+		{"hoisted", s.Hoisted},
+	} {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, c.name...)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, int64(c.n), 10)
+	}
+	return string(b)
 }
 
 // Optimize rewrites p in place until a fixed point (bounded by a round
@@ -41,7 +57,7 @@ func Optimize(p *cps.Program) *Stats {
 	stats := &Stats{}
 	runRounds := func() {
 		for round := 0; round < 50; round++ {
-			o := &optimizer{p: p, stats: stats, subst: map[cps.Var]cps.Value{}}
+			o := &optimizer{p: p, stats: stats, subst: make([]cps.Value, p.NumVars())}
 			o.census()
 			o.rewriteAll()
 			o.removeUnreachable()
@@ -72,62 +88,40 @@ func Optimize(p *cps.Program) *Stats {
 // extractions truly free: their values stop flowing through join
 // points, so the extractions die on the next round.
 func (o *optimizer) dropUselessParams() {
-	// Direct uses: every operand occurrence except App arguments.
-	direct := map[cps.Var]int{}
-	type appSite struct{ app *cps.App }
-	var apps []appSite
-	var walk func(t cps.Term)
-	walk = func(t cps.Term) {
-		switch t := t.(type) {
-		case *cps.If:
-			for _, v := range []cps.Value{t.L, t.R} {
+	// A variable is useful if it has a direct use (any operand
+	// occurrence except an App argument) or is an entry parameter, a
+	// program input.
+	useful := make([]bool, o.p.NumVars())
+	var apps []*cps.App
+	for _, f := range o.p.Funs {
+		if f == nil {
+			continue
+		}
+		cps.Walk(&f.Body, func(slot *cps.Term) {
+			if app, ok := (*slot).(*cps.App); ok {
+				apps = append(apps, app)
+				return
+			}
+			for _, v := range cps.Uses(*slot) {
 				if vv, ok := v.(cps.Var); ok {
-					direct[vv]++
+					useful[vv] = true
 				}
 			}
-			walk(t.Then)
-			walk(t.Else)
-		case *cps.App:
-			apps = append(apps, appSite{app: t})
-		case *cps.Halt:
-			for _, v := range t.Results {
-				if vv, ok := v.(cps.Var); ok {
-					direct[vv]++
-				}
-			}
-		default:
-			for _, v := range cps.Uses(t) {
-				if vv, ok := v.(cps.Var); ok {
-					direct[vv]++
-				}
-			}
-			walk(cps.Cont(t))
-		}
+		})
 	}
-	for _, l := range o.sortedLabels() {
-		walk(o.p.Funs[l].Body)
+	for _, pv := range o.p.Funs[o.p.Entry].Params {
+		useful[pv] = true
 	}
-	// A parameter is useful if directly used, or passed into a useful
-	// parameter position. Iterate to a fixed point.
-	useful := map[cps.Var]bool{}
-	for v, n := range direct {
-		if n > 0 {
-			useful[v] = true
-		}
-	}
-	if f, ok := o.p.Funs[o.p.Entry]; ok {
-		for _, pv := range f.Params {
-			useful[pv] = true // entry parameters are the program inputs
-		}
-	}
+	// It is also useful if passed into a useful parameter position.
+	// Iterate to a fixed point.
 	for changed := true; changed; {
 		changed = false
-		for _, site := range apps {
-			callee, ok := o.p.Funs[site.app.F]
-			if !ok {
+		for _, app := range apps {
+			callee := o.p.Funs[app.F]
+			if callee == nil {
 				continue
 			}
-			for i, a := range site.app.Args {
+			for i, a := range app.Args {
 				if i >= len(callee.Params) {
 					break
 				}
@@ -143,128 +137,111 @@ func (o *optimizer) dropUselessParams() {
 		}
 	}
 	// Physically drop useless parameters and the matching arguments.
-	keepMask := map[cps.Label][]bool{}
-	for _, l := range o.sortedLabels() {
-		f := o.p.Funs[l]
-		if l == o.p.Entry {
+	keepMask := make([][]bool, o.p.NumLabels())
+	for l, f := range o.p.Funs {
+		if f == nil || cps.Label(l) == o.p.Entry {
 			continue
 		}
 		mask := make([]bool, len(f.Params))
-		drop := false
-		for i, pv := range f.Params {
-			mask[i] = useful[pv]
-			if !mask[i] {
-				drop = true
-			}
-		}
-		if drop {
-			keepMask[l] = mask
-		}
-	}
-	if len(keepMask) == 0 {
-		return
-	}
-	o.changed = true
-	for l, mask := range keepMask {
-		f := o.p.Funs[l]
 		var kept []cps.Var
 		for i, pv := range f.Params {
+			mask[i] = useful[pv]
 			if mask[i] {
 				kept = append(kept, pv)
-			} else {
-				o.stats.DeadBindings++
 			}
 		}
-		f.Params = kept
+		if len(kept) < len(f.Params) {
+			o.stats.DeadBindings += len(f.Params) - len(kept)
+			o.changed = true
+			keepMask[l] = mask
+			f.Params = kept
+		}
 	}
-	for _, site := range apps {
-		mask, ok := keepMask[site.app.F]
-		if !ok {
+	for _, app := range apps {
+		mask := keepMask[app.F]
+		if mask == nil {
 			continue
 		}
 		var kept []cps.Value
-		for i, a := range site.app.Args {
+		for i, a := range app.Args {
 			if i < len(mask) && mask[i] {
 				kept = append(kept, a)
 			}
 		}
-		site.app.Args = kept
+		app.Args = kept
 	}
 }
 
 type optimizer struct {
-	p       *cps.Program
-	stats   *Stats
-	subst   map[cps.Var]cps.Value
-	uses    map[cps.Var]int
-	labUses map[cps.Label]int
-	inline  map[cps.Label]bool // labels currently being inlined (cycle guard)
+	p     *cps.Program
+	stats *Stats
+	// Per-variable tables, indexed by cps.Var. trimRead extends them
+	// for the variables it creates.
+	subst []cps.Value // nil: no substitution
+	uses  []int
+	// Per-label tables, indexed by cps.Label.
+	labUses []int
+	inline  []bool // labels currently being inlined (cycle guard)
 	changed bool
+}
+
+// reachable walks the functions reachable from the entry, calling
+// visit, when not nil, on every term slot of each, and returns the
+// reached labels.
+func (o *optimizer) reachable(visit func(*cps.Term)) []bool {
+	reach := make([]bool, o.p.NumLabels())
+	reach[o.p.Entry] = true
+	work := []cps.Label{o.p.Entry}
+	for len(work) > 0 {
+		f := o.p.Funs[work[len(work)-1]]
+		work = work[:len(work)-1]
+		if f == nil {
+			continue
+		}
+		cps.Walk(&f.Body, func(slot *cps.Term) {
+			if visit != nil {
+				visit(slot)
+			}
+			if app, ok := (*slot).(*cps.App); ok && !reach[app.F] {
+				reach[app.F] = true
+				work = append(work, app.F)
+			}
+		})
+	}
+	return reach
 }
 
 // census counts variable and label uses over functions reachable from
 // the entry.
 func (o *optimizer) census() {
-	o.uses = map[cps.Var]int{}
-	o.labUses = map[cps.Label]int{}
-	o.inline = map[cps.Label]bool{}
-	seen := map[cps.Label]bool{}
-	var visitTerm func(t cps.Term)
-	var visitFun func(l cps.Label)
-	visitTerm = func(t cps.Term) {
-		for _, v := range cps.Uses(t) {
+	o.uses = make([]int, o.p.NumVars())
+	o.labUses = make([]int, o.p.NumLabels())
+	o.inline = make([]bool, o.p.NumLabels())
+	o.reachable(func(slot *cps.Term) {
+		for _, v := range cps.Uses(*slot) {
 			if vv, ok := v.(cps.Var); ok {
 				o.uses[vv]++
 			}
 		}
-		switch t := t.(type) {
-		case *cps.If:
-			visitTerm(t.Then)
-			visitTerm(t.Else)
-		case *cps.App:
-			o.labUses[t.F]++
-			visitFun(t.F)
-		default:
-			if k := cps.Cont(t); k != nil {
-				visitTerm(k)
-			}
+		if app, ok := (*slot).(*cps.App); ok {
+			o.labUses[app.F]++
 		}
-	}
-	visitFun = func(l cps.Label) {
-		if seen[l] {
-			return
-		}
-		seen[l] = true
-		if f, ok := o.p.Funs[l]; ok {
-			visitTerm(f.Body)
-		}
-	}
-	visitFun(o.p.Entry)
+	})
 }
 
 func (o *optimizer) rewriteAll() {
-	// Rewrite each reachable function in deterministic label order.
-	// Census is recomputed per round, so inlining decisions are based
-	// on slightly stale counts — safe, because counts only shrink.
-	for _, l := range o.sortedLabels() {
-		f, ok := o.p.Funs[l]
-		if !ok {
-			continue // inlined away earlier in this round
+	// Rewrite each reachable function in label order. Census is
+	// recomputed per round, so inlining decisions are based on
+	// slightly stale counts — safe, because counts only shrink.
+	for l, f := range o.p.Funs {
+		if f == nil { // inlined away earlier in this round
+			continue
 		}
-		if o.labUses[l] == 0 && l != o.p.Entry {
+		if o.labUses[l] == 0 && cps.Label(l) != o.p.Entry {
 			continue
 		}
 		f.Body = o.rewrite(f.Body, map[cseKey]cps.Var{})
 	}
-}
-
-func (o *optimizer) sortedLabels() []cps.Label {
-	labels := make([]cps.Label, 0, len(o.p.Funs))
-	for l := range o.p.Funs {
-		labels = append(labels, l)
-	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-	return labels
 }
 
 func (o *optimizer) val(v cps.Value) cps.Value {
@@ -273,11 +250,10 @@ func (o *optimizer) val(v cps.Value) cps.Value {
 		if !ok {
 			return v
 		}
-		s, ok := o.subst[vv]
-		if !ok {
+		if o.subst[vv] == nil {
 			return v
 		}
-		v = s
+		v = o.subst[vv]
 	}
 }
 
@@ -327,7 +303,7 @@ func (o *optimizer) rewrite(t cps.Term, cse map[cseKey]cps.Var) cps.Term {
 		if lc, ok := l.(cps.Const); ok {
 			if rc, ok := r.(cps.Const); ok {
 				if v, ok := types.EvalBinop(t.Op, uint32(lc), uint32(rc)); ok {
-					if _, had := o.subst[t.Dst]; !had {
+					if o.subst[t.Dst] == nil {
 						o.subst[t.Dst] = cps.Const(v)
 						o.stats.Folded++
 						o.changed = true
@@ -338,7 +314,7 @@ func (o *optimizer) rewrite(t cps.Term, cse map[cseKey]cps.Var) cps.Term {
 			}
 		}
 		if v, ok := simplifyArith(t.Op, l, r); ok {
-			if _, had := o.subst[t.Dst]; !had {
+			if o.subst[t.Dst] == nil {
 				o.subst[t.Dst] = v
 				o.stats.Folded++
 				o.changed = true
@@ -349,7 +325,7 @@ func (o *optimizer) rewrite(t cps.Term, cse map[cseKey]cps.Var) cps.Term {
 		// Local CSE.
 		key := cseKey{t.Op, l, r}
 		if prev, ok := cse[key]; ok && prev != t.Dst {
-			if _, had := o.subst[t.Dst]; !had {
+			if o.subst[t.Dst] == nil {
 				o.subst[t.Dst] = prev
 				o.stats.CSE++
 				o.changed = true
@@ -371,7 +347,7 @@ func (o *optimizer) rewrite(t cps.Term, cse map[cseKey]cps.Var) cps.Term {
 		} else {
 			// Clone of a constant: propagate the constant; the binding
 			// dies once every use is rewritten.
-			if _, had := o.subst[t.Dst]; !had {
+			if o.subst[t.Dst] == nil {
 				o.subst[t.Dst] = o.val(t.Src)
 				o.stats.Copies++
 				o.changed = true
@@ -409,7 +385,7 @@ func (o *optimizer) rewrite(t cps.Term, cse map[cseKey]cps.Var) cps.Term {
 			if rc, ok := r.(cps.Const); ok {
 				o.stats.Folded++
 				o.changed = true
-				if evalCmp(t.Cmp, uint32(lc), uint32(rc)) {
+				if types.EvalCmp(t.Cmp, uint32(lc), uint32(rc)) {
 					return o.rewrite(t.Then, cse)
 				}
 				return o.rewrite(t.Else, cse)
@@ -421,8 +397,8 @@ func (o *optimizer) rewrite(t cps.Term, cse map[cseKey]cps.Var) cps.Term {
 		return t
 	case *cps.App:
 		t.Args = o.vals(t.Args)
-		f, ok := o.p.Funs[t.F]
-		if !ok {
+		f := o.p.Funs[t.F]
+		if f == nil {
 			return t
 		}
 		// Eta: goto a function that just forwards to another label.
@@ -451,7 +427,7 @@ func (o *optimizer) rewrite(t cps.Term, cse map[cseKey]cps.Var) cps.Term {
 			o.stats.Inlined++
 			o.changed = true
 			body := o.rewrite(f.Body, cse)
-			delete(o.p.Funs, t.F)
+			o.p.Funs[t.F] = nil
 			return body
 		}
 		return t
@@ -503,7 +479,8 @@ func (o *optimizer) trimRead(t *cps.MemRead) (cps.Term, bool) {
 		t.Addr = addr
 		// The census predates this binding; record its use so the
 		// dead-code check doesn't immediately remove it.
-		o.uses[addr] = 1
+		o.uses = append(o.uses, 1)
+		o.subst = append(o.subst, nil)
 		return add, true
 	}
 	return nil, false
@@ -511,35 +488,10 @@ func (o *optimizer) trimRead(t *cps.MemRead) (cps.Term, bool) {
 
 // removeUnreachable deletes functions no longer reachable from entry.
 func (o *optimizer) removeUnreachable() {
-	reach := map[cps.Label]bool{}
-	var visit func(l cps.Label)
-	var visitTerm func(t cps.Term)
-	visitTerm = func(t cps.Term) {
-		switch t := t.(type) {
-		case *cps.If:
-			visitTerm(t.Then)
-			visitTerm(t.Else)
-		case *cps.App:
-			visit(t.F)
-		default:
-			if k := cps.Cont(t); k != nil {
-				visitTerm(k)
-			}
-		}
-	}
-	visit = func(l cps.Label) {
-		if reach[l] {
-			return
-		}
-		reach[l] = true
-		if f, ok := o.p.Funs[l]; ok {
-			visitTerm(f.Body)
-		}
-	}
-	visit(o.p.Entry)
-	for l := range o.p.Funs {
-		if !reach[l] {
-			delete(o.p.Funs, l)
+	reach := o.reachable(nil)
+	for l, f := range o.p.Funs {
+		if f != nil && !reach[l] {
+			o.p.Funs[l] = nil
 			o.stats.DeadFuns++
 			o.changed = true
 		}
@@ -617,22 +569,4 @@ func simplifyArith(op ast.BinOp, l, r cps.Value) (cps.Value, bool) {
 		}
 	}
 	return nil, false
-}
-
-func evalCmp(op ast.BinOp, l, r uint32) bool {
-	switch op {
-	case ast.OpEq:
-		return l == r
-	case ast.OpNe:
-		return l != r
-	case ast.OpLt:
-		return l < r
-	case ast.OpGt:
-		return l > r
-	case ast.OpLe:
-		return l <= r
-	case ast.OpGe:
-		return l >= r
-	}
-	return false
 }

@@ -38,31 +38,22 @@ type opCount struct {
 
 func count(p *cps.Program) opCount {
 	var c opCount
-	c.funs = len(p.Funs)
-	var walk func(t cps.Term)
-	walk = func(t cps.Term) {
-		switch t := t.(type) {
-		case *cps.Arith:
-			c.arith++
-			walk(t.K)
-		case *cps.MemRead:
-			c.reads++
-			c.readWords += len(t.Dsts)
-			walk(t.K)
-		case *cps.MemWrite:
-			c.writes++
-			walk(t.K)
-		case *cps.If:
-			walk(t.Then)
-			walk(t.Else)
-		default:
-			if k := cps.Cont(t); k != nil {
-				walk(k)
-			}
-		}
-	}
 	for _, f := range p.Funs {
-		walk(f.Body)
+		if f == nil {
+			continue
+		}
+		c.funs++
+		cps.Walk(&f.Body, func(slot *cps.Term) {
+			switch t := (*slot).(type) {
+			case *cps.Arith:
+				c.arith++
+			case *cps.MemRead:
+				c.reads++
+				c.readWords += len(t.Dsts)
+			case *cps.MemWrite:
+				c.writes++
+			}
+		})
 	}
 	return c
 }

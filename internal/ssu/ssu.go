@@ -16,11 +16,7 @@
 // insertion must look across function boundaries.
 package ssu
 
-import (
-	"sort"
-
-	"repro/internal/cps"
-)
+import "repro/internal/cps"
 
 // Stats reports the transform's effect.
 type Stats struct {
@@ -76,59 +72,38 @@ func dupOperands(t cps.Term) []*cps.Value {
 func Transform(p *cps.Program) *Stats {
 	st := &Stats{}
 
-	// Whole-program analysis: non-clone use counts, write and
-	// duplicate-operand occurrences, and each variable's defining
-	// function (for clone insertion).
-	uses := map[cps.Var]int{}
+	// Whole-program analysis: non-clone use counts, and write and
+	// duplicate-operand occurrences in walk order.
+	uses := make([]int, p.NumVars())
 	var writeOccs, dupOccs []*cps.Value
-	defFun := map[cps.Var]cps.Label{} // where the var is bound (def or param)
-
-	var labels []cps.Label
-	for l := range p.Funs {
-		labels = append(labels, l)
-	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-
-	for _, l := range labels {
-		f := p.Funs[l]
-		for _, pv := range f.Params {
-			defFun[pv] = l
+	for _, f := range p.Funs {
+		if f == nil {
+			continue
 		}
-		var walk func(t cps.Term)
-		walk = func(t cps.Term) {
-			if t == nil {
-				return
-			}
-			for _, d := range cps.Defs(t) {
-				defFun[d] = l
-			}
+		cps.Walk(&f.Body, func(slot *cps.Term) {
+			t := *slot
 			writeOccs = append(writeOccs, writeOperands(t)...)
 			dupOccs = append(dupOccs, dupOperands(t)...)
-			if _, isClone := t.(*cps.Clone); !isClone {
-				for _, v := range cps.Uses(t) {
-					if vv, ok := v.(cps.Var); ok {
-						uses[vv]++
-					}
-				}
-			}
-			if iff, ok := t.(*cps.If); ok {
-				walk(iff.Then)
-				walk(iff.Else)
+			if _, isClone := t.(*cps.Clone); isClone {
 				return
 			}
-			walk(cps.Cont(t))
-		}
-		walk(f.Body)
+			for _, v := range cps.Uses(t) {
+				if vv, ok := v.(cps.Var); ok {
+					uses[vv]++
+				}
+			}
+		})
 	}
 
 	// Decide which occurrences need clones. A write occurrence keeps
 	// the original only when it is the variable's sole non-clone use,
 	// or when every use is a write and it is the first such occurrence.
-	needed := map[cps.Var][]*cps.Value{}
-	kept := map[cps.Var]bool{}
+	needed := make([][]*cps.Value, p.NumVars())
+	kept := make([]bool, p.NumVars())
 	for _, slot := range dupOccs {
 		if v, ok := (*slot).(cps.Var); ok {
 			needed[v] = append(needed[v], slot)
+			st.Clones++
 		}
 	}
 	for _, slot := range writeOccs {
@@ -144,24 +119,21 @@ func Transform(p *cps.Program) *Stats {
 			continue
 		}
 		needed[v] = append(needed[v], slot)
+		st.Clones++
 	}
-	if len(needed) == 0 {
+	if st.Clones == 0 {
 		return st
 	}
 
-	// Allocate clones and substitute the occurrences.
-	cloneChains := map[cps.Var][]cps.Var{}
-	var vars []cps.Var
-	for v := range needed {
-		vars = append(vars, v)
-	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-	for _, v := range vars {
-		for _, slot := range needed[v] {
-			c := p.NewVar(p.VarName(v) + "'")
+	// Allocate clones, in variable order, and substitute the
+	// occurrences. cloneChains also covers the clones themselves,
+	// which the insertion walk visits.
+	cloneChains := make([][]cps.Var, p.NumVars()+st.Clones)
+	for v, slots := range needed {
+		for _, slot := range slots {
+			c := p.NewVar(p.VarName(cps.Var(v)) + "'")
 			cloneChains[v] = append(cloneChains[v], c)
 			*slot = c
-			st.Clones++
 		}
 	}
 
@@ -169,36 +141,31 @@ func Transform(p *cps.Program) *Stats {
 	// definition (or at the top of its binding function for
 	// parameters), so original and clones start out in the same
 	// register (§10).
-	for _, l := range labels {
-		f := p.Funs[l]
-		var rewrite func(t cps.Term) cps.Term
-		rewrite = func(t cps.Term) cps.Term {
-			switch tt := t.(type) {
-			case *cps.If:
-				tt.Then = rewrite(tt.Then)
-				tt.Else = rewrite(tt.Else)
-				return tt
-			case *cps.App, *cps.Halt:
-				return t
-			}
-			k := rewrite(cps.Cont(t))
-			for _, d := range cps.Defs(t) {
-				for i := len(cloneChains[d]) - 1; i >= 0; i-- {
-					k = &cps.Clone{Src: d, Dst: cloneChains[d][i], K: k}
+	for _, f := range p.Funs {
+		if f == nil {
+			continue
+		}
+		cps.Walk(&f.Body, func(slot *cps.Term) {
+			for _, d := range cps.Defs(*slot) {
+				if len(cloneChains[d]) > 0 {
+					cps.SetCont(*slot, prependClones(d, cloneChains[d], cps.Cont(*slot)))
 				}
 			}
-			cps.SetCont(t, k)
-			return t
-		}
-		body := rewrite(f.Body)
+		})
 		for _, v := range f.Params {
-			for i := len(cloneChains[v]) - 1; i >= 0; i-- {
-				body = &cps.Clone{Src: v, Dst: cloneChains[v][i], K: body}
-			}
+			f.Body = prependClones(v, cloneChains[v], f.Body)
 		}
-		f.Body = body
 	}
 	return st
+}
+
+// prependClones puts clone bindings of v into each of clones, in
+// order, in front of k.
+func prependClones(v cps.Var, clones []cps.Var, k cps.Term) cps.Term {
+	for i := len(clones) - 1; i >= 0; i-- {
+		k = &cps.Clone{Src: v, Dst: clones[i], K: k}
+	}
+	return k
 }
 
 // onlyWrites reports whether all of v's non-clone uses are write

@@ -947,3 +947,24 @@ func evalBinop(op ast.BinOp, l, r uint32) (uint32, bool) {
 // EvalBinop exposes constant evaluation of word operators to the
 // optimizer.
 func EvalBinop(op ast.BinOp, l, r uint32) (uint32, bool) { return evalBinop(op, l, r) }
+
+// EvalCmp evaluates a comparison operator on unsigned words; any other
+// operator is false. The optimizer folds branches with it and the CPS
+// evaluator takes them with it.
+func EvalCmp(op ast.BinOp, l, r uint32) bool {
+	switch op {
+	case ast.OpEq:
+		return l == r
+	case ast.OpNe:
+		return l != r
+	case ast.OpLt:
+		return l < r
+	case ast.OpGt:
+		return l > r
+	case ast.OpLe:
+		return l <= r
+	case ast.OpGe:
+		return l >= r
+	}
+	return false
+}
