@@ -8,6 +8,9 @@ import (
 	"repro/internal/cps"
 	"repro/internal/mip"
 	"repro/internal/nova"
+	"repro/internal/parser"
+	"repro/internal/source"
+	"repro/internal/types"
 )
 
 // compileRun compiles src, runs both the CPS reference evaluator and
@@ -21,12 +24,19 @@ func compileRun(t *testing.T, src string, args []uint32, init func(sram, sdram, 
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	// Reference execution.
+	// Reference execution: the unoptimized CPS of the same source, so
+	// the oracle shares no code with opt, ssu or the back end.
+	f := source.NewFile("test.nova", src)
+	errs := source.NewErrorList(f)
+	unopt := cps.Convert(types.Check(parser.Parse(f, errs), errs), "main", errs)
+	if errs.HasErrors() {
+		t.Fatalf("reference front end: %v", errs)
+	}
 	ref := cps.NewMachine(1<<16, 1<<16, 1024)
 	if init != nil {
 		init(ref.SRAM, ref.SDRAM, ref.Scratch)
 	}
-	want, err := comp.CPS.Eval(ref, args, 10_000_000)
+	want, err := unopt.Eval(ref, args, 10_000_000)
 	if err != nil {
 		t.Fatalf("cps eval: %v", err)
 	}
