@@ -202,11 +202,21 @@ func (il *ilp) colorCol(v mir.Temp, b Bank) int {
 // Clone-set moves at the same point are counted once (§10).
 func (il *ilp) moves() {
 	g := il.g
+	// arcsAt's lists share one backing array, one span per point.
 	il.arcsAt = make([][]int, g.npoints)
-	il.moveCols = make([][]moveCol, len(g.arcs))
+	perPoint := make([]int, g.npoints)
+	for _, a := range g.arcs {
+		perPoint[a.point]++
+	}
+	backing, off := make([]int, len(g.arcs)), 0
+	for p, n := range perPoint {
+		il.arcsAt[p] = backing[off : off : off+n]
+		off += n
+	}
 	for i, a := range g.arcs {
 		il.arcsAt[a.point] = append(il.arcsAt[a.point], i)
 	}
+	il.moveCols = make([][]moveCol, len(g.arcs))
 	// The arcs of one clone set at one point form a group, named by
 	// its first arc: group[i] is that arc, or -1 when i is alone.
 	group := make([]int, len(g.arcs))
@@ -236,6 +246,17 @@ func (il *ilp) moves() {
 		max    int
 	}
 	groupMoves := make([][]cloneMove, len(g.arcs))
+	// pvsBuf backs every arc's moveCols span: at most one column per
+	// bank pair of each arc that takes the full flow formulation below.
+	size := 0
+	for i, a := range g.arcs {
+		from, to := g.find(a.from), g.find(a.to)
+		nf, nt := g.locAllow[from].count(), g.locAllow[to].count()
+		if from != to && (group[i] >= 0 || nf > 1 && nt > 1) {
+			size += nf * nt
+		}
+	}
+	pvsBuf := make([]moveCol, 0, size)
 
 	biased := func(c float64, b1 Bank) float64 {
 		if il.g.opts.BiasAB && b1 == B {
@@ -282,7 +303,7 @@ func (il *ilp) moves() {
 		// Full flow formulation. The transition variables are
 		// continuous: integrality follows from the endpoint positions
 		// being 0-1.
-		pvs := make([]moveCol, 0, fa.count()*ta.count())
+		start := len(pvsBuf)
 		for _, b1 := range fa.banks() {
 			for _, b2 := range ta.banks() {
 				c := il.arcCost(a.v, b1, b2)
@@ -290,7 +311,7 @@ func (il *ilp) moves() {
 					continue // no physical path
 				}
 				col := il.m.Continuous(0, 1)
-				pvs = append(pvs, moveCol{b1, b2, col})
+				pvsBuf = append(pvsBuf, moveCol{b1, b2, col})
 				if c == 0 {
 					continue
 				}
@@ -316,6 +337,7 @@ func (il *ilp) moves() {
 				mc.of = append(mc.of, col)
 			}
 		}
+		pvs := pvsBuf[start:len(pvsBuf):len(pvsBuf)]
 		il.moveCols[i] = pvs
 		// Flow conservation.
 		for _, b1 := range fa.banks() {

@@ -434,29 +434,35 @@ func (cb *chainBuilder) run(lv *mir.Liveness) error {
 		g.pairs = append(g.pairs, pair{x: g.activeLocAt(pp.x, p), y: g.activeLocAt(pp.y, p)})
 	}
 	// Per-point occupancy lists (the Exists set with before/after
-	// sides, §6 K constraints).
+	// sides, §6 K constraints). Defs and clones arriving at a point
+	// also exist there even if dead (the paper's Exists ⊇ live
+	// distinction). The block's lists share one backing array per
+	// side, sized from its live sets.
+	size := 0
 	for k := 0; k <= exitIdx; k++ {
-		p := pt(k)
-		// Defs and clones arriving at this point also exist here even
-		// if dead (the paper's Exists ⊇ live distinction).
 		if k > 0 && k <= nInstr {
 			for _, d := range b.Instrs[k-1].Dsts {
 				liveAt[k].Add(d)
 			}
 		}
+		size += liveAt[k].Len()
+	}
+	before := make([]locEntry, 0, size)
+	after := make([]locEntry, 0, size)
+	for k := 0; k <= exitIdx; k++ {
+		p := pt(k)
+		nb, na := len(before), len(after)
 		temps = liveAt[k].AppendTo(temps[:0])
-		g.beforeLocs[p] = make([]locEntry, 0, len(temps))
-		g.afterLocs[p] = make([]locEntry, 0, len(temps))
 		for _, v := range temps {
-			before := g.beforeLocAt(v, p)
-			after := g.activeLocAt(v, p)
-			if before >= 0 {
-				g.beforeLocs[p] = append(g.beforeLocs[p], locEntry{v: v, loc: before})
+			if l := g.beforeLocAt(v, p); l >= 0 {
+				before = append(before, locEntry{v: v, loc: l})
 			}
-			if after >= 0 {
-				g.afterLocs[p] = append(g.afterLocs[p], locEntry{v: v, loc: after})
+			if l := g.activeLocAt(v, p); l >= 0 {
+				after = append(after, locEntry{v: v, loc: l})
 			}
 		}
+		g.beforeLocs[p] = before[nb:len(before):len(before)]
+		g.afterLocs[p] = after[na:len(after):len(after)]
 	}
 	return nil
 }

@@ -61,9 +61,9 @@ func TestModelBuildAllocations(t *testing.T) {
 		name string
 		max  float64
 	}{
-		{"aes", 5250},
-		{"kasumi", 4950},
-		{"nat", 1650},
+		{"aes", 3200},
+		{"kasumi", 2900},
+		{"nat", 900},
 	} {
 		src, err := os.ReadFile(filepath.Join("..", "workloads", c.name+".nova"))
 		if err != nil {

@@ -16,6 +16,15 @@ func (s TempSet) Add(t Temp) { s[t>>6] |= 1 << (t & 63) }
 
 func (s TempSet) del(t Temp) { s[t>>6] &^= 1 << (t & 63) }
 
+// Len returns the number of temps in s.
+func (s TempSet) Len() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // AppendTo appends the members of s to dst in ascending order.
 func (s TempSet) AppendTo(dst []Temp) []Temp {
 	for i, w := range s {
