@@ -212,7 +212,7 @@ func (p *Program) EntryFun() *Fun {
 
 // VarName returns the debug name of v.
 func (p *Program) VarName(v Var) string {
-	if int(v) < len(p.names) && p.names[v] != "" {
+	if p.names[v] != "" {
 		return fmt.Sprintf("%s.%d", p.names[v], v)
 	}
 	return fmt.Sprintf("t%d", v)

@@ -42,8 +42,7 @@ type selector struct {
 	mp     *mir.Program
 	temps  []mir.Temp    // by cps.Var; -1 until first use
 	blocks []mir.BlockID // by cps.Label; -1 until first jump
-
-	work []cps.Label
+	work   []cps.Label
 }
 
 func (s *selector) temp(v cps.Var) mir.Temp {
